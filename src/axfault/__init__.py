@@ -34,7 +34,6 @@ from .faults import (
     apply_fault,
     gpu_tile_gemm,
     load_fault_map,
-    map_pruned_indices,
     pruned_mask,
     random_fault_map,
     save_fault_map,

@@ -10,20 +10,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 import hashlib
 import json
+import math
 import os
 import time
 
 import numpy as np
 
 from . import charts
-from .faults import StuckAtFault, SystolicConfig, TileFaultSpec, random_fault_map
+from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
+                     random_fault_map)
 from .mitigation import run_mitigation
 from .multipliers import error_metrics, parse_multiplier
-from .network import ExecEnv, evaluate
+from .network import QUANTIZED_ENGINES, ExecEnv, evaluate
 from .training import HyperParams
-
-FAULT_KINDS = ("sa0", "sa1")
-ENGINES = ("systolic", "gpu_tiles")
 
 # Axis names in canonical record order. Records are emitted in the
 # product order of these axes no matter how execution was scheduled.
@@ -81,7 +80,7 @@ class CampaignSpec:
             if k not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {k!r}")
         for e in self.engines:
-            if e not in ENGINES:
+            if e not in QUANTIZED_ENGINES:
                 raise ValueError(f"unknown engine {e!r}")
         if self.layers != "all" and not self.layers:
             raise ValueError("layers must be 'all' or a non-empty list")
@@ -167,27 +166,11 @@ def cell_seed(cell: dict) -> int:
 
 
 def mac_count(model) -> int:
-    """Multiply-accumulate count of one forward pass, from layer geometry."""
-    shape = tuple(model.input_shape)
-    total = 0
-    for layer in model.layers:
-        p = layer.params
-        if layer.kind == "dense":
-            total += p["in"] * p["out"]
-            shape = (p["out"],)
-        elif layer.kind == "conv2d":
-            h, w, _ = shape
-            hout = (h + 2 * p["pad"] - p["kh"]) // p["stride"] + 1
-            wout = (w + 2 * p["pad"] - p["kw"]) // p["stride"] + 1
-            total += p["kh"] * p["kw"] * p["cin"] * p["cout"] * hout * wout
-            shape = (hout, wout, p["cout"])
-        elif layer.kind == "maxpool":
-            h, w, c = shape
-            shape = ((h - p["k"]) // p["stride"] + 1,
-                     (w - p["k"]) // p["stride"] + 1, c)
-        else:
-            shape = (int(np.prod(shape)),)
-    return int(total)
+    """Multiply-accumulate count of one forward pass, from layer geometry:
+    each GEMM's weight matrix times its number of output positions."""
+    shapes = model.shapes()
+    return sum(math.prod(model.gemm_weight_shape(idx)) * math.prod(shapes[idx][:-1])
+               for idx in model.param_layers())
 
 
 def energy_estimate(model, multiplier_id: str, table: dict) -> float:

@@ -15,6 +15,8 @@ import numpy as np
 from . import campaign as camp
 from . import datasets, mitigation, multipliers, network, training
 from .faults import (
+    FAULT_KINDS,
+    GEMM_MODES,
     FaultMap,
     StuckAtFault,
     SystolicConfig,
@@ -307,17 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--engine", choices=["float", "systolic", "gpu_tiles"],
-                   default="float")
+    p.add_argument("--engine", choices=network.ENGINES, default="float")
     p.add_argument("--multiplier", default="exact")
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--mode", choices=["propagate", "bypass"],
-                   default="propagate")
+    p.add_argument("--mode", choices=GEMM_MODES, default="propagate")
     p.add_argument("--tile", type=int, default=16)
     p.add_argument("--tile-index", type=int, default=0)
     p.add_argument("--tile-fraction", type=float, default=0.0)
     p.add_argument("--bit", type=int, default=15)
-    p.add_argument("--kind", choices=["sa0", "sa1"], default="sa1")
+    p.add_argument("--kind", choices=FAULT_KINDS, default="sa1")
     p.add_argument("--fault-map")
     p.add_argument("--weight-map")
     p.add_argument("--layer", type=int)
@@ -343,16 +343,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--multiplier", default="exact")
-    p.add_argument("--engine", choices=["systolic", "gpu_tiles"],
-                   default="systolic")
+    p.add_argument("--engine", choices=network.QUANTIZED_ENGINES, default="systolic")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--tile", type=int, default=16)
     p.add_argument("--tile-index", type=int, default=0)
     p.add_argument("--percent", type=float, required=True)
     p.add_argument("--bit", type=int, required=True)
-    p.add_argument("--kind", choices=["sa0", "sa1"], required=True)
-    p.add_argument("--mode", choices=["propagate", "bypass"],
-                   default="propagate")
+    p.add_argument("--kind", choices=FAULT_KINDS, required=True)
+    p.add_argument("--mode", choices=GEMM_MODES, default="propagate")
     p.add_argument("--layer", type=int)
     p.add_argument("--sample-limit", type=int)
     p.add_argument("--save-map")
@@ -369,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--percent", type=float, default=16.0)
     p.add_argument("--bit", type=int, default=15)
-    p.add_argument("--kind", choices=["sa0", "sa1"], default="sa1")
+    p.add_argument("--kind", choices=FAULT_KINDS, default="sa1")
     p.add_argument("--acc-thresh", type=float, default=0.0)
     p.add_argument("--activations", choices=["uniform", "empirical"],
                    default="uniform")

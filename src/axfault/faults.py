@@ -175,6 +175,15 @@ def load_fault_map(path) -> FaultMap:
     return FaultMap(n=n, entries=entries)
 
 
+def _station(lattice: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Tile a per-MAC n x n lattice over a (rows, cols) weight matrix:
+    weight (r, c) is stationed on MAC (r mod n, c mod n)."""
+    n = lattice.shape[0]
+    ri = np.arange(rows) % n
+    ci = np.arange(cols) % n
+    return lattice[ri[:, None], ci]
+
+
 def _station_masks(fm: FaultMap | None, rows: int, cols: int):
     """Expand a fault map to full (rows, cols) or/and masks via mod-n
     stationing. Returns (None, None, None) when there is nothing to apply."""
@@ -182,15 +191,10 @@ def _station_masks(fm: FaultMap | None, rows: int, cols: int):
         return None, None, None
     or_n = np.zeros((fm.n, fm.n), dtype=np.uint16)
     and_n = np.full((fm.n, fm.n), 0xFFFF, dtype=np.uint16)
-    hit_n = np.zeros((fm.n, fm.n), dtype=bool)
     for (i, j), f in fm.entries.items():
-        om, am = f.masks()
-        or_n[i, j] = om
-        and_n[i, j] = am
-        hit_n[i, j] = True
-    ri = np.arange(rows) % fm.n
-    ci = np.arange(cols) % fm.n
-    return or_n[ri[:, None], ci], and_n[ri[:, None], ci], hit_n[ri[:, None], ci]
+        or_n[i, j], and_n[i, j] = f.masks()
+    return (_station(or_n, rows, cols), _station(and_n, rows, cols),
+            pruned_mask((rows, cols), fm))
 
 
 def _check_gemm_operands(wq, aq):
@@ -306,19 +310,10 @@ def gpu_tile_gemm(
     return out
 
 
-def map_pruned_indices(shape, fm: FaultMap) -> set:
-    """Weight-matrix positions that land on faulty MACs under mod-n
-    stationing; these are the positions a mitigation run prunes."""
-    rows, cols = shape
-    return {(int(r), int(c)) for r, c in np.argwhere(pruned_mask(shape, fm))}
-
-
 def pruned_mask(shape, fm: FaultMap) -> np.ndarray:
-    """Boolean (rows, cols) array marking weights stationed on faulty MACs."""
-    rows, cols = shape
+    """Boolean (rows, cols) array marking weights stationed on faulty MACs;
+    these are the positions a mitigation run prunes."""
     hit_n = np.zeros((fm.n, fm.n), dtype=bool)
     for (i, j) in fm.entries:
         hit_n[i, j] = True
-    ri = np.arange(rows) % fm.n
-    ci = np.arange(cols) % fm.n
-    return hit_n[ri[:, None], ci]
+    return _station(hit_n, *shape)

@@ -1,16 +1,22 @@
 """Small dense/conv networks with swappable execution engines.
 
 A model is a list of layer specs (dense, conv2d, maxpool, flatten) plus an
-input shape. Weights live in float64; the quantized engines round-trip each
-GEMM through symmetric int8 quantization, run the integer multiply-accumulate
+input shape. Weights live in float64. ``run_layers`` is the one forward pass:
+every engine runs it, and training's backward pass reads the per-layer
+caches it records. The quantized engines send dense and conv layers through
+one GEMM step: symmetric int8 quantization, the integer multiply-accumulate
 on a simulated accelerator (weight-stationary systolic array or tiled GPU
-path), and requantize back to float, so non-GEMM layers always see float
-activations.
+path), and requantization back to float, so non-GEMM layers always see
+float activations. Conv and maxpool output sizes come from
+``ModelSpec.shapes``.
 
 Internal layouts are feature-major: dense activations are (features, batch),
 conv activations are (H, W, C, batch). Convolutions are lowered to the same
 GEMM path via im2col, which is what physically happens on the modeled
 accelerators.
+
+``forward`` and ``evaluate`` raise ``ValueError`` on non-finite weights or
+biases (naming the layer) and ``evaluate`` on an empty dataset.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from .quantize import quantize, requantize_accum
 
 LAYER_KINDS = ("dense", "conv2d", "maxpool", "flatten")
 ACTIVATIONS = ("none", "relu", "tanh", "softmax")
-ENGINES = ("float", "systolic", "gpu_tiles")
+QUANTIZED_ENGINES = ("systolic", "gpu_tiles")
+ENGINES = ("float",) + QUANTIZED_ENGINES
 
 
 @dataclass
@@ -303,11 +310,13 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np
     return np.ascontiguousarray(cols).reshape(kh * kw * C, hout * wout * B)
 
 
-def col2im(cols: np.ndarray, x_shape, kh, kw, stride=1, pad=0) -> np.ndarray:
-    """Scatter-add inverse of im2col, for the conv backward pass."""
+def col2im(cols: np.ndarray, x_shape, out_hw, kh, kw, stride=1, pad=0) -> np.ndarray:
+    """Scatter-add inverse of im2col, for the conv backward pass.
+
+    ``out_hw`` is the conv's (Hout, Wout) output grid, from ``ModelSpec.shapes``.
+    """
     H, W, C, B = x_shape
-    hout = (H + 2 * pad - kh) // stride + 1
-    wout = (W + 2 * pad - kw) // stride + 1
+    hout, wout = out_hw
     grid = cols.reshape(kh, kw, C, hout, wout, B)
     xp = np.zeros((H + 2 * pad, W + 2 * pad, C, B), dtype=cols.dtype)
     for u in range(kh):
@@ -318,32 +327,6 @@ def col2im(cols: np.ndarray, x_shape, kh, kw, stride=1, pad=0) -> np.ndarray:
     if pad:
         return xp[pad : pad + H, pad : pad + W]
     return xp
-
-
-def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=1, pad=0) -> np.ndarray:
-    """Nested-loop reference convolution, (H, W, C, B) float in/out.
-
-    Deliberately naive; exists as an independent check of the im2col path.
-    """
-    H, W, C, B = x.shape
-    kh, kw, cin, cout = w.shape
-    assert cin == C
-    if pad:
-        xp = np.zeros((H + 2 * pad, W + 2 * pad, C, B))
-        xp[pad : pad + H, pad : pad + W] = x
-    else:
-        xp = x
-    hout = (H + 2 * pad - kh) // stride + 1
-    wout = (W + 2 * pad - kw) // stride + 1
-    out = np.zeros((hout, wout, cout, B))
-    for oh in range(hout):
-        for ow in range(wout):
-            patch = xp[oh * stride : oh * stride + kh, ow * stride : ow * stride + kw]
-            for co in range(cout):
-                out[oh, ow, co] = np.sum(
-                    patch * w[:, :, :, co, None], axis=(0, 1, 2)
-                ) + b[co]
-    return out
 
 
 def _activate(name: str, z: np.ndarray, axis: int) -> np.ndarray:
@@ -387,7 +370,7 @@ class ExecEnv:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if self.engine in ("systolic", "gpu_tiles") and self.multiplier is None:
+        if self.engine in QUANTIZED_ENGINES and self.multiplier is None:
             raise ValueError("quantized engines need a multiplier")
         if self.engine == "systolic" and self.systolic is None:
             raise ValueError("systolic engine needs a SystolicConfig")
@@ -406,19 +389,24 @@ def _engine_gemm(env: ExecEnv, wcodes, acodes, layer_idx: int):
     return gpu_tile_gemm(wcodes, acodes, env.multiplier, tf, env.tile)
 
 
-def _gemm_layer(env: ExecEnv, W2d, acts2d, bias_col, layer_idx, capture):
-    """Shared dense/conv GEMM: quantize, run the engine, requantize."""
-    qa = quantize(acts2d)
+def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, capture):
+    """The quantized GEMM step of dense and conv layers: quantize and remap
+    the weights, histogram the activation codes, run the engine, requantize.
+
+    ``acodes`` are int8 activation codes with scale ``ascale``. A conv layer
+    quantizes its input before im2col and passes the lowered codes, because
+    with stride > 1 the scale of the columns can differ from that of X.
+    """
     qw = quantize(W2d)
     wcodes = qw.data
     if env.weight_map is not None:
         wcodes = env.weight_map.remap_codes(wcodes)
     if capture is not None:
         capture += np.bincount(
-            qa.data.reshape(-1).astype(np.int32) + 128, minlength=256
+            acodes.reshape(-1).astype(np.int32) + 128, minlength=256
         ).astype(np.uint64)
-    acc = _engine_gemm(env, wcodes, qa.data, layer_idx)
-    return requantize_accum(acc, qw.scale, qa.scale) + bias_col
+    acc = _engine_gemm(env, wcodes, acodes, layer_idx)
+    return requantize_accum(acc, qw.scale, ascale) + bias[:, None]
 
 
 def _to_internal(model: ModelSpec, x):
@@ -438,52 +426,60 @@ def _to_internal(model: ModelSpec, x):
     return x.transpose(1, 2, 3, 0), single
 
 
-def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, capture=None):
-    """Drive the layer stack on feature-major activations X."""
+def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, capture=None,
+               _caches=None):
+    """Drive the layer stack on feature-major activations X.
+
+    ``_caches``, a list, receives one dict per layer for training's backward
+    pass: the input X, pre-activation Z, output Y and conv columns.
+    """
     quant = env.engine != "float"
+    shapes = model.shapes()
     for idx, layer in enumerate(model.layers):
         p = layer.params
+        Z = cols = None
         if layer.kind == "dense":
             W, b = weights[idx]["W"], weights[idx]["b"]
             if quant:
-                Z = _gemm_layer(env, W, X, b[:, None], idx, capture)
+                qx = quantize(X)
+                Z = _gemm_layer(env, W, qx.data, qx.scale, b, idx, capture)
             else:
                 Z = W @ X + b[:, None]
-            X = _activate(layer.activation, Z, axis=0)
+            Y = _activate(layer.activation, Z, axis=0)
         elif layer.kind == "conv2d":
             W, b = weights[idx]["W"], weights[idx]["b"]
             wmat = W.transpose(3, 0, 1, 2).reshape(p["cout"], -1)
-            H, Wd, C, B = X.shape
-            hout = (H + 2 * p["pad"] - p["kh"]) // p["stride"] + 1
-            wout = (Wd + 2 * p["pad"] - p["kw"]) // p["stride"] + 1
+            hout, wout, _ = shapes[idx]
             if quant:
-                # quantize the activation tensor once, then lower the int8
-                # codes; zero padding is exact in code space
+                # zero padding is exact in code space
                 qx = quantize(X)
                 cols = im2col(qx.data, p["kh"], p["kw"], p["stride"], p["pad"])
-                qw = quantize(wmat)
-                wcodes = qw.data
-                if env.weight_map is not None:
-                    wcodes = env.weight_map.remap_codes(wcodes)
-                if capture is not None:
-                    capture += np.bincount(
-                        cols.reshape(-1).astype(np.int32) + 128, minlength=256
-                    ).astype(np.uint64)
-                acc = _engine_gemm(env, wcodes, cols, idx)
-                Z = requantize_accum(acc, qw.scale, qx.scale) + b[:, None]
+                Z = _gemm_layer(env, wmat, cols, qx.scale, b, idx, capture)
             else:
                 cols = im2col(X, p["kh"], p["kw"], p["stride"], p["pad"])
                 Z = wmat @ cols + b[:, None]
-            Z = Z.reshape(p["cout"], hout, wout, B).transpose(1, 2, 0, 3)
-            X = _activate(layer.activation, Z, axis=2)
+            Z = Z.reshape(p["cout"], hout, wout, X.shape[-1]).transpose(1, 2, 0, 3)
+            Y = _activate(layer.activation, Z, axis=2)
         elif layer.kind == "maxpool":
-            k, s = p["k"], p["stride"]
-            win = sliding_window_view(X, (k, k), axis=(0, 1))[::s, ::s]
-            X = win.max(axis=(-2, -1))
+            Y = _pool_windows(X, p).max(axis=(-2, -1))
         else:  # flatten
-            H, Wd, C, B = X.shape
-            X = X.reshape(H * Wd * C, B)
+            Y = X.reshape(-1, X.shape[-1])
+        if _caches is not None:
+            _caches.append({"X": X, "Z": Z, "Y": Y, "cols": cols})
+        X = Y
     return X
+
+
+def _pool_windows(X, p) -> np.ndarray:
+    """(Hout, Wout, C, B, k, k) view of the maxpool windows over X."""
+    k, s = p["k"], p["stride"]
+    return sliding_window_view(X, (k, k), axis=(0, 1))[::s, ::s]
+
+
+def _check_finite(model: ModelSpec, weights: WeightSet) -> None:
+    for idx in model.param_layers():
+        if not all(np.isfinite(weights[idx][k]).all() for k in ("W", "b")):
+            raise ValueError(f"layer {idx}: non-finite weights or biases")
 
 
 def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None,
@@ -491,9 +487,11 @@ def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None,
     """Run one input or a batch; returns {"logits": ..., "class": ...}.
 
     Batch input (B, *input_shape) gives logits (B, n_classes) and class
-    (B,); a single input collapses both.
+    (B,); a single input collapses both. Raises ``ValueError``, naming the
+    layer, when a weight or bias is NaN or infinite.
     """
     env = env or ExecEnv()
+    _check_finite(model, weights)
     X, single = _to_internal(model, x)
     out = run_layers(model, weights, X, env, capture=capture)
     logits = out.T
@@ -512,17 +510,18 @@ def _as_xy(data):
 def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None,
              sample_limit: int | None = None, batch_size: int = 256,
              capture=None) -> float:
-    """Top-1 accuracy in percent over (a prefix of) the dataset."""
+    """Top-1 accuracy in percent over (a prefix of) the dataset.
+
+    Raises ``ValueError`` when no sample is left to score.
+    """
     env = env or ExecEnv()
     images, labels = _as_xy(data)
     if sample_limit is not None:
         images, labels = images[:sample_limit], labels[:sample_limit]
+    if len(images) == 0:
+        raise ValueError("evaluate needs at least one sample")
     hits = 0
     for i in range(0, len(images), batch_size):
         r = forward(model, weights, images[i : i + batch_size], env, capture=capture)
         hits += int(np.sum(r["class"] == labels[i : i + batch_size]))
     return 100.0 * hits / len(images)
-
-
-def accuracy_loss(baseline_percent: float, other_percent: float) -> float:
-    return baseline_percent - other_percent

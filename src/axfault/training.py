@@ -22,14 +22,13 @@ from .network import (
     ExecEnv,
     ModelSpec,
     WeightSet,
-    _activate,
     _as_xy,
+    _pool_windows,
     _to_internal,
     col2im,
     evaluate,
-    im2col,
+    run_layers,
 )
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass
@@ -63,45 +62,6 @@ def init_weights(model: ModelSpec, seed: int) -> WeightSet:
     return ws
 
 
-def _forward_cached(model: ModelSpec, ws: WeightSet, X):
-    caches = []
-    for idx, layer in enumerate(model.layers):
-        p = layer.params
-        c = {"kind": layer.kind, "act": layer.activation}
-        if layer.kind == "dense":
-            W, b = ws[idx]["W"], ws[idx]["b"]
-            Z = W @ X + b[:, None]
-            Y = _activate(layer.activation, Z, axis=0)
-            c.update(X=X, Z=Z, Y=Y, idx=idx)
-            X = Y
-        elif layer.kind == "conv2d":
-            W, b = ws[idx]["W"], ws[idx]["b"]
-            wmat = W.transpose(3, 0, 1, 2).reshape(p["cout"], -1)
-            H, Wd, C, B = X.shape
-            hout = (H + 2 * p["pad"] - p["kh"]) // p["stride"] + 1
-            wout = (Wd + 2 * p["pad"] - p["kw"]) // p["stride"] + 1
-            cols = im2col(X, p["kh"], p["kw"], p["stride"], p["pad"])
-            Zc = wmat @ cols + b[:, None]
-            Z = Zc.reshape(p["cout"], hout, wout, B).transpose(1, 2, 0, 3)
-            Y = _activate(layer.activation, Z, axis=2)
-            c.update(x_shape=X.shape, cols=cols, wmat=wmat, Z=Z, Y=Y, idx=idx,
-                     geom=(hout, wout, B))
-            X = Y
-        elif layer.kind == "maxpool":
-            k, s = p["k"], p["stride"]
-            win = sliding_window_view(X, (k, k), axis=(0, 1))[::s, ::s]
-            flat = win.reshape(*win.shape[:4], k * k)
-            arg = flat.argmax(axis=-1)
-            Y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-            c.update(x_shape=X.shape, arg=arg, idx=idx)
-            X = Y
-        else:
-            c.update(x_shape=X.shape, idx=idx)
-            X = X.reshape(-1, X.shape[-1])
-        caches.append(c)
-    return X, caches
-
-
 def _softmax_ce(S, labels):
     """Loss and dL/dS for scores S (classes, B)."""
     m = S.max(axis=0)
@@ -129,62 +89,60 @@ def _act_backward(act: str, cache, dY, axis: int):
     raise ValueError(act)
 
 
-def _loss_and_grads(model: ModelSpec, ws: WeightSet, xb, yb):
+def _forward_loss(model: ModelSpec, ws: WeightSet, xb, yb):
+    """Float forward pass and loss: (loss, dL/dscores, caches, fold).
+
+    ``fold`` is true when the final activation is folded into the loss, so
+    the scores are the last layer's pre-activation.
+    """
     X, _ = _to_internal(model, xb)
-    labels = np.asarray(yb, dtype=np.int64)
-    out, caches = _forward_cached(model, ws, X)
+    caches = []
+    out = run_layers(model, ws, X, ExecEnv(), _caches=caches)
+    last = model.layers[-1]
+    fold = last.kind == "dense" and last.activation in ("none", "softmax")
+    scores = caches[-1]["Z"] if fold else out
+    loss, dS = _softmax_ce(scores, np.asarray(yb, dtype=np.int64))
+    return loss, dS, caches, fold
 
-    last = caches[-1]
-    fold = last["kind"] == "dense" and last["act"] in ("none", "softmax")
-    scores = last["Z"] if fold else out
-    loss, dS = _softmax_ce(scores, labels)
 
+def _loss_and_grads(model: ModelSpec, ws: WeightSet, xb, yb):
+    loss, d, caches, fold = _forward_loss(model, ws, xb, yb)
+    shapes = model.shapes()
     grads = {}
-    d = dS
-    for c in reversed(caches):
-        kind = c["kind"]
-        if kind == "dense":
-            dZ = d if (fold and c is last) else _act_backward(c["act"], c, d, axis=0)
-            W = ws[c["idx"]]["W"]
-            grads[c["idx"]] = {"W": dZ @ c["X"].T, "b": dZ.sum(axis=1)}
+    for idx in reversed(range(len(caches))):
+        c, layer = caches[idx], model.layers[idx]
+        p = layer.params
+        if layer.kind == "dense":
+            dZ = d if (fold and idx == len(caches) - 1) else _act_backward(
+                layer.activation, c, d, axis=0)
+            W = ws[idx]["W"]
+            grads[idx] = {"W": dZ @ c["X"].T, "b": dZ.sum(axis=1)}
             d = W.T @ dZ
-        elif kind == "conv2d":
-            dZ = _act_backward(c["act"], c, d, axis=2)
-            hout, wout, B = c["geom"]
-            p = model.layers[c["idx"]].params
-            dZc = dZ.transpose(2, 0, 1, 3).reshape(p["cout"], hout * wout * B)
+        elif layer.kind == "conv2d":
+            dZ = _act_backward(layer.activation, c, d, axis=2)
+            dZc = dZ.transpose(2, 0, 1, 3).reshape(p["cout"], -1)
             dWmat = dZc @ c["cols"].T
             dW = dWmat.reshape(p["cout"], p["kh"], p["kw"], p["cin"]).transpose(1, 2, 3, 0)
-            grads[c["idx"]] = {"W": dW, "b": dZc.sum(axis=1)}
-            dcols = c["wmat"].T @ dZc
-            d = col2im(dcols, c["x_shape"], p["kh"], p["kw"], p["stride"], p["pad"])
-        elif kind == "maxpool":
-            p = model.layers[c["idx"]].params
+            grads[idx] = {"W": dW, "b": dZc.sum(axis=1)}
+            wmat = ws[idx]["W"].transpose(3, 0, 1, 2).reshape(p["cout"], -1)
+            d = col2im(wmat.T @ dZc, c["X"].shape, shapes[idx][:2], p["kh"], p["kw"],
+                       p["stride"], p["pad"])
+        elif layer.kind == "maxpool":
             k, s = p["k"], p["stride"]
-            arg = c["arg"]
+            win = _pool_windows(c["X"], p)
+            arg = win.reshape(*win.shape[:4], k * k).argmax(axis=-1)
             hout, wout, C, B = arg.shape
             u, v = arg // k, arg % k
             oh = np.arange(hout)[:, None, None, None] * s + u
             ow = np.arange(wout)[None, :, None, None] * s + v
             ci = np.broadcast_to(np.arange(C)[None, None, :, None], arg.shape)
             bi = np.broadcast_to(np.arange(B)[None, None, None, :], arg.shape)
-            dx = np.zeros(c["x_shape"])
+            dx = np.zeros(c["X"].shape)
             np.add.at(dx, (oh, ow, ci, bi), d)
             d = dx
         else:
-            d = d.reshape(c["x_shape"])
+            d = d.reshape(c["X"].shape)
     return loss, grads
-
-
-def _loss_only(model, ws, xb, yb):
-    X, _ = _to_internal(model, xb)
-    labels = np.asarray(yb, dtype=np.int64)
-    out, caches = _forward_cached(model, ws, X)
-    last = caches[-1]
-    fold = last["kind"] == "dense" and last["act"] in ("none", "softmax")
-    scores = last["Z"] if fold else out
-    loss, _ = _softmax_ce(scores, labels)
-    return loss
 
 
 def _zero_like(ws: WeightSet):
@@ -292,9 +250,9 @@ def grad_check(model: ModelSpec, weights: WeightSet, sample, n_checks: int = 200
         t = ws[idx][key].reshape(-1)
         keep = t[off]
         t[off] = keep + h
-        lp = _loss_only(model, ws, xb, yb)
+        lp = _forward_loss(model, ws, xb, yb)[0]
         t[off] = keep - h
-        lm = _loss_only(model, ws, xb, yb)
+        lm = _forward_loss(model, ws, xb, yb)[0]
         t[off] = keep
         numeric = (lp - lm) / (2.0 * h)
         analytic = grads[idx][key].reshape(-1)[off]

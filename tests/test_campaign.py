@@ -63,6 +63,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _tiny_spec(engines=["tpu"])
     with pytest.raises(ValueError):
+        _tiny_spec(engines=["float"])
+    with pytest.raises(ValueError):
         _tiny_spec(layers=[])
 
 

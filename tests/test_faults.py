@@ -357,16 +357,19 @@ def test_tile_fault_validation():
 # --- pruning geometry -------------------------------------------------------
 
 
-def test_map_pruned_indices_hand_case():
+def test_pruned_mask_hand_case():
     fm = fl.FaultMap(2, {(1, 0): fl.StuckAtFault(0, "sa0")})
-    got = fl.map_pruned_indices((4, 4), fm)
-    assert got == {(1, 0), (1, 2), (3, 0), (3, 2)}
+    got = fl.pruned_mask((4, 4), fm)
+    assert {(int(r), int(c)) for r, c in np.argwhere(got)} == {
+        (1, 0), (1, 2), (3, 0), (3, 2)}
 
 
 def test_pruned_mask_matches_indices():
+    # weight (r, c) is pruned exactly when MAC (r mod n, c mod n) is faulty
     fm = fl.random_fault_map(4, 40.0, fl.StuckAtFault(9, "sa1"), seed=8)
     mask = fl.pruned_mask((10, 7), fm)
-    idx = fl.map_pruned_indices((10, 7), fm)
+    idx = {(r, c) for r in range(10) for c in range(7)
+           if (r % fm.n, c % fm.n) in fm.entries}
     assert mask.shape == (10, 7)
     assert {(int(r), int(c)) for r, c in np.argwhere(mask)} == idx
     assert mask.sum() == len(idx)

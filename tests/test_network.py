@@ -8,6 +8,7 @@ from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
 from axfault.datasets import synth_blobs
+from axfault.quantize import quantize
 
 
 def test_model_shapes_dense():
@@ -114,12 +115,38 @@ def test_weight_set_helpers():
 # --- conv lowering ----------------------------------------------------------
 
 
+def conv2d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=1, pad=0) -> np.ndarray:
+    """Nested-loop reference convolution, (H, W, C, B) float in/out.
+
+    Deliberately naive; exists as an independent check of the im2col path.
+    """
+    H, W, C, B = x.shape
+    kh, kw, cin, cout = w.shape
+    assert cin == C
+    if pad:
+        xp = np.zeros((H + 2 * pad, W + 2 * pad, C, B))
+        xp[pad : pad + H, pad : pad + W] = x
+    else:
+        xp = x
+    hout = (H + 2 * pad - kh) // stride + 1
+    wout = (W + 2 * pad - kw) // stride + 1
+    out = np.zeros((hout, wout, cout, B))
+    for oh in range(hout):
+        for ow in range(wout):
+            patch = xp[oh * stride : oh * stride + kh, ow * stride : ow * stride + kw]
+            for co in range(cout):
+                out[oh, ow, co] = np.sum(
+                    patch * w[:, :, :, co, None], axis=(0, 1, 2)
+                ) + b[co]
+    return out
+
+
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 2), (2, 0), (2, 1)])
 def test_im2col_matches_direct_conv(rng, stride, pad):
     x = rng.normal(size=(9, 11, 3, 4))
     w = rng.normal(size=(3, 3, 3, 5))
     b = rng.normal(size=5)
-    direct = net.conv2d_direct(x, w, b, stride=stride, pad=pad)
+    direct = conv2d_direct(x, w, b, stride=stride, pad=pad)
     cols = net.im2col(x, 3, 3, stride=stride, pad=pad)
     wmat = w.transpose(3, 0, 1, 2).reshape(5, -1)
     hout, wout = direct.shape[0], direct.shape[1]
@@ -140,7 +167,7 @@ def test_conv_direct_known_answer():
     x = np.ones((3, 3, 1, 1))
     w = np.ones((2, 2, 1, 1))
     b = np.zeros(1)
-    out = net.conv2d_direct(x, w, b)
+    out = conv2d_direct(x, w, b)
     assert out.shape == (2, 2, 1, 1)
     assert np.array_equal(out[:, :, 0, 0], np.full((2, 2), 4.0))
 
@@ -255,10 +282,55 @@ def test_capture_histogram_counts():
     # dense layers see in_features codes per sample: 8 + 16 per forward
     assert cap.sum() == 50 * (8 + 16)
 
+    # a conv layer histograms its lowered operand: kh*kw*cin codes for each
+    # of its hout*wout output positions
+    conv = net.ModelSpec("c", (9, 9, 2), [
+        net.conv2d(3, 3, 2, 4, stride=2, pad=1, activation="relu"),
+        net.conv2d(2, 2, 4, 3, activation="relu"),
+        net.flatten(),
+        net.dense(48, 3),
+    ])
+    assert conv.shapes()[:2] == [(5, 5, 4), (4, 4, 3)]
+    cws = training.init_weights(conv, seed=1)
+    images = np.random.default_rng(0).uniform(size=(6, 9, 9, 2))
+    cap = np.zeros(256, dtype=np.uint64)
+    net.evaluate(conv, cws, (images, np.zeros(6, dtype=np.int64)), net.ExecEnv(
+        engine="gpu_tiles", multiplier=m), capture=cap)
+    assert cap.sum() == 6 * (3 * 3 * 2 * 5 * 5 + 2 * 2 * 4 * 4 * 4 + 48)
 
-def test_accuracy_loss_sign():
-    assert net.accuracy_loss(97.0, 90.0) == 7.0
-    assert net.accuracy_loss(90.0, 97.0) == -7.0
+
+def test_evaluate_rejects_empty_data():
+    model, ws, test = _tiny_problem()
+    with pytest.raises(ValueError, match="at least one sample"):
+        net.evaluate(model, ws, test.subset(0))
+    with pytest.raises(ValueError, match="at least one sample"):
+        net.evaluate(model, ws, test, sample_limit=0)
+
+
+_ENGINE_ENVS = {
+    "float": lambda: net.ExecEnv(),
+    "systolic": lambda: net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier(),
+                                    systolic=fl.SystolicConfig(n=4)),
+    "gpu_tiles": lambda: net.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier()),
+}
+
+
+@pytest.mark.parametrize("engine", net.ENGINES)
+def test_non_finite_weights_fail_on_every_engine(engine):
+    model = net.ModelSpec("t", (8,), [net.dense(8, 16, "relu"), net.dense(16, 3)])
+    ws = training.init_weights(model, seed=0)
+    data = synth_blobs(count=20, seed=1)
+    env = _ENGINE_ENVS[engine]()
+    ws[1]["W"][0, 0] = np.nan
+    with pytest.raises(ValueError, match="layer 1: non-finite"):
+        net.evaluate(model, ws, data, env)
+    ws[1]["W"][0, 0] = 0.0
+    ws[1]["b"][0] = np.inf
+    with pytest.raises(ValueError, match="layer 1: non-finite"):
+        net.forward(model, ws, data.images[0], env)
+    # the quantizer, which the quantized engines call, refuses them too
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize(ws[1]["b"])
 
 
 def test_evaluate_sample_limit():

@@ -56,6 +56,20 @@ def test_grad_check_conv():
     err = training.grad_check(m, ws, (x, 1), n_checks=80)
     assert err <= 1e-6
 
+    # stride 2 and padding 1: the backward pass takes its output grid from
+    # the same geometry as the forward pass
+    m = net.ModelSpec("s", (9, 9, 2), [
+        net.conv2d(3, 3, 2, 4, stride=2, pad=1, activation="tanh"),
+        net.maxpool(2, stride=1),
+        net.flatten(),
+        net.dense(64, 3),
+    ])
+    assert m.shapes()[:2] == [(5, 5, 4), (4, 4, 4)]
+    ws = training.init_weights(m, seed=3)
+    x = rng.uniform(size=(9, 9, 2))
+    err = training.grad_check(m, ws, (x, 2), n_checks=80)
+    assert err <= 1e-6
+
 
 def test_blobs_trains_to_high_accuracy():
     # two gaussian blobs, one dense layer: should be almost perfectly
