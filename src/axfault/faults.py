@@ -21,6 +21,14 @@ Two engines share the multiplier and fault semantics:
 * ``gpu_tile_gemm``: output is computed in tile x tile blocks (row-major
   block order); faults live in one block's MAC grid and corrupt every
   product feeding the damaged output positions of that block only.
+
+How the engines compute this, bit-identical to forming every product:
+the fault-free GEMM of ``exact``, ``broken_carry`` and ``truncated`` (k <= 8,
+2^k <= rows) multipliers is float64 matmuls, which are exact below
+``MAX_GEMM_DEPTH``; other multipliers gather every product from the table.
+On the matmul path, only the products that faults touch are then formed
+and corrected: the stationed lattice, grouped by array row, on the systolic
+engine; the damaged outputs, along the full depth, on the gpu engine.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ FAULT_KINDS = ("sa0", "sa1")
 GEMM_MODES = ("propagate", "bypass")
 
 # int16 products accumulate in int32; cap the reduction depth so the sum of
-# C worst-case products cannot overflow
+# C worst-case products cannot overflow. The cap also keeps every partial
+# sum of a float64 matmul exact: 2^15 * 2^15 = 2^30 < 2^53.
 MAX_GEMM_DEPTH = 32768
 
 
@@ -197,9 +206,17 @@ def _station_masks(fm: FaultMap | None, rows: int, cols: int):
             pruned_mask((rows, cols), fm))
 
 
+def _int8_codes(x, name: str) -> np.ndarray:
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.integer):
+        raise ValueError(f"{name} codes must have an integer dtype, got {x.dtype}")
+    if x.dtype != np.int8 and x.size and (x.min() < -128 or x.max() > 127):
+        raise ValueError(f"{name} codes must lie in [-128, 127]")
+    return np.ascontiguousarray(x, dtype=np.int8)
+
+
 def _check_gemm_operands(wq, aq):
-    wq = np.ascontiguousarray(wq, dtype=np.int8)
-    aq = np.ascontiguousarray(aq, dtype=np.int8)
+    wq, aq = _int8_codes(wq, "weight"), _int8_codes(aq, "activation")
     if wq.ndim != 2 or aq.ndim != 2:
         raise ValueError("GEMM operands must be 2-d")
     if wq.shape[1] != aq.shape[0]:
@@ -209,6 +226,80 @@ def _check_gemm_operands(wq, aq):
     if wq.shape[1] > MAX_GEMM_DEPTH:
         raise ValueError(f"reduction depth {wq.shape[1]} exceeds {MAX_GEMM_DEPTH}")
     return wq, aq
+
+
+def _blas_ready(m: Multiplier, rows: int) -> bool:
+    """Whether the fault-free GEMM of ``m`` is a few float64 matmuls.
+
+    truncated-k needs 2^k - 1 extra matmuls; past k = 8 or 2^k > rows the
+    table gather is faster.
+    """
+    if m.kind in ("exact", "broken_carry"):
+        return True
+    return m.kind == "truncated" and m.params["k"] <= 8 and (1 << m.params["k"]) <= rows
+
+
+def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
+    """Fault-free GEMM of a ``_blas_ready`` multiplier, as exact float64."""
+    k = m.params.get("k", 0)
+    w, a = wq, aq
+    if m.kind == "broken_carry":
+        keep = np.uint8((0xFF << k) & 0xFF)
+        w = (wq.view(np.uint8) & keep).view(np.int8)
+        a = (aq.view(np.uint8) & keep).view(np.int8)
+    out = w.astype(np.float64) @ a.astype(np.float64)
+    if m.kind == "truncated" and k:
+        # truncation subtracts p mod 2^k, which depends on the operands' low
+        # k bits only: sum over each value v of the activation's low bits
+        low = (1 << k) - 1
+        w_lo = (wq.view(np.uint8) & low).astype(np.int32)
+        a_lo = aq.view(np.uint8) & low
+        for v in range(1, 1 << k):
+            out -= ((v * w_lo) & low).astype(np.float64) @ (a_lo == v).astype(np.float64)
+    return out
+
+
+def _gather_gemm(wq, aq, prod, or_m=None, and_m=None, hit=None, mode="propagate"):
+    """Every product formed in (rows, depth, batch) chunks; the optional
+    stationed masks corrupt (or, in bypass mode, zero) products in place."""
+    rows, depth = wq.shape
+    batch = aq.shape[1]
+    out = np.empty((rows, batch), dtype=np.int32)
+    chunk = max(1, (1 << 24) // (rows * depth))
+    for b0 in range(0, batch, chunk):
+        p = prod(aq[None, :, b0 : b0 + chunk], wq[:, :, None])
+        if or_m is not None:
+            if mode == "propagate":
+                p = ((p.view(np.uint16) & and_m[:, :, None]) | or_m[:, :, None]).view(np.int16)
+            else:
+                p[hit] = 0
+        out[:, b0 : b0 + chunk] = p.sum(axis=1, dtype=np.int32)
+    return out
+
+
+def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
+    """Add to a fault-free float64 GEMM the change its faults make.
+
+    Rows i, i+n, ... are stationed on array row i, so they share one set of
+    faulty columns; only those products are formed.
+    """
+    n = fm.n
+    rows, depth = wq.shape
+    batch = aq.shape[1]
+    or_m, and_m, hit = _station_masks(fm, min(rows, n), depth)
+    for i in range(hit.shape[0]):
+        cols = np.flatnonzero(hit[i])
+        if cols.size == 0:
+            continue
+        w = wq[i::n, cols][:, :, None]
+        om, am = or_m[i, cols][:, None], and_m[i, cols][:, None]
+        chunk = max(1, (1 << 24) // (w.shape[0] * cols.size))
+        for b0 in range(0, batch, chunk):
+            p = prod(aq[cols, b0 : b0 + chunk][None], w)
+            delta = -p.sum(axis=1, dtype=np.int64)
+            if mode == "propagate":
+                delta += ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int64)
+            out[i::n, b0 : b0 + chunk] += delta
 
 
 def systolic_gemm(
@@ -229,23 +320,14 @@ def systolic_gemm(
     if fm is not None and fm.n != cfg.n:
         raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
     rows, depth = wq.shape
-    batch = aq.shape[1]
     prod = product_function(m)
-    or_m, and_m, hit = _station_masks(fm, rows, depth)
-
-    out = np.empty((rows, batch), dtype=np.int32)
-    chunk = max(1, (1 << 24) // (rows * depth))
-    for b0 in range(0, batch, chunk):
-        ab = aq[:, b0 : b0 + chunk]
-        p = prod(ab[None, :, :], wq[:, :, None])
-        if or_m is not None:
-            if cfg.mode == "propagate":
-                pu = p.view(np.uint16)
-                p = ((pu & and_m[:, :, None]) | or_m[:, :, None]).view(np.int16)
-            else:
-                p[hit] = 0
-        out[:, b0 : b0 + chunk] = p.sum(axis=1, dtype=np.int32)
-    return out
+    if not _blas_ready(m, rows):
+        or_m, and_m, hit = _station_masks(fm, rows, depth)
+        return _gather_gemm(wq, aq, prod, or_m, and_m, hit, cfg.mode)
+    out = _blas_gemm(wq, aq, m)
+    if fm is not None and fm.entries:
+        _correct_lattice(out, wq, aq, prod, fm, cfg.mode)
+    return out.astype(np.int32)
 
 
 def gpu_tile_gemm(
@@ -268,45 +350,30 @@ def gpu_tile_gemm(
     batch = aq.shape[1]
     nbr = -(-rows // tile)
     nbb = -(-batch // tile)
-
-    us = vs = None
-    om = am = None
-    if tf is not None:
-        if tf.tile_index >= nbr * nbb:
-            raise ValueError(
-                f"tile_index {tf.tile_index} outside {nbr}x{nbb} block grid"
-            )
-        count = math.ceil(tf.damaged_fraction * tile * tile)
-        if count:
-            rng = np.random.default_rng(tf.seed)
-            flat = np.sort(rng.choice(tile * tile, size=count, replace=False))
-            us = flat // tile
-            vs = flat % tile
-            om, am = tf.fault.masks()
+    if tf is not None and tf.tile_index >= nbr * nbb:
+        raise ValueError(f"tile_index {tf.tile_index} outside {nbr}x{nbb} block grid")
 
     prod = product_function(m)
-    out = np.empty((rows, batch), dtype=np.int32)
-    for bi in range(nbr):
-        r0, r1 = bi * tile, min(rows, (bi + 1) * tile)
-        for bj in range(nbb):
-            c0, c1 = bj * tile, min(batch, (bj + 1) * tile)
-            damaged = tf is not None and bi * nbb + bj == tf.tile_index and us is not None
-            uu = vv = None
-            if damaged:
-                keep = (us < r1 - r0) & (vs < c1 - c0)
-                uu, vv = us[keep], vs[keep]
-                damaged = uu.size > 0
-            acc = np.zeros((r1 - r0, c1 - c0), dtype=np.int32)
-            kchunk = max(1, (1 << 24) // ((r1 - r0) * (c1 - c0)))
-            for k0 in range(0, depth, kchunk):
-                k1 = min(depth, k0 + kchunk)
-                p = prod(aq[None, k0:k1, c0:c1], wq[r0:r1, k0:k1, None])
-                if damaged:
-                    pu = p.view(np.uint16)
-                    pu[uu, :, vv] = (pu[uu, :, vv] & am) | om
-                    p = pu.view(np.int16)
-                acc += p.sum(axis=1, dtype=np.int32)
-            out[r0:r1, c0:c1] = acc
+    if _blas_ready(m, rows):
+        out = _blas_gemm(wq, aq, m).astype(np.int32)
+    else:
+        out = _gather_gemm(wq, aq, prod)
+    count = 0 if tf is None else math.ceil(tf.damaged_fraction * tile * tile)
+    if count:
+        rng = np.random.default_rng(tf.seed)
+        flat = rng.choice(tile * tile, size=count, replace=False)
+        bi, bj = divmod(tf.tile_index, nbb)
+        r = bi * tile + flat // tile
+        b = bj * tile + flat % tile
+        # damage drawn outside a ragged edge block does not exist
+        keep = (r < rows) & (b < batch)
+        r, b = r[keep], b[keep]
+        om, am = tf.fault.masks()
+        chunk = max(1, (1 << 24) // depth)
+        for k0 in range(0, r.size, chunk):
+            rr, bb = r[k0 : k0 + chunk], b[k0 : k0 + chunk]
+            p = prod(aq[:, bb].T, wq[rr])
+            out[rr, bb] = ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
     return out
 
 

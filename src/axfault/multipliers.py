@@ -48,6 +48,11 @@ class Multiplier:
         t = np.ascontiguousarray(self.table, dtype=np.int16)
         if t.shape != (TABLE_SIZE,):
             raise ValueError(f"table must have shape ({TABLE_SIZE},), got {t.shape}")
+        # the GEMM engines compute family kinds from kind and params alone
+        family = _family_table(self.kind, self.params)
+        if family is not None and not np.array_equal(family, t):
+            raise ValueError(f"table of {self.id!r} is not the {self.kind} table "
+                             f"for params {self.params}")
         self.table = t
 
     def table2d(self) -> np.ndarray:
@@ -67,32 +72,43 @@ def _exact_table2d() -> np.ndarray:
     return np.outer(v, v)
 
 
+def _family_table(kind: str, params: dict):
+    """Product table of a built-in family kind, or None for any other kind."""
+    if kind == "exact":
+        return _exact_table2d().astype(np.int16).reshape(-1)
+    if kind == "truncated":
+        k = params.get("k")
+        if not isinstance(k, (int, np.integer)) or not 0 <= k <= 15:
+            raise ValueError(f"truncated k must be in [0, 15], got {k}")
+        mask = np.uint16((0xFFFF << k) & 0xFFFF)
+        pattern = _exact_table2d().astype(np.int16).view(np.uint16)
+        return (pattern & mask).view(np.int16).reshape(-1)
+    if kind == "broken_carry":
+        k = params.get("k")
+        if not isinstance(k, (int, np.integer)) or not 0 <= k <= 7:
+            raise ValueError(f"broken-carry k must be in [0, 7], got {k}")
+        mask = np.uint8((0xFF << k) & 0xFF)
+        vals = np.arange(-128, 128, dtype=np.int8)
+        ops = (vals.view(np.uint8) & mask).view(np.int8).astype(np.int32)
+        return np.outer(ops, ops).astype(np.int16).reshape(-1)
+    return None
+
+
 def exact_multiplier() -> Multiplier:
-    table = _exact_table2d().astype(np.int16).reshape(-1)
-    return Multiplier(id="exact", kind="exact", params={}, table=table)
+    return Multiplier(id="exact", kind="exact", params={},
+                      table=_family_table("exact", {}))
 
 
 def truncated_multiplier(k: int) -> Multiplier:
     """Exact product with the k low bits of the 16-bit pattern zeroed."""
-    if not 0 <= k <= 15:
-        raise ValueError(f"truncated k must be in [0, 15], got {k}")
-    mask = np.uint16((0xFFFF << k) & 0xFFFF)
-    pattern = _exact_table2d().astype(np.int16).view(np.uint16)
-    table = (pattern & mask).view(np.int16).reshape(-1)
-    return Multiplier(id=f"truncated-{k}", kind="truncated", params={"k": k}, table=table)
+    return Multiplier(id=f"truncated-{k}", kind="truncated", params={"k": k},
+                      table=_family_table("truncated", {"k": k}))
 
 
 def broken_carry_multiplier(k: int) -> Multiplier:
     """Exact product of operands whose k low bits are zeroed first."""
-    if not 0 <= k <= 7:
-        raise ValueError(f"broken-carry k must be in [0, 7], got {k}")
-    mask = np.uint8((0xFF << k) & 0xFF)
-    vals = np.arange(-128, 128, dtype=np.int8)
-    ops = (vals.view(np.uint8) & mask).view(np.int8).astype(np.int32)
-    table = np.outer(ops, ops).astype(np.int16).reshape(-1)
-    return Multiplier(
-        id=f"broken-carry-{k}", kind="broken_carry", params={"k": k}, table=table
-    )
+    return Multiplier(id=f"broken-carry-{k}", kind="broken_carry", params={"k": k},
+                      table=_family_table("broken_carry", {"k": k}))
 
 
 def from_table(mult_id: str, table: np.ndarray) -> Multiplier:

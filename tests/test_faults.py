@@ -265,6 +265,17 @@ def test_gemm_operand_validation():
     deep = np.ones((1, 32769), dtype=np.int8)
     with pytest.raises(ValueError):
         fl.systolic_gemm(deep, np.ones((32769, 1), dtype=np.int8), m, None, cfg)
+    # codes outside int8 or of a float dtype used to wrap or truncate
+    with pytest.raises(ValueError):
+        fl.systolic_gemm(np.array([[200]]), np.array([[1]]), m, None, cfg)
+    with pytest.raises(ValueError):
+        fl.gpu_tile_gemm(np.array([[1]]), np.array([[-129]]), m, None, 4)
+    with pytest.raises(ValueError):
+        fl.systolic_gemm(np.array([[1.7]]), np.array([[1]]), m, None, cfg)
+    with pytest.raises(ValueError):
+        fl.gpu_tile_gemm(np.array([[1]]), np.array([[2.0]]), m, None, 4)
+    out = fl.systolic_gemm(np.array([[-128, 127]]), np.array([[1], [1]]), m, None, cfg)
+    assert out.tolist() == [[-1]]
 
 
 # --- gpu tiles engine -------------------------------------------------------

@@ -139,6 +139,22 @@ def test_k_bounds_rejected():
         mul.broken_carry_multiplier(8)
 
 
+def test_family_kind_must_match_its_table():
+    # the GEMM engines compute a family kind from kind and params, not
+    # from the table, so the two must agree
+    trunc = mul.truncated_multiplier(4).table
+    with pytest.raises(ValueError):
+        mul.Multiplier("x", "exact", {}, trunc)
+    with pytest.raises(ValueError):
+        mul.Multiplier("x", "truncated", {"k": 3}, trunc)
+    with pytest.raises(ValueError):
+        mul.Multiplier("x", "broken_carry", {"k": 0}, trunc)
+    with pytest.raises(ValueError):
+        mul.Multiplier("x", "truncated", {}, trunc)
+    assert mul.Multiplier("x", "truncated", {"k": 4}, trunc).kind == "truncated"
+    assert mul.from_table("x", trunc).kind == "lut"
+
+
 def test_pair_index_layout():
     assert mul.pair_index(-128, -128) == 0
     assert mul.pair_index(-128, -127) == 1
