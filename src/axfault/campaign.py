@@ -20,7 +20,7 @@ from . import charts
 from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
 from .mitigation import run_mitigation
-from .multipliers import error_metrics, parse_multiplier
+from .multipliers import Multiplier, error_metrics, parse_multiplier
 from .network import QUANTIZED_ENGINES, ExecEnv, evaluate
 from .training import HyperParams
 
@@ -146,15 +146,20 @@ def cells_of(spec: CampaignSpec) -> list:
     return out
 
 
-def cell_seed(cell: dict) -> int:
+def cell_seed(cell: dict, m: Multiplier) -> int:
     """Per-cell PRNG seed hashed from the axis values themselves.
 
     Hashing values rather than the enumeration index keeps a cell's
-    randomness stable when other axis lists grow or get reordered.
+    randomness stable when other axis lists grow or get reordered. A LUT
+    multiplier ``m`` enters by its table's content, not by the file path
+    that names it, so one table draws the same fault maps at any path.
     """
     layer = "all" if cell["layer"] is None else str(cell["layer"])
+    mult = cell["multiplier"]
+    if m.kind == "lut":
+        mult = "lut:" + hashlib.sha256(m.table.astype("<i2").tobytes()).hexdigest()
     key = "|".join([
-        cell["engine"], cell["multiplier"], cell["fault_kind"],
+        cell["engine"], mult, cell["fault_kind"],
         str(cell["bit"]), repr(cell["percent"]), layer,
         str(cell["array_size"]), str(cell["seed"]),
     ])
@@ -237,7 +242,7 @@ def _run_cell(cell: dict) -> CampaignRecord:
     )
     try:
         m = a["multipliers"][cell["multiplier"]]
-        cseed = cell_seed(cell)
+        cseed = cell_seed(cell, m)
         env, fm = _cell_env(cell, m, cseed)
         rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"],
                                   env=env, sample_limit=spec.sample_limit)

@@ -1,11 +1,13 @@
 """Sweep grid construction, execution, determinism, energy, reporting."""
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from axfault import campaign as cp
+from axfault import multipliers as mul
 from axfault import network as net
 from axfault.datasets import synth_blobs
 from axfault.training import HyperParams, train
@@ -76,21 +78,39 @@ def test_spec_json_round_trip():
     assert _tiny_spec().layer_values() == [None]
 
 
+def _seed(c):
+    return cp.cell_seed(c, mul.parse_multiplier(c["multiplier"]))
+
+
 def test_cell_seed_depends_on_values_not_position():
     spec_a = _tiny_spec()
     spec_b = _tiny_spec(multipliers=["truncated-4", "exact"], seeds=[2, 1])
-    seeds_a = {(c["multiplier"], c["seed"]): cp.cell_seed(c)
-               for c in cp.cells_of(spec_a)}
-    seeds_b = {(c["multiplier"], c["seed"]): cp.cell_seed(c)
-               for c in cp.cells_of(spec_b)}
+    seeds_a = {(c["multiplier"], c["seed"]): _seed(c) for c in cp.cells_of(spec_a)}
+    seeds_b = {(c["multiplier"], c["seed"]): _seed(c) for c in cp.cells_of(spec_b)}
     assert seeds_a == seeds_b
 
 
 def test_cell_seed_distinguishes_percent_format():
     c = cp.cells_of(_tiny_spec(percents=[16.0]))[0]
     d = dict(c, percent=16.5)
-    assert cp.cell_seed(c) != cp.cell_seed(d)
-    assert cp.cell_seed(c) == cp.cell_seed(dict(c))
+    assert _seed(c) != _seed(d)
+    assert _seed(c) == _seed(dict(c))
+
+
+def test_lut_cells_seeded_by_table_not_path(blobs_assets, tmp_path):
+    model, ws, _, test_d = blobs_assets
+    table = np.random.default_rng(4).integers(-40, 41, size=(256, 256))
+    table += np.outer(np.arange(-128, 128), np.arange(-128, 128))
+    lut = mul.from_table("lut", table.astype(np.int16).reshape(-1))
+    runs = []
+    for path in (tmp_path / "a.axlut", tmp_path / "b" / "other.axlut"):
+        path.parent.mkdir(exist_ok=True)
+        mul.save_lut(lut, path)
+        spec = _tiny_spec(multipliers=[str(path)], engines=["systolic", "gpu_tiles"],
+                          bits=[15, 9], percents=[30.0])
+        runs.append([dict(asdict(r), multiplier=None)
+                     for r in cp.run_campaign(spec, model, ws, test_d)])
+    assert runs[0] == runs[1]
 
 
 # --- mac count and energy ----------------------------------------------------
