@@ -512,8 +512,11 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
              capture=None) -> float:
     """Top-1 accuracy in percent over (a prefix of) the dataset.
 
-    Raises ``ValueError`` when no sample is left to score.
+    Raises ``ValueError`` when no sample is left to score or ``batch_size``
+    is below 1.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     env = env or ExecEnv()
     images, labels = _as_xy(data)
     if sample_limit is not None:

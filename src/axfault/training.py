@@ -40,6 +40,10 @@ class HyperParams:
     seed: int = 0
     shuffle: bool = True
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 def init_weights(model: ModelSpec, seed: int) -> WeightSet:
     """Glorot-uniform weights, zero biases, drawn in layer order."""

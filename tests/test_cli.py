@@ -263,6 +263,15 @@ def test_error_on_bad_dataset(trained, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_train_rejects_non_positive_batch_size(tmp_path, model_path, capsys):
+    out = tmp_path / "w.axdn"
+    rc = cli.main(["train", "--model", model_path, "--data", "blobs:3:50:8:1",
+                   "--out", str(out), "--epochs", "1", "--batch-size", "-4"])
+    assert rc == 2
+    assert "batch_size must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_env_default(trained, capsys, monkeypatch):
     def run(seed_env):
         if seed_env is None:

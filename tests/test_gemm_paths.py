@@ -255,3 +255,98 @@ def test_worst_case_sums_at_max_depth():
     tf = TileFaultSpec(0, 1.0, fl.StuckAtFault(15, "sa1"), seed=0)
     np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2),
                                   gpu_tile_gemm_ref(w, a, m, tf, 2))
+
+
+# --- product-table path ------------------------------------------------------
+
+# multipliers that are no few matmuls at the row counts below (rows < 2^5)
+TABLE_MULTIPLIERS = [_RANDOM_LUT, mul.truncated_multiplier(9),
+                     mul.truncated_multiplier(15), mul.truncated_multiplier(5)]
+
+
+def _spy_paths(monkeypatch):
+    """Record which of the two table GEMMs each call runs."""
+    calls = []
+    for name in ("_table_gemm", "_gather_gemm"):
+        def spy(*args, _real=getattr(fl, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(fl, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [fl.TABLE_MIN_BATCH - 1, fl.TABLE_MIN_BATCH])
+@pytest.mark.parametrize("m", TABLE_MULTIPLIERS, ids=lambda m: m.id)
+def test_table_path_on_both_sides_of_its_crossover(monkeypatch, m, batch):
+    rows, depth = 21, 30
+    assert not fl._blas_ready(m, rows)
+    w, a = _operands(batch, rows, depth, batch)
+    calls = _spy_paths(monkeypatch)
+    for mode in fl.GEMM_MODES:
+        for fill in ("empty", "full", "random"):
+            _check_systolic(w, a, m, _fault_map(4, fill, batch), SystolicConfig(4, mode))
+    # 21 rows and 127 or 128 columns leave ragged blocks of 16
+    _check_gpu(w, a, m, TileFaultSpec(15, 0.5, fl.StuckAtFault(3, "sa1"), seed=1), 16)
+    _check_gpu(w, a, m, None, 16)
+    path = "_table_gemm" if batch >= fl.TABLE_MIN_BATCH else "_gather_gemm"
+    assert calls == [path] * 8
+
+
+def test_random_maps_stack_one_table_per_distinct_fault():
+    fm = _fault_map(4, "random", 3)
+    distinct = set(fm.entries.values())
+    assert len(distinct) > 1
+    tables, sel = fl._mac_tables(_RANDOM_LUT, fm, "propagate", 9, 10)
+    assert tables.shape == (256, 256 * (1 + len(distinct)))
+    assert sel.shape == (9, 10) and set(np.unique(sel)) == set(range(1 + len(distinct)))
+    tables, sel = fl._mac_tables(_RANDOM_LUT, fm, "bypass", 9, 10)
+    assert tables.shape == (256, 512) and not tables[:, 256:].any()
+    for empty in (None, _fault_map(4, "empty", 3)):
+        tables, sel = fl._mac_tables(_RANDOM_LUT, empty, "propagate", 9, 10)
+        assert sel is None and tables.shape == (256, 256)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(TABLE_MULTIPLIERS), st.integers(1, 6), st.integers(1, 20),
+       st.integers(1, 40), st.integers(fl.TABLE_MIN_BATCH, 300),
+       st.sampled_from(["empty", "full", "random"]), st.sampled_from(fl.GEMM_MODES),
+       st.integers(0, 2**31 - 1))
+def test_table_path_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed):
+    w, a = _operands(seed, rows, depth, batch)
+    _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(TABLE_MULTIPLIERS), st.integers(1, 40), st.integers(1, 20),
+       st.integers(1, 40), st.integers(fl.TABLE_MIN_BATCH, 300),
+       st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 15),
+       st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1))
+def test_table_path_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch,
+                                                         fraction, bit, kind, seed):
+    w, a = _operands(seed, rows, depth, batch)
+    blocks = -(-rows // tile) * -(-batch // tile)
+    tf = TileFaultSpec(seed % blocks, fraction, fl.StuckAtFault(bit, kind), seed)
+    _check_gpu(w, a, m, tf, tile)
+
+
+def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
+    # 256 products per weight over MAX_GEMM_DEPTH = 2^23 entries per row, so
+    # the per-weight tables of three rows are built two rows at a time
+    depth, batch = fl.MAX_GEMM_DEPTH, fl.TABLE_MIN_BATCH
+    w, a = _operands(6, 3, depth, batch)
+    fm = _fault_map(2, "random", 6)
+    sizes = []
+    take = np.take
+
+    def spy(*args, **kwargs):
+        out = take(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    for mode in fl.GEMM_MODES:
+        cfg = SystolicConfig(2, mode)
+        monkeypatch.setattr(np, "take", spy)
+        got = fl.systolic_gemm(w, a, _RANDOM_LUT, fm, cfg)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fm, cfg))
+    assert max(sizes) <= 1 << 24

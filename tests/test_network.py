@@ -307,6 +307,14 @@ def test_evaluate_rejects_empty_data():
         net.evaluate(model, ws, test, sample_limit=0)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_non_positive_batch_size(batch_size):
+    # an empty batch loop used to score 0% in silence
+    model, ws, test = _tiny_problem()
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        net.evaluate(model, ws, test, batch_size=batch_size)
+
+
 _ENGINE_ENVS = {
     "float": lambda: net.ExecEnv(),
     "systolic": lambda: net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier(),

@@ -94,6 +94,13 @@ def test_training_is_deterministic():
     assert not np.array_equal(a[0]["W"], c[0]["W"])
 
 
+@pytest.mark.parametrize("batch_size", [0, -4])
+def test_hyperparams_reject_non_positive_batch_size(batch_size):
+    # train used to run no step and return the initial weights
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        training.HyperParams(batch_size=batch_size)
+
+
 def test_loss_decreases():
     data = synth_blobs(count=300, seed=4)
     hist = []
