@@ -60,9 +60,14 @@ MAX_GEMM_DEPTH = 32768
 
 # Batch width from which a table multiplier's GEMM sums rows of per-weight
 # product tables instead of gathering every product: building those tables
-# costs 256 products per weight. Gather vs tables, clean LUT GEMM, one core:
-# 64 x 784 weights 17.5 vs 16.8 ms at batch 64, 33.5 vs 22.2 ms at 128;
-# 16 x 200 weights 1.7 vs 1.9 ms at batch 96, 1.8 vs 1.2 ms at 128.
+# costs 256 products per weight. Median engine time, gather vs tables, random
+# LUT, one core, on the lenet-desk dense layers that campaigns run at 64
+# samples (clean / propagate / bypass / gpu tile-fault, 41 alternated runs):
+# 64 x 256 weights at batch 64 7.4 / 7.9 / 7.9 / 7.6 vs 9.3 / 9.8 / 9.7 /
+# 9.3 ms, at 128 13.0 / 13.2 / 13.8 / 14.0 vs 10.8 / 9.9 / 10.6 / 11.3 ms;
+# 10 x 64 weights at batch 64 0.28 / 0.43 / 0.38 / 0.42 vs 0.40 / 0.53 /
+# 0.47 / 0.54 ms, at 128 level (0.49 / 0.66 / 0.61 / 0.74 vs 0.47 / 0.66 /
+# 0.59 / 0.72 ms). At batch 96 the two paths are within 15% of each other.
 TABLE_MIN_BATCH = 128
 # cap on the entries of one block of per-weight product tables (32 MiB)
 _TABLE_ENTRIES = 1 << 24

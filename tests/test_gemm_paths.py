@@ -131,6 +131,13 @@ MULTIPLIERS = ([mul.exact_multiplier()]
                + [mul.broken_carry_multiplier(k) for k in range(8)]
                + [mul.truncated_multiplier(k) for k in (0, 1, 2, 3, 4, 8, 9, 15)]
                + [_RANDOM_LUT, _EXACT_LUT])
+# multipliers that are no few matmuls at up to 31 rows (2^5 > rows)
+TABLE_MULTIPLIERS = [_RANDOM_LUT, mul.truncated_multiplier(9),
+                     mul.truncated_multiplier(15), mul.truncated_multiplier(5)]
+# the table multipliers drawn as often as all others together, at batches on
+# both sides of TABLE_MIN_BATCH, where they change path
+ANY_MULTIPLIER = st.one_of(st.sampled_from(MULTIPLIERS), st.sampled_from(TABLE_MULTIPLIERS))
+BATCHES = st.one_of(st.integers(1, 20), st.integers(fl.TABLE_MIN_BATCH, 300))
 
 
 def _operands(seed, rows, depth, batch):
@@ -213,9 +220,9 @@ def test_exact_table_lut_equals_exact_multiplier():
                                       fl.systolic_gemm(w, a, mul.exact_multiplier(), fm, cfg))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MULTIPLIERS), st.integers(1, 6), st.integers(1, 20),
-       st.integers(1, 20), st.integers(1, 12), st.sampled_from(["empty", "full", "random"]),
+@settings(max_examples=90, deadline=None)
+@given(ANY_MULTIPLIER, st.integers(1, 6), st.integers(1, 20),
+       st.integers(1, 40), BATCHES, st.sampled_from(["empty", "full", "random"]),
        st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1))
 def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed):
     # rows and depth below n leave array rows and columns unused
@@ -223,9 +230,9 @@ def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mod
     _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MULTIPLIERS), st.integers(1, 6), st.integers(1, 20),
-       st.integers(1, 20), st.integers(1, 20), st.sampled_from([0.0, 0.3, 1.0]),
+@settings(max_examples=90, deadline=None)
+@given(ANY_MULTIPLIER, st.integers(1, 40), st.integers(1, 20),
+       st.integers(1, 40), BATCHES, st.sampled_from([0.0, 0.3, 1.0]),
        st.integers(0, 15), st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1))
 def test_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch, fraction,
                                               bit, kind, seed):
@@ -258,11 +265,6 @@ def test_worst_case_sums_at_max_depth():
 
 
 # --- product-table path ------------------------------------------------------
-
-# multipliers that are no few matmuls at the row counts below (rows < 2^5)
-TABLE_MULTIPLIERS = [_RANDOM_LUT, mul.truncated_multiplier(9),
-                     mul.truncated_multiplier(15), mul.truncated_multiplier(5)]
-
 
 def _spy_paths(monkeypatch):
     """Record which of the two table GEMMs each call runs."""
@@ -304,29 +306,6 @@ def test_random_maps_stack_one_table_per_distinct_fault():
     for empty in (None, _fault_map(4, "empty", 3)):
         tables, sel = fl._mac_tables(_RANDOM_LUT, empty, "propagate", 9, 10)
         assert sel is None and tables.shape == (256, 256)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(TABLE_MULTIPLIERS), st.integers(1, 6), st.integers(1, 20),
-       st.integers(1, 40), st.integers(fl.TABLE_MIN_BATCH, 300),
-       st.sampled_from(["empty", "full", "random"]), st.sampled_from(fl.GEMM_MODES),
-       st.integers(0, 2**31 - 1))
-def test_table_path_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed):
-    w, a = _operands(seed, rows, depth, batch)
-    _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(TABLE_MULTIPLIERS), st.integers(1, 40), st.integers(1, 20),
-       st.integers(1, 40), st.integers(fl.TABLE_MIN_BATCH, 300),
-       st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 15),
-       st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1))
-def test_table_path_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch,
-                                                         fraction, bit, kind, seed):
-    w, a = _operands(seed, rows, depth, batch)
-    blocks = -(-rows // tile) * -(-batch // tile)
-    tf = TileFaultSpec(seed % blocks, fraction, fl.StuckAtFault(bit, kind), seed)
-    _check_gpu(w, a, m, tf, tile)
 
 
 def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
