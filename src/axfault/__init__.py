@@ -59,7 +59,6 @@ from .multipliers import (
     load_weight_map,
     multiply,
     parse_multiplier,
-    precompute_weight_maps,
     save_lut,
     save_weight_map,
     truncated_multiplier,

@@ -4,6 +4,18 @@ accuracy and energy numbers, and render reports.
 Determinism contract: a cell's randomness is seeded from a hash of its own
 axis values, never from execution order or worker id, so the same spec
 yields the same records at any worker count.
+
+Golden-run reuse: the clean pass that gives each (engine, multiplier) its
+baseline accuracy also keeps, per eval batch, the int8 activations entering
+every layer of ``spec.layers`` and that layer's fault-free int32
+accumulator. A layer-filtered cell resumes the forward pass there and adds
+only its own faults to the kept accumulator; the layers after it run as
+usual. Records are byte-identical to evaluating each cell from the input.
+The kept state does not depend on the array or tile size, so one entry
+serves every ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it: an (engine,
+multiplier, layer) entry that does not fit, and every cell with
+``layers: "all"``, is evaluated from the input. Workers inherit the kept
+state from the parent process.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +33,7 @@ from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
 from .mitigation import run_mitigation
 from .multipliers import Multiplier, error_metrics, parse_multiplier
-from .network import QUANTIZED_ENGINES, ExecEnv, evaluate
+from .network import QUANTIZED_ENGINES, ExecEnv, evaluate, evaluate_resumed, golden_pass
 from .training import HyperParams
 
 # Axis names in canonical record order. Records are emitted in the
@@ -32,6 +44,12 @@ AXES = ("engine", "multiplier", "fault_kind", "bit", "percent", "layer",
 CSV_COLUMNS = ("model,dataset,engine,multiplier,mae_percent,fault_kind,bit,"
                "percent_faulty,layer,array_size,seed,baseline_acc,faulty_acc,"
                "acc_loss,mitigated_acc,energy_pj,wall_time_ms")
+
+# Cap on the golden-pass state a campaign keeps for its layer-filtered cells.
+# lenet-desk with layers 0, 2, 5 and 6 at the default 2000 samples keeps
+# 50 MB per (engine, multiplier): 46 MB of accumulators, 37 MB of them
+# conv layer 0's, and 4.5 MB of activation codes.
+_GOLDEN_BYTES = 1 << 28
 
 # Illustrative per-MAC energies in picojoules. These are placeholder
 # relative numbers for demos and tests, not measurements: the mildest
@@ -219,6 +237,20 @@ def _cell_env(cell, m, cseed):
                    tile_fault=tf, layer_filter=layer), None
 
 
+def _golden_bytes(model, layer: int, samples: int) -> int:
+    """Bytes of a layer's golden state: the int8 codes entering it and its
+    int32 accumulator, over ``samples`` samples."""
+    shapes = model.shapes()
+    entering = shapes[layer - 1] if layer else model.input_shape
+    return samples * (math.prod(entering) + 4 * math.prod(shapes[layer]))
+
+
+def _clean_env(engine: str, m: Multiplier, size: int) -> ExecEnv:
+    if engine == "systolic":
+        return ExecEnv(engine="systolic", multiplier=m, systolic=SystolicConfig(n=size))
+    return ExecEnv(engine="gpu_tiles", multiplier=m, tile=size)
+
+
 def _run_cell(cell: dict) -> CampaignRecord:
     a = _ASSETS
     spec = a["spec"]
@@ -244,8 +276,14 @@ def _run_cell(cell: dict) -> CampaignRecord:
         m = a["multipliers"][cell["multiplier"]]
         cseed = cell_seed(cell, m)
         env, fm = _cell_env(cell, m, cseed)
-        rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"],
-                                  env=env, sample_limit=spec.sample_limit)
+        states = a["golden"].get((cell["engine"], cell["multiplier"], cell["layer"]))
+        if states is None:
+            rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"],
+                                      env=env, sample_limit=spec.sample_limit)
+        else:
+            rec.faulty_acc = evaluate_resumed(a["model"], a["weights"], a["test"], env,
+                                              cell["layer"], states,
+                                              sample_limit=spec.sample_limit)
         rec.acc_loss = rec.baseline_acc - rec.faulty_acc
         if spec.mitigation is not None and cell["engine"] == "systolic":
             rec.mitigated_acc = _mitigate_cell(a, cell, m, fm)
@@ -286,22 +324,37 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
     ``workers`` > 1 fans cells out to a process pool; results are
     identical to the sequential run because each cell's randomness is
     self-contained and records are ordered by cell index afterwards.
+
+    Raises ``ValueError`` when a ``spec.layers`` entry is no dense or conv2d
+    layer of ``model``, or when ``spec.mitigation`` is set for
+    layer-filtered cells: mitigation repairs every layer.
     """
+    layers = list(dict.fromkeys(i for i in spec.layer_values() if i is not None))
+    bad = [i for i in layers if i not in model.param_layers()]
+    if bad:
+        raise ValueError(f"layers {bad} are no dense or conv2d layers of {model.name}")
+    if layers and spec.mitigation is not None:
+        raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}
     mae = {mid: error_metrics(m).mae_percent for mid, m in mults.items()}
-    baselines = {}
+    samples = len(test_data[0]) if isinstance(test_data, tuple) else len(test_data)
+    if spec.sample_limit is not None:
+        samples = min(samples, spec.sample_limit)
+    budget = _GOLDEN_BYTES
+    baselines, golden = {}, {}
     for engine in spec.engines:
         for mid, m in mults.items():
-            if engine == "systolic":
-                env = ExecEnv(engine="systolic", multiplier=m,
-                              systolic=SystolicConfig(n=spec.array_sizes[0]))
-            else:
-                env = ExecEnv(engine="gpu_tiles", multiplier=m,
-                              tile=spec.array_sizes[0])
-            baselines[(engine, mid)] = evaluate(
-                model, weights, test_data, env=env,
-                sample_limit=spec.sample_limit,
-            )
+            kept = []
+            for layer in layers:
+                size = _golden_bytes(model, layer, samples)
+                if size <= budget:
+                    kept.append(layer)
+                    budget -= size
+            env = _clean_env(engine, m, spec.array_sizes[0])
+            baselines[(engine, mid)], states = golden_pass(
+                model, weights, test_data, env, kept, sample_limit=spec.sample_limit)
+            for layer, kept_states in states.items():
+                golden[(engine, mid, layer)] = kept_states
     payload = {
         "spec": spec,
         "model": model,
@@ -311,6 +364,7 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         "multipliers": mults,
         "mae": mae,
         "baselines": baselines,
+        "golden": golden,
         "energy": energy_table,
         "include_timing": include_timing,
     }

@@ -39,6 +39,11 @@ weight up in the table of its MAC, so faults cost nothing extra. From
 every activation code are built (at most 2^24 entries at a time) and one
 contiguous row of them is summed per MAC; narrower GEMMs gather every
 product from the stacked tables.
+
+The fault steps also run alone, on a fault-free output computed earlier:
+``systolic_fault_step`` corrects the stationed lattice for every multiplier,
+``gpu_tile_fault_step`` recomputes the damaged outputs. A campaign cell
+resumed from the clean pass at its faulty layer takes this route.
 """
 
 from __future__ import annotations
@@ -386,6 +391,31 @@ def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
             out[i::n, b0 : b0 + chunk] += delta
 
 
+def _check_array(fm: FaultMap | None, cfg: SystolicConfig) -> None:
+    if fm is not None and fm.n != cfg.n:
+        raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
+
+
+def _check_tiles(wq, aq, tf: TileFaultSpec | None, tile: int):
+    """Checked operands of a tiled GEMM whose damaged block must exist."""
+    wq, aq = _check_gemm_operands(wq, aq)
+    if tile <= 0:
+        raise ValueError("tile size must be positive")
+    nbr = -(-wq.shape[0] // tile)
+    nbb = -(-aq.shape[1] // tile)
+    if tf is not None and tf.tile_index >= nbr * nbb:
+        raise ValueError(f"tile_index {tf.tile_index} outside {nbr}x{nbb} block grid")
+    return wq, aq
+
+
+def _clean_copy(clean, wq, aq) -> np.ndarray:
+    clean = np.asarray(clean)
+    if clean.shape != (wq.shape[0], aq.shape[1]):
+        raise ValueError(f"clean output {clean.shape} does not match the "
+                         f"{wq.shape[0]}x{aq.shape[1]} GEMM")
+    return clean.astype(np.int32)
+
+
 def systolic_gemm(
     wq: np.ndarray,
     aq: np.ndarray,
@@ -401,8 +431,7 @@ def systolic_gemm(
     equals the integer matrix product.
     """
     wq, aq = _check_gemm_operands(wq, aq)
-    if fm is not None and fm.n != cfg.n:
-        raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
+    _check_array(fm, cfg)
     rows, depth = wq.shape
     if not _blas_ready(m, rows):
         return _lut_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, rows, depth))
@@ -410,6 +439,44 @@ def systolic_gemm(
     if fm is not None and fm.entries:
         _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
     return out.astype(np.int32)
+
+
+def systolic_fault_step(clean, wq, aq, m: Multiplier, fm: FaultMap | None,
+                        cfg: SystolicConfig) -> np.ndarray:
+    """``systolic_gemm(wq, aq, m, fm, cfg)`` from ``clean``, the output of the
+    same GEMM without faults: only the products stationed on faulty MACs are
+    formed, for every multiplier. ``clean`` is left as it is."""
+    wq, aq = _check_gemm_operands(wq, aq)
+    _check_array(fm, cfg)
+    out = _clean_copy(clean, wq, aq)
+    if fm is not None and fm.entries:
+        _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
+    return out
+
+
+def _damage_outputs(out, wq, aq, m: Multiplier, tf: TileFaultSpec, tile: int) -> None:
+    """Recompute in place the outputs of ``out`` that the damaged block's
+    faulty MACs produce, every product along their reduction corrupted."""
+    count = math.ceil(tf.damaged_fraction * tile * tile)
+    if not count:
+        return
+    rows, depth = wq.shape
+    batch = aq.shape[1]
+    rng = np.random.default_rng(tf.seed)
+    flat = rng.choice(tile * tile, size=count, replace=False)
+    bi, bj = divmod(tf.tile_index, -(-batch // tile))
+    r = bi * tile + flat // tile
+    b = bj * tile + flat % tile
+    # damage drawn outside a ragged edge block does not exist
+    keep = (r < rows) & (b < batch)
+    r, b = r[keep], b[keep]
+    om, am = tf.fault.masks()
+    prod = product_function(m)
+    chunk = max(1, (1 << 24) // depth)
+    for k0 in range(0, r.size, chunk):
+        rr, bb = r[k0 : k0 + chunk], b[k0 : k0 + chunk]
+        p = prod(aq[:, bb].T, wq[rr])
+        out[rr, bb] = ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
 
 
 def gpu_tile_gemm(
@@ -425,37 +492,25 @@ def gpu_tile_gemm(
     damaged block, the seeded MAC positions corrupt every product along the
     reduction for their output element; there is no cross-block coupling.
     """
-    wq, aq = _check_gemm_operands(wq, aq)
-    if tile <= 0:
-        raise ValueError("tile size must be positive")
-    rows, depth = wq.shape
-    batch = aq.shape[1]
-    nbr = -(-rows // tile)
-    nbb = -(-batch // tile)
-    if tf is not None and tf.tile_index >= nbr * nbb:
-        raise ValueError(f"tile_index {tf.tile_index} outside {nbr}x{nbb} block grid")
-
-    if _blas_ready(m, rows):
+    wq, aq = _check_tiles(wq, aq, tf, tile)
+    if _blas_ready(m, wq.shape[0]):
         out = _blas_gemm(wq, aq, m).astype(np.int32)
     else:
         out = _lut_gemm(wq, aq, m.table2d(), None)
-    count = 0 if tf is None else math.ceil(tf.damaged_fraction * tile * tile)
-    if count:
-        rng = np.random.default_rng(tf.seed)
-        flat = rng.choice(tile * tile, size=count, replace=False)
-        bi, bj = divmod(tf.tile_index, nbb)
-        r = bi * tile + flat // tile
-        b = bj * tile + flat % tile
-        # damage drawn outside a ragged edge block does not exist
-        keep = (r < rows) & (b < batch)
-        r, b = r[keep], b[keep]
-        om, am = tf.fault.masks()
-        prod = product_function(m)
-        chunk = max(1, (1 << 24) // depth)
-        for k0 in range(0, r.size, chunk):
-            rr, bb = r[k0 : k0 + chunk], b[k0 : k0 + chunk]
-            p = prod(aq[:, bb].T, wq[rr])
-            out[rr, bb] = ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
+    if tf is not None:
+        _damage_outputs(out, wq, aq, m, tf, tile)
+    return out
+
+
+def gpu_tile_fault_step(clean, wq, aq, m: Multiplier, tf: TileFaultSpec | None,
+                        tile: int) -> np.ndarray:
+    """``gpu_tile_gemm(wq, aq, m, tf, tile)`` from ``clean``, the output of
+    the same GEMM without faults: only the damaged outputs are recomputed.
+    ``clean`` is left as it is."""
+    wq, aq = _check_tiles(wq, aq, tf, tile)
+    out = _clean_copy(clean, wq, aq)
+    if tf is not None:
+        _damage_outputs(out, wq, aq, m, tf, tile)
     return out
 
 

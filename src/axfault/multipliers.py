@@ -297,7 +297,7 @@ WEIGHT_MAP_VERSION = 1
 
 
 def save_weight_map(wm: WeightMapTable, path) -> None:
-    """Binary cache format: magic 'AXWM', version byte, 3 reserved zero
+    """Binary file format: magic 'AXWM', version byte, 3 reserved zero
     bytes, then 256 signed bytes (map entries for w = -128 .. 127)."""
     payload = wm.map.astype(np.int8).tobytes()
     assert len(payload) == 256
@@ -318,30 +318,6 @@ def load_weight_map(path, multiplier_id: str = "", activation_set_id: str = "") 
         raise ValueError(f"unsupported weight map version {data[4]}")
     table = np.frombuffer(data[8:], dtype=np.int8).astype(np.int16)
     return WeightMapTable(table, multiplier_id, activation_set_id)
-
-
-def _safe_name(s: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", s)
-
-
-def precompute_weight_maps(multipliers, acts: ActivationSample, cache_dir) -> dict:
-    """Build (or load from cache) one retuning map per multiplier.
-
-    Cache files are keyed by multiplier id and activation-sample id; a hit
-    is returned byte-identical to what was stored.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    maps = {}
-    for m in multipliers:
-        fname = _safe_name(f"{m.id}__{acts.id}") + ".axwm"
-        fpath = os.path.join(str(cache_dir), fname)
-        if os.path.exists(fpath):
-            maps[m.id] = load_weight_map(fpath, m.id, acts.id)
-        else:
-            wm = build_weight_map(m, acts)
-            save_weight_map(wm, fpath)
-            maps[m.id] = wm
-    return maps
 
 
 def parse_multiplier(spec: str) -> Multiplier:

@@ -17,6 +17,11 @@ accelerators.
 
 ``forward`` and ``evaluate`` raise ``ValueError`` on non-finite weights or
 biases (naming the layer) and ``evaluate`` on an empty dataset.
+
+``golden_pass`` evaluates without faults and keeps, per eval batch, the int8
+input and int32 accumulator of chosen GEMM layers; ``evaluate_resumed``
+scores a run whose faults lie in one of those layers by starting
+``run_layers`` there and adding only the faults to the kept accumulator.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .faults import FaultMap, SystolicConfig, TileFaultSpec, gpu_tile_gemm, systolic_gemm
+from .faults import (FaultMap, SystolicConfig, TileFaultSpec, gpu_tile_fault_step,
+                     gpu_tile_gemm, systolic_fault_step, systolic_gemm)
 from .multipliers import Multiplier, WeightMapTable
-from .quantize import quantize, requantize_accum
+from .quantize import QTensor, quantize, requantize_accum
 
 LAYER_KINDS = ("dense", "conv2d", "maxpool", "flatten")
 ACTIVATIONS = ("none", "relu", "tanh", "softmax")
@@ -376,26 +382,35 @@ class ExecEnv:
             raise ValueError("systolic engine needs a SystolicConfig")
 
 
-def _engine_gemm(env: ExecEnv, wcodes, acodes, layer_idx: int):
+def _engine_gemm(env: ExecEnv, wcodes, acodes, layer_idx: int, clean=None):
+    """The layer's int32 accumulator; from ``clean``, its fault-free
+    accumulator, when given, so that only the faults are added."""
     admitted = env.layer_filter is None or env.layer_filter == layer_idx
+    m = env.multiplier
     if env.engine == "systolic":
         fm = env.fault_map if admitted else None
-        return systolic_gemm(wcodes, acodes, env.multiplier, fm, env.systolic)
+        if clean is not None:
+            return systolic_fault_step(clean, wcodes, acodes, m, fm, env.systolic)
+        return systolic_gemm(wcodes, acodes, m, fm, env.systolic)
     tf = env.tile_fault if admitted else None
     if tf is not None:
         rows, batch = wcodes.shape[0], acodes.shape[1]
         nblocks = (-(-rows // env.tile)) * (-(-batch // env.tile))
         tf = replace(tf, tile_index=tf.tile_index % nblocks)
-    return gpu_tile_gemm(wcodes, acodes, env.multiplier, tf, env.tile)
+    if clean is not None:
+        return gpu_tile_fault_step(clean, wcodes, acodes, m, tf, env.tile)
+    return gpu_tile_gemm(wcodes, acodes, m, tf, env.tile)
 
 
-def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, capture):
+def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, capture, clean=None):
     """The quantized GEMM step of dense and conv layers: quantize and remap
     the weights, histogram the activation codes, run the engine, requantize.
+    Returns the int32 accumulator and the float output.
 
     ``acodes`` are int8 activation codes with scale ``ascale``. A conv layer
     quantizes its input before im2col and passes the lowered codes, because
     with stride > 1 the scale of the columns can differ from that of X.
+    ``clean`` is passed on to ``_engine_gemm``.
     """
     qw = quantize(W2d)
     wcodes = qw.data
@@ -405,8 +420,8 @@ def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, capture):
         capture += np.bincount(
             acodes.reshape(-1).astype(np.int32) + 128, minlength=256
         ).astype(np.uint64)
-    acc = _engine_gemm(env, wcodes, acodes, layer_idx)
-    return requantize_accum(acc, qw.scale, ascale) + bias[:, None]
+    acc = _engine_gemm(env, wcodes, acodes, layer_idx, clean)
+    return acc, requantize_accum(acc, qw.scale, ascale) + bias[:, None]
 
 
 def _to_internal(model: ModelSpec, x):
@@ -427,22 +442,28 @@ def _to_internal(model: ModelSpec, x):
 
 
 def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, capture=None,
-               _caches=None):
+               _caches=None, _start=0, _clean=None):
     """Drive the layer stack on feature-major activations X.
 
-    ``_caches``, a list, receives one dict per layer for training's backward
-    pass: the input X, pre-activation Z, output Y and conv columns.
+    ``_caches``, a list, receives one dict per layer run for training's
+    backward pass: the input X, pre-activation Z, output Y and conv columns,
+    and on the quantized engines the int8 input ``q`` and int32 accumulator
+    ``acc`` of GEMM layers. ``_start`` resumes the pass at that layer; on a
+    quantized engine X may then be the ``QTensor`` of codes entering it, and
+    ``_clean`` its fault-free accumulator (see ``_engine_gemm``).
     """
     quant = env.engine != "float"
     shapes = model.shapes()
-    for idx, layer in enumerate(model.layers):
+    for idx in range(_start, len(model.layers)):
+        layer = model.layers[idx]
         p = layer.params
-        Z = cols = None
+        Z = cols = qx = acc = None
+        clean = _clean if idx == _start else None
         if layer.kind == "dense":
             W, b = weights[idx]["W"], weights[idx]["b"]
             if quant:
-                qx = quantize(X)
-                Z = _gemm_layer(env, W, qx.data, qx.scale, b, idx, capture)
+                qx = X if isinstance(X, QTensor) else quantize(X)
+                acc, Z = _gemm_layer(env, W, qx.data, qx.scale, b, idx, capture, clean)
             else:
                 Z = W @ X + b[:, None]
             Y = _activate(layer.activation, Z, axis=0)
@@ -452,20 +473,20 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, capture=No
             hout, wout, _ = shapes[idx]
             if quant:
                 # zero padding is exact in code space
-                qx = quantize(X)
+                qx = X if isinstance(X, QTensor) else quantize(X)
                 cols = im2col(qx.data, p["kh"], p["kw"], p["stride"], p["pad"])
-                Z = _gemm_layer(env, wmat, cols, qx.scale, b, idx, capture)
+                acc, Z = _gemm_layer(env, wmat, cols, qx.scale, b, idx, capture, clean)
             else:
                 cols = im2col(X, p["kh"], p["kw"], p["stride"], p["pad"])
                 Z = wmat @ cols + b[:, None]
-            Z = Z.reshape(p["cout"], hout, wout, X.shape[-1]).transpose(1, 2, 0, 3)
+            Z = Z.reshape(p["cout"], hout, wout, -1).transpose(1, 2, 0, 3)
             Y = _activate(layer.activation, Z, axis=2)
         elif layer.kind == "maxpool":
             Y = _pool_windows(X, p).max(axis=(-2, -1))
         else:  # flatten
             Y = X.reshape(-1, X.shape[-1])
         if _caches is not None:
-            _caches.append({"X": X, "Z": Z, "Y": Y, "cols": cols})
+            _caches.append({"X": X, "Z": Z, "Y": Y, "cols": cols, "q": qx, "acc": acc})
         X = Y
     return X
 
@@ -507,6 +528,27 @@ def _as_xy(data):
     return np.asarray(data.images), np.asarray(data.labels)
 
 
+def _eval_batches(data, sample_limit: int | None, batch_size: int) -> list:
+    """The (images, labels) batches ``evaluate`` scores, in order.
+
+    Raises ``ValueError`` when no sample is left to score or ``batch_size``
+    is below 1.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    images, labels = _as_xy(data)
+    if sample_limit is not None:
+        images, labels = images[:sample_limit], labels[:sample_limit]
+    if len(images) == 0:
+        raise ValueError("evaluate needs at least one sample")
+    return [(images[i : i + batch_size], labels[i : i + batch_size])
+            for i in range(0, len(images), batch_size)]
+
+
+def _accuracy(hits: int, batches) -> float:
+    return 100.0 * hits / sum(len(labels) for _, labels in batches)
+
+
 def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None,
              sample_limit: int | None = None, batch_size: int = 256,
              capture=None) -> float:
@@ -515,16 +557,58 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
     Raises ``ValueError`` when no sample is left to score or ``batch_size``
     is below 1.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     env = env or ExecEnv()
-    images, labels = _as_xy(data)
-    if sample_limit is not None:
-        images, labels = images[:sample_limit], labels[:sample_limit]
-    if len(images) == 0:
-        raise ValueError("evaluate needs at least one sample")
+    batches = _eval_batches(data, sample_limit, batch_size)
     hits = 0
-    for i in range(0, len(images), batch_size):
-        r = forward(model, weights, images[i : i + batch_size], env, capture=capture)
-        hits += int(np.sum(r["class"] == labels[i : i + batch_size]))
-    return 100.0 * hits / len(images)
+    for images, labels in batches:
+        r = forward(model, weights, images, env, capture=capture)
+        hits += int(np.sum(r["class"] == labels))
+    return _accuracy(hits, batches)
+
+
+def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
+                sample_limit: int | None = None, batch_size: int = 256):
+    """``evaluate`` on a quantized ``env`` without faults, keeping what a
+    faulty run needs to resume at each GEMM layer in ``layers``.
+
+    Returns ``(accuracy, states)``: ``states[layer]`` holds, per eval batch,
+    the ``QTensor`` of int8 codes entering the layer and the layer's int32
+    accumulator. See ``evaluate_resumed``.
+    """
+    if env.engine == "float" or env.fault_map or env.tile_fault is not None:
+        raise ValueError("a golden pass needs a quantized engine without faults")
+    _check_finite(model, weights)
+    batches = _eval_batches(data, sample_limit, batch_size)
+    states = {layer: [] for layer in layers}
+    hits = 0
+    for images, labels in batches:
+        caches = []
+        out = run_layers(model, weights, _to_internal(model, images)[0], env,
+                         _caches=caches)
+        for layer, kept in states.items():
+            kept.append((caches[layer]["q"], caches[layer]["acc"]))
+        hits += int(np.sum(np.argmax(out, axis=0) == labels))
+    return _accuracy(hits, batches), states
+
+
+def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
+                     layer: int, states, sample_limit: int | None = None,
+                     batch_size: int = 256) -> float:
+    """``evaluate(model, weights, data, env, sample_limit, batch_size)`` for
+    an ``env`` whose faults lie in ``layer`` alone, resumed at that layer.
+
+    ``states`` are ``golden_pass(...)[1][layer]`` for the same data, sample
+    limit, batch size, multiplier and weight map, so the layers before
+    ``layer`` and its fault-free GEMM are not computed again.
+    """
+    if env.layer_filter != layer:
+        raise ValueError(f"env injects faults outside layer {layer}")
+    _check_finite(model, weights)
+    batches = _eval_batches(data, sample_limit, batch_size)
+    if len(states) != len(batches):
+        raise ValueError(f"{len(states)} golden states for {len(batches)} eval batches")
+    hits = 0
+    for (_, labels), (q, clean) in zip(batches, states):
+        out = run_layers(model, weights, q, env, _start=layer, _clean=clean)
+        hits += int(np.sum(np.argmax(out, axis=0) == labels))
+    return _accuracy(hits, batches)

@@ -1,5 +1,6 @@
 """Sweep grid construction, execution, determinism, energy, reporting."""
 
+import json
 import os
 from dataclasses import asdict
 
@@ -10,7 +11,7 @@ from axfault import campaign as cp
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault.datasets import synth_blobs
-from axfault.training import HyperParams, train
+from axfault.training import HyperParams, init_weights, train
 
 
 def _tiny_spec(**kw):
@@ -222,6 +223,70 @@ def test_mitigation_cells(blobs_assets):
     assert records[0].error is None
     assert records[0].mitigated_acc is not None
     assert 0.0 <= records[0].mitigated_acc <= 100.0
+
+
+def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypatch):
+    # 300 samples are two eval batches (256 + 44); truncated-9 takes the
+    # table path at 16 and 3 rows
+    model, ws, _, test_d = blobs_assets
+    assert len(test_d) == 300
+    table = np.random.default_rng(6).integers(-60, 61, size=(256, 256))
+    table += np.outer(np.arange(-128, 128), np.arange(-128, 128))
+    lut = tmp_path / "noisy.axlut"
+    mul.save_lut(mul.from_table("noisy", table.astype(np.int16).reshape(-1)), lut)
+    spec = _tiny_spec(engines=["systolic", "gpu_tiles"],
+                      multipliers=["exact", "truncated-9", str(lut)],
+                      bits=[15, 9], percents=[30.0], layers=[0, 1],
+                      array_sizes=[4, 8], seeds=[1], sample_limit=300)
+    resumed = []
+
+    def spy(*args, _real=cp.evaluate_resumed, **kwargs):
+        resumed.append(args[4])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(cp, "evaluate_resumed", spy)
+    runs = [cp.run_campaign(spec, model, ws, test_d, workers=w) for w in (1, 2)]
+    assert len(resumed) == len(runs[0]) == 48
+    for rec, cell in zip(runs[0], cp.cells_of(spec)):
+        m = mul.parse_multiplier(cell["multiplier"])
+        env, _ = cp._cell_env(cell, m, cp.cell_seed(cell, m))
+        assert rec.error is None
+        assert rec.faulty_acc == net.evaluate(model, ws, test_d, env=env, sample_limit=300)
+    assert len({r.faulty_acc for r in runs[0]}) > 5
+    # room for layer 1 of the first two (engine, multiplier) pairs only: the
+    # cap is spent first fit, in spec order
+    layer1 = cp._golden_bytes(model, 1, 300)
+    assert cp._golden_bytes(model, 0, 300) > 2 * layer1
+    monkeypatch.setattr(cp, "_GOLDEN_BYTES", 2 * layer1)
+    runs.append(cp.run_campaign(spec, model, ws, test_d))
+    assert resumed[48:] == [1] * 8
+    monkeypatch.setattr(cp, "_GOLDEN_BYTES", 0)
+    runs.append(cp.run_campaign(spec, model, ws, test_d))
+    assert len(resumed) == 56
+    texts = [json.dumps([asdict(r) for r in run]) for run in runs]
+    assert len(set(texts)) == 1
+
+
+@pytest.mark.parametrize("layers", [[1], [2], [0, 99], [-1]])
+def test_layers_must_be_gemm_layers(layers):
+    # layer 1 is a maxpool, layer 2 a flatten
+    model = net.ModelSpec("conv", (6, 6, 1), [net.conv2d(3, 3, 1, 2, activation="relu"),
+                                              net.maxpool(2), net.flatten(),
+                                              net.dense(8, 3)])
+    data = synth_blobs(count=20, dim=36, seed=1)
+    spec = _tiny_spec(model_id="conv", layers=layers)
+    with pytest.raises(ValueError, match="no dense or conv2d"):
+        cp.run_campaign(spec, model, init_weights(model, 1), data)
+
+
+def test_mitigation_of_layer_filtered_cells_is_rejected(blobs_assets):
+    # mitigation prunes and retunes every layer, so its accuracy would not
+    # belong to a cell whose faults sit in one layer
+    model, ws, train_d, test_d = blobs_assets
+    spec = _tiny_spec(multipliers=["exact"], seeds=[1], layers=[0],
+                      mitigation={"epochs": 1})
+    with pytest.raises(ValueError, match="mitigation"):
+        cp.run_campaign(spec, model, ws, test_d, train_data=train_d)
 
 
 def test_mitigation_without_train_data_records_error(blobs_assets):

@@ -248,6 +248,20 @@ def test_systolic_rejects_mismatched_map():
     with pytest.raises(ValueError):
         fl.systolic_gemm(w, a, mul.exact_multiplier(), fm,
                          fl.SystolicConfig(n=8))
+    with pytest.raises(ValueError):
+        fl.systolic_fault_step(np.zeros((2, 2), dtype=np.int32), w, a,
+                               mul.exact_multiplier(), fm, fl.SystolicConfig(n=8))
+
+
+def test_fault_steps_reject_a_clean_output_of_another_shape():
+    w = np.ones((2, 3), dtype=np.int8)
+    a = np.ones((3, 4), dtype=np.int8)
+    m = mul.exact_multiplier()
+    for clean in (np.zeros((4, 2), dtype=np.int32), np.zeros(8, dtype=np.int32)):
+        with pytest.raises(ValueError):
+            fl.systolic_fault_step(clean, w, a, m, None, fl.SystolicConfig(n=2))
+        with pytest.raises(ValueError):
+            fl.gpu_tile_fault_step(clean, w, a, m, None, 2)
 
 
 def test_gemm_operand_validation():
@@ -355,6 +369,9 @@ def test_gpu_tile_index_out_of_range(rng):
                           fault=fl.StuckAtFault(0, "sa0"), seed=0)
     with pytest.raises(ValueError):
         fl.gpu_tile_gemm(w, a, mul.exact_multiplier(), tf, tile=2)
+    with pytest.raises(ValueError):
+        fl.gpu_tile_fault_step(np.zeros((4, 4), dtype=np.int32), w, a,
+                               mul.exact_multiplier(), tf, tile=2)
 
 
 def test_tile_fault_validation():

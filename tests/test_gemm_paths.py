@@ -163,16 +163,32 @@ def _fault_map(n, fill, seed):
                         for c in cells})
 
 
-def _check_systolic(w, a, m, fm, cfg):
-    got = fl.systolic_gemm(w, a, m, fm, cfg)
-    assert got.dtype == np.int32
-    np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, m, fm, cfg))
+def _check_systolic(w, a, m, fm, cfg, step=False):
+    """With ``step``, also the route of a campaign cell resumed at this
+    layer: the clean GEMM, then the fault step alone."""
+    want = systolic_gemm_ref(w, a, m, fm, cfg)
+    got = [fl.systolic_gemm(w, a, m, fm, cfg)]
+    if step:
+        clean = fl.systolic_gemm(w, a, m, None, cfg)
+        kept = clean.copy()
+        got.append(fl.systolic_fault_step(clean, w, a, m, fm, cfg))
+        np.testing.assert_array_equal(clean, kept)
+    for out in got:
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, want)
 
 
-def _check_gpu(w, a, m, tf, tile):
-    got = fl.gpu_tile_gemm(w, a, m, tf, tile)
-    assert got.dtype == np.int32
-    np.testing.assert_array_equal(got, gpu_tile_gemm_ref(w, a, m, tf, tile))
+def _check_gpu(w, a, m, tf, tile, step=False):
+    want = gpu_tile_gemm_ref(w, a, m, tf, tile)
+    got = [fl.gpu_tile_gemm(w, a, m, tf, tile)]
+    if step:
+        clean = fl.gpu_tile_gemm(w, a, m, None, tile)
+        kept = clean.copy()
+        got.append(fl.gpu_tile_fault_step(clean, w, a, m, tf, tile))
+        np.testing.assert_array_equal(clean, kept)
+    for out in got:
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, want)
 
 
 @pytest.mark.parametrize("k,matmul", [(k, side) for k in range(9) for side in (True, False)
@@ -227,7 +243,7 @@ def test_exact_table_lut_equals_exact_multiplier():
 def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed):
     # rows and depth below n leave array rows and columns unused
     w, a = _operands(seed, rows, depth, batch)
-    _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode))
+    _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode), step=True)
 
 
 @settings(max_examples=90, deadline=None)
@@ -240,8 +256,8 @@ def test_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch, fract
     w, a = _operands(seed, rows, depth, batch)
     blocks = -(-rows // tile) * -(-batch // tile)
     tf = TileFaultSpec(seed % blocks, fraction, fl.StuckAtFault(bit, kind), seed)
-    _check_gpu(w, a, m, tf, tile)
-    _check_gpu(w, a, m, None, tile)
+    _check_gpu(w, a, m, tf, tile, step=True)
+    _check_gpu(w, a, m, None, tile, step=True)
 
 
 def test_worst_case_sums_at_max_depth():

@@ -325,19 +325,6 @@ def test_activations_from_codes_histogram():
     assert acts.counts[255] == 1
 
 
-def test_precompute_cache_hits_disk(tmp_path):
-    ms = [mul.truncated_multiplier(4), mul.exact_multiplier()]
-    acts = mul.uniform_activations()
-    first = mul.precompute_weight_maps(ms, acts, tmp_path)
-    files = sorted(p.name for p in tmp_path.iterdir())
-    stamps = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
-    second = mul.precompute_weight_maps(ms, acts, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == files
-    assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == stamps
-    for k in first:
-        assert np.array_equal(first[k].map, second[k].map)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-128, 127), st.integers(-128, 127), st.integers(0, 15))
 def test_truncated_error_bounded_by_mask(x, y, k):
