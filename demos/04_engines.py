@@ -1,9 +1,9 @@
 """Run one model through all three execution engines.
 
 float is the plain fp64 reference. systolic and gpu_tiles quantize every
-GEMM to int8 and push each product through the chosen multiplier; with the
-exact multiplier and no faults the two quantized engines agree bit for bit
-with each other.
+GEMM to int8 and push each product through the chosen multiplier; without
+faults the two quantized engines agree bit for bit with each other, for
+every multiplier.
 """
 
 import axfault as ax

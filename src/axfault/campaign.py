@@ -5,15 +5,16 @@ Determinism contract: a cell's randomness is seeded from a hash of its own
 axis values, never from execution order or worker id, so the same spec
 yields the same records at any worker count.
 
-Golden-run reuse: the clean pass that gives each (engine, multiplier) its
-baseline accuracy also keeps, per eval batch, the int8 activations entering
-every layer of ``spec.layers`` and that layer's fault-free int32
-accumulator. A layer-filtered cell resumes the forward pass there and adds
-only its own faults to the kept accumulator; the layers after it run as
-usual. Records are byte-identical to evaluating each cell from the input.
-The kept state does not depend on the array or tile size, so one entry
-serves every ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it: an (engine,
-multiplier, layer) entry that does not fit, and every cell with
+Golden-run reuse: without faults both engines compute the same GEMMs, so
+one clean pass per multiplier gives the baseline accuracy of every engine.
+It also keeps, per eval batch, the int8 activations entering every layer of
+``spec.layers`` and that layer's fault-free int32 accumulator. A
+layer-filtered cell resumes the forward pass there and adds only its own
+faults to the kept accumulator; the layers after it run as usual. Records
+are byte-identical to evaluating each cell from the input. The kept state
+does not depend on the engine, array or tile size, so one entry serves
+every ``engines`` and ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it: a
+(multiplier, layer) entry that does not fit, and every cell with
 ``layers: "all"``, is evaluated from the input. Workers inherit the kept
 state from the parent process.
 """
@@ -33,7 +34,8 @@ from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
 from .mitigation import run_mitigation
 from .multipliers import Multiplier, error_metrics, parse_multiplier
-from .network import QUANTIZED_ENGINES, ExecEnv, evaluate, evaluate_resumed, golden_pass
+from .network import (QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, evaluate_resumed,
+                      golden_pass)
 from .training import HyperParams
 
 # Axis names in canonical record order. Records are emitted in the
@@ -47,8 +49,8 @@ CSV_COLUMNS = ("model,dataset,engine,multiplier,mae_percent,fault_kind,bit,"
 
 # Cap on the golden-pass state a campaign keeps for its layer-filtered cells.
 # lenet-desk with layers 0, 2, 5 and 6 at the default 2000 samples keeps
-# 50 MB per (engine, multiplier): 46 MB of accumulators, 37 MB of them
-# conv layer 0's, and 4.5 MB of activation codes.
+# 50 MB per multiplier, whatever the engines: 46 MB of accumulators, 37 MB
+# of them conv layer 0's, and 4.5 MB of activation codes.
 _GOLDEN_BYTES = 1 << 28
 
 # Illustrative per-MAC energies in picojoules. These are placeholder
@@ -245,12 +247,6 @@ def _golden_bytes(model, layer: int, samples: int) -> int:
     return samples * (math.prod(entering) + 4 * math.prod(shapes[layer]))
 
 
-def _clean_env(engine: str, m: Multiplier, size: int) -> ExecEnv:
-    if engine == "systolic":
-        return ExecEnv(engine="systolic", multiplier=m, systolic=SystolicConfig(n=size))
-    return ExecEnv(engine="gpu_tiles", multiplier=m, tile=size)
-
-
 def _run_cell(cell: dict) -> CampaignRecord:
     a = _ASSETS
     spec = a["spec"]
@@ -268,7 +264,7 @@ def _run_cell(cell: dict) -> CampaignRecord:
         layer=cell["layer"],
         array_size=cell["array_size"],
         seed=cell["seed"],
-        baseline_acc=a["baselines"][(cell["engine"], cell["multiplier"])],
+        baseline_acc=a["baselines"][cell["multiplier"]],
         faulty_acc=None,
         acc_loss=None,
     )
@@ -276,7 +272,7 @@ def _run_cell(cell: dict) -> CampaignRecord:
         m = a["multipliers"][cell["multiplier"]]
         cseed = cell_seed(cell, m)
         env, fm = _cell_env(cell, m, cseed)
-        states = a["golden"].get((cell["engine"], cell["multiplier"], cell["layer"]))
+        states = a["golden"].get((cell["multiplier"], cell["layer"]))
         if states is None:
             rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"],
                                       env=env, sample_limit=spec.sample_limit)
@@ -306,9 +302,9 @@ def _mitigate_cell(a, cell, m, fm) -> float:
     activations = cfgd.pop("activations", "uniform")
     hp = HyperParams(**{k: v for k, v in cfgd.items()
                         if k in HyperParams.__dataclass_fields__})
-    test = a["test"]
-    if a["spec"].sample_limit is not None:
-        test = test.subset(a["spec"].sample_limit)
+    images, labels = _as_xy(a["test"])
+    limit = a["spec"].sample_limit
+    test = (images[:limit], labels[:limit])
     _, rep = run_mitigation(a["model"], a["weights"], fm,
                             SystolicConfig(n=cell["array_size"]), m,
                             a["train"], test, hp, acc_thresh,
@@ -337,24 +333,24 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}
     mae = {mid: error_metrics(m).mae_percent for mid, m in mults.items()}
-    samples = len(test_data[0]) if isinstance(test_data, tuple) else len(test_data)
+    samples = len(_as_xy(test_data)[1])
     if spec.sample_limit is not None:
         samples = min(samples, spec.sample_limit)
     budget = _GOLDEN_BYTES
     baselines, golden = {}, {}
-    for engine in spec.engines:
-        for mid, m in mults.items():
-            kept = []
-            for layer in layers:
-                size = _golden_bytes(model, layer, samples)
-                if size <= budget:
-                    kept.append(layer)
-                    budget -= size
-            env = _clean_env(engine, m, spec.array_sizes[0])
-            baselines[(engine, mid)], states = golden_pass(
-                model, weights, test_data, env, kept, sample_limit=spec.sample_limit)
-            for layer, kept_states in states.items():
-                golden[(engine, mid, layer)] = kept_states
+    for mid, m in mults.items():
+        kept = []
+        for layer in layers:
+            size = _golden_bytes(model, layer, samples)
+            if size <= budget:
+                kept.append(layer)
+                budget -= size
+        # the clean pass of either engine serves both
+        env = ExecEnv(engine="gpu_tiles", multiplier=m)
+        baselines[mid], states = golden_pass(
+            model, weights, test_data, env, kept, sample_limit=spec.sample_limit)
+        for layer, kept_states in states.items():
+            golden[(mid, layer)] = kept_states
     payload = {
         "spec": spec,
         "model": model,

@@ -28,10 +28,11 @@ from .faults import (
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("AXFAULT_SEED", "0")
     try:
-        return int(os.environ.get("AXFAULT_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"AXFAULT_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_model(arg: str) -> network.ModelSpec:
@@ -409,9 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
+        # the parser reads $AXFAULT_SEED while it is built
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

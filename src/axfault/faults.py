@@ -30,15 +30,15 @@ then formed and corrected: the stationed lattice, grouped by array row, on
 the systolic engine; the damaged outputs, along the full depth, on the gpu
 engine.
 
-Every other multiplier is read from its product table. Since a stuck-at
-fault acts on the product pattern alone, a faulty MAC is another table: the
-systolic engine stacks the multiplier's table with one table per distinct
-fault (``propagate``) or a table of zeros (``bypass``) and looks each
-weight up in the table of its MAC, so faults cost nothing extra. From
-``TABLE_MIN_BATCH`` columns on, per-weight tables of the 256 products with
-every activation code are built (at most 2^24 entries at a time) and one
-contiguous row of them is summed per MAC; narrower GEMMs gather every
-product from the stacked tables.
+Every other multiplier is read from its product table by ``_table_gemm``:
+per-weight tables of the 256 products with every activation code are built
+(at most 2^24 entries at a time) and one contiguous row of them is summed
+per MAC. Since a stuck-at fault acts on the product pattern alone, a faulty
+MAC is another table: the systolic engine stacks the multiplier's table
+with one table per distinct fault (``propagate``) or a table of zeros
+(``bypass``) and builds each weight's products from the table of its MAC,
+so faults cost nothing extra. The gpu engine builds them from the bare
+table. Without faults the two engines compute the same GEMM.
 
 The fault steps also run alone, on a fault-free output computed earlier:
 ``systolic_fault_step`` corrects the stationed lattice for every multiplier,
@@ -63,17 +63,6 @@ GEMM_MODES = ("propagate", "bypass")
 # sum of a float64 matmul exact: 2^15 * 2^15 = 2^30 < 2^53.
 MAX_GEMM_DEPTH = 32768
 
-# Batch width from which a table multiplier's GEMM sums rows of per-weight
-# product tables instead of gathering every product: building those tables
-# costs 256 products per weight. Median engine time, gather vs tables, random
-# LUT, one core, on the lenet-desk dense layers that campaigns run at 64
-# samples (clean / propagate / bypass / gpu tile-fault, 41 alternated runs):
-# 64 x 256 weights at batch 64 7.4 / 7.9 / 7.9 / 7.6 vs 9.3 / 9.8 / 9.7 /
-# 9.3 ms, at 128 13.0 / 13.2 / 13.8 / 14.0 vs 10.8 / 9.9 / 10.6 / 11.3 ms;
-# 10 x 64 weights at batch 64 0.28 / 0.43 / 0.38 / 0.42 vs 0.40 / 0.53 /
-# 0.47 / 0.54 ms, at 128 level (0.49 / 0.66 / 0.61 / 0.74 vs 0.47 / 0.66 /
-# 0.59 / 0.72 ms). At batch 96 the two paths are within 15% of each other.
-TABLE_MIN_BATCH = 128
 # cap on the entries of one block of per-weight product tables (32 MiB)
 _TABLE_ENTRIES = 1 << 24
 
@@ -260,8 +249,8 @@ def _check_gemm_operands(wq, aq):
 def _blas_ready(m: Multiplier, rows: int) -> bool:
     """Whether the fault-free GEMM of ``m`` is a few float64 matmuls.
 
-    truncated-k needs 2^k - 1 extra matmuls; past k = 8 or 2^k > rows the
-    table gather is faster.
+    truncated-k needs 2^k - 1 extra matmuls, so past k = 8 or 2^k > rows it
+    reads the product tables instead.
     """
     if m.kind in ("exact", "broken_carry"):
         return True
@@ -311,40 +300,20 @@ def _mac_tables(m: Multiplier, fm: FaultMap | None, mode: str, rows: int, depth:
     return np.hstack(tables), _station(sel_n, rows, depth)
 
 
-def _table_columns(wq, sel) -> np.ndarray:
-    """Column of the stacked tables that holds each weight's products."""
-    col = wq.astype(np.int32) + 128
-    if sel is not None:
-        col += 256 * sel
-    return col
-
-
-def _gather_gemm(wq, aq, tables, sel) -> np.ndarray:
-    """Every product gathered from ``tables`` in (rows, depth, batch) chunks."""
-    rows, depth = wq.shape
-    batch = aq.shape[1]
-    flat = tables.ravel()
-    col = _table_columns(wq, sel)[:, :, None]
-    row = (aq.astype(np.int32) + 128) * tables.shape[1]
-    out = np.empty((rows, batch), dtype=np.int32)
-    chunk = max(1, (1 << 24) // (rows * depth))
-    for b0 in range(0, batch, chunk):
-        p = flat[row[None, :, b0 : b0 + chunk] + col]
-        out[:, b0 : b0 + chunk] = p.sum(axis=1, dtype=np.int32)
-    return out
-
-
 def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
     """Sums of rows of per-weight product tables.
 
     ``h[v, c, r]`` is the product of activation code v - 128 with weight
     (r, c), faults included, so output column b is the sum over c of
-    ``h[aq[c, b] + 128, c]``: one gather of a contiguous row per MAC. That
-    repays building 256 products per weight from ``TABLE_MIN_BATCH`` on.
+    ``h[aq[c, b] + 128, c]``: one gather of a contiguous row per MAC.
+    ``tables`` and ``sel`` are as ``_mac_tables`` returns them.
     """
     rows, depth = wq.shape
     batch = aq.shape[1]
-    col = _table_columns(wq, sel)
+    # column of the stacked tables that holds each weight's products
+    col = wq.astype(np.int32) + 128
+    if sel is not None:
+        col += 256 * sel
     idx = (aq.astype(np.intp) + 128) * depth + np.arange(depth)[:, None]
     out = np.empty((rows, batch), dtype=np.int32)
     block = max(1, _TABLE_ENTRIES // (256 * depth))
@@ -357,13 +326,6 @@ def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
             p = np.take(h, idx[:, b0 : b0 + chunk], axis=0)
             out[r0 : r0 + width, b0 : b0 + chunk] = p.sum(axis=0, dtype=np.int32).T
     return out
-
-
-def _lut_gemm(wq, aq, tables, sel) -> np.ndarray:
-    """GEMM of a multiplier that is no few matmuls, through its tables."""
-    if aq.shape[1] >= TABLE_MIN_BATCH:
-        return _table_gemm(wq, aq, tables, sel)
-    return _gather_gemm(wq, aq, tables, sel)
 
 
 def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
@@ -434,7 +396,7 @@ def systolic_gemm(
     _check_array(fm, cfg)
     rows, depth = wq.shape
     if not _blas_ready(m, rows):
-        return _lut_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, rows, depth))
+        return _table_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, rows, depth))
     out = _blas_gemm(wq, aq, m)
     if fm is not None and fm.entries:
         _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
@@ -496,7 +458,7 @@ def gpu_tile_gemm(
     if _blas_ready(m, wq.shape[0]):
         out = _blas_gemm(wq, aq, m).astype(np.int32)
     else:
-        out = _lut_gemm(wq, aq, m.table2d(), None)
+        out = _table_gemm(wq, aq, m.table2d(), None)
     if tf is not None:
         _damage_outputs(out, wq, aq, m, tf, tile)
     return out

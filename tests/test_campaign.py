@@ -214,8 +214,12 @@ def test_gpu_engine_cells(blobs_assets):
     assert fifty.faulty_acc <= zero.faulty_acc
 
 
-def test_mitigation_cells(blobs_assets):
+@pytest.mark.parametrize("as_tuple", [False, True], ids=["dataset", "tuple"])
+def test_mitigation_cells(blobs_assets, as_tuple):
     model, ws, train_d, test_d = blobs_assets
+    if as_tuple:
+        train_d = (train_d.images, train_d.labels)
+        test_d = (test_d.images, test_d.labels)
     spec = _tiny_spec(multipliers=["truncated-4"], seeds=[1],
                       mitigation={"epochs": 2, "lr": 0.1, "seed": 4,
                                   "acc_thresh": 0.0})
@@ -253,16 +257,16 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
         assert rec.error is None
         assert rec.faulty_acc == net.evaluate(model, ws, test_d, env=env, sample_limit=300)
     assert len({r.faulty_acc for r in runs[0]}) > 5
-    # room for layer 1 of the first two (engine, multiplier) pairs only: the
-    # cap is spent first fit, in spec order
+    # room for layer 1 of the first two multipliers only: the cap is spent
+    # first fit, in spec order, and each entry serves both engines
     layer1 = cp._golden_bytes(model, 1, 300)
     assert cp._golden_bytes(model, 0, 300) > 2 * layer1
     monkeypatch.setattr(cp, "_GOLDEN_BYTES", 2 * layer1)
     runs.append(cp.run_campaign(spec, model, ws, test_d))
-    assert resumed[48:] == [1] * 8
+    assert resumed[48:] == [1] * 16
     monkeypatch.setattr(cp, "_GOLDEN_BYTES", 0)
     runs.append(cp.run_campaign(spec, model, ws, test_d))
-    assert len(resumed) == 56
+    assert len(resumed) == 64
     texts = [json.dumps([asdict(r) for r in run]) for run in runs]
     assert len(set(texts)) == 1
 

@@ -294,6 +294,18 @@ def test_seed_env_default(trained, capsys, monkeypatch):
     assert a != c
 
 
+def test_non_integer_seed_env_fails_loudly(trained, capsys, monkeypatch):
+    monkeypatch.setenv("AXFAULT_SEED", "eleven")
+    rc = cli.main(["inject", "--model", trained["model"],
+                   "--weights", trained["weights"],
+                   "--data", "blobs:3:100:8:2",
+                   "--percent", "25", "--bit", "15", "--kind", "sa1", "--n", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "AXFAULT_SEED" in err and "eleven" in err
+
+
 def test_seed_flag_overrides_env(trained, capsys, monkeypatch):
     monkeypatch.setenv("AXFAULT_SEED", "11")
     fmap = trained["tmp"] / "fm-flag.txt"

@@ -134,10 +134,10 @@ MULTIPLIERS = ([mul.exact_multiplier()]
 # multipliers that are no few matmuls at up to 31 rows (2^5 > rows)
 TABLE_MULTIPLIERS = [_RANDOM_LUT, mul.truncated_multiplier(9),
                      mul.truncated_multiplier(15), mul.truncated_multiplier(5)]
-# the table multipliers drawn as often as all others together, at batches on
-# both sides of TABLE_MIN_BATCH, where they change path
+# the table multipliers drawn as often as all others together, at narrow
+# batches and at batches of at least 128 columns
 ANY_MULTIPLIER = st.one_of(st.sampled_from(MULTIPLIERS), st.sampled_from(TABLE_MULTIPLIERS))
-BATCHES = st.one_of(st.integers(1, 20), st.integers(fl.TABLE_MIN_BATCH, 300))
+BATCHES = st.one_of(st.integers(1, 20), st.integers(128, 300))
 
 
 def _operands(seed, rows, depth, batch):
@@ -165,11 +165,12 @@ def _fault_map(n, fill, seed):
 
 def _check_systolic(w, a, m, fm, cfg, step=False):
     """With ``step``, also the route of a campaign cell resumed at this
-    layer: the clean GEMM, then the fault step alone."""
+    layer: the clean GEMM, then the fault step alone. The clean GEMM is the
+    gpu engine's, since a campaign keeps one clean pass for both engines."""
     want = systolic_gemm_ref(w, a, m, fm, cfg)
     got = [fl.systolic_gemm(w, a, m, fm, cfg)]
     if step:
-        clean = fl.systolic_gemm(w, a, m, None, cfg)
+        clean = fl.gpu_tile_gemm(w, a, m, None, cfg.n)
         kept = clean.copy()
         got.append(fl.systolic_fault_step(clean, w, a, m, fm, cfg))
         np.testing.assert_array_equal(clean, kept)
@@ -179,10 +180,11 @@ def _check_systolic(w, a, m, fm, cfg, step=False):
 
 
 def _check_gpu(w, a, m, tf, tile, step=False):
+    """As ``_check_systolic``; the clean GEMM is the systolic engine's."""
     want = gpu_tile_gemm_ref(w, a, m, tf, tile)
     got = [fl.gpu_tile_gemm(w, a, m, tf, tile)]
     if step:
-        clean = fl.gpu_tile_gemm(w, a, m, None, tile)
+        clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(tile))
         kept = clean.copy()
         got.append(fl.gpu_tile_fault_step(clean, w, a, m, tf, tile))
         np.testing.assert_array_equal(clean, kept)
@@ -282,34 +284,6 @@ def test_worst_case_sums_at_max_depth():
 
 # --- product-table path ------------------------------------------------------
 
-def _spy_paths(monkeypatch):
-    """Record which of the two table GEMMs each call runs."""
-    calls = []
-    for name in ("_table_gemm", "_gather_gemm"):
-        def spy(*args, _real=getattr(fl, name), _name=name):
-            calls.append(_name)
-            return _real(*args)
-        monkeypatch.setattr(fl, name, spy)
-    return calls
-
-
-@pytest.mark.parametrize("batch", [fl.TABLE_MIN_BATCH - 1, fl.TABLE_MIN_BATCH])
-@pytest.mark.parametrize("m", TABLE_MULTIPLIERS, ids=lambda m: m.id)
-def test_table_path_on_both_sides_of_its_crossover(monkeypatch, m, batch):
-    rows, depth = 21, 30
-    assert not fl._blas_ready(m, rows)
-    w, a = _operands(batch, rows, depth, batch)
-    calls = _spy_paths(monkeypatch)
-    for mode in fl.GEMM_MODES:
-        for fill in ("empty", "full", "random"):
-            _check_systolic(w, a, m, _fault_map(4, fill, batch), SystolicConfig(4, mode))
-    # 21 rows and 127 or 128 columns leave ragged blocks of 16
-    _check_gpu(w, a, m, TileFaultSpec(15, 0.5, fl.StuckAtFault(3, "sa1"), seed=1), 16)
-    _check_gpu(w, a, m, None, 16)
-    path = "_table_gemm" if batch >= fl.TABLE_MIN_BATCH else "_gather_gemm"
-    assert calls == [path] * 8
-
-
 def test_random_maps_stack_one_table_per_distinct_fault():
     fm = _fault_map(4, "random", 3)
     distinct = set(fm.entries.values())
@@ -327,7 +301,7 @@ def test_random_maps_stack_one_table_per_distinct_fault():
 def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
     # 256 products per weight over MAX_GEMM_DEPTH = 2^23 entries per row, so
     # the per-weight tables of three rows are built two rows at a time
-    depth, batch = fl.MAX_GEMM_DEPTH, fl.TABLE_MIN_BATCH
+    depth, batch = fl.MAX_GEMM_DEPTH, 128
     w, a = _operands(6, 3, depth, batch)
     fm = _fault_map(2, "random", 6)
     sizes = []
