@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, asdict
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 
@@ -86,24 +87,27 @@ class CampaignSpec:
     sample_limit: int | None = 2000
 
     def __post_init__(self):
-        for name in ("multipliers", "fault_kinds", "bits", "percents",
-                     "array_sizes", "engines", "seeds"):
-            if not getattr(self, name):
-                raise ValueError(f"axis {name} must be non-empty")
-        for b in self.bits:
-            if not 0 <= int(b) <= 15:
-                raise ValueError("bits must lie in 0..15")
-        for p in self.percents:
-            if not 0.0 <= float(p) <= 100.0:
-                raise ValueError("percents must lie in [0, 100]")
+        for name in ("model_id", "dataset_id"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        for name in ("multipliers", "fault_kinds", "engines"):
+            _check_axis(name, getattr(self, name), str)
+        _check_axis("bits", self.bits, numbers.Integral, 0, 15)
+        _check_axis("percents", self.percents, numbers.Real, 0, 100)
+        _check_axis("array_sizes", self.array_sizes, numbers.Integral, 1, math.inf)
+        _check_axis("seeds", self.seeds, numbers.Integral)
         for k in self.fault_kinds:
             if k not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {k!r}")
         for e in self.engines:
             if e not in QUANTIZED_ENGINES:
                 raise ValueError(f"unknown engine {e!r}")
-        if self.layers != "all" and not self.layers:
-            raise ValueError("layers must be 'all' or a non-empty list")
+        if self.layers != "all":
+            _check_axis("layers", self.layers, numbers.Integral)
+        if self.mitigation is not None and not isinstance(self.mitigation, dict):
+            raise ValueError("mitigation must be an object or null")
+        if self.sample_limit is not None:
+            _check_axis("sample_limit", [self.sample_limit], numbers.Integral, 1, math.inf)
 
     def layer_values(self) -> list:
         return [None] if self.layers == "all" else [int(i) for i in self.layers]
@@ -113,7 +117,27 @@ class CampaignSpec:
 
     @staticmethod
     def from_json(text: str) -> "CampaignSpec":
-        return CampaignSpec(**json.loads(text))
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a campaign spec must be a JSON object")
+        unknown = sorted(set(doc) - set(CampaignSpec.__dataclass_fields__))
+        missing = [k for k in ("model_id", "dataset_id", "multipliers") if k not in doc]
+        if unknown or missing:
+            raise ValueError(f"campaign spec: unknown keys {unknown}, missing keys {missing}")
+        return CampaignSpec(**doc)
+
+
+def _check_axis(name, values, kind, lo=None, hi=None):
+    """Reject anything but a non-empty list of ``kind`` values in [lo, hi].
+    JSON null, strings, booleans and fractions for integers would otherwise
+    crash a cell or be coerced to another one."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{name} must be a non-empty list")
+    for v in values:
+        if not isinstance(v, kind) or isinstance(v, bool):
+            raise ValueError(f"{name} must hold {kind.__name__} values, got {v!r}")
+        if lo is not None and not lo <= v <= hi:
+            raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v!r}")
 
 
 @dataclass

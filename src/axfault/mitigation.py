@@ -120,10 +120,16 @@ def retune_weights(model: ModelSpec, weights: WeightSet, table: WeightMapTable,
 
 def capture_activations(model: ModelSpec, weights: WeightSet, data,
                         env: ExecEnv, sample_limit=None) -> ActivationSample:
-    """Histogram the int8 activation codes of one fault-free pass."""
+    """Histogram the int8 activation operands of every GEMM in one
+    fault-free ``evaluate`` pass (conv layers: their im2col columns)."""
     counts = np.zeros(256, dtype=np.uint64)
-    evaluate(model, weights, data, env=env, sample_limit=sample_limit,
-             capture=counts)
+
+    def count(_, record):
+        if record["q"] is not None:
+            codes = record["cols"].reshape(-1).astype(np.int32) + 128
+            counts[:] += np.bincount(codes, minlength=256).astype(np.uint64)
+
+    evaluate(model, weights, data, env=env, sample_limit=sample_limit, observe=count)
     name = getattr(data, "id", "capture")
     return ActivationSample(id=f"capture-{name}", counts=counts)
 

@@ -2,8 +2,9 @@
 
 A model is a list of layer specs (dense, conv2d, maxpool, flatten) plus an
 input shape. Weights live in float64. ``run_layers`` is the one forward pass:
-every engine runs it, and training's backward pass reads the per-layer
-caches it records. The quantized engines send dense and conv layers through
+every engine runs it, and its one per-layer hook, ``observe``, feeds
+training's backward pass, the golden pass and mitigation's activation
+histogram. The quantized engines send dense and conv layers through
 one GEMM step: symmetric int8 quantization, the integer multiply-accumulate
 on a simulated accelerator (weight-stationary systolic array or tiled GPU
 path), and requantization back to float, so non-GEMM layers always see
@@ -402,10 +403,10 @@ def _engine_gemm(env: ExecEnv, wcodes, acodes, layer_idx: int, clean=None):
     return gpu_tile_gemm(wcodes, acodes, m, tf, env.tile)
 
 
-def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, capture, clean=None):
+def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, clean=None):
     """The quantized GEMM step of dense and conv layers: quantize and remap
-    the weights, histogram the activation codes, run the engine, requantize.
-    Returns the int32 accumulator and the float output.
+    the weights, run the engine, requantize. Returns the int32 accumulator
+    and the float output.
 
     ``acodes`` are int8 activation codes with scale ``ascale``. A conv layer
     quantizes its input before im2col and passes the lowered codes, because
@@ -416,10 +417,6 @@ def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, capture, cle
     wcodes = qw.data
     if env.weight_map is not None:
         wcodes = env.weight_map.remap_codes(wcodes)
-    if capture is not None:
-        capture += np.bincount(
-            acodes.reshape(-1).astype(np.int32) + 128, minlength=256
-        ).astype(np.uint64)
     acc = _engine_gemm(env, wcodes, acodes, layer_idx, clean)
     return acc, requantize_accum(acc, qw.scale, ascale) + bias[:, None]
 
@@ -441,16 +438,19 @@ def _to_internal(model: ModelSpec, x):
     return x.transpose(1, 2, 3, 0), single
 
 
-def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, capture=None,
-               _caches=None, _start=0, _clean=None):
+def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=None,
+               _start=0, _clean=None):
     """Drive the layer stack on feature-major activations X.
 
-    ``_caches``, a list, receives one dict per layer run for training's
-    backward pass: the input X, pre-activation Z, output Y and conv columns,
-    and on the quantized engines the int8 input ``q`` and int32 accumulator
-    ``acc`` of GEMM layers. ``_start`` resumes the pass at that layer; on a
-    quantized engine X may then be the ``QTensor`` of codes entering it, and
-    ``_clean`` its fault-free accumulator (see ``_engine_gemm``).
+    ``observe(idx, record)`` is called after each layer with its input
+    ``X``, pre-activation ``Z``, output ``Y`` and GEMM activation operand
+    ``cols`` (X, or conv's im2col columns); on the quantized engines
+    ``cols`` holds int8 codes, ``q`` the ``QTensor`` entering the layer and
+    ``acc`` the int32 accumulator. Keys that do not apply are None.
+
+    ``_start`` resumes the pass at that layer; on a quantized engine X may
+    then be the ``QTensor`` of codes entering it, and ``_clean`` its
+    fault-free accumulator (see ``_engine_gemm``).
     """
     quant = env.engine != "float"
     shapes = model.shapes()
@@ -459,34 +459,27 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, capture=No
         p = layer.params
         Z = cols = qx = acc = None
         clean = _clean if idx == _start else None
-        if layer.kind == "dense":
+        if layer.kind in ("dense", "conv2d"):
             W, b = weights[idx]["W"], weights[idx]["b"]
-            if quant:
-                qx = X if isinstance(X, QTensor) else quantize(X)
-                acc, Z = _gemm_layer(env, W, qx.data, qx.scale, b, idx, capture, clean)
-            else:
-                Z = W @ X + b[:, None]
-            Y = _activate(layer.activation, Z, axis=0)
-        elif layer.kind == "conv2d":
-            W, b = weights[idx]["W"], weights[idx]["b"]
-            wmat = W.transpose(3, 0, 1, 2).reshape(p["cout"], -1)
-            hout, wout, _ = shapes[idx]
-            if quant:
+            qx = (X if isinstance(X, QTensor) else quantize(X)) if quant else None
+            cols = X if qx is None else qx.data
+            if layer.kind == "conv2d":
                 # zero padding is exact in code space
-                qx = X if isinstance(X, QTensor) else quantize(X)
-                cols = im2col(qx.data, p["kh"], p["kw"], p["stride"], p["pad"])
-                acc, Z = _gemm_layer(env, wmat, cols, qx.scale, b, idx, capture, clean)
+                W = W.transpose(3, 0, 1, 2).reshape(p["cout"], -1)
+                cols = im2col(cols, p["kh"], p["kw"], p["stride"], p["pad"])
+            if quant:
+                acc, Z = _gemm_layer(env, W, cols, qx.scale, b, idx, clean)
             else:
-                cols = im2col(X, p["kh"], p["kw"], p["stride"], p["pad"])
-                Z = wmat @ cols + b[:, None]
-            Z = Z.reshape(p["cout"], hout, wout, -1).transpose(1, 2, 0, 3)
-            Y = _activate(layer.activation, Z, axis=2)
+                Z = W @ cols + b[:, None]
+            if layer.kind == "conv2d":
+                Z = Z.reshape(p["cout"], *shapes[idx][:2], -1).transpose(1, 2, 0, 3)
+            Y = _activate(layer.activation, Z, axis=-2)  # features or channels
         elif layer.kind == "maxpool":
             Y = _pool_windows(X, p).max(axis=(-2, -1))
         else:  # flatten
             Y = X.reshape(-1, X.shape[-1])
-        if _caches is not None:
-            _caches.append({"X": X, "Z": Z, "Y": Y, "cols": cols, "q": qx, "acc": acc})
+        if observe is not None:
+            observe(idx, {"X": X, "Z": Z, "Y": Y, "cols": cols, "q": qx, "acc": acc})
         X = Y
     return X
 
@@ -503,8 +496,7 @@ def _check_finite(model: ModelSpec, weights: WeightSet) -> None:
             raise ValueError(f"layer {idx}: non-finite weights or biases")
 
 
-def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None,
-            capture=None) -> dict:
+def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None) -> dict:
     """Run one input or a batch; returns {"logits": ..., "class": ...}.
 
     Batch input (B, *input_shape) gives logits (B, n_classes) and class
@@ -514,8 +506,7 @@ def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None,
     env = env or ExecEnv()
     _check_finite(model, weights)
     X, single = _to_internal(model, x)
-    out = run_layers(model, weights, X, env, capture=capture)
-    logits = out.T
+    logits = run_layers(model, weights, X, env).T
     cls = np.argmax(logits, axis=1)
     if single:
         return {"logits": logits[0], "class": int(cls[0])}
@@ -529,11 +520,9 @@ def _as_xy(data):
 
 
 def _eval_batches(data, sample_limit: int | None, batch_size: int) -> list:
-    """The (images, labels) batches ``evaluate`` scores, in order.
-
-    Raises ``ValueError`` when no sample is left to score or ``batch_size``
-    is below 1.
-    """
+    """The (images, labels) batches of the eval loop, in order. Raises
+    ``ValueError`` when no sample is left to score or ``batch_size`` is
+    below 1."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     images, labels = _as_xy(data)
@@ -545,25 +534,33 @@ def _eval_batches(data, sample_limit: int | None, batch_size: int) -> list:
             for i in range(0, len(images), batch_size)]
 
 
-def _accuracy(hits: int, batches) -> float:
+def _accuracy(model: ModelSpec, weights: WeightSet, data, sample_limit, batch_size,
+              outputs) -> float:
+    """The eval loop: top-1 accuracy in percent of the class scores that
+    ``outputs(batches)`` yields for each ``_eval_batches`` batch. Raises
+    ``ValueError`` when scores and labels of a batch differ in number."""
+    batches = _eval_batches(data, sample_limit, batch_size)
+    _check_finite(model, weights)
+    hits = 0
+    for out, (_, labels) in zip(outputs(batches), batches):
+        if out.shape[1] != len(labels):
+            raise ValueError(f"{out.shape[1]} outputs for a batch of {len(labels)} samples")
+        hits += int(np.sum(np.argmax(out, axis=0) == labels))
     return 100.0 * hits / sum(len(labels) for _, labels in batches)
 
 
 def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None,
              sample_limit: int | None = None, batch_size: int = 256,
-             capture=None) -> float:
+             observe=None) -> float:
     """Top-1 accuracy in percent over (a prefix of) the dataset.
 
-    Raises ``ValueError`` when no sample is left to score or ``batch_size``
-    is below 1.
+    ``observe`` is passed to ``run_layers``. Raises ``ValueError`` when no
+    sample is left to score or ``batch_size`` is below 1.
     """
     env = env or ExecEnv()
-    batches = _eval_batches(data, sample_limit, batch_size)
-    hits = 0
-    for images, labels in batches:
-        r = forward(model, weights, images, env, capture=capture)
-        hits += int(np.sum(r["class"] == labels))
-    return _accuracy(hits, batches)
+    return _accuracy(model, weights, data, sample_limit, batch_size, lambda batches: (
+        run_layers(model, weights, _to_internal(model, images)[0], env, observe)
+        for images, _ in batches))
 
 
 def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
@@ -577,18 +574,13 @@ def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
-    _check_finite(model, weights)
-    batches = _eval_batches(data, sample_limit, batch_size)
     states = {layer: [] for layer in layers}
-    hits = 0
-    for images, labels in batches:
-        caches = []
-        out = run_layers(model, weights, _to_internal(model, images)[0], env,
-                         _caches=caches)
-        for layer, kept in states.items():
-            kept.append((caches[layer]["q"], caches[layer]["acc"]))
-        hits += int(np.sum(np.argmax(out, axis=0) == labels))
-    return _accuracy(hits, batches), states
+
+    def keep(idx, record):
+        if idx in states:
+            states[idx].append((record["q"], record["acc"]))
+
+    return evaluate(model, weights, data, env, sample_limit, batch_size, keep), states
 
 
 def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
@@ -603,12 +595,11 @@ def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
     """
     if env.layer_filter != layer:
         raise ValueError(f"env injects faults outside layer {layer}")
-    _check_finite(model, weights)
-    batches = _eval_batches(data, sample_limit, batch_size)
-    if len(states) != len(batches):
-        raise ValueError(f"{len(states)} golden states for {len(batches)} eval batches")
-    hits = 0
-    for (_, labels), (q, clean) in zip(batches, states):
-        out = run_layers(model, weights, q, env, _start=layer, _clean=clean)
-        hits += int(np.sum(np.argmax(out, axis=0) == labels))
-    return _accuracy(hits, batches)
+
+    def outputs(batches):
+        if len(states) != len(batches):
+            raise ValueError(f"{len(states)} golden states for {len(batches)} eval batches")
+        for q, clean in states:
+            yield run_layers(model, weights, q, env, _start=layer, _clean=clean)
+
+    return _accuracy(model, weights, data, sample_limit, batch_size, outputs)

@@ -101,7 +101,7 @@ def _forward_loss(model: ModelSpec, ws: WeightSet, xb, yb):
     """
     X, _ = _to_internal(model, xb)
     caches = []
-    out = run_layers(model, ws, X, ExecEnv(), _caches=caches)
+    out = run_layers(model, ws, X, ExecEnv(), lambda _, record: caches.append(record))
     last = model.layers[-1]
     fold = last.kind == "dense" and last.activation in ("none", "softmax")
     scores = caches[-1]["Z"] if fold else out

@@ -69,6 +69,24 @@ def test_spec_validation():
         _tiny_spec(engines=["float"])
     with pytest.raises(ValueError):
         _tiny_spec(layers=[])
+    # JSON that used to crash with TypeError or be coerced to other cells
+    doc = json.loads(_tiny_spec().to_json())
+    for bad, match in (
+            ({"bogus": 1}, r"unknown keys \['bogus'\]"),
+            ({"percents": [None]}, "percents must hold Real values"),
+            ({"layers": "05"}, "layers must be a non-empty list"),
+            ({"layers": [1.7]}, "layers must hold Integral values"),
+            ({"bits": [True]}, "bits must hold Integral values"),
+            ({"seeds": ["1"]}, "seeds must hold Integral values"),
+            ({"array_sizes": [0]}, "array_sizes must lie in"),
+            ({"multipliers": [None]}, "multipliers must hold str values"),
+            ({"sample_limit": "all"}, "sample_limit must hold Integral values")):
+        with pytest.raises(ValueError, match=match):
+            cp.CampaignSpec.from_json(json.dumps({**doc, **bad}))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        cp.CampaignSpec.from_json(json.dumps([doc]))
+    with pytest.raises(ValueError, match=r"missing keys \['multipliers'\]"):
+        cp.CampaignSpec.from_json(json.dumps({"model_id": "m", "dataset_id": "d"}))
 
 
 def test_spec_json_round_trip():

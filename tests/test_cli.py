@@ -228,6 +228,23 @@ def test_campaign_run_and_report(trained, capsys):
     assert header.startswith("model,dataset,engine,multiplier,mae_percent")
 
 
+@pytest.mark.parametrize("spec", ['{"model_id": "m", "dataset_id": "d", '
+                                  '"multipliers": ["exact"], "bogus": 1}',
+                                  '[{"model_id": "m"}]',
+                                  '{"model_id": "m", "dataset_id": "d", '
+                                  '"multipliers": ["exact"], "percents": [null]}'],
+                         ids=["unknown-key", "list", "null-percent"])
+def test_campaign_run_rejects_malformed_spec(trained, spec, capsys):
+    spec_path = trained["tmp"] / "bad-spec.json"
+    spec_path.write_text(spec)
+    rc = cli.main(["campaign", "run", "--spec", str(spec_path),
+                   "--weights", trained["weights"],
+                   "--out", str(trained["tmp"] / "bad-camp")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dataset_convert_round_trip(tmp_path, capsys):
     src = datasets.synth_digits(20, seed=1)
     raw = np.round(src.images * 255).astype(np.uint8)

@@ -1,5 +1,7 @@
 """Model zoo, serialization, conv lowering, and the execution engines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
 from axfault.datasets import synth_blobs
+from axfault.mitigation import capture_activations
 from axfault.quantize import quantize
 
 
@@ -274,13 +277,12 @@ def test_exec_env_validation():
 
 def test_capture_histogram_counts():
     model, ws, test = _tiny_problem()
-    cap = np.zeros(256, dtype=np.uint64)
     m = mul.exact_multiplier()
-    net.evaluate(model, ws, test, net.ExecEnv(
+    acts = capture_activations(model, ws, test, net.ExecEnv(
         engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=8)),
-        sample_limit=50, capture=cap)
+        sample_limit=50)
     # dense layers see in_features codes per sample: 8 + 16 per forward
-    assert cap.sum() == 50 * (8 + 16)
+    assert acts.counts.sum() == 50 * (8 + 16)
 
     # a conv layer histograms its lowered operand: kh*kw*cin codes for each
     # of its hout*wout output positions
@@ -293,10 +295,71 @@ def test_capture_histogram_counts():
     assert conv.shapes()[:2] == [(5, 5, 4), (4, 4, 3)]
     cws = training.init_weights(conv, seed=1)
     images = np.random.default_rng(0).uniform(size=(6, 9, 9, 2))
-    cap = np.zeros(256, dtype=np.uint64)
-    net.evaluate(conv, cws, (images, np.zeros(6, dtype=np.int64)), net.ExecEnv(
-        engine="gpu_tiles", multiplier=m), capture=cap)
-    assert cap.sum() == 6 * (3 * 3 * 2 * 5 * 5 + 2 * 2 * 4 * 4 * 4 + 48)
+    data = (images, np.zeros(6, dtype=np.int64))
+    env = net.ExecEnv(engine="gpu_tiles", multiplier=m)
+    acts = capture_activations(conv, cws, data, env)
+    assert acts.counts.sum() == 6 * (3 * 3 * 2 * 5 * 5 + 2 * 2 * 4 * 4 * 4 + 48)
+
+    # the observe hook hands each GEMM's int8 operand over as "cols"
+    records = {}
+    net.evaluate(conv, cws, data, env, observe=records.__setitem__)
+    r0, r1 = records[0], records[1]
+    assert np.array_equal(r0["q"].data, quantize(r0["X"]).data)
+    assert np.array_equal(r0["cols"], net.im2col(r0["q"].data, 3, 3, stride=2, pad=1))
+    assert r1["cols"].dtype == np.int8 and r1["cols"].shape == (2 * 2 * 4, 4 * 4 * 6)
+    assert records[2]["cols"] is None and records[2]["acc"] is None
+    assert np.array_equal(records[3]["cols"], records[3]["q"].data)
+    assert records[3]["acc"].shape == (3, 6)
+
+
+def _golden_setup():
+    model, ws, test = _tiny_problem()
+    m = mul.truncated_multiplier(9)
+    return model, ws, test, net.ExecEnv(engine="gpu_tiles", multiplier=m)
+
+
+def test_golden_pass_needs_a_fault_free_quantized_env():
+    model, ws, test, clean = _golden_setup()
+    m = clean.multiplier
+    fm = fl.random_fault_map(4, 50.0, fl.StuckAtFault(15, "sa1"), seed=1)
+    tf = fl.TileFaultSpec(tile_index=0, damaged_fraction=0.5,
+                          fault=fl.StuckAtFault(15, "sa1"), seed=1)
+    for env in (net.ExecEnv(),
+                net.ExecEnv(engine="systolic", multiplier=m,
+                            systolic=fl.SystolicConfig(n=4), fault_map=fm),
+                net.ExecEnv(engine="gpu_tiles", multiplier=m, tile_fault=tf)):
+        with pytest.raises(ValueError, match="without faults"):
+            net.golden_pass(model, ws, test, env, [0])
+
+
+def test_evaluate_resumed_rejects_mismatched_states():
+    model, ws, test, clean = _golden_setup()
+    _, states = net.golden_pass(model, ws, test, clean, [1], batch_size=64)
+    env = replace(clean, layer_filter=1)
+    with pytest.raises(ValueError, match="outside layer 0"):
+        net.evaluate_resumed(model, ws, test, env, 0, states[1], batch_size=64)
+    with pytest.raises(ValueError, match="4 golden states for 2 eval batches"):
+        net.evaluate_resumed(model, ws, test, env, 1, states[1], batch_size=100)
+    # states of 65 samples (64 + 1) resumed on 100 (64 + 36): one batch
+    # count, other widths
+    _, states = net.golden_pass(model, ws, test, clean, [1], sample_limit=65,
+                                batch_size=64)
+    with pytest.raises(ValueError, match="1 outputs for a batch of 36 samples"):
+        net.evaluate_resumed(model, ws, test, env, 1, states[1], sample_limit=100,
+                             batch_size=64)
+
+
+def test_fault_free_resume_equals_golden_accuracy():
+    model, ws, test, clean = _golden_setup()
+    acc, states = net.golden_pass(model, ws, test, clean, [0, 1], batch_size=64)
+    assert acc == net.evaluate(model, ws, test, clean, batch_size=64)
+    assert [len(states[k]) for k in (0, 1)] == [4, 4]
+    for env in (clean, net.ExecEnv(engine="systolic", multiplier=clean.multiplier,
+                                   systolic=fl.SystolicConfig(n=4))):
+        for layer in (0, 1):
+            resumed = net.evaluate_resumed(model, ws, test, replace(env, layer_filter=layer),
+                                           layer, states[layer], batch_size=64)
+            assert resumed == acc
 
 
 def test_evaluate_rejects_empty_data():
