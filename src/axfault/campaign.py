@@ -33,7 +33,7 @@ import numpy as np
 from . import charts
 from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
-from .mitigation import run_mitigation
+from .mitigation import check_activations, run_mitigation
 from .multipliers import Multiplier, error_metrics, parse_multiplier
 from .network import (QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, evaluate_resumed,
                       golden_pass)
@@ -71,6 +71,10 @@ ILLUSTRATIVE_ENERGY_PJ = {
 }
 
 
+# the repair settings a spec's ``mitigation`` object may hold
+_MITIGATION_KEYS = {*HyperParams.__dataclass_fields__, "acc_thresh", "activations"}
+
+
 @dataclass
 class CampaignSpec:
     model_id: str
@@ -104,8 +108,14 @@ class CampaignSpec:
                 raise ValueError(f"unknown engine {e!r}")
         if self.layers != "all":
             _check_axis("layers", self.layers, numbers.Integral)
-        if self.mitigation is not None and not isinstance(self.mitigation, dict):
-            raise ValueError("mitigation must be an object or null")
+        if self.mitigation is not None:
+            if not isinstance(self.mitigation, dict):
+                raise ValueError("mitigation must be an object or null")
+            unknown = sorted(set(self.mitigation) - _MITIGATION_KEYS)
+            if unknown:
+                raise ValueError(f"unknown mitigation keys {unknown}; "
+                                 f"allowed: {sorted(_MITIGATION_KEYS)}")
+            check_activations(self.mitigation.get("activations", "uniform"))
         if self.sample_limit is not None:
             _check_axis("sample_limit", [self.sample_limit], numbers.Integral, 1, math.inf)
 
@@ -324,8 +334,7 @@ def _mitigate_cell(a, cell, m, fm) -> float:
     cfgd = dict(a["spec"].mitigation)
     acc_thresh = float(cfgd.pop("acc_thresh", 0.0))
     activations = cfgd.pop("activations", "uniform")
-    hp = HyperParams(**{k: v for k, v in cfgd.items()
-                        if k in HyperParams.__dataclass_fields__})
+    hp = HyperParams(**cfgd)
     images, labels = _as_xy(a["test"])
     limit = a["spec"].sample_limit
     test = (images[:limit], labels[:limit])

@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit", type=int, default=15)
     p.add_argument("--kind", choices=FAULT_KINDS, default="sa1")
     p.add_argument("--acc-thresh", type=float, default=0.0)
-    p.add_argument("--activations", choices=["uniform", "empirical"],
+    p.add_argument("--activations", choices=mitigation.ACTIVATION_SOURCES,
                    default="uniform")
     p.add_argument("--out", required=True)
     p.add_argument("--report")

@@ -24,11 +24,11 @@ Two engines share the multiplier and fault semantics:
 
 How the engines compute this, bit-identical to forming every product:
 the fault-free GEMM of ``exact``, ``broken_carry`` and ``truncated`` (k <= 8,
-2^k <= rows) multipliers is float64 matmuls, which are exact below
-``MAX_GEMM_DEPTH``. On that path only the products that faults touch are
-then formed and corrected: the stationed lattice, grouped by array row, on
-the systolic engine; the damaged outputs, along the full depth, on the gpu
-engine.
+2^k <= rows) multipliers is float32 matmuls over depth slabs of at most
+``_SLAB`` columns, each exact and summed in int32. On that path only the
+products that faults touch are then formed, as int16, and corrected with
+int32 sums: the stationed lattice, grouped by array row, on the systolic
+engine; the damaged outputs, along the full depth, on the gpu engine.
 
 Every other multiplier is read from its product table by ``_table_gemm``:
 per-weight tables of the 256 products with every activation code are built
@@ -59,9 +59,12 @@ FAULT_KINDS = ("sa0", "sa1")
 GEMM_MODES = ("propagate", "bypass")
 
 # int16 products accumulate in int32; cap the reduction depth so the sum of
-# C worst-case products cannot overflow. The cap also keeps every partial
-# sum of a float64 matmul exact: 2^15 * 2^15 = 2^30 < 2^53.
+# C worst-case products cannot overflow: 2^15 * 2^15 = 2^30 < 2^31.
 MAX_GEMM_DEPTH = 32768
+
+# depth of one float32 matmul of int8 codes: every partial sum is an integer
+# with |s| <= 1024 * 2^14 = 2^24, and float32 holds all of those exactly
+_SLAB = 1024
 
 # cap on the entries of one block of per-weight product tables (32 MiB)
 _TABLE_ENTRIES = 1 << 24
@@ -247,7 +250,7 @@ def _check_gemm_operands(wq, aq):
 
 
 def _blas_ready(m: Multiplier, rows: int) -> bool:
-    """Whether the fault-free GEMM of ``m`` is a few float64 matmuls.
+    """Whether the fault-free GEMM of ``m`` is a few float32 matmuls.
 
     truncated-k needs 2^k - 1 extra matmuls, so past k = 8 or 2^k > rows it
     reads the product tables instead.
@@ -258,22 +261,36 @@ def _blas_ready(m: Multiplier, rows: int) -> bool:
 
 
 def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
-    """Fault-free GEMM of a ``_blas_ready`` multiplier, as exact float64."""
+    """Fault-free int32 GEMM of a ``_blas_ready`` multiplier.
+
+    The products are int8 x int8, so |p| <= 2^14 and a float32 matmul over
+    ``_SLAB`` columns is exact whatever order BLAS sums in; the slabs are
+    summed in int32.
+    """
     k = m.params.get("k", 0)
     w, a = wq, aq
     if m.kind == "broken_carry":
         keep = np.uint8((0xFF << k) & 0xFF)
         w = (wq.view(np.uint8) & keep).view(np.int8)
         a = (aq.view(np.uint8) & keep).view(np.int8)
-    out = w.astype(np.float64) @ a.astype(np.float64)
+    w, a = w.astype(np.float32), a.astype(np.float32)
+    out = (w[:, :_SLAB] @ a[:_SLAB]).astype(np.int32)
+    for c0 in range(_SLAB, w.shape[1], _SLAB):
+        out += (w[:, c0 : c0 + _SLAB] @ a[c0 : c0 + _SLAB]).astype(np.int32)
     if m.kind == "truncated" and k:
         # truncation subtracts p mod 2^k, which depends on the operands' low
-        # k bits only: sum over each value v of the activation's low bits
-        low = (1 << k) - 1
-        w_lo = (wq.view(np.uint8) & low).astype(np.int32)
+        # k bits only: sum over each value v of the activation's low bits.
+        # Every term is in [0, 255], so float32 sums the full depth exactly:
+        # 32768 * 255 < 2^24.
+        low = np.uint8((1 << k) - 1)
+        w_lo = wq.view(np.uint8) & low
         a_lo = aq.view(np.uint8) & low
+        cut = np.zeros(out.shape, dtype=np.float32)
         for v in range(1, 1 << k):
-            out -= ((v * w_lo) & low).astype(np.float64) @ (a_lo == v).astype(np.float64)
+            hit = a_lo == v
+            if hit.any():
+                cut += ((np.uint8(v) * w_lo) & low).astype(np.float32) @ hit.astype(np.float32)
+        out -= cut.astype(np.int32)
     return out
 
 
@@ -329,10 +346,12 @@ def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
 
 
 def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
-    """Add to a fault-free float64 GEMM the change its faults make.
+    """Add to a fault-free int32 GEMM the change its faults make.
 
     Rows i, i+n, ... are stationed on array row i, so they share one set of
-    faulty columns; only those products are formed.
+    faulty columns; only those products are formed. Each reduction of int16
+    products is exact in int32, |sum| <= MAX_GEMM_DEPTH * 2^15 = 2^30, and
+    int32 addition wraps modulo 2^32, so ``out`` ends exact.
     """
     n = fm.n
     rows, depth = wq.shape
@@ -347,9 +366,9 @@ def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
         chunk = max(1, (1 << 24) // (w.shape[0] * cols.size))
         for b0 in range(0, batch, chunk):
             p = prod(aq[cols, b0 : b0 + chunk][None], w)
-            delta = -p.sum(axis=1, dtype=np.int64)
+            delta = -p.sum(axis=1, dtype=np.int32)
             if mode == "propagate":
-                delta += ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int64)
+                delta += ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
             out[i::n, b0 : b0 + chunk] += delta
 
 
@@ -400,7 +419,7 @@ def systolic_gemm(
     out = _blas_gemm(wq, aq, m)
     if fm is not None and fm.entries:
         _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
-    return out.astype(np.int32)
+    return out
 
 
 def systolic_fault_step(clean, wq, aq, m: Multiplier, fm: FaultMap | None,
@@ -456,7 +475,7 @@ def gpu_tile_gemm(
     """
     wq, aq = _check_tiles(wq, aq, tf, tile)
     if _blas_ready(m, wq.shape[0]):
-        out = _blas_gemm(wq, aq, m).astype(np.int32)
+        out = _blas_gemm(wq, aq, m)
     else:
         out = _table_gemm(wq, aq, m.table2d(), None)
     if tf is not None:

@@ -24,6 +24,19 @@ from .quantize import quantize
 from .training import HyperParams, retrain_masked
 
 
+# the named distributions a retuning map can be built against
+ACTIVATION_SOURCES = ("uniform", "empirical")
+
+
+def check_activations(activations) -> None:
+    """Raise ``ValueError`` unless ``activations`` is one of
+    ``ACTIVATION_SOURCES`` or an ActivationSample."""
+    if not (isinstance(activations, ActivationSample)
+            or isinstance(activations, str) and activations in ACTIVATION_SOURCES):
+        raise ValueError(f"activations must be one of {ACTIVATION_SOURCES} or an "
+                         f"ActivationSample, got {activations!r}")
+
+
 @dataclass
 class MitigationReport:
     baseline_acc: float
@@ -148,6 +161,7 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
     """
     if fm.n != cfg.n:
         raise ValueError("fault map and systolic config disagree on n")
+    check_activations(activations)
     bypass_cfg = replace(cfg, mode="bypass")
     clean_env = ExecEnv(engine="systolic", multiplier=m, systolic=bypass_cfg)
     baseline = evaluate(model, weights, test_data, env=clean_env)

@@ -8,6 +8,7 @@ see a symmetric operand range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +26,24 @@ class QTensor:
 
 def quantize(t: np.ndarray) -> QTensor:
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
+    # max and min pass NaN and inf through, so a finite amax means finite t
+    amax = max(float(t.max()), -float(t.min())) if t.size else 0.0
+    if not math.isfinite(amax):
         raise ValueError("cannot quantize non-finite values")
-    amax = float(np.max(np.abs(t))) if t.size else 0.0
     scale = amax / 127.0
     if scale == 0.0:
         # all-zero tensor, or amax so small the division underflowed;
         # either way every code is 0 and any positive scale is consistent
         scale = 1.0
-    # round half away from zero: numpy's round() is half-to-even, so build
-    # it from floor(|x| + 0.5)
+    # round half away from zero (numpy's round() is half-to-even) in one
+    # buffer: sign(x) * min(floor(|x| + 0.5), 127) is the int8 truncation,
+    # toward zero, of min(|x| + 0.5, 127) carrying the sign of t
     x = t / scale
-    codes = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    codes = np.clip(codes, -127, 127)
-    return QTensor(codes.astype(np.int8), scale)
+    np.abs(x, out=x)
+    x += 0.5
+    np.minimum(x, 127.0, out=x)
+    np.copysign(x, t, out=x)
+    return QTensor(x.astype(np.int8), scale)
 
 
 def dequantize(q: QTensor) -> np.ndarray:

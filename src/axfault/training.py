@@ -113,24 +113,28 @@ def _loss_and_grads(model: ModelSpec, ws: WeightSet, xb, yb):
     loss, d, caches, fold = _forward_loss(model, ws, xb, yb)
     shapes = model.shapes()
     grads = {}
-    for idx in reversed(range(len(caches))):
+    # no parameter sits below the first parameter layer, so the gradient of
+    # its input is never formed
+    first = min(model.param_layers(), default=len(caches))
+    for idx in reversed(range(first, len(caches))):
         c, layer = caches[idx], model.layers[idx]
         p = layer.params
         if layer.kind == "dense":
             dZ = d if (fold and idx == len(caches) - 1) else _act_backward(
                 layer.activation, c, d, axis=0)
-            W = ws[idx]["W"]
             grads[idx] = {"W": dZ @ c["X"].T, "b": dZ.sum(axis=1)}
-            d = W.T @ dZ
+            if idx > first:
+                d = ws[idx]["W"].T @ dZ
         elif layer.kind == "conv2d":
             dZ = _act_backward(layer.activation, c, d, axis=2)
             dZc = dZ.transpose(2, 0, 1, 3).reshape(p["cout"], -1)
             dWmat = dZc @ c["cols"].T
             dW = dWmat.reshape(p["cout"], p["kh"], p["kw"], p["cin"]).transpose(1, 2, 3, 0)
             grads[idx] = {"W": dW, "b": dZc.sum(axis=1)}
-            wmat = ws[idx]["W"].transpose(3, 0, 1, 2).reshape(p["cout"], -1)
-            d = col2im(wmat.T @ dZc, c["X"].shape, shapes[idx][:2], p["kh"], p["kw"],
-                       p["stride"], p["pad"])
+            if idx > first:
+                wmat = ws[idx]["W"].transpose(3, 0, 1, 2).reshape(p["cout"], -1)
+                d = col2im(wmat.T @ dZc, c["X"].shape, shapes[idx][:2], p["kh"], p["kw"],
+                           p["stride"], p["pad"])
         elif layer.kind == "maxpool":
             k, s = p["k"], p["stride"]
             win = _pool_windows(c["X"], p)

@@ -80,7 +80,10 @@ def test_spec_validation():
             ({"seeds": ["1"]}, "seeds must hold Integral values"),
             ({"array_sizes": [0]}, "array_sizes must lie in"),
             ({"multipliers": [None]}, "multipliers must hold str values"),
-            ({"sample_limit": "all"}, "sample_limit must hold Integral values")):
+            ({"sample_limit": "all"}, "sample_limit must hold Integral values"),
+            # misspelt repair settings used to be dropped: {"epoch": 3} trained 10
+            ({"mitigation": {"epoch": 3}}, r"unknown mitigation keys \['epoch'\]"),
+            ({"mitigation": {"activations": "emprical"}}, "activations must be one of")):
         with pytest.raises(ValueError, match=match):
             cp.CampaignSpec.from_json(json.dumps({**doc, **bad}))
     with pytest.raises(ValueError, match="must be a JSON object"):
@@ -90,7 +93,10 @@ def test_spec_validation():
 
 
 def test_spec_json_round_trip():
-    spec = _tiny_spec(layers=[0, 2], mitigation={"epochs": 3})
+    # every repair setting a spec may hold
+    mitigation = {**asdict(HyperParams(epochs=3)), "acc_thresh": 50.0,
+                  "activations": "empirical"}
+    spec = _tiny_spec(layers=[0, 2], mitigation=mitigation)
     back = cp.CampaignSpec.from_json(spec.to_json())
     assert back == spec
     assert back.layer_values() == [0, 2]

@@ -232,11 +232,16 @@ def test_campaign_run_and_report(trained, capsys):
                                   '"multipliers": ["exact"], "bogus": 1}',
                                   '[{"model_id": "m"}]',
                                   '{"model_id": "m", "dataset_id": "d", '
-                                  '"multipliers": ["exact"], "percents": [null]}'],
-                         ids=["unknown-key", "list", "null-percent"])
+                                  '"multipliers": ["exact"], "percents": [null]}',
+                                  # runnable but for the key, which used to be
+                                  # dropped: the cells trained the default 10 epochs
+                                  '{"model_id": "@model", "dataset_id": "blobs:3:300:8:2", '
+                                  '"multipliers": ["exact"], "sample_limit": 20, '
+                                  '"mitigation": {"epoch": 3}}'],
+                         ids=["unknown-key", "list", "null-percent", "mitigation-key"])
 def test_campaign_run_rejects_malformed_spec(trained, spec, capsys):
     spec_path = trained["tmp"] / "bad-spec.json"
-    spec_path.write_text(spec)
+    spec_path.write_text(spec.replace("@model", trained["model"]))
     rc = cli.main(["campaign", "run", "--spec", str(spec_path),
                    "--weights", trained["weights"],
                    "--out", str(trained["tmp"] / "bad-camp")])

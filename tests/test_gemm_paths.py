@@ -262,24 +262,84 @@ def test_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch, fract
     _check_gpu(w, a, m, None, tile, step=True)
 
 
+def _int64_gemm(w, a, m, or_m=None, and_m=None):
+    """out[r, b] = sum_c P(a[c, b], w[r, c]) summed in int64, P read from
+    ``m``'s table with per-weight (rows, depth) fault masks applied. Rows
+    with equal weights and masks are summed once."""
+    if or_m is None:
+        or_m = np.zeros(w.shape, dtype=np.uint16)
+        and_m = np.full(w.shape, 0xFFFF, dtype=np.uint16)
+    out = np.empty((w.shape[0], a.shape[1]), dtype=np.int64)
+    done = {}
+    for r in range(w.shape[0]):
+        key = (w[r].tobytes(), or_m[r].tobytes(), and_m[r].tobytes())
+        if key not in done:
+            p = m.table[mul.pair_index(a.T, w[r])]
+            p = ((p.view(np.uint16) & and_m[r]) | or_m[r]).view(np.int16)
+            done[key] = p.sum(axis=1, dtype=np.int64)
+        out[r] = done[key]
+    return out
+
+
+# every multiplier whose fault-free GEMM is float32 slabs at 2^k <= rows
+_BLAS_MULTIPLIERS = ([mul.exact_multiplier()]
+                     + [mul.broken_carry_multiplier(k) for k in range(1, 8)]
+                     + [mul.truncated_multiplier(k) for k in range(1, 9)])
+
+
 def test_worst_case_sums_at_max_depth():
     # the largest |accumulator| the engines can reach: every clean product
     # is (-128)^2 = 2^14, every sa1-at-bit-15 product of a zero weight is
-    # -2^15, over the full MAX_GEMM_DEPTH reduction
+    # -2^15. Depths around the 1024-column float32 slab and up to the full
+    # MAX_GEMM_DEPTH reduction, against int64 sums of table products. Row 2
+    # and column 1 draw from [-128, -120]: one float32 matmul over 32768
+    # such products is inexact.
+    sa1 = fl.StuckAtFault(15, "sa1")
+    fm = FaultMap(1, {(0, 0): sa1})
+    om, am = sa1.masks()
+    tf = TileFaultSpec(0, 1.0, sa1, seed=0)
+    rng = np.random.default_rng(0)
+    for depth in (1023, 1024, 1025, 2049, fl.MAX_GEMM_DEPTH):
+        for m in _BLAS_MULTIPLIERS:
+            rows = max(3, 1 << m.params.get("k", 0))
+            assert fl._blas_ready(m, rows)
+            w = np.full((rows, depth), -127, dtype=np.int8)
+            w[0], w[1], w[2] = -128, 0, rng.integers(-128, -119, depth)
+            a = np.full((depth, 2), -128, dtype=np.int8)
+            a[:, 1] = rng.integers(-128, -119, depth)
+            clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(1))
+            assert clean.dtype == np.int32
+            np.testing.assert_array_equal(clean, _int64_gemm(w, a, m),
+                                          err_msg=f"{m.id} at depth {depth}")
+            # every MAC of the 1 x 1 array carries the fault
+            faulty = _int64_gemm(w, a, m, np.full(w.shape, om), np.full(w.shape, am))
+            bypassed = np.zeros_like(faulty)
+            for mode, want in (("propagate", faulty), ("bypass", bypassed)):
+                cfg = SystolicConfig(1, mode)
+                np.testing.assert_array_equal(fl.systolic_gemm(w, a, m, fm, cfg), want,
+                                              err_msg=f"{m.id} at depth {depth}, {mode}")
+                np.testing.assert_array_equal(fl.systolic_fault_step(clean, w, a, m, fm, cfg),
+                                              want)
+            # the damaged block is rows 0-1 of both columns
+            want = np.vstack([faulty[:2], clean[2:]])
+            np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2), want)
+            np.testing.assert_array_equal(fl.gpu_tile_fault_step(clean, w, a, m, tf, 2), want)
+            if depth == fl.MAX_GEMM_DEPTH and m.kind == "exact":
+                assert clean[0, 0] == 1 << 29 and clean[1, 0] == 0
+                assert faulty[1, 0] == -(1 << 30)
+
+
+def test_largest_truncation_correction_at_max_depth():
+    # w = -1 and a = 1 make every product -1, whose low k bits are all set:
+    # truncated-k drops 2^k - 1 from each, 32768 * 255 in all for k = 8
     depth = fl.MAX_GEMM_DEPTH
-    w = np.full((2, depth), -128, dtype=np.int8)
-    w[1] = 0
-    a = np.full((depth, 2), -128, dtype=np.int8)
-    m = mul.exact_multiplier()
-    clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(1))
-    assert clean[0, 0] == 1 << 29 and clean[1, 0] == 0
-    fm = FaultMap(1, {(0, 0): fl.StuckAtFault(15, "sa1")})
-    faulty = fl.systolic_gemm(w, a, m, fm, SystolicConfig(1))
-    assert faulty[1, 0] == -(1 << 30)
-    np.testing.assert_array_equal(faulty, systolic_gemm_ref(w, a, m, fm, SystolicConfig(1)))
-    tf = TileFaultSpec(0, 1.0, fl.StuckAtFault(15, "sa1"), seed=0)
-    np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2),
-                                  gpu_tile_gemm_ref(w, a, m, tf, 2))
+    for k in range(1, 9):
+        m = mul.truncated_multiplier(k)
+        w = np.full((1 << k, depth), -1, dtype=np.int8)
+        a = np.ones((depth, 3), dtype=np.int8)
+        got = fl.systolic_gemm(w, a, m, None, SystolicConfig(1))
+        np.testing.assert_array_equal(got, _int64_gemm(w, a, m))
+        assert (got == -depth << k).all()
 
 
 # --- product-table path ------------------------------------------------------

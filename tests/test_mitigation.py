@@ -202,6 +202,17 @@ def test_mismatched_n_rejected(blobs_setup):
                            s["train"], s["test"], _hp(0), acc_thresh=0.0)
 
 
+@pytest.mark.parametrize("activations", ["emprical", "", None, 3])
+def test_unknown_activation_source_rejected(blobs_setup, activations):
+    # a misspelt source used to fall through to uniform activations
+    s = blobs_setup
+    with pytest.raises(ValueError, match="activations must be one of"):
+        mit.run_mitigation(s["model"], s["weights"], fl.FaultMap(4),
+                           fl.SystolicConfig(n=4), mul.exact_multiplier(),
+                           s["train"], s["test"], _hp(0), acc_thresh=0.0,
+                           activations=activations)
+
+
 def test_report_serialization(tmp_path):
     rep = mit.MitigationReport(
         baseline_acc=97.5, faulty_acc_before=40.0, acc_after=95.0,

@@ -180,17 +180,16 @@ def test_multiply_vectorized_matches_scalar():
 
 
 def test_product_function_agrees_with_table():
-    for m in (mul.exact_multiplier(), mul.truncated_multiplier(6),
-              mul.broken_carry_multiplier(3)):
-        f = mul.product_function(m)
-        r = np.random.default_rng(3)
-        xs = r.integers(-128, 128, size=(5, 7)).astype(np.int8)
-        ys = r.integers(-128, 128, size=(5, 7)).astype(np.int8)
-        got = f(xs, ys)
-        assert got.dtype == np.int16
-        want = m.table[mul.pair_index(xs.astype(np.int32),
-                                      ys.astype(np.int32))]
-        assert np.array_equal(got, want)
+    # all 65536 int8 operand pairs, broadcast as (activation, weight)
+    v = np.arange(-128, 128).astype(np.int8)
+    lut = mul.from_table("lut", np.random.default_rng(3).integers(
+        -32768, 32768, size=mul.TABLE_SIZE).astype(np.int16))
+    for m in ([mul.exact_multiplier(), lut]
+              + [mul.truncated_multiplier(k) for k in range(16)]
+              + [mul.broken_carry_multiplier(k) for k in range(8)]):
+        got = mul.product_function(m)(v[:, None], v[None, :])
+        assert got.dtype == np.int16, m.id
+        assert np.array_equal(got, m.table2d()), m.id
 
 
 def test_lut_file_round_trip(tmp_path):

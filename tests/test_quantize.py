@@ -109,3 +109,68 @@ def test_negation_symmetry(x):
     qp = quantize(x)
     qn = quantize(-x)
     assert np.array_equal(qp.data, -qn.data)
+
+
+def _quantize_oracle(t):
+    """The quantizer as first written, kept as the reference: codes and
+    scale of symmetric per-tensor quantization, built from whole-tensor
+    float64 temporaries."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("cannot quantize non-finite values")
+    amax = float(np.max(np.abs(t))) if t.size else 0.0
+    scale = amax / 127.0
+    if scale == 0.0:
+        scale = 1.0
+    x = t / scale
+    codes = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), -127, 127)
+    return codes.astype(np.int8), scale
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.7976931348623157e308])
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-1e-300, 1e-300), _SPECIAL)
+# multiples of the smallest subnormal: amax / 127 rounds so coarsely that
+# |t| / scale can pass 127.5
+_SUBNORMAL = st.integers(-2000, 2000).map(lambda m: m * 5e-324)
+
+
+@st.composite
+def _tensors(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=12))
+    kind = draw(st.sampled_from(["any", "ties", "subnormal"]))
+    if kind == "ties":
+        # (k + 0.5) * scale, with amax pinning the scale: t / scale lands on
+        # or next to a tie, where t * (1 / scale) can round the other way
+        amax = draw(st.one_of(st.just(127.0), st.floats(1e-30, 1e30)))
+        k = draw(hnp.arrays(np.float64, shape, elements=st.integers(-127, 126)))
+        x = (k + 0.5) * (amax / 127.0)
+        x.flat[draw(st.integers(0, x.size - 1))] = draw(st.sampled_from([amax, -amax]))
+    else:
+        x = draw(hnp.arrays(np.float64, shape,
+                            elements=_FINITE if kind == "any" else _SUBNORMAL))
+    if x.ndim == 2:
+        x = draw(st.sampled_from([x, np.asfortranarray(x), x.T, x[:, ::2], x[::-1]]))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tensors())
+def test_quantize_equals_the_reference_formula(x):
+    before = x.copy()
+    q = quantize(x)
+    codes, scale = _quantize_oracle(x)
+    assert np.array_equal(q.data, codes)
+    assert q.scale == scale
+    assert np.array_equal(x, before)
+    assert np.array_equal(np.signbit(x), np.signbit(before))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tensors(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_non_finite_anywhere_is_rejected(x, bad, data):
+    x = np.array(x)
+    x.flat[data.draw(st.integers(0, x.size - 1))] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize(x)
