@@ -115,7 +115,7 @@ class CampaignSpec:
             if unknown:
                 raise ValueError(f"unknown mitigation keys {unknown}; "
                                  f"allowed: {sorted(_MITIGATION_KEYS)}")
-            check_activations(self.mitigation.get("activations", "uniform"))
+            _repair_settings(self.mitigation)
         if self.sample_limit is not None:
             _check_axis("sample_limit", [self.sample_limit], numbers.Integral, 1, math.inf)
 
@@ -135,6 +135,19 @@ class CampaignSpec:
         if unknown or missing:
             raise ValueError(f"campaign spec: unknown keys {unknown}, missing keys {missing}")
         return CampaignSpec(**doc)
+
+
+def _repair_settings(mitigation: dict):
+    """(HyperParams, acc_thresh, activations) from a spec's ``mitigation``
+    object; ``ValueError`` for a setting of the wrong type or range."""
+    cfg = dict(mitigation)
+    acc_thresh = cfg.pop("acc_thresh", 0.0)
+    if (not isinstance(acc_thresh, numbers.Real) or isinstance(acc_thresh, bool)
+            or not math.isfinite(acc_thresh)):
+        raise ValueError(f"acc_thresh must be a finite number, got {acc_thresh!r}")
+    activations = cfg.pop("activations", "uniform")
+    check_activations(activations)
+    return HyperParams(**cfg), float(acc_thresh), activations
 
 
 def _check_axis(name, values, kind, lo=None, hi=None):
@@ -331,10 +344,7 @@ def _run_cell(cell: dict) -> CampaignRecord:
 def _mitigate_cell(a, cell, m, fm) -> float:
     if a["train"] is None:
         raise ValueError("mitigation requested but no training data supplied")
-    cfgd = dict(a["spec"].mitigation)
-    acc_thresh = float(cfgd.pop("acc_thresh", 0.0))
-    activations = cfgd.pop("activations", "uniform")
-    hp = HyperParams(**cfgd)
+    hp, acc_thresh, activations = _repair_settings(a["spec"].mitigation)
     images, labels = _as_xy(a["test"])
     limit = a["spec"].sample_limit
     test = (images[:limit], labels[:limit])

@@ -14,6 +14,8 @@ boundary, and the returned weights always satisfy the mask.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +43,21 @@ class HyperParams:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        # settings also arrive from campaign spec JSON; a wrong type would
+        # otherwise surface as a TypeError deep inside train
+        for name, lo in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < lo:
+                raise ValueError(f"{name} must be at least {lo}, got {v}")
+        for name in ("lr", "momentum"):
+            v = getattr(self, name)
+            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
+                    or not math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if not isinstance(self.shuffle, bool):
+            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
 
 
 def init_weights(model: ModelSpec, seed: int) -> WeightSet:

@@ -83,7 +83,15 @@ def test_spec_validation():
             ({"sample_limit": "all"}, "sample_limit must hold Integral values"),
             # misspelt repair settings used to be dropped: {"epoch": 3} trained 10
             ({"mitigation": {"epoch": 3}}, r"unknown mitigation keys \['epoch'\]"),
-            ({"mitigation": {"activations": "emprical"}}, "activations must be one of")):
+            ({"mitigation": {"activations": "emprical"}}, "activations must be one of"),
+            # wrong types used to load, then every mitigated cell recorded a TypeError
+            ({"mitigation": {"epochs": "3"}}, "epochs must be an integer"),
+            ({"mitigation": {"lr": None}}, "lr must be a finite number"),
+            ({"mitigation": {"batch_size": 0}}, "batch_size must be at least 1"),
+            ({"mitigation": {"shuffle": "yes"}}, "shuffle must be true or false"),
+            ({"mitigation": {"acc_thresh": "50"}}, "acc_thresh must be a finite number"),
+            ({"mitigation": {"acc_thresh": float("nan")}}, "acc_thresh must be a finite number"),
+            ({"mitigation": {"acc_thresh": True}}, "acc_thresh must be a finite number")):
         with pytest.raises(ValueError, match=match):
             cp.CampaignSpec.from_json(json.dumps({**doc, **bad}))
     with pytest.raises(ValueError, match="must be a JSON object"):

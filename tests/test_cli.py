@@ -237,8 +237,17 @@ def test_campaign_run_and_report(trained, capsys):
                                   # dropped: the cells trained the default 10 epochs
                                   '{"model_id": "@model", "dataset_id": "blobs:3:300:8:2", '
                                   '"multipliers": ["exact"], "sample_limit": 20, '
-                                  '"mitigation": {"epoch": 3}}'],
-                         ids=["unknown-key", "list", "null-percent", "mitigation-key"])
+                                  '"mitigation": {"epoch": 3}}',
+                                  # runnable but for the type, which made every
+                                  # mitigated cell record a TypeError
+                                  '{"model_id": "@model", "dataset_id": "blobs:3:300:8:2", '
+                                  '"multipliers": ["exact"], "sample_limit": 20, '
+                                  '"mitigation": {"epochs": "3", "acc_thresh": 50}}',
+                                  '{"model_id": "@model", "dataset_id": "blobs:3:300:8:2", '
+                                  '"multipliers": ["exact"], "sample_limit": 20, '
+                                  '"mitigation": {"epochs": 3, "acc_thresh": "high"}}'],
+                         ids=["unknown-key", "list", "null-percent", "mitigation-key",
+                              "mitigation-type", "acc-thresh-type"])
 def test_campaign_run_rejects_malformed_spec(trained, spec, capsys):
     spec_path = trained["tmp"] / "bad-spec.json"
     spec_path.write_text(spec.replace("@model", trained["model"]))

@@ -211,6 +211,180 @@ def test_digits_pixel_conventions():
     assert np.allclose(d.images * 255, np.round(d.images * 255), atol=1e-9)
     with pytest.raises(ValueError):
         ds.synth_digits(0)
+    # numpy integers are integers
+    assert len(ds.synth_digits(np.int64(2), seed=np.uint32(3))) == 2
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"count": 2.5}, "count must be an integer"),
+    ({"count": True}, "count must be an integer"),
+    ({"count": "3"}, "count must be an integer"),
+    ({"count": -2}, "count must be at least 1"),
+    ({"count": 3, "seed": 1.0}, "seed must be an integer"),
+    ({"count": 3, "seed": False}, "seed must be an integer"),
+    ({"count": 3, "seed": "0"}, "seed must be an integer"),
+    ({"count": 3, "seed": -1}, "seed must be at least 0"),
+], ids=["count-float", "count-bool", "count-str", "count-negative",
+        "seed-float", "seed-bool", "seed-str", "seed-negative"])
+def test_digits_reject_bad_count_and_seed(kw, match):
+    # these used to fail with assorted TypeErrors from inside numpy
+    with pytest.raises(ValueError, match=match):
+        ds.synth_digits(**kw)
+
+
+# --- the renderer against its original per-pair form ------------------------
+#
+# The body of ``_render_digit`` before the in-place distance kernel: x and y
+# reduced with ``.sum(-1)``, one sqrt per segment-pixel pair, a padded blur.
+# The kernel must give the same bytes and draw from the RNG in the same order.
+
+
+def _blur3_oracle(img):
+    pad = np.pad(img, 1)
+    out = (
+        4 * pad[1:-1, 1:-1]
+        + 2 * (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:])
+        + pad[:-2, :-2] + pad[:-2, 2:] + pad[2:, :-2] + pad[2:, 2:]
+    )
+    return out / 16.0
+
+
+def _warp_points_oracle(px, rng, amp):
+    coarse = rng.normal(0.0, 1.0, size=(2, 4, 4))
+    u = np.clip(px / 28.0 * 3.0, 0.0, 3.0 - 1e-9)
+    i0 = np.floor(u).astype(int)
+    f = u - i0
+    out = px.copy()
+    for ax in range(2):
+        g = coarse[ax]
+        out[:, ax] += amp * (
+            g[i0[:, 1], i0[:, 0]] * (1 - f[:, 0]) * (1 - f[:, 1])
+            + g[i0[:, 1], i0[:, 0] + 1] * f[:, 0] * (1 - f[:, 1])
+            + g[i0[:, 1] + 1, i0[:, 0]] * (1 - f[:, 0]) * f[:, 1]
+            + g[i0[:, 1] + 1, i0[:, 0] + 1] * f[:, 0] * f[:, 1]
+        )
+    return out
+
+
+def _segment_distance_oracle(a, b):
+    ys, xs = np.mgrid[0:28, 0:28]
+    grid = np.stack([xs.reshape(-1) + 0.5, ys.reshape(-1) + 0.5], axis=1)[None, :, :]
+
+    ab = b - a
+    denom = np.maximum((ab * ab).sum(-1), 1e-12)
+    t = np.clip(((grid - a) * ab).sum(-1) / denom, 0.0, 1.0)
+    nearest = a + t[:, :, None] * ab
+    return np.sqrt(((grid - nearest) ** 2).sum(-1)).min(axis=0)
+
+
+def _render_digit_oracle(styles, rng):
+    strokes = styles[int(rng.integers(len(styles)))]
+    theta = rng.uniform(-0.25, 0.25)
+    sx, sy = rng.uniform(0.78, 1.16, size=2)
+    shear = rng.uniform(-0.22, 0.22)
+    tx, ty = rng.uniform(-2.5, 2.5, size=2)
+    thick = rng.uniform(0.8, 2.0)
+    peak = rng.uniform(0.65, 1.0)
+    amp = rng.uniform(0.8, 2.0)
+
+    ct, st = np.cos(theta), np.sin(theta)
+    rot = np.array([[ct, -st], [st, ct]])
+    segs_a, segs_b = [], []
+    for pts in strokes:
+        p = pts + rng.normal(0.0, 0.025, size=pts.shape)
+        p = (p - 0.5) @ np.array([[sx, 0.0], [shear * sx, sy]]).T
+        p = p @ rot.T + 0.5
+        px = p * 20.0 + 4.0 + np.array([tx, ty])
+        segs_a.append(px[:-1])
+        segs_b.append(px[1:])
+    a = np.concatenate(segs_a)
+    b = np.concatenate(segs_b)
+    nseg = len(a)
+    joined = _warp_points_oracle(np.concatenate([a, b]), rng, amp)
+    a = joined[:nseg][:, None, :]
+    b = joined[nseg:][:, None, :]
+    dist = _segment_distance_oracle(a, b)
+
+    aa = 0.7
+    img = np.clip((thick + aa - dist) / (2 * aa), 0.0, 1.0).reshape(28, 28)
+    img = _blur3_oracle(img)
+    img = np.clip(img * (1.0 + rng.normal(0.0, 0.08, img.shape)), 0.0, 1.0)
+    img *= peak
+    return np.round(img * 255.0) / 255.0
+
+
+def _synth_digits_oracle(count, seed, split="train"):
+    rng = np.random.default_rng([seed, 0xD161])
+    labels = rng.permutation(np.arange(count) % 10)
+    strokes = ds._digit_strokes()
+    images = np.stack([_render_digit_oracle(strokes[int(k)], rng) for k in labels])
+    return f"digits-{split}-{count}-s{seed}", images, labels
+
+
+_STYLES = [(digit, k) for digit, styles in ds._digit_strokes().items()
+           for k in range(len(styles))]
+
+
+@pytest.mark.parametrize("digit, style", _STYLES,
+                         ids=[f"{d}-{k}" for d, k in _STYLES])
+def test_render_digit_equals_oracle_for_every_style(digit, style):
+    styles = [ds._digit_strokes()[digit][style]]
+    if (digit, style) == (1, 1):
+        assert len(styles[0]) == 1 and len(styles[0][0]) == 2  # one segment
+    for seed in (0, 1, 2, 3):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # successive digits from one stream
+            got = ds._render_digit(styles, new)
+            want = _render_digit_oracle(styles, old)
+            assert got.shape == (28, 28) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # the same draws were taken in the same order
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("digit, style", _STYLES,
+                         ids=[f"{d}-{k}" for d, k in _STYLES])
+def test_segment_distance_equals_oracle(digit, style):
+    # the 8-bit output hides most last-bit errors of the field, so the field
+    # is compared on its own, before the blur and the rounding
+    rng = np.random.default_rng([digit, style])
+    strokes = ds._digit_strokes()[digit][style]
+    for _ in range(6):
+        scale, shift = rng.uniform(12.0, 24.0), rng.uniform(0.0, 8.0, size=2)
+        px = [p * scale + shift + rng.normal(0.0, 0.5, size=p.shape) for p in strokes]
+        a = np.concatenate([p[:-1] for p in px])
+        b = np.concatenate([p[1:] for p in px])
+        want = _segment_distance_oracle(a[:, None, :], b[:, None, :])
+        assert ds._segment_distance(a, b).tobytes() == want.tobytes()
+
+
+def test_warp_points_equals_oracle():
+    for seed in range(8):
+        px = np.random.default_rng(100 + seed).uniform(-4.0, 32.0, size=(40, 2))
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ds._warp_points(px, new, 1.7)
+        assert got.tobytes() == _warp_points_oracle(px, old, 1.7).tobytes()
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_segment_distance_degenerate_segments():
+    # zero-length segments (the floor on the squared length keeps 0 / 0
+    # out) and segments through pixel centres
+    a = np.array([[5.5, 5.5], [10.0, 3.0], [0.5, 27.5], [14.5, 0.5]])
+    b = np.array([[5.5, 5.5], [10.0, 3.0], [27.5, 27.5], [14.5, 27.5]])
+    for k in range(1, len(a) + 1):
+        want = _segment_distance_oracle(a[:k, None, :], b[:k, None, :])
+        assert ds._segment_distance(a[:k], b[:k]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 7, 150])
+def test_synth_digits_equals_oracle(count):
+    for seed in (0, 9):
+        got = ds.synth_digits(count, seed=seed, split="test")
+        want_id, want_images, want_labels = _synth_digits_oracle(count, seed, "test")
+        assert got.id == want_id
+        assert got.images.tobytes() == want_images.tobytes()
+        assert got.labels.tobytes() == want_labels.tobytes()
 
 
 def test_subset():

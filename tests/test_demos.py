@@ -1,8 +1,9 @@
 """The fast demos run to completion against the package in ``src/``.
 
 A demo is a user of the public API, so a name dropped from ``axfault``
-that a demo still imports fails here. 05 and 06 train models for about
-half a minute each and are left out. The command-line tour runs through an
+that a demo still imports fails here. 05 and 06 take about eight seconds
+each on a 2-core x86 host (rendering their 12,000 synthetic digits and
+training) and are left out. The command-line tour runs through an
 ``axfault`` shim on ``PATH``: it is the one check of train, inject,
 mitigate and campaign run/report through the shell.
 """

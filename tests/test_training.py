@@ -101,6 +101,41 @@ def test_hyperparams_reject_non_positive_batch_size(batch_size):
         training.HyperParams(batch_size=batch_size)
 
 
+_BAD_HYPERPARAMS = [
+    ({"epochs": "3"}, "epochs must be an integer"),
+    ({"epochs": 2.0}, "epochs must be an integer"),
+    ({"epochs": True}, "epochs must be an integer"),
+    ({"epochs": -1}, "epochs must be at least 0"),
+    ({"batch_size": None}, "batch_size must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be at least 0"),
+    ({"lr": None}, "lr must be a finite number"),
+    ({"lr": "0.1"}, "lr must be a finite number"),
+    ({"lr": float("nan")}, "lr must be a finite number"),
+    ({"momentum": float("inf")}, "momentum must be a finite number"),
+    ({"momentum": True}, "momentum must be a finite number"),
+    ({"shuffle": 1}, "shuffle must be true or false"),
+    ({"shuffle": "no"}, "shuffle must be true or false"),
+]
+
+
+@pytest.mark.parametrize("bad, match", _BAD_HYPERPARAMS,
+                         ids=[f"{k}={v!r}" for b, _ in _BAD_HYPERPARAMS
+                              for k, v in b.items()])
+def test_hyperparams_reject_wrong_types_and_ranges(bad, match):
+    # campaign specs pass these straight from JSON; train used to fail
+    # with a TypeError ("3" + 1) on every mitigated cell
+    with pytest.raises(ValueError, match=match):
+        training.HyperParams(**bad)
+
+
+def test_hyperparams_accept_numpy_scalars_and_zero_epochs():
+    hp = training.HyperParams(lr=np.float64(0.1), epochs=np.int64(0),
+                              seed=np.int32(7), momentum=0)
+    assert hp.epochs == 0
+
+
 def test_loss_decreases():
     data = synth_blobs(count=300, seed=4)
     hist = []
