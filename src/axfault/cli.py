@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand is batch-oriented and bit-reproducible: all randomness
-flows through --seed (default taken from $AXFAULT_SEED, then 0), and
-failures exit nonzero with a single "error: ..." line on stderr.
+Every subcommand is batch-oriented and bit-reproducible, and failures exit
+nonzero with a single "error: ..." line on stderr. A command that draws
+random numbers takes them from --seed (default taken from $AXFAULT_SEED,
+then 0); ``campaign run`` has no --seed, since each cell's seed comes from
+the spec (its ``seeds`` axis and the cell's coordinates).
 """
 
 import argparse
@@ -33,10 +35,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"AXFAULT_SEED must be an integer, got {raw!r}") from None
-
-
-def _load_model(arg: str) -> network.ModelSpec:
-    return network.resolve_model(arg)
 
 
 def _multiplier_for(args) -> multipliers.Multiplier:
@@ -95,7 +93,7 @@ def _eval_env(args, m) -> network.ExecEnv:
 
 
 def _cmd_train(args) -> int:
-    model = _load_model(args.model)
+    model = network.resolve_model(args.model)
     data = datasets.parse_dataset_arg(args.data)
     eval_data = datasets.parse_dataset_arg(args.eval_data) if args.eval_data else None
     hp = _hp_from(args)
@@ -113,7 +111,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     data = datasets.parse_dataset_arg(args.data)
     m = None
@@ -153,7 +151,7 @@ def _cmd_mul_map(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    model = _load_model(args.model)
+    model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     data = datasets.parse_dataset_arg(args.data)
     m = multipliers.parse_multiplier(args.multiplier)
@@ -188,7 +186,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
-    model = _load_model(args.model)
+    model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     train_data = datasets.parse_dataset_arg(args.data)
     test_data = datasets.parse_dataset_arg(args.test_data)
@@ -227,7 +225,7 @@ def _energy_table(arg):
 def _cmd_campaign_run(args) -> int:
     with open(args.spec) as f:
         spec = camp.CampaignSpec.from_json(f.read())
-    model = _load_model(spec.model_id)
+    model = network.resolve_model(spec.model_id)
     w = network.load_weights(model, args.weights)
     test_data = datasets.parse_dataset_arg(spec.dataset_id)
     train_data = (datasets.parse_dataset_arg(args.train_data)
@@ -388,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--energy", help='"illustrative" or a JSON table path')
     p.add_argument("--timing", action="store_true")
-    _add_seed(p)
     p.set_defaults(func=_cmd_campaign_run)
     p = csub.add_parser("report")
     p.add_argument("--records", required=True, help="records.json path")

@@ -143,6 +143,16 @@ def load_cifar10_batches(paths, dataset_id: str) -> Dataset:
 # synthetic data
 
 
+def _check_ints(**bounds) -> None:
+    """Raise ``ValueError``, naming the argument, unless each ``name=(value,
+    least)`` holds an integer (not a bool) of at least ``least``."""
+    for name, (v, lo) in bounds.items():
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < lo:
+            raise ValueError(f"{name} must be at least {lo}, got {v}")
+
+
 def synth_blobs(n_classes: int = 3, count: int = 300, dim: int = 8,
                 seed: int = 0) -> Dataset:
     """Seeded gaussian blobs scaled into [0, 1]; tiny and fast.
@@ -150,8 +160,7 @@ def synth_blobs(n_classes: int = 3, count: int = 300, dim: int = 8,
     Class means depend only on (n_classes, dim), so two calls with
     different seeds sample train and test sets of the same problem.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
+    _check_ints(n_classes=(n_classes, 1), count=(count, 1), dim=(dim, 1), seed=(seed, 0))
     mean_rng = np.random.default_rng([n_classes, dim, 0xB10B])
     means = mean_rng.uniform(-2.0, 2.0, size=(n_classes, dim))
     rng = np.random.default_rng(seed)
@@ -309,11 +318,7 @@ def synth_digits(count: int, seed: int = 0, split: str = "train") -> Dataset:
     Classes are balanced (round-robin, then shuffled). Useful wherever
     MNIST-shaped data is needed but no corpus files are available.
     """
-    for name, v, lo in (("count", count, 1), ("seed", seed, 0)):
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < lo:
-            raise ValueError(f"{name} must be at least {lo}, got {v}")
+    _check_ints(count=(count, 1), seed=(seed, 0))
     rng = np.random.default_rng([seed, 0xD161])
     labels = rng.permutation(np.arange(count) % 10)
     strokes = _digit_strokes()

@@ -40,10 +40,11 @@ with one table per distinct fault (``propagate``) or a table of zeros
 so faults cost nothing extra. The gpu engine builds them from the bare
 table. Without faults the two engines compute the same GEMM.
 
-The fault steps also run alone, on a fault-free output computed earlier:
-``systolic_fault_step`` corrects the stationed lattice for every multiplier,
-``gpu_tile_fault_step`` recomputes the damaged outputs. A campaign cell
-resumed from the clean pass at its faulty layer takes this route.
+Given ``clean``, the output of the same GEMM without faults, either engine
+starts from a copy of it and adds only the faults: ``systolic_gemm``
+corrects the stationed lattice for every multiplier, tables included, and
+``gpu_tile_gemm`` recomputes the damaged outputs. A campaign cell resumed
+from the clean pass at its faulty layer takes this route.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     return out
 
 
-def _mac_tables(m: Multiplier, fm: FaultMap | None, mode: str, rows: int, depth: int):
+def _mac_tables(m: Multiplier, fm: FaultMap, mode: str, rows: int, depth: int):
     """Product tables of every kind of MAC in the array, and which one each
     weight is stationed on.
 
@@ -302,11 +303,9 @@ def _mac_tables(m: Multiplier, fm: FaultMap | None, mode: str, rows: int, depth:
     [activation + 128, weight + 128] tables: the multiplier's own, then one
     per distinct fault (``propagate``) or one of zeros (``bypass``), since a
     stuck-at fault acts on the product pattern alone. ``sel`` is the
-    (rows, depth) table number of each weight, or None without faults.
+    (rows, depth) table number of each weight; ``fm`` is not empty.
     """
     table = m.table2d()
-    if fm is None or not fm.entries:
-        return table, None
     if mode == "bypass":
         return np.hstack([table, np.zeros_like(table)]), pruned_mask((rows, depth), fm)
     number = {}
@@ -323,7 +322,8 @@ def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
     ``h[v, c, r]`` is the product of activation code v - 128 with weight
     (r, c), faults included, so output column b is the sum over c of
     ``h[aq[c, b] + 128, c]``: one gather of a contiguous row per MAC.
-    ``tables`` and ``sel`` are as ``_mac_tables`` returns them.
+    ``tables`` and ``sel`` are as ``_mac_tables`` returns them, or the bare
+    table and None without faults.
     """
     rows, depth = wq.shape
     batch = aq.shape[1]
@@ -343,6 +343,14 @@ def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
             p = np.take(h, idx[:, b0 : b0 + chunk], axis=0)
             out[r0 : r0 + width, b0 : b0 + chunk] = p.sum(axis=0, dtype=np.int32).T
     return out
+
+
+def _clean_gemm(wq, aq, m: Multiplier) -> np.ndarray:
+    """Fault-free int32 GEMM of ``m``: matmuls when ``_blas_ready``, the
+    bare product table otherwise. Both engines compute it alike."""
+    if _blas_ready(m, wq.shape[0]):
+        return _blas_gemm(wq, aq, m)
+    return _table_gemm(wq, aq, m.table2d(), None)
 
 
 def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
@@ -403,6 +411,7 @@ def systolic_gemm(
     m: Multiplier,
     fm: FaultMap | None,
     cfg: SystolicConfig,
+    clean: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weight-stationary GEMM: out[r, b] = sum_c P(aq[c, b], wq[r, c]).
 
@@ -410,27 +419,18 @@ def systolic_gemm(
     MACs are corrupted (``propagate``) or zeroed (``bypass``) before the
     int32 accumulation. With an exact multiplier and an empty fault map this
     equals the integer matrix product.
+
+    From ``clean``, the fault-free output of the same GEMM (left as it
+    is), only the products stationed on faulty MACs are formed.
     """
     wq, aq = _check_gemm_operands(wq, aq)
     _check_array(fm, cfg)
-    rows, depth = wq.shape
-    if not _blas_ready(m, rows):
-        return _table_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, rows, depth))
-    out = _blas_gemm(wq, aq, m)
-    if fm is not None and fm.entries:
-        _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
-    return out
-
-
-def systolic_fault_step(clean, wq, aq, m: Multiplier, fm: FaultMap | None,
-                        cfg: SystolicConfig) -> np.ndarray:
-    """``systolic_gemm(wq, aq, m, fm, cfg)`` from ``clean``, the output of the
-    same GEMM without faults: only the products stationed on faulty MACs are
-    formed, for every multiplier. ``clean`` is left as it is."""
-    wq, aq = _check_gemm_operands(wq, aq)
-    _check_array(fm, cfg)
-    out = _clean_copy(clean, wq, aq)
-    if fm is not None and fm.entries:
+    faulty = fm is not None and bool(fm.entries)
+    if clean is None and faulty and not _blas_ready(m, wq.shape[0]):
+        # faults folded into the product tables
+        return _table_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, *wq.shape))
+    out = _clean_gemm(wq, aq, m) if clean is None else _clean_copy(clean, wq, aq)
+    if faulty:
         _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
     return out
 
@@ -466,30 +466,19 @@ def gpu_tile_gemm(
     m: Multiplier,
     tf: TileFaultSpec | None,
     tile: int,
+    clean: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tiled GEMM with at most one damaged tile x tile output block.
 
     Blocks are indexed row-major over the (rows, batch) output grid. In the
     damaged block, the seeded MAC positions corrupt every product along the
     reduction for their output element; there is no cross-block coupling.
+
+    From ``clean``, the fault-free output of the same GEMM (left as it
+    is), only the damaged outputs are recomputed.
     """
     wq, aq = _check_tiles(wq, aq, tf, tile)
-    if _blas_ready(m, wq.shape[0]):
-        out = _blas_gemm(wq, aq, m)
-    else:
-        out = _table_gemm(wq, aq, m.table2d(), None)
-    if tf is not None:
-        _damage_outputs(out, wq, aq, m, tf, tile)
-    return out
-
-
-def gpu_tile_fault_step(clean, wq, aq, m: Multiplier, tf: TileFaultSpec | None,
-                        tile: int) -> np.ndarray:
-    """``gpu_tile_gemm(wq, aq, m, tf, tile)`` from ``clean``, the output of
-    the same GEMM without faults: only the damaged outputs are recomputed.
-    ``clean`` is left as it is."""
-    wq, aq = _check_tiles(wq, aq, tf, tile)
-    out = _clean_copy(clean, wq, aq)
+    out = _clean_gemm(wq, aq, m) if clean is None else _clean_copy(clean, wq, aq)
     if tf is not None:
         _damage_outputs(out, wq, aq, m, tf, tile)
     return out

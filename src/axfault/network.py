@@ -17,7 +17,8 @@ GEMM path via im2col, which is what physically happens on the modeled
 accelerators.
 
 ``forward`` and ``evaluate`` raise ``ValueError`` on non-finite weights or
-biases (naming the layer) and ``evaluate`` on an empty dataset.
+biases (naming the layer), on a ``layer_filter`` that names no dense or
+conv2d layer, and ``evaluate`` on an empty dataset.
 
 ``golden_pass`` evaluates without faults and keeps, per eval batch, the int8
 input and int32 accumulator of chosen GEMM layers; ``evaluate_resumed``
@@ -34,8 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .faults import (FaultMap, SystolicConfig, TileFaultSpec, gpu_tile_fault_step,
-                     gpu_tile_gemm, systolic_fault_step, systolic_gemm)
+from .faults import FaultMap, SystolicConfig, TileFaultSpec, gpu_tile_gemm, systolic_gemm
 from .multipliers import Multiplier, WeightMapTable
 from .quantize import QTensor, quantize, requantize_accum
 
@@ -358,9 +358,9 @@ def _activate(name: str, z: np.ndarray, axis: int) -> np.ndarray:
 class ExecEnv:
     """How to execute the GEMMs of a forward pass.
 
-    ``layer_filter`` restricts fault injection to one layer index (0-based);
-    the multiplier itself and any ``weight_map`` retuning always apply to
-    every GEMM layer. For the gpu_tiles engine, ``tile_fault.tile_index`` is
+    ``layer_filter`` restricts fault injection to one dense or conv2d layer
+    index (0-based); the multiplier itself and any ``weight_map`` retuning
+    always apply to every GEMM layer. For the gpu_tiles engine, ``tile_fault.tile_index`` is
     validated against each layer's block grid by reducing it modulo the
     number of blocks, so one spec can damage a block in every layer.
     """
@@ -383,26 +383,6 @@ class ExecEnv:
             raise ValueError("systolic engine needs a SystolicConfig")
 
 
-def _engine_gemm(env: ExecEnv, wcodes, acodes, layer_idx: int, clean=None):
-    """The layer's int32 accumulator; from ``clean``, its fault-free
-    accumulator, when given, so that only the faults are added."""
-    admitted = env.layer_filter is None or env.layer_filter == layer_idx
-    m = env.multiplier
-    if env.engine == "systolic":
-        fm = env.fault_map if admitted else None
-        if clean is not None:
-            return systolic_fault_step(clean, wcodes, acodes, m, fm, env.systolic)
-        return systolic_gemm(wcodes, acodes, m, fm, env.systolic)
-    tf = env.tile_fault if admitted else None
-    if tf is not None:
-        rows, batch = wcodes.shape[0], acodes.shape[1]
-        nblocks = (-(-rows // env.tile)) * (-(-batch // env.tile))
-        tf = replace(tf, tile_index=tf.tile_index % nblocks)
-    if clean is not None:
-        return gpu_tile_fault_step(clean, wcodes, acodes, m, tf, env.tile)
-    return gpu_tile_gemm(wcodes, acodes, m, tf, env.tile)
-
-
 def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, clean=None):
     """The quantized GEMM step of dense and conv layers: quantize and remap
     the weights, run the engine, requantize. Returns the int32 accumulator
@@ -411,13 +391,23 @@ def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, clean=None):
     ``acodes`` are int8 activation codes with scale ``ascale``. A conv layer
     quantizes its input before im2col and passes the lowered codes, because
     with stride > 1 the scale of the columns can differ from that of X.
-    ``clean`` is passed on to ``_engine_gemm``.
+    ``clean``, the layer's fault-free accumulator, is passed on to the
+    engine, which then adds only the faults.
     """
     qw = quantize(W2d)
     wcodes = qw.data
     if env.weight_map is not None:
         wcodes = env.weight_map.remap_codes(wcodes)
-    acc = _engine_gemm(env, wcodes, acodes, layer_idx, clean)
+    admitted = env.layer_filter in (None, layer_idx)
+    if env.engine == "systolic":
+        fm = env.fault_map if admitted else None
+        acc = systolic_gemm(wcodes, acodes, env.multiplier, fm, env.systolic, clean)
+    else:
+        tf = env.tile_fault if admitted else None
+        if tf is not None:
+            nblocks = (-(-wcodes.shape[0] // env.tile)) * (-(-acodes.shape[1] // env.tile))
+            tf = replace(tf, tile_index=tf.tile_index % nblocks)
+        acc = gpu_tile_gemm(wcodes, acodes, env.multiplier, tf, env.tile, clean)
     return acc, requantize_accum(acc, qw.scale, ascale) + bias[:, None]
 
 
@@ -450,7 +440,7 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=No
 
     ``_start`` resumes the pass at that layer; on a quantized engine X may
     then be the ``QTensor`` of codes entering it, and ``_clean`` its
-    fault-free accumulator (see ``_engine_gemm``).
+    fault-free accumulator (see ``_gemm_layer``).
     """
     quant = env.engine != "float"
     shapes = model.shapes()
@@ -490,7 +480,10 @@ def _pool_windows(X, p) -> np.ndarray:
     return sliding_window_view(X, (k, k), axis=(0, 1))[::s, ::s]
 
 
-def _check_finite(model: ModelSpec, weights: WeightSet) -> None:
+def _check_run(model: ModelSpec, weights: WeightSet, env: ExecEnv) -> None:
+    if env.layer_filter is not None and env.layer_filter not in model.param_layers():
+        raise ValueError(f"layer_filter {env.layer_filter} is no dense or conv2d "
+                         f"layer of {model.name}")
     for idx in model.param_layers():
         if not all(np.isfinite(weights[idx][k]).all() for k in ("W", "b")):
             raise ValueError(f"layer {idx}: non-finite weights or biases")
@@ -501,10 +494,11 @@ def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None)
 
     Batch input (B, *input_shape) gives logits (B, n_classes) and class
     (B,); a single input collapses both. Raises ``ValueError``, naming the
-    layer, when a weight or bias is NaN or infinite.
+    layer, when a weight or bias is NaN or infinite, and when
+    ``env.layer_filter`` names no dense or conv2d layer.
     """
     env = env or ExecEnv()
-    _check_finite(model, weights)
+    _check_run(model, weights, env)
     X, single = _to_internal(model, x)
     logits = run_layers(model, weights, X, env).T
     cls = np.argmax(logits, axis=1)
@@ -534,13 +528,14 @@ def _eval_batches(data, sample_limit: int | None, batch_size: int) -> list:
             for i in range(0, len(images), batch_size)]
 
 
-def _accuracy(model: ModelSpec, weights: WeightSet, data, sample_limit, batch_size,
-              outputs) -> float:
+def _accuracy(model: ModelSpec, weights: WeightSet, env: ExecEnv, data, sample_limit,
+              batch_size, outputs) -> float:
     """The eval loop: top-1 accuracy in percent of the class scores that
     ``outputs(batches)`` yields for each ``_eval_batches`` batch. Raises
-    ``ValueError`` when scores and labels of a batch differ in number."""
+    ``ValueError`` as ``_check_run`` does, and when scores and labels of a
+    batch differ in number."""
     batches = _eval_batches(data, sample_limit, batch_size)
-    _check_finite(model, weights)
+    _check_run(model, weights, env)
     hits = 0
     for out, (_, labels) in zip(outputs(batches), batches):
         if out.shape[1] != len(labels):
@@ -554,11 +549,12 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
              observe=None) -> float:
     """Top-1 accuracy in percent over (a prefix of) the dataset.
 
-    ``observe`` is passed to ``run_layers``. Raises ``ValueError`` when no
-    sample is left to score or ``batch_size`` is below 1.
+    ``observe`` is passed to ``run_layers``. Raises ``ValueError`` as
+    ``forward`` does, and when no sample is left to score or ``batch_size``
+    is below 1.
     """
     env = env or ExecEnv()
-    return _accuracy(model, weights, data, sample_limit, batch_size, lambda batches: (
+    return _accuracy(model, weights, env, data, sample_limit, batch_size, lambda batches: (
         run_layers(model, weights, _to_internal(model, images)[0], env, observe)
         for images, _ in batches))
 
@@ -602,4 +598,4 @@ def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
         for q, clean in states:
             yield run_layers(model, weights, q, env, _start=layer, _clean=clean)
 
-    return _accuracy(model, weights, data, sample_limit, batch_size, outputs)
+    return _accuracy(model, weights, env, data, sample_limit, batch_size, outputs)

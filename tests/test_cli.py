@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from axfault import cli, datasets
+from axfault import cli, datasets, network, training
 
 MODEL_JSON = json.dumps({
     "name": "cli-blobs",
@@ -257,6 +257,36 @@ def test_campaign_run_rejects_malformed_spec(trained, spec, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_campaign_run_has_no_seed_flag(trained, capsys):
+    # cells take their seeds from the spec, so the flag did nothing
+    spec_path = trained["tmp"] / "spec.json"
+    spec_path.write_text(json.dumps({"model_id": trained["model"],
+                                     "dataset_id": "blobs:3:300:8:2",
+                                     "multipliers": ["exact"], "sample_limit": 20}))
+    with pytest.raises(SystemExit) as e:
+        cli.main(["campaign", "run", "--seed", "3", "--spec", str(spec_path),
+                  "--weights", trained["weights"], "--out", str(trained["tmp"] / "camp")])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--engine", "systolic"],
+    ["inject", "--percent", "50", "--bit", "15", "--kind", "sa1", "--n", "4"],
+])
+def test_layer_that_is_no_gemm_layer_fails(tmp_path, command, capsys):
+    # lenet-desk's layer 1 is a maxpool: the run used to report clean accuracy
+    model = network.desk_model("lenet-desk")
+    weights = str(tmp_path / "lenet.axdn")
+    network.save_weights(training.init_weights(model, seed=0), model, weights)
+    rc = cli.main(command + ["--model", "lenet-desk", "--weights", weights,
+                             "--data", "digits:8:1", "--layer", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "layer_filter 1" in err
 
 
 def test_dataset_convert_round_trip(tmp_path, capsys):

@@ -172,6 +172,26 @@ def test_blobs_range_and_validation():
         ds.synth_blobs(count=0)
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"count": 2.5}, "count must be an integer"),
+    ({"count": "3"}, "count must be an integer"),
+    ({"count": True}, "count must be an integer"),
+    ({"count": 0}, "count must be at least 1"),
+    ({"n_classes": 1.5}, "n_classes must be an integer"),
+    ({"n_classes": 0}, "n_classes must be at least 1"),
+    ({"dim": False}, "dim must be an integer"),
+    ({"dim": 0}, "dim must be at least 1"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be at least 0"),
+], ids=["count-float", "count-str", "count-bool", "count-zero", "classes-float",
+        "classes-zero", "dim-bool", "dim-zero", "seed-float", "seed-negative"])
+def test_blobs_reject_bad_arguments(kw, match):
+    # these used to raise TypeErrors from inside numpy, and dim=0 returned
+    # samples without features
+    with pytest.raises(ValueError, match=match):
+        ds.synth_blobs(**kw)
+
+
 def test_blobs_centroid_classifier_works():
     train = ds.synth_blobs(count=600, seed=1)
     test = ds.synth_blobs(count=300, seed=2)

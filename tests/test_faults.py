@@ -249,8 +249,8 @@ def test_systolic_rejects_mismatched_map():
         fl.systolic_gemm(w, a, mul.exact_multiplier(), fm,
                          fl.SystolicConfig(n=8))
     with pytest.raises(ValueError):
-        fl.systolic_fault_step(np.zeros((2, 2), dtype=np.int32), w, a,
-                               mul.exact_multiplier(), fm, fl.SystolicConfig(n=8))
+        fl.systolic_gemm(w, a, mul.exact_multiplier(), fm, fl.SystolicConfig(n=8),
+                         np.zeros((2, 2), dtype=np.int32))
 
 
 def test_fault_steps_reject_a_clean_output_of_another_shape():
@@ -259,9 +259,9 @@ def test_fault_steps_reject_a_clean_output_of_another_shape():
     m = mul.exact_multiplier()
     for clean in (np.zeros((4, 2), dtype=np.int32), np.zeros(8, dtype=np.int32)):
         with pytest.raises(ValueError):
-            fl.systolic_fault_step(clean, w, a, m, None, fl.SystolicConfig(n=2))
+            fl.systolic_gemm(w, a, m, None, fl.SystolicConfig(n=2), clean)
         with pytest.raises(ValueError):
-            fl.gpu_tile_fault_step(clean, w, a, m, None, 2)
+            fl.gpu_tile_gemm(w, a, m, None, 2, clean)
 
 
 def test_gemm_operand_validation():
@@ -370,8 +370,8 @@ def test_gpu_tile_index_out_of_range(rng):
     with pytest.raises(ValueError):
         fl.gpu_tile_gemm(w, a, mul.exact_multiplier(), tf, tile=2)
     with pytest.raises(ValueError):
-        fl.gpu_tile_fault_step(np.zeros((4, 4), dtype=np.int32), w, a,
-                               mul.exact_multiplier(), tf, tile=2)
+        fl.gpu_tile_gemm(w, a, mul.exact_multiplier(), tf, tile=2,
+                         clean=np.zeros((4, 4), dtype=np.int32))
 
 
 def test_tile_fault_validation():

@@ -1,0 +1,122 @@
+"""Properties of whole quantized forward passes over random small models.
+
+A campaign cell whose faults lie in one layer resumes the forward pass
+there from the clean pass's kept state, and adds only its faults to the
+kept accumulator. That must give the logits and the accuracy of running
+the faulty pass from the input, bit for bit, on every engine, multiplier,
+fault state and weight map.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axfault import faults as fl
+from axfault import multipliers as mul
+from axfault import network as net
+from axfault import training
+
+_RANDOM_LUT = mul.from_table(
+    "lut-random",
+    np.random.default_rng(23).integers(-32768, 32768, size=mul.TABLE_SIZE).astype(np.int16))
+# truncated-3 reads its tables below 8 rows and runs matmuls from 8 rows on
+MULTIPLIERS = st.sampled_from([mul.exact_multiplier(), mul.broken_carry_multiplier(2),
+                               mul.truncated_multiplier(1), mul.truncated_multiplier(3),
+                               _RANDOM_LUT])
+ACTIVATIONS = st.sampled_from(net.ACTIVATIONS)
+
+
+@st.composite
+def models(draw):
+    """Dense, conv2d (stride 1-2, pad 0-1), maxpool and flatten layers with
+    1-3 GEMM layers, the last one dense."""
+    convs = draw(st.integers(0, 2))
+    denses = draw(st.integers(1, 3 - convs))
+    layers = []
+    if convs:
+        shape = [draw(st.integers(3, 7)), draw(st.integers(3, 7)), draw(st.integers(1, 2))]
+        input_shape = tuple(shape)
+        for _ in range(convs):
+            pad = draw(st.integers(0, 1))
+            k = draw(st.integers(1, min(3, shape[0] + 2 * pad, shape[1] + 2 * pad)))
+            stride = draw(st.integers(1, 2))
+            cout = draw(st.integers(1, 9))
+            layers.append(net.conv2d(k, k, shape[2], cout, stride, pad, draw(ACTIVATIONS)))
+            shape = [(d + 2 * pad - k) // stride + 1 for d in shape[:2]] + [cout]
+            if min(shape[:2]) >= 2 and draw(st.booleans()):
+                layers.append(net.maxpool(2))
+                shape = [d // 2 for d in shape[:2]] + [cout]
+        layers.append(net.flatten())
+        features = int(np.prod(shape))
+    else:
+        features = draw(st.integers(1, 20))
+        input_shape = (features,)
+    for i in range(denses):
+        out = draw(st.integers(2, 4)) if i == denses - 1 else draw(st.integers(1, 12))
+        layers.append(net.dense(features, out, draw(ACTIVATIONS)))
+        features = out
+    return net.ModelSpec("random", input_shape, layers)
+
+
+@st.composite
+def fault_maps(draw, n):
+    fill = draw(st.sampled_from(["empty", "random", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if fill == "full" or (fill == "random" and rng.random() < 0.4)]
+    return fl.FaultMap(n, {c: fl.StuckAtFault(int(rng.integers(16)),
+                                              fl.FAULT_KINDS[rng.integers(2)])
+                           for c in cells})
+
+
+@st.composite
+def envs(draw):
+    """A faulty env of either engine and the fault-free env of the golden
+    pass, also of either engine; both share multiplier and weight map."""
+    m = draw(MULTIPLIERS)
+    wm = None
+    if draw(st.booleans()):
+        codes = np.random.default_rng(draw(st.integers(0, 2**16))).integers(-128, 128, 256)
+        wm = mul.WeightMapTable(codes, m.id, "random")
+    n = draw(st.integers(1, 4))
+    tile = draw(st.integers(1, 4))
+    systolic = net.ExecEnv(engine="systolic", multiplier=m, weight_map=wm,
+                           systolic=fl.SystolicConfig(n, draw(st.sampled_from(fl.GEMM_MODES))))
+    gpu = net.ExecEnv(engine="gpu_tiles", multiplier=m, weight_map=wm, tile=tile)
+    golden = draw(st.sampled_from([systolic, gpu]))
+    if draw(st.booleans()):
+        return replace(systolic, fault_map=draw(fault_maps(n))), golden
+    tf = fl.TileFaultSpec(tile_index=draw(st.integers(0, 40)),
+                          damaged_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                          fault=fl.StuckAtFault(draw(st.integers(0, 15)),
+                                                draw(st.sampled_from(fl.FAULT_KINDS))),
+                          seed=draw(st.integers(0, 2**16)))
+    return replace(gpu, tile_fault=tf), golden
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), envs(), st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 9))
+def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_size):
+    env, golden_env = env_pair
+    ws = training.init_weights(model, seed)
+    rng = np.random.default_rng(seed)
+    data = (rng.normal(size=(count, *model.input_shape)),
+            rng.integers(0, model.n_classes, count))
+    gemm_layers = model.param_layers()
+    acc, states = net.golden_pass(model, ws, data, golden_env, gemm_layers,
+                                  batch_size=batch_size)
+    assert acc == net.evaluate(model, ws, data, golden_env, batch_size=batch_size)
+    batches = net._eval_batches(data, None, batch_size)
+    for layer in gemm_layers:
+        faulty = replace(env, layer_filter=layer)
+        for (images, _), (q, clean) in zip(batches, states[layer], strict=True):
+            kept = clean.copy()
+            full = net.run_layers(model, ws, net._to_internal(model, images)[0], faulty)
+            resumed = net.run_layers(model, ws, q, faulty, _start=layer, _clean=clean)
+            np.testing.assert_array_equal(resumed, full)
+            np.testing.assert_array_equal(clean, kept)
+        assert (net.evaluate_resumed(model, ws, data, faulty, layer, states[layer],
+                                     batch_size=batch_size)
+                == net.evaluate(model, ws, data, faulty, batch_size=batch_size))

@@ -165,14 +165,14 @@ def _fault_map(n, fill, seed):
 
 def _check_systolic(w, a, m, fm, cfg, step=False):
     """With ``step``, also the route of a campaign cell resumed at this
-    layer: the clean GEMM, then the fault step alone. The clean GEMM is the
+    layer: the clean GEMM, then the faults alone added to it. The clean GEMM is the
     gpu engine's, since a campaign keeps one clean pass for both engines."""
     want = systolic_gemm_ref(w, a, m, fm, cfg)
     got = [fl.systolic_gemm(w, a, m, fm, cfg)]
     if step:
         clean = fl.gpu_tile_gemm(w, a, m, None, cfg.n)
         kept = clean.copy()
-        got.append(fl.systolic_fault_step(clean, w, a, m, fm, cfg))
+        got.append(fl.systolic_gemm(w, a, m, fm, cfg, clean))
         np.testing.assert_array_equal(clean, kept)
     for out in got:
         assert out.dtype == np.int32
@@ -186,7 +186,7 @@ def _check_gpu(w, a, m, tf, tile, step=False):
     if step:
         clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(tile))
         kept = clean.copy()
-        got.append(fl.gpu_tile_fault_step(clean, w, a, m, tf, tile))
+        got.append(fl.gpu_tile_gemm(w, a, m, tf, tile, clean))
         np.testing.assert_array_equal(clean, kept)
     for out in got:
         assert out.dtype == np.int32
@@ -318,12 +318,11 @@ def test_worst_case_sums_at_max_depth():
                 cfg = SystolicConfig(1, mode)
                 np.testing.assert_array_equal(fl.systolic_gemm(w, a, m, fm, cfg), want,
                                               err_msg=f"{m.id} at depth {depth}, {mode}")
-                np.testing.assert_array_equal(fl.systolic_fault_step(clean, w, a, m, fm, cfg),
-                                              want)
+                np.testing.assert_array_equal(fl.systolic_gemm(w, a, m, fm, cfg, clean), want)
             # the damaged block is rows 0-1 of both columns
             want = np.vstack([faulty[:2], clean[2:]])
             np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2), want)
-            np.testing.assert_array_equal(fl.gpu_tile_fault_step(clean, w, a, m, tf, 2), want)
+            np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2, clean), want)
             if depth == fl.MAX_GEMM_DEPTH and m.kind == "exact":
                 assert clean[0, 0] == 1 << 29 and clean[1, 0] == 0
                 assert faulty[1, 0] == -(1 << 30)
@@ -353,9 +352,6 @@ def test_random_maps_stack_one_table_per_distinct_fault():
     assert sel.shape == (9, 10) and set(np.unique(sel)) == set(range(1 + len(distinct)))
     tables, sel = fl._mac_tables(_RANDOM_LUT, fm, "bypass", 9, 10)
     assert tables.shape == (256, 512) and not tables[:, 256:].any()
-    for empty in (None, _fault_map(4, "empty", 3)):
-        tables, sel = fl._mac_tables(_RANDOM_LUT, empty, "propagate", 9, 10)
-        assert sel is None and tables.shape == (256, 256)
 
 
 def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):

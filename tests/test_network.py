@@ -232,13 +232,47 @@ def test_layer_filter_restricts_faults():
     cfg = fl.SystolicConfig(n=4)
     clean = net.evaluate(model, ws, test, net.ExecEnv(
         engine="systolic", multiplier=m, systolic=cfg))
-    all_layers = net.evaluate(model, ws, test, net.ExecEnv(
-        engine="systolic", multiplier=m, systolic=cfg, fault_map=fm))
-    off_target = net.evaluate(model, ws, test, net.ExecEnv(
-        engine="systolic", multiplier=m, systolic=cfg, fault_map=fm,
-        layer_filter=99))
-    assert off_target == clean
-    assert all_layers < clean
+    faulty = net.ExecEnv(engine="systolic", multiplier=m, systolic=cfg, fault_map=fm)
+    assert net.evaluate(model, ws, test, faulty) < clean
+
+    def accumulators(env):
+        got = {}
+        net.run_layers(model, ws, test.images.T, env,
+                       lambda idx, record: got.__setitem__(idx, record["acc"]))
+        return got
+
+    ref = accumulators(replace(faulty, fault_map=None))
+    for layer in model.param_layers():
+        got = accumulators(replace(faulty, layer_filter=layer))
+        for idx in range(layer):
+            np.testing.assert_array_equal(got[idx], ref[idx])
+        assert not np.array_equal(got[layer], ref[layer])
+
+
+def test_layer_filter_outside_the_gemm_layers_is_rejected():
+    # a filter on a maxpool, a flatten or no layer at all used to inject
+    # nothing and report the clean accuracy
+    model = net.ModelSpec("c", (6, 6, 1), [net.conv2d(3, 3, 1, 2, activation="relu"),
+                                           net.maxpool(2), net.flatten(), net.dense(8, 3)])
+    ws = training.init_weights(model, seed=0)
+    data = (np.random.default_rng(0).random((5, 6, 6, 1)), np.zeros(5, dtype=int))
+    m = mul.exact_multiplier()
+    fm = fl.random_fault_map(4, 50.0, fl.StuckAtFault(15, "sa1"), seed=1)
+    clean = net.ExecEnv(engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=4))
+    _, states = net.golden_pass(model, ws, data, clean, [0, 3])
+    for bad in (1, 2, 99, -1):
+        match = f"layer_filter {bad} is no dense or conv2d layer"
+        for env in (replace(clean, fault_map=fm, layer_filter=bad),
+                    replace(clean, layer_filter=bad), net.ExecEnv(layer_filter=bad)):
+            with pytest.raises(ValueError, match=match):
+                net.forward(model, ws, data[0], env)
+            with pytest.raises(ValueError, match=match):
+                net.evaluate(model, ws, data, env)
+        with pytest.raises(ValueError, match=match):
+            net.golden_pass(model, ws, data, replace(clean, layer_filter=bad), [0])
+        with pytest.raises(ValueError, match=match):
+            net.evaluate_resumed(model, ws, data, replace(clean, fault_map=fm, layer_filter=bad),
+                                 bad, states[0])
 
 
 def test_identity_weight_map_is_transparent():
