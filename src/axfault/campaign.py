@@ -15,8 +15,16 @@ are byte-identical to evaluating each cell from the input. The kept state
 does not depend on the engine, array or tile size, so one entry serves
 every ``engines`` and ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it: a
 (multiplier, layer) entry that does not fit, and every cell with
-``layers: "all"``, is evaluated from the input. Workers inherit the kept
-state from the parent process.
+``layers: "all"``, is evaluated from the input.
+
+The weight side of every GEMM layer is built once per multiplier as well:
+the golden pass fills one plan with each layer's weight codes and, for a
+table multiplier, its fault-free per-weight product tables, and every cell
+of that multiplier reads them, so a cell builds tables only for the layer
+whose faults it folds into them. The tables take their room from the same
+``_GOLDEN_BYTES`` after the kept state; a multiplier whose tables do not
+fit shares only the weight codes. Workers inherit the kept state and the
+plans from the parent process.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -35,8 +43,8 @@ from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
 from .mitigation import check_activations, run_mitigation
 from .multipliers import Multiplier, error_metrics, parse_multiplier
-from .network import (QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, evaluate_resumed,
-                      golden_pass)
+from .network import (QUANTIZED_ENGINES, ExecEnv, _as_xy, _GemmPlan, _plan_table_bytes,
+                      evaluate, evaluate_resumed, golden_pass)
 from .training import HyperParams
 
 # Axis names in canonical record order. Records are emitted in the
@@ -48,10 +56,12 @@ CSV_COLUMNS = ("model,dataset,engine,multiplier,mae_percent,fault_kind,bit,"
                "percent_faulty,layer,array_size,seed,baseline_acc,faulty_acc,"
                "acc_loss,mitigated_acc,energy_pj,wall_time_ms")
 
-# Cap on the golden-pass state a campaign keeps for its layer-filtered cells.
+# Cap on the golden-pass state a campaign keeps for its layer-filtered cells,
+# and then on the per-weight tables of its plans.
 # lenet-desk with layers 0, 2, 5 and 6 at the default 2000 samples keeps
 # 50 MB per multiplier, whatever the engines: 46 MB of accumulators, 37 MB
-# of them conv layer 0's, and 4.5 MB of activation codes.
+# of them conv layer 0's, and 4.5 MB of activation codes. Its tables take
+# 10 MB per table multiplier.
 _GOLDEN_BYTES = 1 << 28
 
 # Illustrative per-MAC energies in picojoules. These are placeholder
@@ -322,7 +332,8 @@ def _run_cell(cell: dict) -> CampaignRecord:
         states = a["golden"].get((cell["multiplier"], cell["layer"]))
         if states is None:
             rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"],
-                                      env=env, sample_limit=spec.sample_limit)
+                                      env=env, sample_limit=spec.sample_limit,
+                                      _plan=a["plans"][cell["multiplier"]])
         else:
             rec.faulty_acc = evaluate_resumed(a["model"], a["weights"], a["test"], env,
                                               cell["layer"], states,
@@ -380,7 +391,7 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
     if spec.sample_limit is not None:
         samples = min(samples, spec.sample_limit)
     budget = _GOLDEN_BYTES
-    baselines, golden = {}, {}
+    baselines, golden, plans = {}, {}, {}
     for mid, m in mults.items():
         kept = []
         for layer in layers:
@@ -390,8 +401,13 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
                 budget -= size
         # the clean pass of either engine serves both
         env = ExecEnv(engine="gpu_tiles", multiplier=m)
+        size = _plan_table_bytes(model, m)
+        plan = plans[mid] = _GemmPlan(weights, env, keep_tables=size <= budget)
+        if plan.keep_tables:
+            budget -= size
         baselines[mid], states = golden_pass(
-            model, weights, test_data, env, kept, sample_limit=spec.sample_limit)
+            model, weights, test_data, env, kept, sample_limit=spec.sample_limit,
+            _plan=plan)
         for layer, kept_states in states.items():
             golden[(mid, layer)] = kept_states
     payload = {
@@ -404,6 +420,7 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         "mae": mae,
         "baselines": baselines,
         "golden": golden,
+        "plans": plans,
         "energy": energy_table,
         "include_timing": include_timing,
     }

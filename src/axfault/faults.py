@@ -30,15 +30,21 @@ products that faults touch are then formed, as int16, and corrected with
 int32 sums: the stationed lattice, grouped by array row, on the systolic
 engine; the damaged outputs, along the full depth, on the gpu engine.
 
-Every other multiplier is read from its product table by ``_table_gemm``:
-per-weight tables of the 256 products with every activation code are built
-(at most 2^24 entries at a time) and one contiguous row of them is summed
-per MAC. Since a stuck-at fault acts on the product pattern alone, a faulty
-MAC is another table: the systolic engine stacks the multiplier's table
-with one table per distinct fault (``propagate``) or a table of zeros
-(``bypass``) and builds each weight's products from the table of its MAC,
-so faults cost nothing extra. The gpu engine builds them from the bare
-table. Without faults the two engines compute the same GEMM.
+Every other multiplier is read from its product table: per-weight tables of
+the 256 products with every activation code are built (``_weight_tables``)
+and one contiguous row of them is summed per MAC (``_table_sums``). The
+fault-free tables depend on the weights and the multiplier alone, so a
+caller can build them once (``_clean_tables``) and pass them to either
+engine as ``tables``: ``network`` builds them once per evaluate of several
+eval batches, and a campaign's golden pass shares them with its resumed
+cells. Without ``tables``, or for tables of more than 2^24 entries, every
+call builds them, at most 2^24 entries at a time. Since a stuck-at fault
+acts on the product pattern alone, a faulty MAC is another table: the
+systolic engine stacks the multiplier's table with one table per distinct
+fault (``propagate``) or a table of zeros (``bypass``) and builds each
+weight's products from the table of its MAC, so faults cost no more than a
+fresh build. The gpu engine reads the fault-free tables. Without faults the
+two engines compute the same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
@@ -316,41 +322,82 @@ def _mac_tables(m: Multiplier, fm: FaultMap, mode: str, rows: int, depth: int):
     return np.hstack(tables), _station(sel_n, rows, depth)
 
 
-def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
-    """Sums of rows of per-weight product tables.
-
-    ``h[v, c, r]`` is the product of activation code v - 128 with weight
-    (r, c), faults included, so output column b is the sum over c of
-    ``h[aq[c, b] + 128, c]``: one gather of a contiguous row per MAC.
-    ``tables`` and ``sel`` are as ``_mac_tables`` returns them, or the bare
-    table and None without faults.
+def _weight_tables(wq, tables, sel) -> np.ndarray:
+    """Per-weight product tables of ``wq``: a (256 depth, rows) int16 array
+    ``h`` whose entry ``h[(v + 128) * depth + c, r]`` is the product of
+    activation code v with weight (r, c), faults included. ``tables`` and
+    ``sel`` are as ``_mac_tables`` returns them, or the bare table and None
+    without faults.
     """
-    rows, depth = wq.shape
-    batch = aq.shape[1]
     # column of the stacked tables that holds each weight's products
     col = wq.astype(np.int32) + 128
     if sel is not None:
         col += 256 * sel
+    return np.take(tables, col.T, axis=1).reshape(256 * wq.shape[1], -1)
+
+
+def _table_sums(h, aq) -> np.ndarray:
+    """The GEMM of ``_weight_tables`` output ``h``: output column b is the
+    sum over c of ``h[(aq[c, b] + 128) * depth + c]``, one gather of a
+    contiguous row per MAC."""
+    depth, batch = aq.shape
+    width = h.shape[1]
     idx = (aq.astype(np.intp) + 128) * depth + np.arange(depth)[:, None]
-    out = np.empty((rows, batch), dtype=np.int32)
-    block = max(1, _TABLE_ENTRIES // (256 * depth))
-    for r0 in range(0, rows, block):
-        h = np.take(tables, col[r0 : r0 + block].T, axis=1).reshape(256 * depth, -1)
-        width = h.shape[1]
-        # chunks of about 2^17 gathered products stay in cache
-        chunk = max(1, (1 << 17) // (depth * width))
-        for b0 in range(0, batch, chunk):
-            p = np.take(h, idx[:, b0 : b0 + chunk], axis=0)
-            out[r0 : r0 + width, b0 : b0 + chunk] = p.sum(axis=0, dtype=np.int32).T
+    out = np.empty((width, batch), dtype=np.int32)
+    # chunks of about 2^17 gathered products stay in cache
+    chunk = max(1, (1 << 17) // (depth * width))
+    for b0 in range(0, batch, chunk):
+        p = np.take(h, idx[:, b0 : b0 + chunk], axis=0)
+        out[:, b0 : b0 + chunk] = p.sum(axis=0, dtype=np.int32).T
     return out
 
 
-def _clean_gemm(wq, aq, m: Multiplier) -> np.ndarray:
+def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
+    """GEMM read from per-weight product tables, built a block of rows at a
+    time so that a block holds at most ``_TABLE_ENTRIES`` entries. ``tables``
+    and ``sel`` are as for ``_weight_tables``."""
+    rows, depth = wq.shape
+    out = np.empty((rows, aq.shape[1]), dtype=np.int32)
+    block = max(1, _TABLE_ENTRIES // (256 * depth))
+    for r0 in range(0, rows, block):
+        rs = slice(r0, r0 + block)
+        h = _weight_tables(wq[rs], tables, None if sel is None else sel[rs])
+        out[rs] = _table_sums(h, aq)
+    return out
+
+
+def _kept_table_entries(m: Multiplier, rows: int, depth: int) -> int:
+    """Entries of the fault-free per-weight tables of a rows x depth weight
+    matrix that a caller can build once and pass to the engines as
+    ``tables``: 0 when ``m`` is ``_blas_ready`` (no tables are read) or the
+    tables would exceed ``_TABLE_ENTRIES`` (they are then built a block of
+    rows at a time on every call)."""
+    entries = 256 * rows * depth
+    return 0 if _blas_ready(m, rows) or entries > _TABLE_ENTRIES else entries
+
+
+def _clean_tables(wq, m: Multiplier) -> np.ndarray | None:
+    """The fault-free per-weight tables of ``wq`` under ``m`` to pass to
+    ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``, or None where
+    ``_kept_table_entries`` is 0."""
+    if not _kept_table_entries(m, *wq.shape):
+        return None
+    return _weight_tables(wq, m.table2d(), None)
+
+
+def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     """Fault-free int32 GEMM of ``m``: matmuls when ``_blas_ready``, the
-    bare product table otherwise. Both engines compute it alike."""
-    if _blas_ready(m, wq.shape[0]):
+    bare product table otherwise, read from ``tables`` when they are given.
+    Both engines compute it alike."""
+    rows, depth = wq.shape
+    if _blas_ready(m, rows):
         return _blas_gemm(wq, aq, m)
-    return _table_gemm(wq, aq, m.table2d(), None)
+    if tables is None:
+        return _table_gemm(wq, aq, m.table2d(), None)
+    if tables.shape != (256 * depth, rows) or tables.dtype != np.int16:
+        raise ValueError(f"tables {tables.shape} {tables.dtype} are not the int16 "
+                         f"per-weight tables of a {rows}x{depth} weight matrix")
+    return _table_sums(tables, aq)
 
 
 def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
@@ -412,6 +459,7 @@ def systolic_gemm(
     fm: FaultMap | None,
     cfg: SystolicConfig,
     clean: np.ndarray | None = None,
+    tables: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weight-stationary GEMM: out[r, b] = sum_c P(aq[c, b], wq[r, c]).
 
@@ -421,7 +469,10 @@ def systolic_gemm(
     equals the integer matrix product.
 
     From ``clean``, the fault-free output of the same GEMM (left as it
-    is), only the products stationed on faulty MACs are formed.
+    is), only the products stationed on faulty MACs are formed. ``tables``,
+    the fault-free per-weight tables of ``wq`` (``_clean_tables``), spare a
+    table multiplier their build; faults folded into the tables build
+    their own.
     """
     wq, aq = _check_gemm_operands(wq, aq)
     _check_array(fm, cfg)
@@ -429,7 +480,7 @@ def systolic_gemm(
     if clean is None and faulty and not _blas_ready(m, wq.shape[0]):
         # faults folded into the product tables
         return _table_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, *wq.shape))
-    out = _clean_gemm(wq, aq, m) if clean is None else _clean_copy(clean, wq, aq)
+    out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if faulty:
         _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
     return out
@@ -467,6 +518,7 @@ def gpu_tile_gemm(
     tf: TileFaultSpec | None,
     tile: int,
     clean: np.ndarray | None = None,
+    tables: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tiled GEMM with at most one damaged tile x tile output block.
 
@@ -475,10 +527,11 @@ def gpu_tile_gemm(
     reduction for their output element; there is no cross-block coupling.
 
     From ``clean``, the fault-free output of the same GEMM (left as it
-    is), only the damaged outputs are recomputed.
+    is), only the damaged outputs are recomputed. ``tables`` are as for
+    ``systolic_gemm``.
     """
     wq, aq = _check_tiles(wq, aq, tf, tile)
-    out = _clean_gemm(wq, aq, m) if clean is None else _clean_copy(clean, wq, aq)
+    out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if tf is not None:
         _damage_outputs(out, wq, aq, m, tf, tile)
     return out

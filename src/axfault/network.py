@@ -20,10 +20,16 @@ accelerators.
 biases (naming the layer), on a ``layer_filter`` that names no dense or
 conv2d layer, and ``evaluate`` on an empty dataset.
 
+Each ``evaluate`` quantizes and remaps the weights of a GEMM layer, and
+builds the layer's fault-free per-weight product tables, once for all its
+eval batches (``_GemmPlan``).
+
 ``golden_pass`` evaluates without faults and keeps, per eval batch, the int8
 input and int32 accumulator of chosen GEMM layers; ``evaluate_resumed``
 scores a run whose faults lie in one of those layers by starting
 ``run_layers`` there and adding only the faults to the kept accumulator.
+It reads the golden pass's weight codes and tables, and refuses states
+kept for other weights, another multiplier or another weight map.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .faults import FaultMap, SystolicConfig, TileFaultSpec, gpu_tile_gemm, systolic_gemm
+from .faults import (FaultMap, SystolicConfig, TileFaultSpec, _clean_tables,
+                     _kept_table_entries, gpu_tile_gemm, systolic_gemm)
 from .multipliers import Multiplier, WeightMapTable
 from .quantize import QTensor, quantize, requantize_accum
 
@@ -383,32 +390,118 @@ class ExecEnv:
             raise ValueError("systolic engine needs a SystolicConfig")
 
 
-def _gemm_layer(env: ExecEnv, W2d, acodes, ascale, bias, layer_idx, clean=None):
-    """The quantized GEMM step of dense and conv layers: quantize and remap
-    the weights, run the engine, requantize. Returns the int32 accumulator
-    and the float output.
+def _gemm_weights(layer: LayerSpec, W) -> np.ndarray:
+    """The 2-d weight matrix a dense or conv2d layer presents to the GEMM;
+    conv weights are lowered in im2col's (kh, kw, cin) order."""
+    if layer.kind == "conv2d":
+        return W.transpose(3, 0, 1, 2).reshape(layer.params["cout"], -1)
+    return W
+
+
+class _GemmPlan:
+    """The weight side of every quantized GEMM layer for one weight set,
+    multiplier and weight map, each part built on its first use and then
+    reused: per layer index, the int8 weight codes after ``weight_map`` and
+    their scale, and, if ``keep_tables``, for a table multiplier, the
+    fault-free per-weight product tables (``faults._clean_tables``; None
+    where they are not kept). Without ``keep_tables`` every GEMM builds its
+    own tables, which is cheaper when no GEMM layer runs twice. ``evaluate``
+    builds one plan for all its eval batches; a campaign's golden pass
+    fills one that its cells share.
+    """
+
+    def __init__(self, weights: WeightSet, env: ExecEnv, keep_tables: bool):
+        self.weights = weights
+        self.multiplier = env.multiplier
+        self.weight_map = env.weight_map
+        self.keep_tables = keep_tables
+        self._codes = {}
+        self._tables = {}
+
+    def check(self, weights: WeightSet, env: ExecEnv) -> None:
+        """Raise ``ValueError`` unless the plan was built for ``weights``
+        and for the multiplier and weight map of ``env`` (compared by
+        content)."""
+        m, wm = env.multiplier, env.weight_map
+        if m is not self.multiplier and not np.array_equal(m.table, self.multiplier.table):
+            raise ValueError(f"a plan of multiplier {self.multiplier.id!r} cannot run "
+                             f"multiplier {m.id!r}")
+        if wm is not self.weight_map and (
+                wm is None or self.weight_map is None
+                or not np.array_equal(wm.map, self.weight_map.map)):
+            raise ValueError("a plan of one weight map cannot run another")
+        if weights is not self.weights and (
+                weights.keys() != self.weights.keys()
+                or not all(np.array_equal(weights[i]["W"], self.weights[i]["W"])
+                           for i in weights)):
+            raise ValueError("a plan of one weight set cannot run another")
+
+    def codes(self, model: ModelSpec, idx: int):
+        """(int8 weight codes after ``weight_map``, weight scale) of layer
+        ``idx``."""
+        if idx not in self._codes:
+            qw = quantize(_gemm_weights(model.layers[idx], self.weights[idx]["W"]))
+            codes = qw.data
+            if self.weight_map is not None:
+                codes = self.weight_map.remap_codes(codes)
+            self._codes[idx] = codes, qw.scale
+        return self._codes[idx]
+
+    def tables(self, model: ModelSpec, idx: int):
+        """Fault-free per-weight tables of layer ``idx``, or None."""
+        if not self.keep_tables:
+            return None
+        if idx not in self._tables:
+            self._tables[idx] = _clean_tables(self.codes(model, idx)[0], self.multiplier)
+        return self._tables[idx]
+
+
+def _plan_table_bytes(model: ModelSpec, m: Multiplier) -> int:
+    """Bytes of the tables a plan for multiplier ``m`` that keeps them
+    holds once every layer has run."""
+    return sum(2 * _kept_table_entries(m, *model.gemm_weight_shape(idx))
+               for idx in model.param_layers())
+
+
+def _plan_for(weights: WeightSet, env: ExecEnv, plan: _GemmPlan | None, keep_tables: bool):
+    """``plan``, checked against ``weights`` and ``env``, or, when it is
+    None, a new plan with ``keep_tables``; None on the float engine."""
+    if env.engine == "float":
+        return None
+    if plan is None:
+        return _GemmPlan(weights, env, keep_tables)
+    plan.check(weights, env)
+    return plan
+
+
+def _gemm_layer(env: ExecEnv, plan: _GemmPlan, model: ModelSpec, idx: int, acodes, ascale,
+                bias, clean=None):
+    """The quantized GEMM step of dense and conv layers: the weight codes
+    and tables from ``plan``, the engine, requantization. Returns the int32
+    accumulator and the float output.
 
     ``acodes`` are int8 activation codes with scale ``ascale``. A conv layer
     quantizes its input before im2col and passes the lowered codes, because
     with stride > 1 the scale of the columns can differ from that of X.
     ``clean``, the layer's fault-free accumulator, is passed on to the
-    engine, which then adds only the faults.
+    engine, which then adds only the faults and reads no tables.
     """
-    qw = quantize(W2d)
-    wcodes = qw.data
-    if env.weight_map is not None:
-        wcodes = env.weight_map.remap_codes(wcodes)
-    admitted = env.layer_filter in (None, layer_idx)
+    wcodes, wscale = plan.codes(model, idx)
+    admitted = env.layer_filter in (None, idx)
     if env.engine == "systolic":
         fm = env.fault_map if admitted else None
-        acc = systolic_gemm(wcodes, acodes, env.multiplier, fm, env.systolic, clean)
+        # faults on a table multiplier are folded into tables of their own
+        fresh = clean is not None or (fm is not None and bool(fm.entries))
+        tables = None if fresh else plan.tables(model, idx)
+        acc = systolic_gemm(wcodes, acodes, env.multiplier, fm, env.systolic, clean, tables)
     else:
         tf = env.tile_fault if admitted else None
         if tf is not None:
             nblocks = (-(-wcodes.shape[0] // env.tile)) * (-(-acodes.shape[1] // env.tile))
             tf = replace(tf, tile_index=tf.tile_index % nblocks)
-        acc = gpu_tile_gemm(wcodes, acodes, env.multiplier, tf, env.tile, clean)
-    return acc, requantize_accum(acc, qw.scale, ascale) + bias[:, None]
+        tables = None if clean is not None else plan.tables(model, idx)
+        acc = gpu_tile_gemm(wcodes, acodes, env.multiplier, tf, env.tile, clean, tables)
+    return acc, requantize_accum(acc, wscale, ascale) + bias[:, None]
 
 
 def _to_internal(model: ModelSpec, x):
@@ -429,7 +522,7 @@ def _to_internal(model: ModelSpec, x):
 
 
 def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=None,
-               _start=0, _clean=None):
+               _start=0, _clean=None, _plan=None):
     """Drive the layer stack on feature-major activations X.
 
     ``observe(idx, record)`` is called after each layer with its input
@@ -440,9 +533,13 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=No
 
     ``_start`` resumes the pass at that layer; on a quantized engine X may
     then be the ``QTensor`` of codes entering it, and ``_clean`` its
-    fault-free accumulator (see ``_gemm_layer``).
+    fault-free accumulator (see ``_gemm_layer``). ``_plan`` is the
+    ``_GemmPlan`` of ``weights`` and ``env`` to read the weight side from;
+    without it the call builds its own, which keeps no tables.
     """
     quant = env.engine != "float"
+    if quant and _plan is None:
+        _plan = _GemmPlan(weights, env, keep_tables=False)
     shapes = model.shapes()
     for idx in range(_start, len(model.layers)):
         layer = model.layers[idx]
@@ -450,17 +547,16 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=No
         Z = cols = qx = acc = None
         clean = _clean if idx == _start else None
         if layer.kind in ("dense", "conv2d"):
-            W, b = weights[idx]["W"], weights[idx]["b"]
+            b = weights[idx]["b"]
             qx = (X if isinstance(X, QTensor) else quantize(X)) if quant else None
             cols = X if qx is None else qx.data
             if layer.kind == "conv2d":
                 # zero padding is exact in code space
-                W = W.transpose(3, 0, 1, 2).reshape(p["cout"], -1)
                 cols = im2col(cols, p["kh"], p["kw"], p["stride"], p["pad"])
             if quant:
-                acc, Z = _gemm_layer(env, W, cols, qx.scale, b, idx, clean)
+                acc, Z = _gemm_layer(env, _plan, model, idx, cols, qx.scale, b, clean)
             else:
-                Z = W @ cols + b[:, None]
+                Z = _gemm_weights(layer, weights[idx]["W"]) @ cols + b[:, None]
             if layer.kind == "conv2d":
                 Z = Z.reshape(p["cout"], *shapes[idx][:2], -1).transpose(1, 2, 0, 3)
             Y = _activate(layer.activation, Z, axis=-2)  # features or channels
@@ -546,37 +642,57 @@ def _accuracy(model: ModelSpec, weights: WeightSet, env: ExecEnv, data, sample_l
 
 def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None,
              sample_limit: int | None = None, batch_size: int = 256,
-             observe=None) -> float:
+             observe=None, _plan=None) -> float:
     """Top-1 accuracy in percent over (a prefix of) the dataset.
 
-    ``observe`` is passed to ``run_layers``. Raises ``ValueError`` as
-    ``forward`` does, and when no sample is left to score or ``batch_size``
-    is below 1.
+    ``observe`` is passed to ``run_layers``. Every eval batch reads one
+    ``_GemmPlan``: ``_plan`` (checked against ``weights`` and ``env``), or
+    one built for this call, which keeps tables when there is more than
+    one batch. Raises ``ValueError`` as ``forward`` does, and
+    when no sample is left to score or ``batch_size`` is below 1.
     """
     env = env or ExecEnv()
-    return _accuracy(model, weights, env, data, sample_limit, batch_size, lambda batches: (
-        run_layers(model, weights, _to_internal(model, images)[0], env, observe)
-        for images, _ in batches))
+
+    def outputs(batches):
+        plan = _plan_for(weights, env, _plan, keep_tables=len(batches) > 1)
+        for images, _ in batches:
+            yield run_layers(model, weights, _to_internal(model, images)[0], env, observe,
+                             _plan=plan)
+
+    return _accuracy(model, weights, env, data, sample_limit, batch_size, outputs)
+
+
+class _GoldenStates(list):
+    """One layer's per-batch golden states, with the ``_GemmPlan`` of the
+    golden pass that kept them."""
+
+    def __init__(self, plan: _GemmPlan):
+        super().__init__()
+        self.plan = plan
 
 
 def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
-                sample_limit: int | None = None, batch_size: int = 256):
+                sample_limit: int | None = None, batch_size: int = 256, _plan=None):
     """``evaluate`` on a quantized ``env`` without faults, keeping what a
     faulty run needs to resume at each GEMM layer in ``layers``.
 
     Returns ``(accuracy, states)``: ``states[layer]`` holds, per eval batch,
     the ``QTensor`` of int8 codes entering the layer and the layer's int32
-    accumulator. See ``evaluate_resumed``.
+    accumulator, and carries the pass's ``_GemmPlan`` (``_plan``, or one
+    built for this call), whose weight side the resumed runs reuse. See
+    ``evaluate_resumed``.
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
-    states = {layer: [] for layer in layers}
+    # the resumed runs read the golden pass's tables
+    plan = _plan_for(weights, env, _plan, keep_tables=True)
+    states = {layer: _GoldenStates(plan) for layer in layers}
 
     def keep(idx, record):
         if idx in states:
             states[idx].append((record["q"], record["acc"]))
 
-    return evaluate(model, weights, data, env, sample_limit, batch_size, keep), states
+    return evaluate(model, weights, data, env, sample_limit, batch_size, keep, plan), states
 
 
 def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
@@ -586,16 +702,23 @@ def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
     an ``env`` whose faults lie in ``layer`` alone, resumed at that layer.
 
     ``states`` are ``golden_pass(...)[1][layer]`` for the same data, sample
-    limit, batch size, multiplier and weight map, so the layers before
-    ``layer`` and its fault-free GEMM are not computed again.
+    limit, batch size, weights, multiplier and weight map, so the layers
+    before ``layer`` and its fault-free GEMM are not computed again, and
+    the later layers read the golden pass's weight codes and tables. Raises
+    ``ValueError`` when the states' batches do not match the eval batches,
+    and when they were kept for other weights, another multiplier or
+    another weight map.
     """
     if env.layer_filter != layer:
         raise ValueError(f"env injects faults outside layer {layer}")
+    if not isinstance(states, _GoldenStates):
+        raise ValueError("states must be golden_pass(...)[1][layer]")
 
     def outputs(batches):
         if len(states) != len(batches):
             raise ValueError(f"{len(states)} golden states for {len(batches)} eval batches")
+        plan = _plan_for(weights, env, states.plan, keep_tables=True)
         for q, clean in states:
-            yield run_layers(model, weights, q, env, _start=layer, _clean=clean)
+            yield run_layers(model, weights, q, env, _start=layer, _clean=clean, _plan=plan)
 
     return _accuracy(model, weights, env, data, sample_limit, batch_size, outputs)

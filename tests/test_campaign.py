@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from axfault import campaign as cp
+from axfault import faults as fl
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault.datasets import synth_blobs
@@ -301,6 +302,69 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
     assert len(resumed) == 64
     texts = [json.dumps([asdict(r) for r in run]) for run in runs]
     assert len(set(texts)) == 1
+
+
+# --- per-weight table builds ------------------------------------------------
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(weight matrix shape, faults folded in) of every per-weight table
+    build."""
+    builds = []
+
+    def spy(wq, tables, sel, _real=fl._weight_tables):
+        builds.append((wq.shape, sel is not None))
+        return _real(wq, tables, sel)
+
+    monkeypatch.setattr(fl, "_weight_tables", spy)
+    return builds
+
+
+@pytest.fixture
+def lenet_lut(tmp_path):
+    model = net.desk_model("lenet-desk")
+    rng = np.random.default_rng(8)
+    data = (rng.random((6, 28, 28, 1)), rng.integers(0, 10, 6))
+    path = tmp_path / "random.axlut"
+    mul.save_lut(mul.from_table("random", rng.integers(-99, 100, mul.TABLE_SIZE)
+                                .astype(np.int16)), path)
+    shapes = [model.gemm_weight_shape(i) for i in model.param_layers()]
+    return model, init_weights(model, 2), data, str(path), shapes
+
+
+def test_resumed_cells_build_no_tables(lenet_lut, table_builds):
+    # the golden pass builds each layer's tables once; every resumed cell
+    # reads them for its later layers, and its faulty layer reads none
+    model, ws, data, lut, shapes = lenet_lut
+    spec = cp.CampaignSpec(model_id="lenet-desk", dataset_id="r", multipliers=[lut],
+                           fault_kinds=["sa0", "sa1"], layers=[0, 2, 5, 6],
+                           engines=["systolic", "gpu_tiles"], sample_limit=None)
+    records = cp.run_campaign(spec, model, ws, data, workers=1)
+    assert len(records) == 16 and all(r.error is None for r in records)
+    assert table_builds == [(shape, False) for shape in shapes]
+
+
+def test_cells_from_the_input_fold_only_their_faulty_layers(lenet_lut, table_builds):
+    # with layers "all" no cell resumes: the systolic cell folds its faults
+    # into tables of every layer, the gpu cell reads the golden pass's
+    model, ws, data, lut, shapes = lenet_lut
+    spec = cp.CampaignSpec(model_id="lenet-desk", dataset_id="r", multipliers=[lut],
+                           engines=["systolic", "gpu_tiles"], sample_limit=None)
+    records = cp.run_campaign(spec, model, ws, data, workers=1)
+    assert [r.error for r in records] == [None, None]
+    assert table_builds == ([(shape, False) for shape in shapes]
+                            + [(shape, True) for shape in shapes])
+
+
+def test_evaluate_builds_tables_once_per_layer(table_builds):
+    model = net.desk_model("mp-tanh-desk")
+    rng = np.random.default_rng(4)
+    data = (rng.random((8, 784)), rng.integers(0, 10, 8))
+    lut = mul.from_table("random", rng.integers(-99, 100, mul.TABLE_SIZE).astype(np.int16))
+    env = net.ExecEnv(engine="systolic", multiplier=lut, systolic=fl.SystolicConfig(n=16))
+    net.evaluate(model, init_weights(model, 1), data, env, batch_size=2)
+    assert table_builds == [(model.gemm_weight_shape(i), False) for i in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("layers", [[1], [2], [0, 99], [-1]])

@@ -5,12 +5,17 @@ there from the clean pass's kept state, and adds only its faults to the
 kept accumulator. That must give the logits and the accuracy of running
 the faulty pass from the input, bit for bit, on every engine, multiplier,
 fault state and weight map.
+
+Each evaluate builds the weight side of its GEMM layers (weight codes and
+per-weight tables) once for all its eval batches, and the resumed runs
+read the golden pass's. Neither may change a logit.
 """
 
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axfault import faults as fl
@@ -96,6 +101,23 @@ def envs(draw):
     return replace(gpu, tile_fault=tf), golden
 
 
+def _lut_example():
+    """A conv net with a LUT multiplier and a weight map, over three eval
+    batches, resumed from a golden pass of the other engine."""
+    model = net.ModelSpec("lut-example", (5, 5, 2), [
+        net.conv2d(3, 3, 2, 4, stride=2, pad=1, activation="relu"), net.flatten(),
+        net.dense(36, 7, "tanh"), net.dense(7, 3)])
+    codes = np.random.default_rng(3).integers(-128, 128, 256)
+    wm = mul.WeightMapTable(codes, _RANDOM_LUT.id, "random")
+    fault = fl.StuckAtFault(9, "sa0")
+    faulty = net.ExecEnv(engine="systolic", multiplier=_RANDOM_LUT, weight_map=wm,
+                         systolic=fl.SystolicConfig(3),
+                         fault_map=fl.FaultMap(3, {(0, 1): fault, (2, 2): fault}))
+    golden = net.ExecEnv(engine="gpu_tiles", multiplier=_RANDOM_LUT, weight_map=wm, tile=2)
+    return dict(model=model, env_pair=(faulty, golden), seed=5, count=8, batch_size=3)
+
+
+@example(**_lut_example())
 @settings(max_examples=60, deadline=None)
 @given(models(), envs(), st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 9))
 def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_size):
@@ -109,6 +131,21 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
                                   batch_size=batch_size)
     assert acc == net.evaluate(model, ws, data, golden_env, batch_size=batch_size)
     batches = net._eval_batches(data, None, batch_size)
+    # one plan for every batch gives the logits of one plan per batch
+    last = len(model.layers) - 1
+    logits = []
+
+    def keep(idx, record):
+        if idx == last:
+            logits.append(record["Y"])
+
+    net.evaluate(model, ws, data, env, batch_size=batch_size, observe=keep)
+    for (images, _), out in zip(batches, logits, strict=True):
+        own = net.run_layers(model, ws, net._to_internal(model, images)[0], env)
+        np.testing.assert_array_equal(out, own)
+    other_map = mul.WeightMapTable(np.arange(-128, 128) // 2, env.multiplier.id, "halved")
+    if env.weight_map is not None:
+        other_map = None
     for layer in gemm_layers:
         faulty = replace(env, layer_filter=layer)
         for (images, _), (q, clean) in zip(batches, states[layer], strict=True):
@@ -119,4 +156,10 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
             np.testing.assert_array_equal(clean, kept)
         assert (net.evaluate_resumed(model, ws, data, faulty, layer, states[layer],
                                      batch_size=batch_size)
+                == net.evaluate(model, ws, data, faulty, batch_size=batch_size,
+                                _plan=states[layer].plan)
                 == net.evaluate(model, ws, data, faulty, batch_size=batch_size))
+        # the golden plan serves no other weight map
+        with pytest.raises(ValueError, match="weight map"):
+            net.evaluate_resumed(model, ws, data, replace(faulty, weight_map=other_map),
+                                 layer, states[layer], batch_size=batch_size)

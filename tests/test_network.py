@@ -383,6 +383,37 @@ def test_evaluate_resumed_rejects_mismatched_states():
                              batch_size=64)
 
 
+def test_evaluate_resumed_rejects_states_of_other_operands():
+    # states kept under one multiplier or weight map used to be resumed
+    # under another, mixing its clean accumulators with this env's faults:
+    # 26.0% here where the faulty run scores 100.0%
+    model, ws, test = _tiny_problem()
+    noisy = mul.from_table("noisy", np.random.default_rng(5).integers(
+        -16129, 16130, mul.TABLE_SIZE).astype(np.int16))
+    _, states = net.golden_pass(model, ws, test, net.ExecEnv(engine="gpu_tiles",
+                                                             multiplier=noisy), [0])
+    fm = fl.random_fault_map(4, 25.0, fl.StuckAtFault(3, "sa1"), seed=1)
+    env = net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier(),
+                      systolic=fl.SystolicConfig(n=4), fault_map=fm, layer_filter=0)
+    assert net.evaluate(model, ws, test, env) == 100.0
+    with pytest.raises(ValueError, match="plan of multiplier 'noisy' cannot run"):
+        net.evaluate_resumed(model, ws, test, env, 0, states[0])
+    halved = mul.WeightMapTable(np.arange(-128, 128) // 2, "noisy", "halved")
+    with pytest.raises(ValueError, match="one weight map cannot run another"):
+        net.evaluate_resumed(model, ws, test, replace(env, multiplier=noisy, weight_map=halved),
+                             0, states[0])
+    other = ws.deep_copy()
+    other[0]["W"][0, 0] += 1.0
+    with pytest.raises(ValueError, match="one weight set cannot run another"):
+        net.evaluate_resumed(model, other, test, replace(env, multiplier=noisy), 0, states[0])
+    with pytest.raises(ValueError, match=r"golden_pass\(...\)\[1\]\[layer\]"):
+        net.evaluate_resumed(model, ws, test, replace(env, multiplier=noisy), 0, list(states[0]))
+    # equal operands in other objects resume
+    twin = replace(env, multiplier=mul.from_table("twin", noisy.table.copy()))
+    assert (net.evaluate_resumed(model, ws.deep_copy(), test, twin, 0, states[0])
+            == net.evaluate(model, ws, test, twin))
+
+
 def test_fault_free_resume_equals_golden_accuracy():
     model, ws, test, clean = _golden_setup()
     acc, states = net.golden_pass(model, ws, test, clean, [0, 1], batch_size=64)
