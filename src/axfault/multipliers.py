@@ -230,10 +230,22 @@ class ActivationSample:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.counts, dtype=np.uint64)
+        c = np.asarray(self.counts)
         if c.shape != (256,):
             raise ValueError("activation histogram must have 256 bins")
-        self.counts = c
+        if c.dtype.kind in "biu":
+            ok = bool((c >= 0).all())
+        elif c.dtype.kind == "f":
+            # a plain uint64 cast would wrap -1, turn NaN into 2^63 and
+            # truncate 2.9 to 2
+            ok = bool((np.isfinite(c) & (c >= 0) & (c == np.floor(c))
+                       & (c < 2.0 ** 64)).all())
+        else:
+            ok = False
+        if not ok:
+            raise ValueError("activation counts must be finite, non-negative "
+                             "whole numbers")
+        self.counts = np.ascontiguousarray(c, dtype=np.uint64)
 
 
 def uniform_activations() -> ActivationSample:
@@ -274,22 +286,55 @@ def build_weight_map(m: Multiplier, acts: ActivationSample) -> WeightMapTable:
     sum_a counts[a] * |M(a, w') - a * w|, minimized over w'. Ties are broken
     by the smallest |w' - w|, then the smaller w', so an exact multiplier
     maps every code to itself.
+
+    All 65536 costs come out exactly, in int64, in O(256^2). With c = counts
+    and T = M(., w'), the cost of (w, w') is c_0 |T_0| + sum_{a != 0} W_a |w - s_a|
+    with W_a = c_a |a| and s_a = T_a / a: a weighted sum of absolute
+    deviations of w. The s_a below w (the left set L) add W_a (w - s_a),
+    the rest W_a (s_a - w), so the cost is
+
+        w (WL - WR) - (VL - VR) + c_0 |T_0|,    V_a = c_a sign(a) T_a,
+
+    where WL, VL sum W and V over L and WR, VR over the rest. For an
+    integer w, s_a < w exactly when w >= floor(T_a / a) + 1, so each a
+    enters L at one threshold per w': bucketing W and V by threshold and
+    prefix-summing over w gives WL and VL for every (w', w) at once.
+
+    Counts below 2^39 (checked) keep every int64 value below 2^63: with
+    |T_a| <= 2^15 and sum |a| = 2^14, sum |V_a| < 2^39 * 255 * 2^15 < 2^62,
+    |w| sum W_a < 2^7 * 2^39 * 2^14 = 2^60 and c_0 |T_0| < 2^54. Each of WL,
+    WR, VL, VR, each difference and each cost is bounded by those sums, so
+    |cost| and every partial sum stay under 2^62 + 2^60 + 2^54 < 2^63.
     """
-    counts = acts.counts.astype(np.int64)
-    if counts.max(initial=0) >= (1 << 39):
-        # keeps the int64 weighted sums below 2^63
+    if acts.counts.max(initial=0) >= (1 << 39):
+        # checked on the unsigned counts, which an int64 cast would wrap
         raise ValueError("activation counts too large for exact accumulation")
+    counts = acts.counts.astype(np.int64)
     table = m.table2d().astype(np.int64)
-    exact = _exact_table2d().astype(np.int64)
     codes = np.arange(-128, 128, dtype=np.int64)
-    out = np.empty(256, dtype=np.int16)
-    for wi in range(256):
-        diff = np.abs(table - exact[:, wi][:, None])
-        dist = counts @ diff
-        cand = np.flatnonzero(dist == dist.min())
-        away = np.abs(cand - wi)
-        cand = cand[away == away.min()]
-        out[wi] = codes[cand.min()]
+    nz = codes != 0
+    a = codes[nz]
+    t = table[nz]                                   # [a, w'], a != 0
+    wa = counts[nz] * np.abs(a)
+    va = (counts[nz] * np.sign(a))[:, None] * t
+    # row w' bin w + 128 holds the a entering L at w; bin 256 lies past w = 127
+    enter = np.clip(np.floor_divide(t, a[:, None]) + 1 + 128, 0, 256)
+    bins = enter + 257 * np.arange(256)
+    wl = np.zeros(256 * 257, dtype=np.int64)
+    vl = np.zeros(256 * 257, dtype=np.int64)
+    # 1-d operands take numpy's fast add.at loop
+    np.add.at(wl, bins.ravel(), np.repeat(wa, 256))
+    np.add.at(vl, bins.ravel(), va.ravel())
+    wl = np.cumsum(wl.reshape(256, 257)[:, :256], axis=1)    # [w', w]
+    vl = np.cumsum(vl.reshape(256, 257)[:, :256], axis=1)
+    wr = wa.sum() - wl
+    vr = va.sum(axis=0)[:, None] - vl
+    cost = (codes * (wl - wr) - (vl - vr)
+            + counts[128] * np.abs(table[128])[:, None])
+    # tie-break: rank the cheapest w' by 2 |w' - w|, plus one when w' > w
+    step = codes[:, None] - codes
+    rank = np.where(cost == cost.min(axis=0), 2 * np.abs(step) + (step > 0), 1024)
+    out = codes[np.argmin(rank, axis=0)].astype(np.int16)
     return WeightMapTable(out, multiplier_id=m.id, activation_set_id=acts.id)
 
 

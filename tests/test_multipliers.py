@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from axfault import multipliers as mul
 
@@ -285,6 +286,106 @@ def test_weight_map_minimizes_cost():
         assert costs[wm.map[w + 128] + 128] == costs.min()
 
 
+def _build_weight_map_oracle(m, acts):
+    """The O(256^3) loop that ``build_weight_map`` replaced, kept verbatim."""
+    counts = acts.counts.astype(np.int64)
+    if counts.max(initial=0) >= (1 << 39):
+        # keeps the int64 weighted sums below 2^63
+        raise ValueError("activation counts too large for exact accumulation")
+    table = m.table2d().astype(np.int64)
+    exact = mul._exact_table2d().astype(np.int64)
+    codes = np.arange(-128, 128, dtype=np.int64)
+    out = np.empty(256, dtype=np.int16)
+    for wi in range(256):
+        diff = np.abs(table - exact[:, wi][:, None])
+        dist = counts @ diff
+        cand = np.flatnonzero(dist == dist.min())
+        away = np.abs(cand - wi)
+        cand = cand[away == away.min()]
+        out[wi] = codes[cand.min()]
+    return mul.WeightMapTable(out, multiplier_id=m.id, activation_set_id=acts.id)
+
+
+BIG_COUNT = (1 << 39) - 1
+
+
+@st.composite
+def _lut_multipliers(draw):
+    """Random int16 tables holding both extremes. "near" tracks the exact
+    product, as a useful approximate multiplier does; "few" repeats four
+    random columns, so many candidates tie on cost, also at equal distance
+    on both sides of w."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["full", "near", "few"]))
+    if shape == "full":
+        table = rng.integers(-32768, 32768, size=(256, 256))
+    elif shape == "near":
+        spread = draw(st.sampled_from([1, 8, 300]))
+        noise = rng.integers(-spread, spread + 1, size=(256, 256))
+        table = np.clip(mul._exact_table2d() + noise, -32768, 32767)
+    else:
+        columns = rng.integers(-32768, 32768, size=(256, 4))
+        table = columns[:, rng.integers(0, 4, size=256)]
+    table = table.reshape(-1)
+    pins = rng.choice(mul.TABLE_SIZE, size=2 * draw(st.integers(1, 64)), replace=False)
+    table[pins[::2]] = -32768
+    table[pins[1::2]] = 32767
+    return mul.from_table(f"lut-{shape}", table.astype(np.int16))
+
+
+@st.composite
+def _histograms(draw):
+    """Dense, sparse or all-zero code counts, some bins at the 2^39 - 1 cap."""
+    shape = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    if shape == "zero":
+        counts = np.zeros(256, dtype=np.uint64)
+    else:
+        counts = draw(hnp.arrays(
+            np.uint64, 256,
+            elements=st.one_of(st.integers(0, 9), st.integers(0, BIG_COUNT)),
+            fill=st.just(0) if shape == "sparse" else None))
+    for b in draw(st.lists(st.integers(0, 255), max_size=4)):
+        counts[b] = BIG_COUNT
+    return mul.ActivationSample(shape, counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lut_multipliers(), _histograms())
+def test_weight_map_equals_oracle_on_random_luts(m, acts):
+    want = _build_weight_map_oracle(m, acts).map
+    assert np.array_equal(mul.build_weight_map(m, acts).map, want)
+
+
+@pytest.mark.parametrize("m", [mul.exact_multiplier()]
+                         + [mul.truncated_multiplier(k) for k in range(16)]
+                         + [mul.broken_carry_multiplier(k) for k in range(8)],
+                         ids=lambda m: m.id)
+def test_weight_map_equals_oracle_on_family_multipliers(m):
+    rng = np.random.default_rng(17)
+    for acts in (mul.uniform_activations(),
+                 mul.ActivationSample("random", rng.integers(0, 5000, size=256))):
+        want = _build_weight_map_oracle(m, acts).map
+        assert np.array_equal(mul.build_weight_map(m, acts).map, want), acts.id
+
+
+def test_weight_map_extreme_table_and_counts():
+    # every product -32768 at the largest allowed counts: the int64 costs
+    # come closest to 2^63 here, and all candidates tie, so w maps to w
+    m = mul.from_table("floor", np.full(mul.TABLE_SIZE, -32768, dtype=np.int16))
+    acts = mul.ActivationSample("cap", np.full(256, BIG_COUNT, dtype=np.uint64))
+    got = mul.build_weight_map(m, acts).map
+    assert np.array_equal(got, _build_weight_map_oracle(m, acts).map)
+    assert np.array_equal(got, np.arange(-128, 128))
+
+
+@pytest.mark.parametrize("count", [1 << 39, 2**63 + 5, 2**64 - 1])
+def test_weight_map_rejects_counts_past_the_int64_guard(count):
+    # counts of 2^63 and up used to wrap negative in the int64 cast and pass
+    acts = mul.ActivationSample("x", np.full(256, count, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        mul.build_weight_map(mul.truncated_multiplier(3), acts)
+
+
 def test_weight_map_file_round_trip(tmp_path):
     wm = mul.build_weight_map(mul.truncated_multiplier(6),
                               mul.uniform_activations())
@@ -313,6 +414,23 @@ def test_weight_map_load_rejects_bad_files(tmp_path):
 def test_activation_sample_validation():
     with pytest.raises(ValueError):
         mul.ActivationSample("bad", np.ones(100, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("bad", [-1, np.nan, np.inf, 0.5, 2.9, "7"])
+def test_activation_sample_rejects_bad_counts(bad):
+    # a plain uint64 cast turned -1 into 2^64 - 1, NaN into 2^63 and 2.9 into 2
+    counts = np.ones(256, dtype=object if isinstance(bad, str) else type(bad))
+    counts[40] = bad
+    with pytest.raises(ValueError):
+        mul.ActivationSample("bad", counts)
+
+
+def test_activation_sample_takes_whole_numbers_of_any_dtype():
+    want = np.arange(256, dtype=np.uint64)
+    for counts in (want, want.astype(np.int64), want.astype(np.float64), list(range(256))):
+        acts = mul.ActivationSample("ok", counts)
+        assert acts.counts.dtype == np.uint64
+        assert np.array_equal(acts.counts, want)
 
 
 def test_activations_from_codes_histogram():
