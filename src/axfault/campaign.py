@@ -6,25 +6,23 @@ axis values, never from execution order or worker id, so the same spec
 yields the same records at any worker count.
 
 Golden-run reuse: without faults both engines compute the same GEMMs, so
-one clean pass per multiplier gives the baseline accuracy of every engine.
-It also keeps, per eval batch, the int8 activations entering every layer of
-``spec.layers`` and that layer's fault-free int32 accumulator. A
-layer-filtered cell resumes the forward pass there and adds only its own
-faults to the kept accumulator; the layers after it run as usual. Records
+one clean pass per multiplier (``network.golden_pass``) gives the baseline
+accuracy of every engine. It fills one plan per multiplier, which every
+cell of that multiplier passes to its one ``evaluate`` call. The plan holds
+each GEMM layer's weight codes and, for a table multiplier, its fault-free
+per-weight product tables, so a cell builds tables only for the layer whose
+faults it folds into them. It also keeps, per eval batch, the int8
+activations entering every layer of ``spec.layers`` and that layer's
+fault-free int32 accumulator; a layer-filtered cell resumes the forward
+pass there and adds only its own faults to the kept accumulator. Records
 are byte-identical to evaluating each cell from the input. The kept state
 does not depend on the engine, array or tile size, so one entry serves
 every ``engines`` and ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it: a
 (multiplier, layer) entry that does not fit, and every cell with
-``layers: "all"``, is evaluated from the input.
-
-The weight side of every GEMM layer is built once per multiplier as well:
-the golden pass fills one plan with each layer's weight codes and, for a
-table multiplier, its fault-free per-weight product tables, and every cell
-of that multiplier reads them, so a cell builds tables only for the layer
-whose faults it folds into them. The tables take their room from the same
-``_GOLDEN_BYTES`` after the kept state; a multiplier whose tables do not
-fit shares only the weight codes. Workers inherit the kept state and the
-plans from the parent process.
+``layers: "all"``, is evaluated from the input. The tables take their room
+from the same cap after the kept state; a multiplier whose tables do not
+fit shares only the weight codes. Workers inherit the plans from the
+parent process.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +42,7 @@ from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
 from .mitigation import check_activations, run_mitigation
 from .multipliers import Multiplier, error_metrics, parse_multiplier
 from .network import (QUANTIZED_ENGINES, ExecEnv, _as_xy, _GemmPlan, _plan_table_bytes,
-                      evaluate, evaluate_resumed, golden_pass)
+                      evaluate, golden_pass)
 from .training import HyperParams
 
 # Axis names in canonical record order. Records are emitted in the
@@ -329,15 +327,9 @@ def _run_cell(cell: dict) -> CampaignRecord:
         m = a["multipliers"][cell["multiplier"]]
         cseed = cell_seed(cell, m)
         env, fm = _cell_env(cell, m, cseed)
-        states = a["golden"].get((cell["multiplier"], cell["layer"]))
-        if states is None:
-            rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"],
-                                      env=env, sample_limit=spec.sample_limit,
-                                      _plan=a["plans"][cell["multiplier"]])
-        else:
-            rec.faulty_acc = evaluate_resumed(a["model"], a["weights"], a["test"], env,
-                                              cell["layer"], states,
-                                              sample_limit=spec.sample_limit)
+        rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"], env=env,
+                                  sample_limit=spec.sample_limit,
+                                  _plan=a["plans"][cell["multiplier"]])
         rec.acc_loss = rec.baseline_acc - rec.faulty_acc
         if spec.mitigation is not None and cell["engine"] == "systolic":
             rec.mitigated_acc = _mitigate_cell(a, cell, m, fm)
@@ -391,7 +383,7 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
     if spec.sample_limit is not None:
         samples = min(samples, spec.sample_limit)
     budget = _GOLDEN_BYTES
-    baselines, golden, plans = {}, {}, {}
+    baselines, plans = {}, {}
     for mid, m in mults.items():
         kept = []
         for layer in layers:
@@ -405,11 +397,8 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         plan = plans[mid] = _GemmPlan(weights, env, keep_tables=size <= budget)
         if plan.keep_tables:
             budget -= size
-        baselines[mid], states = golden_pass(
-            model, weights, test_data, env, kept, sample_limit=spec.sample_limit,
-            _plan=plan)
-        for layer, kept_states in states.items():
-            golden[(mid, layer)] = kept_states
+        baselines[mid], _ = golden_pass(model, weights, test_data, env, kept,
+                                        sample_limit=spec.sample_limit, _plan=plan)
     payload = {
         "spec": spec,
         "model": model,
@@ -419,7 +408,6 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         "multipliers": mults,
         "mae": mae,
         "baselines": baselines,
-        "golden": golden,
         "plans": plans,
         "energy": energy_table,
         "include_timing": include_timing,

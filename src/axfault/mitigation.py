@@ -19,7 +19,7 @@ from .multipliers import (
     build_weight_map,
     uniform_activations,
 )
-from .network import ExecEnv, ModelSpec, WeightSet, evaluate
+from .network import ExecEnv, ModelSpec, WeightSet, _stored_weights, evaluate
 from .quantize import quantize
 from .training import HyperParams, retrain_masked
 
@@ -89,19 +89,9 @@ def fault_map_summary(fm: FaultMap) -> str:
 def prune_masks(model: ModelSpec, fm: FaultMap) -> dict:
     """Boolean mask per parameter layer, True where the weight would be
     stationed on a faulty MAC. Masks are shaped like the stored weights."""
-    masks = {}
-    for idx in model.param_layers():
-        layer = model.layers[idx]
-        flat = pruned_mask(model.gemm_weight_shape(idx), fm)
-        if layer.kind == "dense":
-            masks[idx] = flat
-        else:
-            p = layer.params
-            masks[idx] = (
-                flat.reshape(p["cout"], p["kh"], p["kw"], p["cin"])
-                .transpose(1, 2, 3, 0)
-            )
-    return masks
+    return {idx: _stored_weights(model.layers[idx],
+                                 pruned_mask(model.gemm_weight_shape(idx), fm))
+            for idx in model.param_layers()}
 
 
 def apply_masks(weights: WeightSet, masks: dict) -> WeightSet:

@@ -24,17 +24,19 @@ Each ``evaluate`` quantizes and remaps the weights of a GEMM layer, and
 builds the layer's fault-free per-weight product tables, once for all its
 eval batches (``_GemmPlan``).
 
-``golden_pass`` evaluates without faults and keeps, per eval batch, the int8
-input and int32 accumulator of chosen GEMM layers; ``evaluate_resumed``
-scores a run whose faults lie in one of those layers by starting
-``run_layers`` there and adding only the faults to the kept accumulator.
-It reads the golden pass's weight codes and tables, and refuses states
-kept for other weights, another multiplier or another weight map.
+``golden_pass`` evaluates without faults and keeps in its plan, per eval
+batch, the int8 input and int32 accumulator of chosen GEMM layers. An
+``evaluate`` handed that plan, for the same data, sample limit and batch
+size, and whose faults lie in one of those layers, starts ``run_layers``
+there and adds only the faults to the kept accumulator. A plan never
+changes what ``evaluate`` returns, only the work it does; a plan kept for
+other weights, another multiplier or another weight map is refused.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -361,6 +363,15 @@ def _activate(name: str, z: np.ndarray, axis: int) -> np.ndarray:
 # execution environments and the forward pass
 
 
+def _check_int(name: str, value, lo: int) -> None:
+    """Raise ``ValueError``, naming ``name``, unless ``value`` is an integer
+    (not a bool) of at least ``lo``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+
+
 @dataclass
 class ExecEnv:
     """How to execute the GEMMs of a forward pass.
@@ -370,6 +381,7 @@ class ExecEnv:
     always apply to every GEMM layer. For the gpu_tiles engine, ``tile_fault.tile_index`` is
     validated against each layer's block grid by reducing it modulo the
     number of blocks, so one spec can damage a block in every layer.
+    Raises ``ValueError`` for a ``tile`` that is no integer of at least 1.
     """
 
     engine: str = "float"
@@ -388,6 +400,7 @@ class ExecEnv:
             raise ValueError("quantized engines need a multiplier")
         if self.engine == "systolic" and self.systolic is None:
             raise ValueError("systolic engine needs a SystolicConfig")
+        _check_int("tile", self.tile, 1)
 
 
 def _gemm_weights(layer: LayerSpec, W) -> np.ndarray:
@@ -396,6 +409,15 @@ def _gemm_weights(layer: LayerSpec, W) -> np.ndarray:
     if layer.kind == "conv2d":
         return W.transpose(3, 0, 1, 2).reshape(layer.params["cout"], -1)
     return W
+
+
+def _stored_weights(layer: LayerSpec, Wmat) -> np.ndarray:
+    """Inverse of ``_gemm_weights``: a GEMM weight matrix, or a gradient or
+    mask of its shape, in the layer's stored weight layout."""
+    if layer.kind == "conv2d":
+        p = layer.params
+        return Wmat.reshape(p["cout"], p["kh"], p["kw"], p["cin"]).transpose(1, 2, 3, 0)
+    return Wmat
 
 
 class _GemmPlan:
@@ -408,6 +430,10 @@ class _GemmPlan:
     own tables, which is cheaper when no GEMM layer runs twice. ``evaluate``
     builds one plan for all its eval batches; a campaign's golden pass
     fills one that its cells share.
+
+    ``golden_pass`` keeps in it ``states[layer]``, per eval batch the
+    ``QTensor`` entering the layer and its fault-free int32 accumulator,
+    for the (data, sample limit, batch size) in ``kept_for``.
     """
 
     def __init__(self, weights: WeightSet, env: ExecEnv, keep_tables: bool):
@@ -417,6 +443,8 @@ class _GemmPlan:
         self.keep_tables = keep_tables
         self._codes = {}
         self._tables = {}
+        self.states = {}
+        self.kept_for = None
 
     def check(self, weights: WeightSet, env: ExecEnv) -> None:
         """Raise ``ValueError`` unless the plan was built for ``weights``
@@ -454,6 +482,14 @@ class _GemmPlan:
         if idx not in self._tables:
             self._tables[idx] = _clean_tables(self.codes(model, idx)[0], self.multiplier)
         return self._tables[idx]
+
+    def states_for(self, layer, data, sample_limit, batch_size):
+        """The golden states of ``layer`` if they were kept for this data
+        object, sample limit and batch size, else None."""
+        kept = self.kept_for
+        if kept is None or kept[0] is not data or kept[1:] != (sample_limit, batch_size):
+            return None
+        return self.states.get(layer)
 
 
 def _plan_table_bytes(model: ModelSpec, m: Multiplier) -> int:
@@ -611,33 +647,17 @@ def _as_xy(data):
 
 def _eval_batches(data, sample_limit: int | None, batch_size: int) -> list:
     """The (images, labels) batches of the eval loop, in order. Raises
-    ``ValueError`` when no sample is left to score or ``batch_size`` is
-    below 1."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    ``ValueError`` when no sample is left to score, when ``batch_size`` is
+    no integer of at least 1, or ``sample_limit`` no integer of at least 0."""
+    _check_int("batch_size", batch_size, 1)
     images, labels = _as_xy(data)
     if sample_limit is not None:
+        _check_int("sample_limit", sample_limit, 0)
         images, labels = images[:sample_limit], labels[:sample_limit]
     if len(images) == 0:
         raise ValueError("evaluate needs at least one sample")
     return [(images[i : i + batch_size], labels[i : i + batch_size])
             for i in range(0, len(images), batch_size)]
-
-
-def _accuracy(model: ModelSpec, weights: WeightSet, env: ExecEnv, data, sample_limit,
-              batch_size, outputs) -> float:
-    """The eval loop: top-1 accuracy in percent of the class scores that
-    ``outputs(batches)`` yields for each ``_eval_batches`` batch. Raises
-    ``ValueError`` as ``_check_run`` does, and when scores and labels of a
-    batch differ in number."""
-    batches = _eval_batches(data, sample_limit, batch_size)
-    _check_run(model, weights, env)
-    hits = 0
-    for out, (_, labels) in zip(outputs(batches), batches):
-        if out.shape[1] != len(labels):
-            raise ValueError(f"{out.shape[1]} outputs for a batch of {len(labels)} samples")
-        hits += int(np.sum(np.argmax(out, axis=0) == labels))
-    return 100.0 * hits / sum(len(labels) for _, labels in batches)
 
 
 def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None,
@@ -648,77 +668,49 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
     ``observe`` is passed to ``run_layers``. Every eval batch reads one
     ``_GemmPlan``: ``_plan`` (checked against ``weights`` and ``env``), or
     one built for this call, which keeps tables when there is more than
-    one batch. Raises ``ValueError`` as ``forward`` does, and
-    when no sample is left to score or ``batch_size`` is below 1.
+    one batch. If ``_plan`` holds golden states of layer L =
+    ``env.layer_filter`` kept for this data object, sample limit and batch
+    size, each batch resumes at L: ``observe`` then sees layers L and later,
+    with the ``QTensor`` entering L as ``X`` at L. A plan never changes the
+    result. Raises ``ValueError`` as ``forward`` and ``_eval_batches`` do,
+    and for a plan of other weights, another multiplier or weight map.
     """
     env = env or ExecEnv()
-
-    def outputs(batches):
-        plan = _plan_for(weights, env, _plan, keep_tables=len(batches) > 1)
-        for images, _ in batches:
-            yield run_layers(model, weights, _to_internal(model, images)[0], env, observe,
-                             _plan=plan)
-
-    return _accuracy(model, weights, env, data, sample_limit, batch_size, outputs)
-
-
-class _GoldenStates(list):
-    """One layer's per-batch golden states, with the ``_GemmPlan`` of the
-    golden pass that kept them."""
-
-    def __init__(self, plan: _GemmPlan):
-        super().__init__()
-        self.plan = plan
+    batches = _eval_batches(data, sample_limit, batch_size)
+    _check_run(model, weights, env)
+    plan = _plan_for(weights, env, _plan, keep_tables=len(batches) > 1)
+    states = plan and plan.states_for(env.layer_filter, data, sample_limit, batch_size)
+    start = env.layer_filter if states else 0
+    hits = 0
+    for i, (images, labels) in enumerate(batches):
+        X, clean = states[i] if states else (_to_internal(model, images)[0], None)
+        out = run_layers(model, weights, X, env, observe, _start=start, _clean=clean,
+                         _plan=plan)
+        hits += int(np.sum(np.argmax(out, axis=0) == labels))
+    return 100.0 * hits / sum(len(labels) for _, labels in batches)
 
 
 def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
                 sample_limit: int | None = None, batch_size: int = 256, _plan=None):
-    """``evaluate`` on a quantized ``env`` without faults, keeping what a
-    faulty run needs to resume at each GEMM layer in ``layers``.
+    """``evaluate`` on a quantized ``env`` without faults that keeps what a
+    faulty ``evaluate`` needs to resume at each GEMM layer in ``layers``.
 
-    Returns ``(accuracy, states)``: ``states[layer]`` holds, per eval batch,
-    the ``QTensor`` of int8 codes entering the layer and the layer's int32
-    accumulator, and carries the pass's ``_GemmPlan`` (``_plan``, or one
-    built for this call), whose weight side the resumed runs reuse. See
-    ``evaluate_resumed``.
+    Returns ``(accuracy, plan)``: ``plan`` is ``_plan``, or one built for
+    this call that keeps tables, and now holds, in place of any it held,
+    the golden states of ``layers`` kept for this data object, sample limit
+    and batch size. Passing it as ``evaluate(..., _plan=plan)`` resumes.
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
     # the resumed runs read the golden pass's tables
     plan = _plan_for(weights, env, _plan, keep_tables=True)
-    states = {layer: _GoldenStates(plan) for layer in layers}
+    # nothing resumes from the states while they fill
+    plan.states, plan.kept_for = {layer: [] for layer in layers}, None
 
     def keep(idx, record):
-        if idx in states:
-            states[idx].append((record["q"], record["acc"]))
+        if idx in plan.states:
+            plan.states[idx].append((record["q"], record["acc"]))
 
-    return evaluate(model, weights, data, env, sample_limit, batch_size, keep, plan), states
-
-
-def evaluate_resumed(model: ModelSpec, weights: WeightSet, data, env: ExecEnv,
-                     layer: int, states, sample_limit: int | None = None,
-                     batch_size: int = 256) -> float:
-    """``evaluate(model, weights, data, env, sample_limit, batch_size)`` for
-    an ``env`` whose faults lie in ``layer`` alone, resumed at that layer.
-
-    ``states`` are ``golden_pass(...)[1][layer]`` for the same data, sample
-    limit, batch size, weights, multiplier and weight map, so the layers
-    before ``layer`` and its fault-free GEMM are not computed again, and
-    the later layers read the golden pass's weight codes and tables. Raises
-    ``ValueError`` when the states' batches do not match the eval batches,
-    and when they were kept for other weights, another multiplier or
-    another weight map.
-    """
-    if env.layer_filter != layer:
-        raise ValueError(f"env injects faults outside layer {layer}")
-    if not isinstance(states, _GoldenStates):
-        raise ValueError("states must be golden_pass(...)[1][layer]")
-
-    def outputs(batches):
-        if len(states) != len(batches):
-            raise ValueError(f"{len(states)} golden states for {len(batches)} eval batches")
-        plan = _plan_for(weights, env, states.plan, keep_tables=True)
-        for q, clean in states:
-            yield run_layers(model, weights, q, env, _start=layer, _clean=clean, _plan=plan)
-
-    return _accuracy(model, weights, env, data, sample_limit, batch_size, outputs)
+    acc = evaluate(model, weights, data, env, sample_limit, batch_size, keep, plan)
+    plan.kept_for = data, sample_limit, batch_size
+    return acc, plan

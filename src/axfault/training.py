@@ -25,7 +25,10 @@ from .network import (
     ModelSpec,
     WeightSet,
     _as_xy,
+    _check_int,
+    _gemm_weights,
     _pool_windows,
+    _stored_weights,
     _to_internal,
     col2im,
     evaluate,
@@ -46,11 +49,7 @@ class HyperParams:
         # settings also arrive from campaign spec JSON; a wrong type would
         # otherwise surface as a TypeError deep inside train
         for name, lo in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < lo:
-                raise ValueError(f"{name} must be at least {lo}, got {v}")
+            _check_int(name, getattr(self, name), lo)
         for name in ("lr", "momentum"):
             v = getattr(self, name)
             if (not isinstance(v, numbers.Real) or isinstance(v, bool)
@@ -143,11 +142,10 @@ def _loss_and_grads(model: ModelSpec, ws: WeightSet, xb, yb):
         elif layer.kind == "conv2d":
             dZ = _act_backward(layer.activation, c, d, axis=2)
             dZc = dZ.transpose(2, 0, 1, 3).reshape(p["cout"], -1)
-            dWmat = dZc @ c["cols"].T
-            dW = dWmat.reshape(p["cout"], p["kh"], p["kw"], p["cin"]).transpose(1, 2, 3, 0)
-            grads[idx] = {"W": dW, "b": dZc.sum(axis=1)}
+            grads[idx] = {"W": _stored_weights(layer, dZc @ c["cols"].T),
+                          "b": dZc.sum(axis=1)}
             if idx > first:
-                wmat = ws[idx]["W"].transpose(3, 0, 1, 2).reshape(p["cout"], -1)
+                wmat = _gemm_weights(layer, ws[idx]["W"])
                 d = col2im(wmat.T @ dZc, c["X"].shape, shapes[idx][:2], p["kh"], p["kw"],
                            p["stride"], p["pad"])
         elif layer.kind == "maxpool":

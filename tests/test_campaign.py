@@ -277,13 +277,15 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
                       array_sizes=[4, 8], seeds=[1], sample_limit=300)
     resumed = []
 
-    def spy(*args, _real=cp.evaluate_resumed, **kwargs):
-        resumed.append(args[4])
+    def spy(*args, _real=net.run_layers, **kwargs):
+        # a resumed cell starts each of its two eval batches at its layer
+        if kwargs.get("_clean") is not None:
+            resumed.append(kwargs["_start"])
         return _real(*args, **kwargs)
 
-    monkeypatch.setattr(cp, "evaluate_resumed", spy)
+    monkeypatch.setattr(net, "run_layers", spy)
     runs = [cp.run_campaign(spec, model, ws, test_d, workers=w) for w in (1, 2)]
-    assert len(resumed) == len(runs[0]) == 48
+    assert len(resumed) == 2 * len(runs[0]) == 2 * 48
     for rec, cell in zip(runs[0], cp.cells_of(spec)):
         m = mul.parse_multiplier(cell["multiplier"])
         env, _ = cp._cell_env(cell, m, cp.cell_seed(cell, m))
@@ -296,10 +298,10 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
     assert cp._golden_bytes(model, 0, 300) > 2 * layer1
     monkeypatch.setattr(cp, "_GOLDEN_BYTES", 2 * layer1)
     runs.append(cp.run_campaign(spec, model, ws, test_d))
-    assert resumed[48:] == [1] * 16
+    assert resumed[2 * 48:] == [1] * 2 * 16
     monkeypatch.setattr(cp, "_GOLDEN_BYTES", 0)
     runs.append(cp.run_campaign(spec, model, ws, test_d))
-    assert len(resumed) == 64
+    assert len(resumed) == 2 * 64
     texts = [json.dumps([asdict(r) for r in run]) for run in runs]
     assert len(set(texts)) == 1
 

@@ -289,6 +289,24 @@ def test_layer_that_is_no_gemm_layer_fails(tmp_path, command, capsys):
     assert "layer_filter 1" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--engine", "gpu_tiles", "--tile", "0", "--tile-fraction", "0.5"],
+    ["inject", "--engine", "gpu_tiles", "--tile", "0", "--percent", "50", "--bit", "15",
+     "--kind", "sa1"],
+    ["eval", "--sample-limit", "-5"],
+])
+def test_bad_tile_or_sample_limit_fails(trained, command, capsys):
+    # tile 0 with a damaged block divided by zero in the block count, and a
+    # negative sample limit scored the samples before the last five
+    capsys.readouterr()
+    rc = cli.main(command + ["--model", trained["model"], "--weights", trained["weights"],
+                             "--data", "blobs:3:8:8:2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("tile must be at least 1" in err) != ("sample_limit must be at least 0" in err)
+
+
 def test_dataset_convert_round_trip(tmp_path, capsys):
     src = datasets.synth_digits(20, seed=1)
     raw = np.round(src.images * 255).astype(np.uint8)

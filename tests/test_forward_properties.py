@@ -8,9 +8,11 @@ fault state and weight map.
 
 Each evaluate builds the weight side of its GEMM layers (weight codes and
 per-weight tables) once for all its eval batches, and the resumed runs
-read the golden pass's. Neither may change a logit.
+read the golden pass's. Neither may change a logit, and a golden plan
+handed to an evaluate of other eval batches is not resumed from.
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +33,21 @@ MULTIPLIERS = st.sampled_from([mul.exact_multiplier(), mul.broken_carry_multipli
                                mul.truncated_multiplier(1), mul.truncated_multiplier(3),
                                _RANDOM_LUT])
 ACTIVATIONS = st.sampled_from(net.ACTIVATIONS)
+
+
+@contextlib.contextmanager
+def gemm_calls():
+    """(layer index, resumed from a kept accumulator) of every quantized
+    GEMM step run inside the block."""
+    calls = []
+
+    def spy(env, plan, model, idx, acodes, ascale, bias, clean=None, _real=net._gemm_layer):
+        calls.append((idx, clean is not None))
+        return _real(env, plan, model, idx, acodes, ascale, bias, clean)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net, "_gemm_layer", spy)
+        yield calls
 
 
 @st.composite
@@ -127,8 +144,8 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
     data = (rng.normal(size=(count, *model.input_shape)),
             rng.integers(0, model.n_classes, count))
     gemm_layers = model.param_layers()
-    acc, states = net.golden_pass(model, ws, data, golden_env, gemm_layers,
-                                  batch_size=batch_size)
+    acc, plan = net.golden_pass(model, ws, data, golden_env, gemm_layers,
+                                batch_size=batch_size)
     assert acc == net.evaluate(model, ws, data, golden_env, batch_size=batch_size)
     batches = net._eval_batches(data, None, batch_size)
     # one plan for every batch gives the logits of one plan per batch
@@ -146,20 +163,33 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
     other_map = mul.WeightMapTable(np.arange(-128, 128) // 2, env.multiplier.id, "halved")
     if env.weight_map is not None:
         other_map = None
+    # the same samples and batches, asked for in other ways
+    other_calls = [dict(data=(data[0].copy(), data[1]), batch_size=batch_size),
+                   dict(data=data, sample_limit=count, batch_size=batch_size),
+                   dict(data=data, batch_size=batch_size + 1)]
     for layer in gemm_layers:
         faulty = replace(env, layer_filter=layer)
-        for (images, _), (q, clean) in zip(batches, states[layer], strict=True):
+        for (images, _), (q, clean) in zip(batches, plan.states[layer], strict=True):
             kept = clean.copy()
             full = net.run_layers(model, ws, net._to_internal(model, images)[0], faulty)
             resumed = net.run_layers(model, ws, q, faulty, _start=layer, _clean=clean)
             np.testing.assert_array_equal(resumed, full)
             np.testing.assert_array_equal(clean, kept)
-        assert (net.evaluate_resumed(model, ws, data, faulty, layer, states[layer],
-                                     batch_size=batch_size)
-                == net.evaluate(model, ws, data, faulty, batch_size=batch_size,
-                                _plan=states[layer].plan)
-                == net.evaluate(model, ws, data, faulty, batch_size=batch_size))
+        plain = net.evaluate(model, ws, data, faulty, batch_size=batch_size)
+        with gemm_calls() as calls:
+            assert net.evaluate(model, ws, data, faulty, batch_size=batch_size,
+                                _plan=plan) == plain
+        # resumed: no GEMM before the layer, whose GEMMs start from the kept
+        # accumulators
+        assert min(idx for idx, _ in calls) == layer
+        assert [resumed for idx, resumed in calls if idx == layer] == [True] * len(batches)
+        for call in other_calls:
+            want = net.evaluate(model, ws, env=faulty, **call)
+            with gemm_calls() as calls:
+                assert net.evaluate(model, ws, env=faulty, _plan=plan, **call) == want
+            assert calls[0] == (gemm_layers[0], False)
+            assert not any(resumed for _, resumed in calls)
         # the golden plan serves no other weight map
         with pytest.raises(ValueError, match="weight map"):
-            net.evaluate_resumed(model, ws, data, replace(faulty, weight_map=other_map),
-                                 layer, states[layer], batch_size=batch_size)
+            net.evaluate(model, ws, data, replace(faulty, weight_map=other_map),
+                         batch_size=batch_size, _plan=plan)

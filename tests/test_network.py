@@ -11,7 +11,7 @@ from axfault import network as net
 from axfault import training
 from axfault.datasets import synth_blobs
 from axfault.mitigation import capture_activations
-from axfault.quantize import quantize
+from axfault.quantize import QTensor, quantize
 
 
 def test_model_shapes_dense():
@@ -259,7 +259,7 @@ def test_layer_filter_outside_the_gemm_layers_is_rejected():
     m = mul.exact_multiplier()
     fm = fl.random_fault_map(4, 50.0, fl.StuckAtFault(15, "sa1"), seed=1)
     clean = net.ExecEnv(engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=4))
-    _, states = net.golden_pass(model, ws, data, clean, [0, 3])
+    _, plan = net.golden_pass(model, ws, data, clean, [0, 3])
     for bad in (1, 2, 99, -1):
         match = f"layer_filter {bad} is no dense or conv2d layer"
         for env in (replace(clean, fault_map=fm, layer_filter=bad),
@@ -271,8 +271,8 @@ def test_layer_filter_outside_the_gemm_layers_is_rejected():
         with pytest.raises(ValueError, match=match):
             net.golden_pass(model, ws, data, replace(clean, layer_filter=bad), [0])
         with pytest.raises(ValueError, match=match):
-            net.evaluate_resumed(model, ws, data, replace(clean, fault_map=fm, layer_filter=bad),
-                                 bad, states[0])
+            net.evaluate(model, ws, data, replace(clean, fault_map=fm, layer_filter=bad),
+                         _plan=plan)
 
 
 def test_identity_weight_map_is_transparent():
@@ -307,6 +307,10 @@ def test_exec_env_validation():
         net.ExecEnv(engine="systolic")
     with pytest.raises(ValueError):
         net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier())
+    # tile 0 with a tile fault used to divide by zero in the block count
+    for tile in (0, -3, 2.0, True):
+        with pytest.raises(ValueError, match="tile must be"):
+            net.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier(), tile=tile)
 
 
 def test_capture_histogram_counts():
@@ -366,65 +370,122 @@ def test_golden_pass_needs_a_fault_free_quantized_env():
             net.golden_pass(model, ws, test, env, [0])
 
 
-def test_evaluate_resumed_rejects_mismatched_states():
+@pytest.fixture
+def gemm_calls(monkeypatch):
+    """(layer index, resumed from a kept accumulator) of every quantized
+    GEMM step."""
+    calls = []
+
+    def spy(env, plan, model, idx, acodes, ascale, bias, clean=None, _real=net._gemm_layer):
+        calls.append((idx, clean is not None))
+        return _real(env, plan, model, idx, acodes, ascale, bias, clean)
+
+    monkeypatch.setattr(net, "_gemm_layer", spy)
+    return calls
+
+
+def test_plan_of_other_eval_batches_is_not_resumed(gemm_calls):
+    # golden states serve only the call they were kept for; another layer,
+    # batch size or sample limit (states of 65 samples, 64 + 1, asked for
+    # 100, 64 + 36) runs from the input and gives the plain result
     model, ws, test, clean = _golden_setup()
-    _, states = net.golden_pass(model, ws, test, clean, [1], batch_size=64)
-    env = replace(clean, layer_filter=1)
-    with pytest.raises(ValueError, match="outside layer 0"):
-        net.evaluate_resumed(model, ws, test, env, 0, states[1], batch_size=64)
-    with pytest.raises(ValueError, match="4 golden states for 2 eval batches"):
-        net.evaluate_resumed(model, ws, test, env, 1, states[1], batch_size=100)
-    # states of 65 samples (64 + 1) resumed on 100 (64 + 36): one batch
-    # count, other widths
-    _, states = net.golden_pass(model, ws, test, clean, [1], sample_limit=65,
-                                batch_size=64)
-    with pytest.raises(ValueError, match="1 outputs for a batch of 36 samples"):
-        net.evaluate_resumed(model, ws, test, env, 1, states[1], sample_limit=100,
-                             batch_size=64)
+    _, plan = net.golden_pass(model, ws, test, clean, [1], batch_size=64)
+    tf = fl.TileFaultSpec(tile_index=1, damaged_fraction=0.5,
+                          fault=fl.StuckAtFault(15, "sa1"), seed=1)
+    _, short = net.golden_pass(model, ws, test, clean, [1], sample_limit=65, batch_size=64)
+    for p, layer, kwargs in ((plan, 0, dict(batch_size=64)),
+                             (plan, 1, dict(batch_size=100)),
+                             (plan, 1, dict(sample_limit=64 * 4, batch_size=64)),
+                             (short, 1, dict(sample_limit=100, batch_size=64))):
+        env = replace(clean, tile_fault=tf, layer_filter=layer)
+        want = net.evaluate(model, ws, test, env, **kwargs)
+        gemm_calls.clear()
+        assert net.evaluate(model, ws, test, env, _plan=p, **kwargs) == want
+        assert not any(resumed for _, resumed in gemm_calls)
+        assert gemm_calls[0] == (0, False)
+    # the call it was kept for resumes
+    gemm_calls.clear()
+    env = replace(clean, tile_fault=tf, layer_filter=1)
+    assert (net.evaluate(model, ws, test, env, batch_size=64, _plan=plan)
+            == net.evaluate(model, ws, test, env, batch_size=64))
+    assert gemm_calls[:4] == [(1, True)] * 4
 
 
-def test_evaluate_resumed_rejects_states_of_other_operands():
+def test_plan_of_other_operands_is_rejected():
     # states kept under one multiplier or weight map used to be resumed
     # under another, mixing its clean accumulators with this env's faults:
     # 26.0% here where the faulty run scores 100.0%
     model, ws, test = _tiny_problem()
     noisy = mul.from_table("noisy", np.random.default_rng(5).integers(
         -16129, 16130, mul.TABLE_SIZE).astype(np.int16))
-    _, states = net.golden_pass(model, ws, test, net.ExecEnv(engine="gpu_tiles",
-                                                             multiplier=noisy), [0])
+    _, plan = net.golden_pass(model, ws, test, net.ExecEnv(engine="gpu_tiles",
+                                                           multiplier=noisy), [0])
     fm = fl.random_fault_map(4, 25.0, fl.StuckAtFault(3, "sa1"), seed=1)
     env = net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier(),
                       systolic=fl.SystolicConfig(n=4), fault_map=fm, layer_filter=0)
     assert net.evaluate(model, ws, test, env) == 100.0
     with pytest.raises(ValueError, match="plan of multiplier 'noisy' cannot run"):
-        net.evaluate_resumed(model, ws, test, env, 0, states[0])
+        net.evaluate(model, ws, test, env, _plan=plan)
     halved = mul.WeightMapTable(np.arange(-128, 128) // 2, "noisy", "halved")
     with pytest.raises(ValueError, match="one weight map cannot run another"):
-        net.evaluate_resumed(model, ws, test, replace(env, multiplier=noisy, weight_map=halved),
-                             0, states[0])
+        net.evaluate(model, ws, test, replace(env, multiplier=noisy, weight_map=halved),
+                     _plan=plan)
     other = ws.deep_copy()
     other[0]["W"][0, 0] += 1.0
     with pytest.raises(ValueError, match="one weight set cannot run another"):
-        net.evaluate_resumed(model, other, test, replace(env, multiplier=noisy), 0, states[0])
-    with pytest.raises(ValueError, match=r"golden_pass\(...\)\[1\]\[layer\]"):
-        net.evaluate_resumed(model, ws, test, replace(env, multiplier=noisy), 0, list(states[0]))
+        net.evaluate(model, other, test, replace(env, multiplier=noisy), _plan=plan)
     # equal operands in other objects resume
     twin = replace(env, multiplier=mul.from_table("twin", noisy.table.copy()))
-    assert (net.evaluate_resumed(model, ws.deep_copy(), test, twin, 0, states[0])
+    assert (net.evaluate(model, ws.deep_copy(), test, twin, _plan=plan)
             == net.evaluate(model, ws, test, twin))
 
 
-def test_fault_free_resume_equals_golden_accuracy():
+def test_fault_free_resume_equals_golden_accuracy(gemm_calls):
     model, ws, test, clean = _golden_setup()
-    acc, states = net.golden_pass(model, ws, test, clean, [0, 1], batch_size=64)
+    acc, plan = net.golden_pass(model, ws, test, clean, [0, 1], batch_size=64)
     assert acc == net.evaluate(model, ws, test, clean, batch_size=64)
-    assert [len(states[k]) for k in (0, 1)] == [4, 4]
+    assert [len(plan.states[k]) for k in (0, 1)] == [4, 4]
     for env in (clean, net.ExecEnv(engine="systolic", multiplier=clean.multiplier,
                                    systolic=fl.SystolicConfig(n=4))):
         for layer in (0, 1):
-            resumed = net.evaluate_resumed(model, ws, test, replace(env, layer_filter=layer),
-                                           layer, states[layer], batch_size=64)
+            gemm_calls.clear()
+            resumed = net.evaluate(model, ws, test, replace(env, layer_filter=layer),
+                                   batch_size=64, _plan=plan)
             assert resumed == acc
+            assert gemm_calls[0] == (layer, True)
+
+
+def test_observe_on_a_resumed_evaluate_sees_the_full_pass_from_its_layer():
+    # the golden pass keeps the codes entering the layer, not the floats,
+    # so at the layer itself X is that QTensor
+    model = net.ModelSpec("c", (6, 6, 1), [net.conv2d(3, 3, 1, 2, activation="relu"),
+                                           net.maxpool(2), net.flatten(),
+                                           net.dense(8, 3, "tanh")])
+    ws = training.init_weights(model, seed=0)
+    data = (np.random.default_rng(0).random((7, 6, 6, 1)), np.zeros(7, dtype=int))
+    m = mul.truncated_multiplier(9)
+    clean = net.ExecEnv(engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=2))
+    _, plan = net.golden_pass(model, ws, data, clean, [0, 3], batch_size=3)
+    fm = fl.random_fault_map(2, 50.0, fl.StuckAtFault(14, "sa1"), seed=1)
+    for layer in (0, 3):
+        env = replace(clean, fault_map=fm, layer_filter=layer)
+        full, resumed = [], []
+        net.evaluate(model, ws, data, env, batch_size=3,
+                     observe=lambda idx, record: full.append((idx, record)))
+        net.evaluate(model, ws, data, env, batch_size=3, _plan=plan,
+                     observe=lambda idx, record: resumed.append((idx, record)))
+        full = [(idx, record) for idx, record in full if idx >= layer]
+        assert [idx for idx, _ in resumed] == [idx for idx, _ in full]
+        for (idx, got), (_, want) in zip(resumed, full):
+            assert got.keys() == want.keys()
+            for key in got:
+                a, b = got[key], want[key]
+                if idx == layer and key == "X":
+                    assert a is got["q"]
+                elif isinstance(a, QTensor):
+                    assert a.scale == b.scale and np.array_equal(a.data, b.data)
+                else:
+                    assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_evaluate_rejects_empty_data():
@@ -433,6 +494,23 @@ def test_evaluate_rejects_empty_data():
         net.evaluate(model, ws, test.subset(0))
     with pytest.raises(ValueError, match="at least one sample"):
         net.evaluate(model, ws, test, sample_limit=0)
+
+
+@pytest.mark.parametrize("sample_limit", [-5, -1, True, 2.5, "3"])
+def test_evaluate_rejects_a_bad_sample_limit(sample_limit):
+    # a negative limit used to slice from the end, scoring all samples but
+    # the last five
+    model, ws, test = _tiny_problem()
+    with pytest.raises(ValueError, match="sample_limit must be"):
+        net.evaluate(model, ws, test, sample_limit=sample_limit)
+
+
+@pytest.mark.parametrize("batch_size", [2.5, True, "8"])
+def test_evaluate_rejects_a_non_integer_batch_size(batch_size):
+    # a float used to fail with a TypeError in the batch slicing
+    model, ws, test = _tiny_problem()
+    with pytest.raises(ValueError, match="batch_size must be an integer"):
+        net.evaluate(model, ws, test, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
