@@ -17,12 +17,12 @@ fault-free int32 accumulator; a layer-filtered cell resumes the forward
 pass there and adds only its own faults to the kept accumulator. Records
 are byte-identical to evaluating each cell from the input. The kept state
 does not depend on the engine, array or tile size, so one entry serves
-every ``engines`` and ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it: a
-(multiplier, layer) entry that does not fit, and every cell with
-``layers: "all"``, is evaluated from the input. The tables take their room
-from the same cap after the kept state; a multiplier whose tables do not
-fit shares only the weight codes. Workers inherit the plans from the
-parent process.
+every ``engines`` and ``array_sizes`` value. ``_GOLDEN_BYTES`` caps it and
+the tables together; each golden pass spends what the ones before it left,
+and ``golden_pass`` decides what fits. A (multiplier, layer) entry that
+does not fit, and every cell with ``layers: "all"``, is evaluated from the
+input; a layer without tables builds them per GEMM. Workers inherit the
+plans from the parent process.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -41,8 +41,7 @@ from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
 from .mitigation import check_activations, run_mitigation
 from .multipliers import Multiplier, error_metrics, parse_multiplier
-from .network import (QUANTIZED_ENGINES, ExecEnv, _as_xy, _GemmPlan, _plan_table_bytes,
-                      evaluate, golden_pass)
+from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
 from .training import HyperParams
 
 # Axis names in canonical record order. Records are emitted in the
@@ -294,14 +293,6 @@ def _cell_env(cell, m, cseed):
                    tile_fault=tf, layer_filter=layer), None
 
 
-def _golden_bytes(model, layer: int, samples: int) -> int:
-    """Bytes of a layer's golden state: the int8 codes entering it and its
-    int32 accumulator, over ``samples`` samples."""
-    shapes = model.shapes()
-    entering = shapes[layer - 1] if layer else model.input_shape
-    return samples * (math.prod(entering) + 4 * math.prod(shapes[layer]))
-
-
 def _run_cell(cell: dict) -> CampaignRecord:
     a = _ASSETS
     spec = a["spec"]
@@ -379,26 +370,14 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}
     mae = {mid: error_metrics(m).mae_percent for mid, m in mults.items()}
-    samples = len(_as_xy(test_data)[1])
-    if spec.sample_limit is not None:
-        samples = min(samples, spec.sample_limit)
-    budget = _GOLDEN_BYTES
+    room = _GOLDEN_BYTES
     baselines, plans = {}, {}
     for mid, m in mults.items():
-        kept = []
-        for layer in layers:
-            size = _golden_bytes(model, layer, samples)
-            if size <= budget:
-                kept.append(layer)
-                budget -= size
         # the clean pass of either engine serves both
         env = ExecEnv(engine="gpu_tiles", multiplier=m)
-        size = _plan_table_bytes(model, m)
-        plan = plans[mid] = _GemmPlan(weights, env, keep_tables=size <= budget)
-        if plan.keep_tables:
-            budget -= size
-        baselines[mid], _ = golden_pass(model, weights, test_data, env, kept,
-                                        sample_limit=spec.sample_limit, _plan=plan)
+        baselines[mid], plans[mid] = golden_pass(model, weights, test_data, env, layers,
+                                                 sample_limit=spec.sample_limit, room=room)
+        room = plans[mid].room
     payload = {
         "spec": spec,
         "model": model,

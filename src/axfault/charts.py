@@ -102,7 +102,8 @@ def line_chart(categories, series, title, ylabel="accuracy (%)",
     for si, (name, values) in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
         run = []
-        for i, v in enumerate(values):
+        # a trailing None ends the last run
+        for i, v in enumerate([*values, None]):
             if v is None:
                 if len(run) > 1:
                     pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in run)
@@ -117,12 +118,6 @@ def line_chart(categories, series, title, ylabel="accuracy (%)",
             run.append((xp, yp))
             parts.append(
                 f'<circle cx="{_f(xp)}" cy="{_f(yp)}" r="2.5" fill="{color}"/>'
-            )
-        if len(run) > 1:
-            pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in run)
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                'stroke-width="1.5"/>'
             )
     _legend(parts, [name for name, _ in series], x1)
     parts.append("</svg>")

@@ -65,6 +65,15 @@ def _add_seed(p):
 
 
 def _eval_env(args, m) -> network.ExecEnv:
+    # an option that the engine would not read is an error
+    unread = [flag for flag, given, engines in (
+        ("--fault-map", args.fault_map is not None, ("systolic",)),
+        ("--weight-map", args.weight_map is not None, network.QUANTIZED_ENGINES),
+        ("--layer", args.layer is not None, network.QUANTIZED_ENGINES),
+        ("--tile-fraction", args.tile_fraction != 0, ("gpu_tiles",)),
+    ) if given and args.engine not in engines]
+    if unread:
+        raise ValueError(f"--engine {args.engine} does not read {', '.join(unread)}")
     if args.engine == "float":
         return network.ExecEnv()
     fm = load_fault_map(args.fault_map) if args.fault_map else None
@@ -111,14 +120,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = network.resolve_model(args.model)
-    w = network.load_weights(model, args.weights)
-    data = datasets.parse_dataset_arg(args.data)
     m = None
     if args.engine != "float":
         m = multipliers.parse_multiplier(args.multiplier)
-    acc = network.evaluate(model, w, data, env=_eval_env(args, m),
-                           sample_limit=args.sample_limit)
+    env = _eval_env(args, m)
+    model = network.resolve_model(args.model)
+    w = network.load_weights(model, args.weights)
+    data = datasets.parse_dataset_arg(args.data)
+    acc = network.evaluate(model, w, data, env=env, sample_limit=args.sample_limit)
     print(f"accuracy={acc:.2f}")
     return 0
 

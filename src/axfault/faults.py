@@ -366,21 +366,14 @@ def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
     return out
 
 
-def _kept_table_entries(m: Multiplier, rows: int, depth: int) -> int:
-    """Entries of the fault-free per-weight tables of a rows x depth weight
-    matrix that a caller can build once and pass to the engines as
-    ``tables``: 0 when ``m`` is ``_blas_ready`` (no tables are read) or the
-    tables would exceed ``_TABLE_ENTRIES`` (they are then built a block of
-    rows at a time on every call)."""
-    entries = 256 * rows * depth
-    return 0 if _blas_ready(m, rows) or entries > _TABLE_ENTRIES else entries
-
-
-def _clean_tables(wq, m: Multiplier) -> np.ndarray | None:
+def _clean_tables(wq, m: Multiplier, room) -> np.ndarray | None:
     """The fault-free per-weight tables of ``wq`` under ``m`` to pass to
-    ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``, or None where
-    ``_kept_table_entries`` is 0."""
-    if not _kept_table_entries(m, *wq.shape):
+    ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``, or None: when
+    ``m`` is ``_blas_ready`` (no tables are read), or the tables would
+    exceed ``_TABLE_ENTRIES`` entries (they are then built a block of rows
+    at a time on every call) or ``room`` bytes."""
+    entries = 256 * wq.size
+    if _blas_ready(m, wq.shape[0]) or entries > _TABLE_ENTRIES or 2 * entries > room:
         return None
     return _weight_tables(wq, m.table2d(), None)
 

@@ -30,12 +30,15 @@ batch, the int8 input and int32 accumulator of chosen GEMM layers. An
 size, and whose faults lie in one of those layers, starts ``run_layers``
 there and adds only the faults to the kept accumulator. A plan never
 changes what ``evaluate`` returns, only the work it does; a plan kept for
-other weights, another multiplier or another weight map is refused.
+other weights or biases, another multiplier or another weight map is
+refused. What a plan keeps is decided here alone: its byte allowance,
+``room``, goes to the golden states first and then to the tables.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field, replace
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .faults import (FaultMap, SystolicConfig, TileFaultSpec, _clean_tables,
-                     _kept_table_entries, gpu_tile_gemm, systolic_gemm)
+                     gpu_tile_gemm, systolic_gemm)
 from .multipliers import Multiplier, WeightMapTable
 from .quantize import QTensor, quantize, requantize_accum
 
@@ -424,23 +427,22 @@ class _GemmPlan:
     """The weight side of every quantized GEMM layer for one weight set,
     multiplier and weight map, each part built on its first use and then
     reused: per layer index, the int8 weight codes after ``weight_map`` and
-    their scale, and, if ``keep_tables``, for a table multiplier, the
-    fault-free per-weight product tables (``faults._clean_tables``; None
-    where they are not kept). Without ``keep_tables`` every GEMM builds its
-    own tables, which is cheaper when no GEMM layer runs twice. ``evaluate``
-    builds one plan for all its eval batches; a campaign's golden pass
-    fills one that its cells share.
+    their scale, and, for a table multiplier, the fault-free per-weight
+    product tables (``faults._clean_tables``) if they fit in ``room``, the
+    bytes the plan may still spend; a layer without them builds them on
+    every GEMM. ``evaluate`` builds one plan for all its eval batches; a
+    campaign's golden pass fills one that its cells share.
 
     ``golden_pass`` keeps in it ``states[layer]``, per eval batch the
     ``QTensor`` entering the layer and its fault-free int32 accumulator,
     for the (data, sample limit, batch size) in ``kept_for``.
     """
 
-    def __init__(self, weights: WeightSet, env: ExecEnv, keep_tables: bool):
+    def __init__(self, weights: WeightSet, env: ExecEnv, room):
         self.weights = weights
         self.multiplier = env.multiplier
         self.weight_map = env.weight_map
-        self.keep_tables = keep_tables
+        self.room = room
         self._codes = {}
         self._tables = {}
         self.states = {}
@@ -448,8 +450,8 @@ class _GemmPlan:
 
     def check(self, weights: WeightSet, env: ExecEnv) -> None:
         """Raise ``ValueError`` unless the plan was built for ``weights``
-        and for the multiplier and weight map of ``env`` (compared by
-        content)."""
+        (every layer's ``W`` and ``b``) and for the multiplier and weight
+        map of ``env`` (compared by content)."""
         m, wm = env.multiplier, env.weight_map
         if m is not self.multiplier and not np.array_equal(m.table, self.multiplier.table):
             raise ValueError(f"a plan of multiplier {self.multiplier.id!r} cannot run "
@@ -460,8 +462,8 @@ class _GemmPlan:
             raise ValueError("a plan of one weight map cannot run another")
         if weights is not self.weights and (
                 weights.keys() != self.weights.keys()
-                or not all(np.array_equal(weights[i]["W"], self.weights[i]["W"])
-                           for i in weights)):
+                or not all(np.array_equal(weights[i][k], self.weights[i][k])
+                           for i in weights for k in ("W", "b"))):
             raise ValueError("a plan of one weight set cannot run another")
 
     def codes(self, model: ModelSpec, idx: int):
@@ -477,10 +479,10 @@ class _GemmPlan:
 
     def tables(self, model: ModelSpec, idx: int):
         """Fault-free per-weight tables of layer ``idx``, or None."""
-        if not self.keep_tables:
-            return None
         if idx not in self._tables:
-            self._tables[idx] = _clean_tables(self.codes(model, idx)[0], self.multiplier)
+            t = self._tables[idx] = _clean_tables(self.codes(model, idx)[0],
+                                                  self.multiplier, self.room)
+            self.room -= 0 if t is None else t.nbytes
         return self._tables[idx]
 
     def states_for(self, layer, data, sample_limit, batch_size):
@@ -490,24 +492,6 @@ class _GemmPlan:
         if kept is None or kept[0] is not data or kept[1:] != (sample_limit, batch_size):
             return None
         return self.states.get(layer)
-
-
-def _plan_table_bytes(model: ModelSpec, m: Multiplier) -> int:
-    """Bytes of the tables a plan for multiplier ``m`` that keeps them
-    holds once every layer has run."""
-    return sum(2 * _kept_table_entries(m, *model.gemm_weight_shape(idx))
-               for idx in model.param_layers())
-
-
-def _plan_for(weights: WeightSet, env: ExecEnv, plan: _GemmPlan | None, keep_tables: bool):
-    """``plan``, checked against ``weights`` and ``env``, or, when it is
-    None, a new plan with ``keep_tables``; None on the float engine."""
-    if env.engine == "float":
-        return None
-    if plan is None:
-        return _GemmPlan(weights, env, keep_tables)
-    plan.check(weights, env)
-    return plan
 
 
 def _gemm_layer(env: ExecEnv, plan: _GemmPlan, model: ModelSpec, idx: int, acodes, ascale,
@@ -575,7 +559,7 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=No
     """
     quant = env.engine != "float"
     if quant and _plan is None:
-        _plan = _GemmPlan(weights, env, keep_tables=False)
+        _plan = _GemmPlan(weights, env, room=0)
     shapes = model.shapes()
     for idx in range(_start, len(model.layers)):
         layer = model.layers[idx]
@@ -678,7 +662,10 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
     env = env or ExecEnv()
     batches = _eval_batches(data, sample_limit, batch_size)
     _check_run(model, weights, env)
-    plan = _plan_for(weights, env, _plan, keep_tables=len(batches) > 1)
+    plan = None
+    if env.engine != "float":
+        plan = _plan or _GemmPlan(weights, env, room=math.inf if len(batches) > 1 else 0)
+        plan.check(weights, env)
     states = plan and plan.states_for(env.layer_filter, data, sample_limit, batch_size)
     start = env.layer_filter if states else 0
     hits = 0
@@ -690,22 +677,34 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
     return 100.0 * hits / sum(len(labels) for _, labels in batches)
 
 
+def _state_bytes(model: ModelSpec, layer: int, samples: int) -> int:
+    """Bytes of a layer's golden states: the int8 codes entering it and its
+    int32 accumulator, over ``samples`` samples."""
+    shapes = model.shapes()
+    entering = shapes[layer - 1] if layer else model.input_shape
+    return samples * (math.prod(entering) + 4 * math.prod(shapes[layer]))
+
+
 def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
-                sample_limit: int | None = None, batch_size: int = 256, _plan=None):
+                sample_limit: int | None = None, batch_size: int = 256, room=math.inf):
     """``evaluate`` on a quantized ``env`` without faults that keeps what a
     faulty ``evaluate`` needs to resume at each GEMM layer in ``layers``.
 
-    Returns ``(accuracy, plan)``: ``plan`` is ``_plan``, or one built for
-    this call that keeps tables, and now holds, in place of any it held,
-    the golden states of ``layers`` kept for this data object, sample limit
-    and batch size. Passing it as ``evaluate(..., _plan=plan)`` resumes.
+    Returns ``(accuracy, plan)``, ``plan`` a new ``_GemmPlan`` that spends
+    ``room`` bytes first on the golden states of ``layers``, first fit in
+    that order, kept for this data object, sample limit and batch size,
+    then on the tables, layer by layer; ``plan.room`` is what is left.
+    Passing the plan as ``evaluate(..., _plan=plan)`` resumes.
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
-    # the resumed runs read the golden pass's tables
-    plan = _plan_for(weights, env, _plan, keep_tables=True)
-    # nothing resumes from the states while they fill
-    plan.states, plan.kept_for = {layer: [] for layer in layers}, None
+    samples = sum(len(labels) for _, labels in _eval_batches(data, sample_limit, batch_size))
+    plan = _GemmPlan(weights, env, room)
+    for layer in layers:
+        size = _state_bytes(model, layer, samples)
+        if layer not in plan.states and size <= plan.room:
+            plan.states[layer] = []
+            plan.room -= size
 
     def keep(idx, record):
         if idx in plan.states:

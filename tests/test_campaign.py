@@ -1,6 +1,7 @@
 """Sweep grid construction, execution, determinism, energy, reporting."""
 
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -294,8 +295,8 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
     assert len({r.faulty_acc for r in runs[0]}) > 5
     # room for layer 1 of the first two multipliers only: the cap is spent
     # first fit, in spec order, and each entry serves both engines
-    layer1 = cp._golden_bytes(model, 1, 300)
-    assert cp._golden_bytes(model, 0, 300) > 2 * layer1
+    layer1 = net._state_bytes(model, 1, 300)
+    assert net._state_bytes(model, 0, 300) > 2 * layer1
     monkeypatch.setattr(cp, "_GOLDEN_BYTES", 2 * layer1)
     runs.append(cp.run_campaign(spec, model, ws, test_d))
     assert resumed[2 * 48:] == [1] * 2 * 16
@@ -367,6 +368,45 @@ def test_evaluate_builds_tables_once_per_layer(table_builds):
     env = net.ExecEnv(engine="systolic", multiplier=lut, systolic=fl.SystolicConfig(n=16))
     net.evaluate(model, init_weights(model, 1), data, env, batch_size=2)
     assert table_builds == [(model.gemm_weight_shape(i), False) for i in (0, 1, 2)]
+
+
+def _kept_bytes(plan) -> int:
+    return (sum(q.data.nbytes + acc.nbytes for states in plan.states.values()
+                for q, acc in states)
+            + sum(t.nbytes for t in plan._tables.values() if t is not None))
+
+
+@pytest.mark.parametrize("room", [0, 100_000, 300_000, 1_000_000, 2_000_000, 10**9])
+def test_golden_pass_spends_at_most_its_room(lenet_lut, room):
+    # the states take the room first, first fit in layers order, then the
+    # tables what is left, layer by layer; over 6 samples lenet-desk's
+    # layers 0, 2, 5 and 6 keep 115, 31, 3.1 and 0.6 kB of states, and
+    # their tables take 102 kB, 1.6 MB, 8.4 MB and 328 kB
+    model, ws, data, lut, _ = lenet_lut
+    env = net.ExecEnv(engine="gpu_tiles", multiplier=mul.load_lut(lut))
+    _, plan = net.golden_pass(model, ws, data, env, [0, 2, 5, 6], room=room)
+    kept = _kept_bytes(plan)
+    assert kept <= room and plan.room == room - kept
+    sizes = {layer: net._state_bytes(model, layer, 6) for layer in (0, 2, 5, 6)}
+    left = room
+    for layer, size in sizes.items():
+        assert (layer in plan.states) == (size <= left)
+        left -= size * (layer in plan.states)
+
+
+def test_plan_without_room_for_its_tables_builds_them_per_call(lenet_lut, table_builds):
+    # a LUT plan keeps only the tables that fit in its room; a layer
+    # without them builds them on every GEMM, here every eval batch
+    model, ws, data, lut, shapes = lenet_lut
+    env = net.ExecEnv(engine="gpu_tiles", multiplier=mul.load_lut(lut))
+    small = 2 * 256 * math.prod(shapes[0])
+    _, plan = net.golden_pass(model, ws, data, env, [], batch_size=2, room=small)
+    assert plan.room == 0
+    assert [plan.tables(model, i) is not None for i in model.param_layers()] == \
+        [True, False, False, False]
+    table_builds.clear()
+    net.evaluate(model, ws, data, env, batch_size=2, _plan=plan)
+    assert table_builds == [(shape, False) for shape in shapes[1:]] * 3
 
 
 @pytest.mark.parametrize("layers", [[1], [2], [0, 99], [-1]])

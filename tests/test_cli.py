@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from axfault import cli, datasets, network, training
+from axfault import cli, datasets, faults, network, training
 
 MODEL_JSON = json.dumps({
     "name": "cli-blobs",
@@ -305,6 +305,33 @@ def test_bad_tile_or_sample_limit_fails(trained, command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("tile must be at least 1" in err) != ("sample_limit must be at least 0" in err)
+
+
+@pytest.mark.parametrize("engine, option, value", [
+    ("gpu_tiles", "--fault-map", "sa1.axfm"),
+    ("float", "--fault-map", "sa1.axfm"),
+    ("float", "--weight-map", "t3.axwm"),
+    ("float", "--layer", "0"),
+    ("systolic", "--tile-fraction", "0.5"),
+])
+def test_eval_rejects_options_its_engine_does_not_read(trained, engine, option, value,
+                                                        capsys):
+    # each used to be ignored: gpu_tiles with an all-sa1 fault map printed
+    # the clean accuracy
+    tmp = trained["tmp"]
+    faults.save_fault_map(faults.random_fault_map(16, 100.0, faults.StuckAtFault(15, "sa1"),
+                                                  seed=1), tmp / "sa1.axfm")
+    assert cli.main(["mul", "map", "--family", "truncated", "--k", "3",
+                     "--out", str(tmp / "t3.axwm")]) == 0
+    if option.endswith("-map"):
+        value = str(tmp / value)
+    argv = ["eval", "--model", trained["model"], "--weights", trained["weights"],
+            "--data", "blobs:3:8:8:2", "--engine", engine]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(argv + [option, value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --engine {engine} does not read {option}\n"
 
 
 def test_dataset_convert_round_trip(tmp_path, capsys):

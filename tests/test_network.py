@@ -9,7 +9,7 @@ from axfault import faults as fl
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
-from axfault.datasets import synth_blobs
+from axfault.datasets import synth_blobs, synth_digits
 from axfault.mitigation import capture_activations
 from axfault.quantize import QTensor, quantize
 
@@ -438,6 +438,23 @@ def test_plan_of_other_operands_is_rejected():
     twin = replace(env, multiplier=mul.from_table("twin", noisy.table.copy()))
     assert (net.evaluate(model, ws.deep_copy(), test, twin, _plan=plan)
             == net.evaluate(model, ws, test, twin))
+
+
+def test_plan_of_other_biases_is_rejected():
+    # the plan used to compare only W, so a resumed evaluate started from
+    # activations computed with the old biases: 6.25% (the old weights'
+    # figure) where the new weights score 10.94%
+    model = net.desk_model("mp-tanh-desk")
+    ws = training.init_weights(model, 3)
+    data = synth_digits(64, seed=2)
+    env = net.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier())
+    acc, plan = net.golden_pass(model, ws, data, env, [2])
+    other = ws.deep_copy()
+    other[0]["b"] += 0.7
+    env = replace(env, layer_filter=2)
+    assert net.evaluate(model, other, data, env) != acc
+    with pytest.raises(ValueError, match="one weight set cannot run another"):
+        net.evaluate(model, other, data, env, _plan=plan)
 
 
 def test_fault_free_resume_equals_golden_accuracy(gemm_calls):
