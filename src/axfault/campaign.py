@@ -358,14 +358,12 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
     identical to the sequential run because each cell's randomness is
     self-contained and records are ordered by cell index afterwards.
 
-    Raises ``ValueError`` when a ``spec.layers`` entry is no dense or conv2d
-    layer of ``model``, or when ``spec.mitigation`` is set for
-    layer-filtered cells: mitigation repairs every layer.
+    Raises ``ValueError`` when ``spec.mitigation`` is set for
+    layer-filtered cells (mitigation repairs every layer), and, through
+    ``golden_pass``, when a ``spec.layers`` entry is no dense or conv2d
+    layer of ``model``.
     """
     layers = list(dict.fromkeys(i for i in spec.layer_values() if i is not None))
-    bad = [i for i in layers if i not in model.param_layers()]
-    if bad:
-        raise ValueError(f"layers {bad} are no dense or conv2d layers of {model.name}")
     if layers and spec.mitigation is not None:
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,37 +65,14 @@ def _add_seed(p):
                    help="PRNG seed (default $AXFAULT_SEED or 0)")
 
 
-def _eval_env(args, m) -> network.ExecEnv:
-    # an option that the engine would not read is an error
-    unread = [flag for flag, given, engines in (
-        ("--fault-map", args.fault_map is not None, ("systolic",)),
-        ("--weight-map", args.weight_map is not None, network.QUANTIZED_ENGINES),
-        ("--layer", args.layer is not None, network.QUANTIZED_ENGINES),
-        ("--tile-fraction", args.tile_fraction != 0, ("gpu_tiles",)),
-    ) if given and args.engine not in engines]
-    if unread:
-        raise ValueError(f"--engine {args.engine} does not read {', '.join(unread)}")
-    if args.engine == "float":
-        return network.ExecEnv()
-    fm = load_fault_map(args.fault_map) if args.fault_map else None
-    wm = None
-    if args.weight_map:
-        wm = multipliers.load_weight_map(args.weight_map)
-    if args.engine == "systolic":
-        return network.ExecEnv(
-            engine="systolic", multiplier=m,
-            systolic=SystolicConfig(n=args.n, mode=args.mode),
-            fault_map=fm, layer_filter=args.layer, weight_map=wm,
-        )
-    tf = None
-    if args.tile_fraction > 0:
-        tf = TileFaultSpec(tile_index=args.tile_index,
-                           damaged_fraction=args.tile_fraction,
-                           fault=StuckAtFault(args.bit, args.kind),
-                           seed=args.seed)
-    return network.ExecEnv(engine="gpu_tiles", multiplier=m, tile=args.tile,
-                           tile_fault=tf, layer_filter=args.layer,
-                           weight_map=wm)
+def _given(args, fill: bool, **defaults):
+    """The options in ``defaults``, unset ones at their default, if ``fill``
+    or the user set one; else None. Engine-specific options default to None,
+    so what a user sets reaches ``ExecEnv``, which refuses what is not read."""
+    values = {k: getattr(args, k) for k in defaults}
+    if not fill and all(v is None for v in values.values()):
+        return None
+    return {k: defaults[k] if v is None else v for k, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +98,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    m = None
-    if args.engine != "float":
-        m = multipliers.parse_multiplier(args.multiplier)
-    env = _eval_env(args, m)
+    mul = _given(args, args.engine != "float", multiplier="exact")
+    cfg = _given(args, args.engine == "systolic", n=16, mode="propagate")
+    tf = _given(args, False, tile_index=0, tile_fraction=0.0, bit=15, kind="sa1")
+    env = network.ExecEnv(
+        args.engine,
+        mul and multipliers.parse_multiplier(mul["multiplier"]),
+        cfg and SystolicConfig(**cfg),
+        None if args.fault_map is None else load_fault_map(args.fault_map),
+        args.tile,
+        tf and TileFaultSpec(tf["tile_index"], tf["tile_fraction"],
+                             StuckAtFault(tf["bit"], tf["kind"]), args.seed),
+        args.layer,
+        None if args.weight_map is None else multipliers.load_weight_map(args.weight_map),
+    )
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     data = datasets.parse_dataset_arg(args.data)
@@ -160,30 +148,22 @@ def _cmd_mul_map(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    fault = StuckAtFault(args.bit, args.kind)
+    # --save-map saves the systolic engine's fault map
+    cfg = _given(args, args.engine == "systolic" or args.save_map is not None,
+                 n=16, mode="propagate")
+    cfg = cfg and SystolicConfig(**cfg)
+    fm = cfg and random_fault_map(cfg.n, args.percent, fault, seed=args.seed)
+    tf = _given(args, args.engine == "gpu_tiles" and args.percent > 0, tile_index=0)
+    tf = tf and TileFaultSpec(tf["tile_index"], args.percent / 100.0, fault, args.seed)
+    env = network.ExecEnv(args.engine, multipliers.parse_multiplier(args.multiplier),
+                          cfg, fm, args.tile, tf, args.layer)
+    if args.save_map:
+        save_fault_map(fm, args.save_map)
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     data = datasets.parse_dataset_arg(args.data)
-    m = multipliers.parse_multiplier(args.multiplier)
-    fault = StuckAtFault(args.bit, args.kind)
-    if args.engine == "systolic":
-        fm = random_fault_map(args.n, args.percent, fault, seed=args.seed)
-        if args.save_map:
-            save_fault_map(fm, args.save_map)
-        base_env = network.ExecEnv(engine="systolic", multiplier=m,
-                                   systolic=SystolicConfig(n=args.n))
-        env = network.ExecEnv(engine="systolic", multiplier=m,
-                              systolic=SystolicConfig(n=args.n, mode=args.mode),
-                              fault_map=fm, layer_filter=args.layer)
-    else:
-        base_env = network.ExecEnv(engine="gpu_tiles", multiplier=m,
-                                   tile=args.tile)
-        tf = None
-        if args.percent > 0:
-            tf = TileFaultSpec(tile_index=args.tile_index,
-                               damaged_fraction=args.percent / 100.0,
-                               fault=fault, seed=args.seed)
-        env = network.ExecEnv(engine="gpu_tiles", multiplier=m, tile=args.tile,
-                              tile_fault=tf, layer_filter=args.layer)
+    base_env = replace(env, fault_map=None, tile_fault=None)
     baseline = network.evaluate(model, w, data, env=base_env,
                                 sample_limit=args.sample_limit)
     faulty = network.evaluate(model, w, data, env=env,
@@ -318,14 +298,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--engine", choices=network.ENGINES, default="float")
-    p.add_argument("--multiplier", default="exact")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--mode", choices=GEMM_MODES, default="propagate")
-    p.add_argument("--tile", type=int, default=16)
-    p.add_argument("--tile-index", type=int, default=0)
-    p.add_argument("--tile-fraction", type=float, default=0.0)
-    p.add_argument("--bit", type=int, default=15)
-    p.add_argument("--kind", choices=FAULT_KINDS, default="sa1")
+    p.add_argument("--multiplier", help="default exact on the quantized engines")
+    p.add_argument("--n", type=int, help="systolic array size (default 16)")
+    p.add_argument("--mode", choices=GEMM_MODES, help="systolic (default propagate)")
+    p.add_argument("--tile", type=int, help="gpu_tiles (default 16)")
+    p.add_argument("--tile-index", type=int, help="gpu_tiles fault (default 0)")
+    p.add_argument("--tile-fraction", type=float, help="gpu_tiles fault (default 0)")
+    p.add_argument("--bit", type=int, help="gpu_tiles fault (default 15)")
+    p.add_argument("--kind", choices=FAULT_KINDS, help="gpu_tiles fault (default sa1)")
     p.add_argument("--fault-map")
     p.add_argument("--weight-map")
     p.add_argument("--layer", type=int)
@@ -352,13 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--multiplier", default="exact")
     p.add_argument("--engine", choices=network.QUANTIZED_ENGINES, default="systolic")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--tile", type=int, default=16)
-    p.add_argument("--tile-index", type=int, default=0)
+    p.add_argument("--n", type=int, help="systolic array size (default 16)")
+    p.add_argument("--tile", type=int, help="gpu_tiles (default 16)")
+    p.add_argument("--tile-index", type=int, help="gpu_tiles (default 0)")
     p.add_argument("--percent", type=float, required=True)
     p.add_argument("--bit", type=int, required=True)
     p.add_argument("--kind", choices=FAULT_KINDS, required=True)
-    p.add_argument("--mode", choices=GEMM_MODES, default="propagate")
+    p.add_argument("--mode", choices=GEMM_MODES, help="systolic (default propagate)")
     p.add_argument("--layer", type=int)
     p.add_argument("--sample-limit", type=int)
     p.add_argument("--save-map")

@@ -13,12 +13,13 @@ field from each pixel to the strokes.
 from __future__ import annotations
 
 import gzip
-import numbers
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .faults import _check_int
 
 IDX_UBYTE = 0x08
 
@@ -143,16 +144,6 @@ def load_cifar10_batches(paths, dataset_id: str) -> Dataset:
 # synthetic data
 
 
-def _check_ints(**bounds) -> None:
-    """Raise ``ValueError``, naming the argument, unless each ``name=(value,
-    least)`` holds an integer (not a bool) of at least ``least``."""
-    for name, (v, lo) in bounds.items():
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < lo:
-            raise ValueError(f"{name} must be at least {lo}, got {v}")
-
-
 def synth_blobs(n_classes: int = 3, count: int = 300, dim: int = 8,
                 seed: int = 0) -> Dataset:
     """Seeded gaussian blobs scaled into [0, 1]; tiny and fast.
@@ -160,7 +151,9 @@ def synth_blobs(n_classes: int = 3, count: int = 300, dim: int = 8,
     Class means depend only on (n_classes, dim), so two calls with
     different seeds sample train and test sets of the same problem.
     """
-    _check_ints(n_classes=(n_classes, 1), count=(count, 1), dim=(dim, 1), seed=(seed, 0))
+    for name, value, lo in (("n_classes", n_classes, 1), ("count", count, 1),
+                            ("dim", dim, 1), ("seed", seed, 0)):
+        _check_int(name, value, lo)
     mean_rng = np.random.default_rng([n_classes, dim, 0xB10B])
     means = mean_rng.uniform(-2.0, 2.0, size=(n_classes, dim))
     rng = np.random.default_rng(seed)
@@ -318,7 +311,8 @@ def synth_digits(count: int, seed: int = 0, split: str = "train") -> Dataset:
     Classes are balanced (round-robin, then shuffled). Useful wherever
     MNIST-shaped data is needed but no corpus files are available.
     """
-    _check_ints(count=(count, 1), seed=(seed, 0))
+    _check_int("count", count, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng([seed, 0xD161])
     labels = rng.permutation(np.arange(count) % 10)
     strokes = _digit_strokes()

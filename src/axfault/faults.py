@@ -56,6 +56,7 @@ from the clean pass at its faulty layer takes this route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +78,22 @@ _SLAB = 1024
 _TABLE_ENTRIES = 1 << 24
 
 
+def _check_int(name: str, value, lo: int | None = None) -> None:
+    """Raise ``ValueError``, naming ``name``, unless ``value`` is an integer
+    (not a bool) of at least ``lo``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+
+
 @dataclass(frozen=True)
 class StuckAtFault:
     bit: int
     kind: str
 
     def __post_init__(self):
+        _check_int("bit", self.bit)
         if not 0 <= self.bit <= 15:
             raise ValueError(f"fault bit must be in [0, 15], got {self.bit}")
         if self.kind not in FAULT_KINDS:
@@ -103,6 +114,7 @@ class FaultMap:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_int("n", self.n)
         if self.n <= 0:
             raise ValueError("array dimension must be positive")
         for (i, j), f in self.entries.items():
@@ -121,6 +133,7 @@ class SystolicConfig:
     mode: str = "propagate"
 
     def __post_init__(self):
+        _check_int("n", self.n)
         if self.n <= 0:
             raise ValueError("array dimension must be positive")
         if self.mode not in GEMM_MODES:
@@ -143,6 +156,7 @@ class TileFaultSpec:
     seed: int
 
     def __post_init__(self):
+        _check_int("tile_index", self.tile_index)
         if self.tile_index < 0:
             raise ValueError("tile_index must be non-negative")
         if not 0.0 <= self.damaged_fraction <= 1.0:

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .faults import (FaultMap, SystolicConfig, TileFaultSpec, _clean_tables,
+from .faults import (FaultMap, SystolicConfig, TileFaultSpec, _check_int, _clean_tables,
                      gpu_tile_gemm, systolic_gemm)
 from .multipliers import Multiplier, WeightMapTable
 from .quantize import QTensor, quantize, requantize_accum
@@ -55,6 +54,12 @@ LAYER_KINDS = ("dense", "conv2d", "maxpool", "flatten")
 ACTIVATIONS = ("none", "relu", "tanh", "softmax")
 QUANTIZED_ENGINES = ("systolic", "gpu_tiles")
 ENGINES = ("float",) + QUANTIZED_ENGINES
+# the ExecEnv fields each engine reads besides ``engine``
+_READS = {
+    "float": (),
+    "systolic": ("multiplier", "systolic", "fault_map", "layer_filter", "weight_map"),
+    "gpu_tiles": ("multiplier", "tile", "tile_fault", "layer_filter", "weight_map"),
+}
 
 
 @dataclass
@@ -366,32 +371,27 @@ def _activate(name: str, z: np.ndarray, axis: int) -> np.ndarray:
 # execution environments and the forward pass
 
 
-def _check_int(name: str, value, lo: int) -> None:
-    """Raise ``ValueError``, naming ``name``, unless ``value`` is an integer
-    (not a bool) of at least ``lo``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value}")
-
-
 @dataclass
 class ExecEnv:
     """How to execute the GEMMs of a forward pass.
 
     ``layer_filter`` restricts fault injection to one dense or conv2d layer
     index (0-based); the multiplier itself and any ``weight_map`` retuning
-    always apply to every GEMM layer. For the gpu_tiles engine, ``tile_fault.tile_index`` is
-    validated against each layer's block grid by reducing it modulo the
-    number of blocks, so one spec can damage a block in every layer.
-    Raises ``ValueError`` for a ``tile`` that is no integer of at least 1.
+    always apply to every GEMM layer. ``tile`` defaults to 16 on gpu_tiles,
+    and ``tile_fault.tile_index`` is reduced modulo each layer's number of
+    blocks, so one spec can damage a block in every layer.
+
+    Each engine reads only its fields in ``_READS`` (float none). Raises
+    ``ValueError``, naming field and engine, for a field its engine does not
+    read; also for a quantized engine without a multiplier, a systolic one
+    without a ``SystolicConfig``, and a ``tile`` that is no integer >= 1.
     """
 
     engine: str = "float"
     multiplier: Multiplier | None = None
     systolic: SystolicConfig | None = None
     fault_map: FaultMap | None = None
-    tile: int = 16
+    tile: int | None = None
     tile_fault: TileFaultSpec | None = None
     layer_filter: int | None = None
     weight_map: WeightMapTable | None = None
@@ -399,11 +399,16 @@ class ExecEnv:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
+        for f in fields(self)[1:]:
+            if f.name not in _READS[self.engine] and getattr(self, f.name) is not None:
+                raise ValueError(f"the {self.engine} engine does not read {f.name}")
         if self.engine in QUANTIZED_ENGINES and self.multiplier is None:
             raise ValueError("quantized engines need a multiplier")
         if self.engine == "systolic" and self.systolic is None:
             raise ValueError("systolic engine needs a SystolicConfig")
-        _check_int("tile", self.tile, 1)
+        if self.engine == "gpu_tiles":
+            self.tile = 16 if self.tile is None else self.tile
+            _check_int("tile", self.tile, 1)
 
 
 def _gemm_weights(layer: LayerSpec, W) -> np.ndarray:
@@ -596,10 +601,14 @@ def _pool_windows(X, p) -> np.ndarray:
     return sliding_window_view(X, (k, k), axis=(0, 1))[::s, ::s]
 
 
+def _check_gemm_layer(model: ModelSpec, name: str, idx) -> None:
+    if idx not in model.param_layers():
+        raise ValueError(f"{name} {idx} is no dense or conv2d layer of {model.name}")
+
+
 def _check_run(model: ModelSpec, weights: WeightSet, env: ExecEnv) -> None:
-    if env.layer_filter is not None and env.layer_filter not in model.param_layers():
-        raise ValueError(f"layer_filter {env.layer_filter} is no dense or conv2d "
-                         f"layer of {model.name}")
+    if env.layer_filter is not None:
+        _check_gemm_layer(model, "layer_filter", env.layer_filter)
     for idx in model.param_layers():
         if not all(np.isfinite(weights[idx][k]).all() for k in ("W", "b")):
             raise ValueError(f"layer {idx}: non-finite weights or biases")
@@ -694,13 +703,16 @@ def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers
     ``room`` bytes first on the golden states of ``layers``, first fit in
     that order, kept for this data object, sample limit and batch size,
     then on the tables, layer by layer; ``plan.room`` is what is left.
-    Passing the plan as ``evaluate(..., _plan=plan)`` resumes.
+    Passing the plan as ``evaluate(..., _plan=plan)`` resumes. Raises
+    ``ValueError`` for an ``env`` that is float or carries faults, and,
+    naming it, for an entry of ``layers`` that is no dense or conv2d layer.
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
     samples = sum(len(labels) for _, labels in _eval_batches(data, sample_limit, batch_size))
     plan = _GemmPlan(weights, env, room)
     for layer in layers:
+        _check_gemm_layer(model, "layer", layer)
         size = _state_bytes(model, layer, samples)
         if layer not in plan.states and size <= plan.room:
             plan.states[layer] = []

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .faults import _check_int
 from .network import (
     ExecEnv,
     ModelSpec,
     WeightSet,
     _as_xy,
-    _check_int,
     _gemm_weights,
     _pool_windows,
     _stored_weights,

@@ -331,7 +331,47 @@ def test_eval_rejects_options_its_engine_does_not_read(trained, engine, option, 
     capsys.readouterr()
     assert cli.main(argv + [option, value]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --engine {engine} does not read {option}\n"
+    field = {"--fault-map": "fault_map", "--weight-map": "weight_map",
+             "--layer": "layer_filter", "--tile-fraction": "tile_fault"}[option]
+    assert err == f"error: the {engine} engine does not read {field}\n"
+
+
+_REFUSED = [
+    (["inject", "--engine", "gpu_tiles", "--n", "4", "--mode", "propagate"], "systolic"),
+    (["inject", "--engine", "gpu_tiles", "--n", "4"], "systolic"),
+    (["inject", "--engine", "gpu_tiles", "--mode", "bypass"], "systolic"),
+    (["inject", "--engine", "gpu_tiles", "--save-map", "fm.txt"], "systolic"),
+    (["inject", "--engine", "systolic", "--tile", "4"], "tile"),
+    (["inject", "--engine", "systolic", "--tile-index", "1"], "tile_fault"),
+    (["eval", "--engine", "systolic", "--tile", "8"], "tile"),
+    (["eval", "--engine", "systolic", "--tile-index", "1"], "tile_fault"),
+    (["eval", "--engine", "systolic", "--bit", "3"], "tile_fault"),
+    (["eval", "--engine", "systolic", "--kind", "sa0"], "tile_fault"),
+    (["eval", "--engine", "gpu_tiles", "--n", "4"], "systolic"),
+    (["eval", "--engine", "gpu_tiles", "--mode", "bypass"], "systolic"),
+    (["eval", "--engine", "float", "--multiplier", "exact"], "multiplier"),
+    (["eval", "--engine", "float", "--tile", "4"], "tile"),
+]
+
+
+@pytest.mark.parametrize("argv, field", _REFUSED,
+                         ids=["-".join(argv) for argv, _ in _REFUSED])
+def test_options_with_defaults_are_refused_off_their_engine(trained, argv, field, capsys):
+    # each had a default, so it could not be told from an unset option and
+    # was ignored: inject --engine gpu_tiles gave the same faulty_acc with
+    # --n 4 --mode propagate as with --n 16 --mode bypass
+    argv = [str(trained["tmp"] / a) if a == "fm.txt" else a for a in argv]
+    if argv[0] == "inject":
+        argv = argv + ["--percent", "50", "--bit", "15", "--kind", "sa1"]
+    capsys.readouterr()
+    for weights in (trained["weights"], str(trained["tmp"] / "missing.axdn")):
+        # the env is built before any file is read
+        rc = cli.main(argv + ["--model", trained["model"], "--weights", weights,
+                              "--data", "blobs:3:8:8:2"])
+        assert rc == 2
+        engine = argv[argv.index("--engine") + 1]
+        assert capsys.readouterr().err == f"error: the {engine} engine does not read {field}\n"
+    assert not (trained["tmp"] / "fm.txt").exists()
 
 
 def test_dataset_convert_round_trip(tmp_path, capsys):

@@ -89,6 +89,21 @@ def test_stuck_at_validation():
         fl.StuckAtFault(3, "stuck")
 
 
+def test_fault_specs_reject_non_integers():
+    # bit True acted as bit 1; bit 14.5, n 2.5 and tile_index 1.5 were
+    # accepted and either ran or raised TypeError at the first GEMM
+    f = fl.StuckAtFault(15, "sa1")
+    for make, field in ((lambda v: fl.StuckAtFault(v, "sa1"), "bit"),
+                        (lambda v: fl.SystolicConfig(n=v), "n"),
+                        (lambda v: fl.FaultMap(n=v), "n"),
+                        (lambda v: fl.TileFaultSpec(v, 0.5, f, seed=0), "tile_index")):
+        for bad in (True, 14.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                make(bad)
+        make(np.int64(3))
+        make(np.uint8(2))
+
+
 def test_fault_map_validation():
     f = fl.StuckAtFault(2, "sa0")
     with pytest.raises(ValueError):

@@ -263,11 +263,14 @@ def test_layer_filter_outside_the_gemm_layers_is_rejected():
     for bad in (1, 2, 99, -1):
         match = f"layer_filter {bad} is no dense or conv2d layer"
         for env in (replace(clean, fault_map=fm, layer_filter=bad),
-                    replace(clean, layer_filter=bad), net.ExecEnv(layer_filter=bad)):
+                    replace(clean, layer_filter=bad)):
             with pytest.raises(ValueError, match=match):
                 net.forward(model, ws, data[0], env)
             with pytest.raises(ValueError, match=match):
                 net.evaluate(model, ws, data, env)
+        # the float engine reads no layer filter at all
+        with pytest.raises(ValueError, match="float engine does not read layer_filter"):
+            net.ExecEnv(layer_filter=bad)
         with pytest.raises(ValueError, match=match):
             net.golden_pass(model, ws, data, replace(clean, layer_filter=bad), [0])
         with pytest.raises(ValueError, match=match):
@@ -288,6 +291,33 @@ def test_identity_weight_map_is_transparent():
     assert plain == mapped
 
 
+def test_env_weight_map_equals_weights_remapped_beforehand():
+    # a forward pass that skipped the env's weight map passed every test
+    # that used the identity map
+    model = net.ModelSpec("t", (8,), [net.dense(8, 16, "relu"), net.dense(16, 3)])
+    ws = training.init_weights(model, seed=4)
+    # truncated-k maps are the identity under uniform activations for k <= 7;
+    # this one moves 95 codes and keeps -127 and 127
+    m = mul.broken_carry_multiplier(2)
+    wm = mul.build_weight_map(m, mul.uniform_activations())
+    # weights on the grid of scale 2^-7, each layer holding a code of 127:
+    # re-quantizing the remapped weights gives the remapped codes back at
+    # the same scale
+    remapped = ws.deep_copy()
+    for i in model.param_layers():
+        codes = quantize(ws[i]["W"]).data
+        ws[i]["W"] = codes * 2.0 ** -7
+        remapped[i]["W"] = wm.remap_codes(codes) * 2.0 ** -7
+        q = quantize(remapped[i]["W"])
+        assert q.scale == 2.0 ** -7 and np.array_equal(q.data, wm.remap_codes(codes))
+    x = synth_blobs(count=32, seed=5).images
+    for env in (net.ExecEnv("systolic", m, fl.SystolicConfig(n=4)),
+                net.ExecEnv("gpu_tiles", m, tile=4)):
+        mapped = net.forward(model, ws, x, replace(env, weight_map=wm))["logits"]
+        assert np.array_equal(mapped, net.forward(model, remapped, x, env)["logits"])
+        assert not np.array_equal(mapped, net.forward(model, ws, x, env)["logits"])
+
+
 def test_gpu_tile_index_reduced_modulo_grid():
     model, ws, test = _tiny_problem()
     m = mul.exact_multiplier()
@@ -299,18 +329,54 @@ def test_gpu_tile_index_reduced_modulo_grid():
         engine="gpu_tiles", multiplier=m, tile=4, tile_fault=tf))
     assert 0.0 <= acc <= 100.0
 
+    # layer 0 of 16 rows on 8 samples is a 4 x 2 grid of 4 x 4 blocks:
+    # index k and k + 8 damage the same block, 0 and 1 two different ones
+    x = test.images[:8]
+    nblocks = (16 // 4) * (8 // 4)
+
+    def logits(index):
+        tf = fl.TileFaultSpec(tile_index=index, damaged_fraction=1.0, fault=f, seed=3)
+        env = net.ExecEnv(engine="gpu_tiles", multiplier=m, tile=4, tile_fault=tf,
+                          layer_filter=0)
+        return net.forward(model, ws, x, env)["logits"]
+
+    assert not np.array_equal(logits(0), logits(1))
+    for k in (0, 1, 5):
+        assert np.array_equal(logits(k), logits(k + nblocks))
+
 
 def test_exec_env_validation():
+    m = mul.exact_multiplier()
     with pytest.raises(ValueError):
         net.ExecEnv(engine="quantum")
     with pytest.raises(ValueError):
         net.ExecEnv(engine="systolic")
     with pytest.raises(ValueError):
-        net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier())
+        net.ExecEnv(engine="systolic", multiplier=m)
     # tile 0 with a tile fault used to divide by zero in the block count
     for tile in (0, -3, 2.0, True):
         with pytest.raises(ValueError, match="tile must be"):
-            net.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier(), tile=tile)
+            net.ExecEnv(engine="gpu_tiles", multiplier=m, tile=tile)
+    # gpu_tiles alone reads a tile, and fills in 16
+    assert net.ExecEnv(engine="gpu_tiles", multiplier=m).tile == 16
+    assert net.ExecEnv().tile is None
+
+    # a field its engine does not read used to evaluate as if clean: a
+    # gpu_tiles env with a full fault map scored the clean accuracy
+    cfg = fl.SystolicConfig(n=4)
+    fm = fl.random_fault_map(4, 100.0, fl.StuckAtFault(15, "sa1"), seed=1)
+    tf = fl.TileFaultSpec(0, 0.5, fl.StuckAtFault(15, "sa1"), 1)
+    wm = mul.build_weight_map(mul.truncated_multiplier(3), mul.uniform_activations())
+    bases = {"float": net.ExecEnv(), "systolic": net.ExecEnv("systolic", m, cfg),
+             "gpu_tiles": net.ExecEnv("gpu_tiles", m)}
+    for engine, field, value in (
+            ("float", "multiplier", m), ("float", "systolic", cfg), ("float", "fault_map", fm),
+            ("float", "tile", 16), ("float", "tile_fault", tf), ("float", "layer_filter", 0),
+            ("float", "weight_map", wm),
+            ("systolic", "tile", 16), ("systolic", "tile_fault", tf),
+            ("gpu_tiles", "systolic", cfg), ("gpu_tiles", "fault_map", fm)):
+        with pytest.raises(ValueError, match=f"^the {engine} engine does not read {field}$"):
+            replace(bases[engine], **{field: value})
 
 
 def test_capture_histogram_counts():
@@ -368,6 +434,19 @@ def test_golden_pass_needs_a_fault_free_quantized_env():
                 net.ExecEnv(engine="gpu_tiles", multiplier=m, tile_fault=tf)):
         with pytest.raises(ValueError, match="without faults"):
             net.golden_pass(model, ws, test, env, [0])
+
+
+@pytest.mark.parametrize("layers", [[1], [-1], [99]])
+def test_golden_pass_layers_must_be_gemm_layers(layers):
+    # a maxpool (layer 1) or layer -1 used to be charged state bytes and
+    # kept nothing useful, and layer 99 raised IndexError
+    model = net.ModelSpec("c", (6, 6, 1), [net.conv2d(3, 3, 1, 2, activation="relu"),
+                                           net.maxpool(2), net.flatten(), net.dense(8, 3)])
+    ws = training.init_weights(model, seed=0)
+    data = (np.random.default_rng(0).random((5, 6, 6, 1)), np.zeros(5, dtype=int))
+    env = net.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier())
+    with pytest.raises(ValueError, match=f"^layer {layers[0]} is no dense or conv2d layer"):
+        net.golden_pass(model, ws, data, env, [0] + layers)
 
 
 @pytest.fixture
