@@ -25,10 +25,17 @@ Two engines share the multiplier and fault semantics:
 How the engines compute this, bit-identical to forming every product:
 the fault-free GEMM of ``exact``, ``broken_carry`` and ``truncated`` (k <= 8,
 2^k <= rows) multipliers is float32 matmuls over depth slabs of at most
-``_SLAB`` columns, each exact and summed in int32. On that path only the
-products that faults touch are then formed, as int16, and corrected with
-int32 sums: the stationed lattice, grouped by array row, on the systolic
-engine; the damaged outputs, along the full depth, on the gpu engine.
+``_SLAB`` columns, each exact and summed in int32. On that path the gpu
+engine then forms the products of its damaged outputs, along the full
+depth, as int16 and sums them in int32. The systolic engine adds what its
+faults change (``_correct_lattice``). Faults at bit 15, and in ``bypass``
+all faults but under truncated-k, take float32 matmuls: the sign bit moves
+a product by 2^15 exactly when its sign is one way, so counts of products
+by sign give the change, and a bypassed product is taken away by a matmul
+of the faulty weights. Only when such faults station fewer than two
+weights per depth column they touch, and for every other fault, are the
+products on the stationed lattice formed, as int16, grouped by array row,
+and corrected with int32 sums.
 
 Every other multiplier is read from its product table: per-weight tables of
 the 256 products with every activation code are built (``_weight_tables``)
@@ -48,9 +55,10 @@ two engines compute the same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
-corrects the stationed lattice for every multiplier, tables included, and
-``gpu_tile_gemm`` recomputes the damaged outputs. A campaign cell resumed
-from the clean pass at its faulty layer takes this route.
+adds what they change as above, forming the faulty products for a table
+multiplier, and ``gpu_tile_gemm`` recomputes the damaged outputs. A
+campaign cell resumed from the clean pass at its faulty layer takes this
+route.
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ _SLAB = 1024
 
 # cap on the entries of one block of per-weight product tables (32 MiB)
 _TABLE_ENTRIES = 1 << 24
+
+# faulty weights per activation row read at which matmuls take over from
+# forming the faulty products (see _correct_lattice)
+_COUNTED_PER_ROW = 2
 
 
 def _check_int(name: str, value, lo: int | None = None) -> None:
@@ -159,6 +171,7 @@ class TileFaultSpec:
         _check_int("tile_index", self.tile_index)
         if self.tile_index < 0:
             raise ValueError("tile_index must be non-negative")
+        _check_int("seed", self.seed, 0)
         if not 0.0 <= self.damaged_fraction <= 1.0:
             raise ValueError("damaged_fraction must be in [0, 1]")
 
@@ -185,8 +198,8 @@ def apply_fault(product, fault: StuckAtFault):
 
 def random_fault_map(n: int, percent: float, fault: StuckAtFault, seed: int) -> FaultMap:
     """Uniformly place floor(percent/100 * n^2) copies of ``fault``."""
-    if n <= 0:
-        raise ValueError("array dimension must be positive")
+    _check_int("n", n, 1)
+    _check_int("seed", seed, 0)
     if not 0.0 <= percent <= 100.0:
         raise ValueError("percent must be in [0, 100]")
     count = math.floor(n * n * percent / 100.0)
@@ -230,9 +243,7 @@ def _station(lattice: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Tile a per-MAC n x n lattice over a (rows, cols) weight matrix:
     weight (r, c) is stationed on MAC (r mod n, c mod n)."""
     n = lattice.shape[0]
-    ri = np.arange(rows) % n
-    ci = np.arange(cols) % n
-    return lattice[ri[:, None], ci]
+    return np.tile(lattice, (-(-rows // n), -(-cols // n)))[:rows, :cols]
 
 
 def _station_masks(fm: FaultMap | None, rows: int, cols: int):
@@ -281,6 +292,15 @@ def _blas_ready(m: Multiplier, rows: int) -> bool:
     return m.kind == "truncated" and m.params["k"] <= 8 and (1 << m.params["k"]) <= rows
 
 
+def _exact_operands(wq, aq, m: Multiplier):
+    """The codes whose exact product a ``_blas_ready`` multiplier rounds:
+    broken-carry-k drops the low k bits of both, the others keep them."""
+    if m.kind != "broken_carry":
+        return wq, aq
+    keep = np.uint8((0xFF << m.params["k"]) & 0xFF)
+    return (wq.view(np.uint8) & keep).view(np.int8), (aq.view(np.uint8) & keep).view(np.int8)
+
+
 def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     """Fault-free int32 GEMM of a ``_blas_ready`` multiplier.
 
@@ -289,11 +309,7 @@ def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     summed in int32.
     """
     k = m.params.get("k", 0)
-    w, a = wq, aq
-    if m.kind == "broken_carry":
-        keep = np.uint8((0xFF << k) & 0xFF)
-        w = (wq.view(np.uint8) & keep).view(np.int8)
-        a = (aq.view(np.uint8) & keep).view(np.int8)
+    w, a = _exact_operands(wq, aq, m)
     w, a = w.astype(np.float32), a.astype(np.float32)
     out = (w[:, :_SLAB] @ a[:_SLAB]).astype(np.int32)
     for c0 in range(_SLAB, w.shape[1], _SLAB):
@@ -407,8 +423,9 @@ def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     return _table_sums(tables, aq)
 
 
-def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
-    """Add to a fault-free int32 GEMM the change its faults make.
+def _form_products(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
+    """Add to ``out`` the change the faults of ``fm`` make, forming their
+    products.
 
     Rows i, i+n, ... are stationed on array row i, so they share one set of
     faulty columns; only those products are formed. Each reduction of int16
@@ -432,6 +449,69 @@ def _correct_lattice(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
             if mode == "propagate":
                 delta += ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
             out[i::n, b0 : b0 + chunk] += delta
+
+
+def _sign_counts(out, wq, aq, m: Multiplier, hit, sa1_rows) -> None:
+    """Add to ``out`` the change that stuck-at faults at bit 15 make on the
+    weights ``hit`` marks, from counts of negative products.
+
+    ``m`` is ``_blas_ready``, so a product is negative exactly when its
+    (broken-carry masked) codes have opposite signs: truncation floors and
+    keeps the sign. Bit 15 is the sign bit, so sa1 moves every product >= 0
+    by -2^15 and sa0 every negative one by +2^15. Row r moves by
+    2^15 (N - H): N counts the negative products at ``hit``, and H, the
+    int32 ``sa1_rows[r]``, the sa1 weights of row r. N is a float32 matmul
+    of 0/1 matrices, exact because N <= MAX_GEMM_DEPTH < 2^24, and
+    |2^15 (N - H)| <= 2^30.
+    """
+    w, a = _exact_operands(wq, aq, m)
+    depth, batch = a.shape
+    # [w > 0 | w < 0] at the faulty weights against [a < 0 ; a > 0]
+    ws = np.hstack([hit & (w > 0), hit & (w < 0)]).astype(np.float32)
+    h = sa1_rows[:, None]
+    # at most 16 MiB of signs at a time
+    chunk = max(1, (1 << 21) // depth)
+    for b0 in range(0, batch, chunk):
+        ab = a[:, b0 : b0 + chunk]
+        signs = np.empty((2 * depth, ab.shape[1]), dtype=np.float32)
+        signs[:depth] = ab < 0
+        signs[depth:] = ab > 0
+        out[:, b0 : b0 + chunk] += ((ws @ signs).astype(np.int32) - h) << 15
+
+
+def _correct_lattice(out, wq, aq, m: Multiplier, fm: FaultMap, mode: str) -> None:
+    """Add to a fault-free int32 GEMM the change its faults make.
+
+    For a ``_blas_ready`` multiplier some faults take a few float32 matmuls
+    instead of forming their products: in ``propagate`` those at bit 15
+    (``_sign_counts``); in ``bypass``, on exact and broken-carry, all of
+    them, whose products one ``_blas_gemm`` of their weights takes away
+    (truncated-k would take 2^k matmuls). The matmuls read every activation
+    row that such a weight meets, so they are taken only when those weights
+    number at least ``_COUNTED_PER_ROW`` per activation row read. Below
+    that, as in shallow GEMMs and sparse maps, forming the products is
+    cheaper. The other faults form their products (``_form_products``).
+    """
+    rows, depth = wq.shape
+    if mode == "bypass" and m.kind in ("exact", "broken_carry"):
+        counted = fm.entries
+    elif mode == "propagate" and _blas_ready(m, rows):
+        counted = {ij: f for ij, f in fm.entries.items() if f.bit == 15}
+    else:
+        counted = {}
+    hit = pruned_mask((rows, depth), FaultMap(fm.n, counted))
+    cols = np.flatnonzero(hit.any(axis=0))
+    if cols.size and np.count_nonzero(hit) >= _COUNTED_PER_ROW * cols.size:
+        hit, w, a = hit[:, cols], wq[:, cols], aq[cols]
+        if mode == "bypass":
+            out -= _blas_gemm(w * hit, a, m)
+        else:
+            sa1 = FaultMap(fm.n, {ij: f for ij, f in counted.items() if f.kind == "sa1"})
+            h = pruned_mask((rows, depth), sa1).sum(axis=1, dtype=np.int32)
+            _sign_counts(out, w, a, m, hit, h)
+        fm = FaultMap(fm.n, {ij: f for ij, f in fm.entries.items() if ij not in counted})
+    if fm.entries:
+        _form_products(out, wq, aq, product_function(m), fm, mode)
 
 
 def _check_array(fm: FaultMap | None, cfg: SystolicConfig) -> None:
@@ -476,7 +556,7 @@ def systolic_gemm(
     equals the integer matrix product.
 
     From ``clean``, the fault-free output of the same GEMM (left as it
-    is), only the products stationed on faulty MACs are formed. ``tables``,
+    is), only the change the faults make is added. ``tables``,
     the fault-free per-weight tables of ``wq`` (``_clean_tables``), spare a
     table multiplier their build; faults folded into the tables build
     their own.
@@ -489,7 +569,7 @@ def systolic_gemm(
         return _table_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, *wq.shape))
     out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if faulty:
-        _correct_lattice(out, wq, aq, product_function(m), fm, cfg.mode)
+        _correct_lattice(out, wq, aq, m, fm, cfg.mode)
     return out
 
 

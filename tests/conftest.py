@@ -9,8 +9,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from axfault import datasets, network, training
+
+# Selected with `pytest --hypothesis-profile=gemm-deep`. The hypothesis
+# properties that leave their example count to the loaded profile, the GEMM
+# oracle properties of test_gemm_paths.py, then draw ten times the default.
+settings.register_profile("gemm-deep", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

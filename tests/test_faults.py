@@ -91,13 +91,18 @@ def test_stuck_at_validation():
 
 def test_fault_specs_reject_non_integers():
     # bit True acted as bit 1; bit 14.5, n 2.5 and tile_index 1.5 were
-    # accepted and either ran or raised TypeError at the first GEMM
+    # accepted and either ran or raised TypeError at the first GEMM. A
+    # random map's n 2.5 and seed 1.5 raised numpy's errors naming neither,
+    # and a tile fault's seed 1.5 was kept until a gpu_tiles forward
     f = fl.StuckAtFault(15, "sa1")
     for make, field in ((lambda v: fl.StuckAtFault(v, "sa1"), "bit"),
                         (lambda v: fl.SystolicConfig(n=v), "n"),
                         (lambda v: fl.FaultMap(n=v), "n"),
-                        (lambda v: fl.TileFaultSpec(v, 0.5, f, seed=0), "tile_index")):
-        for bad in (True, 14.5, 2.0, "3", None):
+                        (lambda v: fl.TileFaultSpec(v, 0.5, f, seed=0), "tile_index"),
+                        (lambda v: fl.TileFaultSpec(0, 0.5, f, seed=v), "seed"),
+                        (lambda v: fl.random_fault_map(v, 50.0, f, seed=1), "n"),
+                        (lambda v: fl.random_fault_map(4, 50.0, f, seed=v), "seed")):
+        for bad in (True, 14.5, 2.5, 1.5, 2.0, "3", None):
             with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 make(bad)
         make(np.int64(3))
@@ -140,6 +145,10 @@ def test_random_fault_map_argument_errors():
         fl.random_fault_map(8, -1, f, seed=1)
     with pytest.raises(ValueError):
         fl.random_fault_map(8, 101, f, seed=1)
+    with pytest.raises(ValueError, match="^seed must be at least 0"):
+        fl.random_fault_map(8, 10, f, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be at least 0"):
+        fl.TileFaultSpec(0, 0.5, f, seed=-1)
 
 
 def test_fault_map_file_round_trip(tmp_path):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axfault import faults as fl
@@ -140,26 +140,48 @@ ANY_MULTIPLIER = st.one_of(st.sampled_from(MULTIPLIERS), st.sampled_from(TABLE_M
 BATCHES = st.one_of(st.integers(1, 20), st.integers(128, 300))
 
 
+# zero, whose products have no sign; codes of at most 3 bits, which
+# broken-carry-k masks to 0 when positive and to -2^k when negative; and the
+# extremes
+_EDGE_CODES = np.array([-128, -4, -3, -2, -1, 0, 1, 2, 3, 4, 127], dtype=np.int8)
+
+
 def _operands(seed, rows, depth, batch):
+    """Random codes, a quarter of them drawn from ``_EDGE_CODES``."""
     rng = np.random.default_rng(seed)
-    w = rng.integers(-128, 128, size=(rows, depth)).astype(np.int8)
-    a = rng.integers(-128, 128, size=(depth, batch)).astype(np.int8)
+    out = []
+    for shape in ((rows, depth), (depth, batch)):
+        x = rng.integers(-128, 128, size=shape).astype(np.int8)
+        edge = rng.random(shape) < 0.25
+        x[edge] = rng.choice(_EDGE_CODES, size=np.count_nonzero(edge))
+        out.append(x)
+    w, a = out
     # -128 is a legal code: a weight_map can emit it
     w[0, 0] = a[0, 0] = -128
     return w, a
 
 
+FILLS = ["empty", "full", "random", "sign", "mixed"]
+
+
 def _fault_map(n, fill, seed):
-    """``fill`` is "empty", "full" or "random"; random faults draw their own
-    bit and kind per MAC."""
+    """``fill`` is "empty", "full", "random", "sign" or "mixed". Random
+    faults draw their own bit and kind per MAC; sign faults are all at bit
+    15, the sign bit, and draw their kind; a mixed map draws bit 15 or any
+    other bit with equal odds, so it has both unless it is tiny."""
     rng = np.random.default_rng(seed)
     cells = [(i, j) for i in range(n) for j in range(n)]
     if fill == "empty":
         cells = []
-    elif fill == "random":
+    elif fill != "full":
         cells = [c for c in cells if rng.random() < 0.4]
-    return FaultMap(n, {c: fl.StuckAtFault(int(rng.integers(16)),
-                                           ("sa0", "sa1")[rng.integers(2)])
+
+    def bit():
+        if fill == "sign" or (fill == "mixed" and rng.random() < 0.5):
+            return 15
+        return int(rng.integers(15 if fill == "mixed" else 16))
+
+    return FaultMap(n, {c: fl.StuckAtFault(bit(), ("sa0", "sa1")[rng.integers(2)])
                         for c in cells})
 
 
@@ -208,12 +230,96 @@ def test_truncated_on_both_sides_of_the_matmul_crossover(k, matmul):
     _check_gpu(w, a, m, tf, 4)
 
 
+def _counted(w, fm):
+    """Whether the faults of ``fm`` station at least two weights of ``w``
+    per depth column they touch, the least at which bit-15 faults, and
+    bypassed ones, take matmuls instead of forming their products."""
+    hit = fl.pruned_mask(w.shape, fm)
+    return np.count_nonzero(hit) >= 2 * np.count_nonzero(hit.any(axis=0))
+
+
+def _check_per_multiplier(m, mode, fill, rows):
+    # on a 4 x 4 array 21 rows station about eight faulty weights per depth
+    # column, and 1 row at most one
+    w, a = _operands(3, rows, 30, 9)
+    fm = _fault_map(4, fill, 5)
+    if fill != "empty":
+        assert _counted(w, fm) == (rows > 1)
+    _check_systolic(w, a, m, fm, SystolicConfig(4, mode), step=True)
+
+
 @pytest.mark.parametrize("m", MULTIPLIERS, ids=lambda m: m.id)
 @pytest.mark.parametrize("mode", fl.GEMM_MODES)
-@pytest.mark.parametrize("fill", ["empty", "full", "random"])
+@pytest.mark.parametrize("fill", FILLS)
 def test_systolic_matches_reference_per_multiplier(m, mode, fill):
-    w, a = _operands(3, 21, 30, 9)
-    _check_systolic(w, a, m, _fault_map(4, fill, 5), SystolicConfig(4, mode))
+    _check_per_multiplier(m, mode, fill, 21)
+
+
+@pytest.mark.parametrize("m", MULTIPLIERS, ids=lambda m: m.id)
+@pytest.mark.parametrize("mode", fl.GEMM_MODES)
+@pytest.mark.parametrize("fill", FILLS)
+def test_systolic_matches_reference_per_multiplier_shallow(m, mode, fill):
+    _check_per_multiplier(m, mode, fill, 1)
+
+
+def _routes(monkeypatch, *args):
+    """``systolic_gemm(*args)`` and the (name, arguments) of each call it
+    makes to the helpers that correct its faults."""
+    calls = []
+    for name in ("_sign_counts", "_blas_gemm", "_form_products"):
+        def spy(*a, _real=getattr(fl, name), _name=name):
+            calls.append((_name, a))
+            return _real(*a)
+        monkeypatch.setattr(fl, name, spy)
+    out = fl.systolic_gemm(*args)
+    monkeypatch.undo()
+    return out, calls
+
+
+@pytest.mark.parametrize("m", [mul.exact_multiplier(), mul.broken_carry_multiplier(2),
+                               mul.truncated_multiplier(3)], ids=lambda m: m.id)
+@pytest.mark.parametrize("kind", fl.FAULT_KINDS)
+@pytest.mark.parametrize("mode", fl.GEMM_MODES)
+def test_sign_faults_and_bypass_take_matmuls(monkeypatch, m, kind, mode):
+    # every _blas_ready family corrects bit-15 faults from sign counts, and
+    # bypass, but for truncated-k (2^k matmuls), with one matmul of the
+    # faulty weights. A 1-row GEMM meets one faulty weight per depth column
+    # and forms the faulty products. Every edge code, among them those that
+    # broken-carry-2 masks to 0, meets every other
+    f = fl.StuckAtFault(15, kind)
+    fm = FaultMap(2, {(i, j): f for i in range(2) for j in range(2)})
+    cfg = SystolicConfig(2, mode)
+    if mode == "propagate":
+        route = "_sign_counts"
+    else:
+        route = "_form_products" if m.kind == "truncated" else "_blas_gemm"
+    for rows, want in ((8, route), (1, "_form_products")):
+        w, a = _operands(rows, rows, 12, 40)
+        w[0, :11] = a[:, :11] = _EDGE_CODES
+        clean = systolic_gemm_ref(w, a, m, None, cfg)
+        out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
+        assert [name for name, _ in calls] == [want]
+        np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+
+
+def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
+    # bit-15 faults take the counts and the others form their products; a
+    # table multiplier, and truncated-4 below 16 rows, form them all
+    F = fl.StuckAtFault
+    fm = FaultMap(2, {(0, 0): F(15, "sa1"), (0, 1): F(3, "sa0"),
+                      (1, 0): F(15, "sa0"), (1, 1): F(14, "sa1")})
+    cfg = SystolicConfig(2, "propagate")
+    w, a = _operands(4, 8, 12, 40)
+    for m, want in ((mul.exact_multiplier(), ["_sign_counts", "_form_products"]),
+                    (mul.truncated_multiplier(4), ["_form_products"]),
+                    (_RANDOM_LUT, ["_form_products"])):
+        clean = systolic_gemm_ref(w, a, m, None, cfg)
+        out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
+        assert [name for name, _ in calls] == want
+        formed = calls[-1][1][4]
+        assert formed.entries == {ij: f for ij, f in fm.entries.items()
+                                  if f.bit != 15 or len(want) == 1}
+        np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
 
 
 @pytest.mark.parametrize("bit", range(16))
@@ -238,17 +344,23 @@ def test_exact_table_lut_equals_exact_multiplier():
                                       fl.systolic_gemm(w, a, mul.exact_multiplier(), fm, cfg))
 
 
-@settings(max_examples=90, deadline=None)
+# The two GEMM properties take their example count from the loaded
+# hypothesis profile: 100 by default, more under tests/conftest.py's
+# "gemm-deep"
+@settings(deadline=None)
 @given(ANY_MULTIPLIER, st.integers(1, 6), st.integers(1, 20),
-       st.integers(1, 40), BATCHES, st.sampled_from(["empty", "full", "random"]),
+       st.integers(1, 40), BATCHES, st.sampled_from(FILLS),
        st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1))
+# sign faults on either side of the rule that sends them to matmuls
+@example(mul.exact_multiplier(), 2, 20, 40, 130, "mixed", "propagate", 1)
+@example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1)
 def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed):
     # rows and depth below n leave array rows and columns unused
     w, a = _operands(seed, rows, depth, batch)
     _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode), step=True)
 
 
-@settings(max_examples=90, deadline=None)
+@settings(deadline=None)
 @given(ANY_MULTIPLIER, st.integers(1, 40), st.integers(1, 20),
        st.integers(1, 40), BATCHES, st.sampled_from([0.0, 0.3, 1.0]),
        st.integers(0, 15), st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1))
@@ -287,24 +399,34 @@ _BLAS_MULTIPLIERS = ([mul.exact_multiplier()]
                      + [mul.truncated_multiplier(k) for k in range(1, 9)])
 
 
-def test_worst_case_sums_at_max_depth():
+def test_worst_case_sums_at_max_depth(monkeypatch):
+    _check_worst_case(monkeypatch, "sa1", 0)
+
+
+def test_worst_case_sa0_sums_at_max_depth(monkeypatch):
+    _check_worst_case(monkeypatch, "sa0", 127)
+
+
+def _check_worst_case(monkeypatch, kind, row1):
     # the largest |accumulator| the engines can reach: every clean product
     # is (-128)^2 = 2^14, every sa1-at-bit-15 product of a zero weight is
     # -2^15. Depths around the 1024-column float32 slab and up to the full
     # MAX_GEMM_DEPTH reduction, against int64 sums of table products. Row 2
     # and column 1 draw from [-128, -120]: one float32 matmul over 32768
-    # such products is inexact.
-    sa1 = fl.StuckAtFault(15, "sa1")
-    fm = FaultMap(1, {(0, 0): sa1})
-    om, am = sa1.masks()
-    tf = TileFaultSpec(0, 1.0, sa1, seed=0)
+    # such products is inexact. The sa0 twin's row 1 is 127, whose products
+    # with -128 are all negative, so sa0 moves each by +2^15. Either way
+    # the sign counts' 2^15 H or 2^15 N reaches 2^30 at full depth.
+    fault = fl.StuckAtFault(15, kind)
+    fm = FaultMap(1, {(0, 0): fault})
+    om, am = fault.masks()
+    tf = TileFaultSpec(0, 1.0, fault, seed=0)
     rng = np.random.default_rng(0)
     for depth in (1023, 1024, 1025, 2049, fl.MAX_GEMM_DEPTH):
         for m in _BLAS_MULTIPLIERS:
             rows = max(3, 1 << m.params.get("k", 0))
             assert fl._blas_ready(m, rows)
             w = np.full((rows, depth), -127, dtype=np.int8)
-            w[0], w[1], w[2] = -128, 0, rng.integers(-128, -119, depth)
+            w[0], w[1], w[2] = -128, row1, rng.integers(-128, -119, depth)
             a = np.full((depth, 2), -128, dtype=np.int8)
             a[:, 1] = rng.integers(-128, -119, depth)
             clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(1))
@@ -318,12 +440,20 @@ def test_worst_case_sums_at_max_depth():
                 cfg = SystolicConfig(1, mode)
                 np.testing.assert_array_equal(fl.systolic_gemm(w, a, m, fm, cfg), want,
                                               err_msg=f"{m.id} at depth {depth}, {mode}")
-                np.testing.assert_array_equal(fl.systolic_gemm(w, a, m, fm, cfg, clean), want)
+                out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
+                np.testing.assert_array_equal(out, want)
+                if mode == "propagate":
+                    assert [name for name, _ in calls] == ["_sign_counts"]
             # the damaged block is rows 0-1 of both columns
             want = np.vstack([faulty[:2], clean[2:]])
             np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2), want)
             np.testing.assert_array_equal(fl.gpu_tile_gemm(w, a, m, tf, 2, clean), want)
-            if depth == fl.MAX_GEMM_DEPTH and m.kind == "exact":
+            # broken-carry-7 masks 127 to 0: no product is negative
+            negative = mul.multiply(m, -128, row1) < 0
+            if depth == fl.MAX_GEMM_DEPTH and (kind == "sa1" or negative):
+                moved = faulty[1, 0] - clean[1, 0]
+                assert moved == (1 << 30 if kind == "sa0" else -(1 << 30))
+            if depth == fl.MAX_GEMM_DEPTH and m.kind == "exact" and kind == "sa1":
                 assert clean[0, 0] == 1 << 29 and clean[1, 0] == 0
                 assert faulty[1, 0] == -(1 << 30)
 
