@@ -23,11 +23,16 @@ and ``golden_pass`` decides what fits. A (multiplier, layer) entry that
 does not fit, and every cell with ``layers: "all"``, is evaluated from the
 input; a layer without tables builds them per GEMM. Workers inherit the
 plans from the parent process.
+
+``AXES`` is the one declaration of the axes: cells, their seeds, the record
+fields they fill and the report's per-axis tables all follow it, and the CSV
+columns follow the record fields.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -44,14 +49,17 @@ from .multipliers import Multiplier, error_metrics, parse_multiplier
 from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
 from .training import HyperParams
 
-# Axis names in canonical record order. Records are emitted in the
-# product order of these axes no matter how execution was scheduled.
+# The campaign's axes in canonical order, the only place that order is
+# written. Each names a CampaignRecord field; a spec lists the axis' values
+# under its plural (layers through ``layer_values``). Cells, their seed keys
+# and the report's per-axis tables all follow this tuple, so records come out
+# in its product order by construction, however execution was scheduled.
 AXES = ("engine", "multiplier", "fault_kind", "bit", "percent", "layer",
         "array_size", "seed")
 
-CSV_COLUMNS = ("model,dataset,engine,multiplier,mae_percent,fault_kind,bit,"
-               "percent_faulty,layer,array_size,seed,baseline_acc,faulty_acc,"
-               "acc_loss,mitigated_acc,energy_pj,wall_time_ms")
+# the casts ``cells_of`` gives axis values: ``cell_seed`` hashes
+# ``repr(percent)``, so a percent given as 16 must be the cell of 16.0
+_AXIS_CASTS = {"bit": int, "percent": float, "array_size": int, "seed": int}
 
 # Cap on the golden-pass state a campaign keeps for its layer-filtered cells,
 # and then on the per-weight tables of its plans.
@@ -193,31 +201,18 @@ class CampaignRecord:
     error: str | None = None
 
 
+# the record fields results.csv writes, in record order
+_CSV_FIELDS = [f.name for f in fields(CampaignRecord) if f.name not in ("cell_index", "error")]
+CSV_COLUMNS = ",".join("percent_faulty" if n == "percent" else n for n in _CSV_FIELDS)
+
+
 def cells_of(spec: CampaignSpec) -> list:
-    """Cartesian product of the axes, in canonical order, with indices."""
-    out = []
-    idx = 0
-    for engine in spec.engines:
-        for mult in spec.multipliers:
-            for kind in spec.fault_kinds:
-                for bit in spec.bits:
-                    for percent in spec.percents:
-                        for layer in spec.layer_values():
-                            for asize in spec.array_sizes:
-                                for seed in spec.seeds:
-                                    out.append({
-                                        "cell_index": idx,
-                                        "engine": engine,
-                                        "multiplier": mult,
-                                        "fault_kind": kind,
-                                        "bit": int(bit),
-                                        "percent": float(percent),
-                                        "layer": layer,
-                                        "array_size": int(asize),
-                                        "seed": int(seed),
-                                    })
-                                    idx += 1
-    return out
+    """Cartesian product of the axes, in ``AXES`` order, with indices."""
+    lists = [spec.layer_values() if axis == "layer"
+             else [_AXIS_CASTS.get(axis, str)(v) for v in getattr(spec, axis + "s")]
+             for axis in AXES]
+    return [{"cell_index": i, **dict(zip(AXES, values))}
+            for i, values in enumerate(itertools.product(*lists))]
 
 
 def cell_seed(cell: dict, m: Multiplier) -> int:
@@ -228,15 +223,10 @@ def cell_seed(cell: dict, m: Multiplier) -> int:
     multiplier ``m`` enters by its table's content, not by the file path
     that names it, so one table draws the same fault maps at any path.
     """
-    layer = "all" if cell["layer"] is None else str(cell["layer"])
-    mult = cell["multiplier"]
+    values = dict(cell)
     if m.kind == "lut":
-        mult = "lut:" + hashlib.sha256(m.table.astype("<i2").tobytes()).hexdigest()
-    key = "|".join([
-        cell["engine"], mult, cell["fault_kind"],
-        str(cell["bit"]), repr(cell["percent"]), layer,
-        str(cell["array_size"]), str(cell["seed"]),
-    ])
+        values["multiplier"] = "lut:" + hashlib.sha256(m.table.astype("<i2").tobytes()).hexdigest()
+    key = "|".join(_field_str(axis, values[axis]) for axis in AXES)
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
@@ -297,23 +287,10 @@ def _run_cell(cell: dict) -> CampaignRecord:
     a = _ASSETS
     spec = a["spec"]
     t0 = time.perf_counter() if a["include_timing"] else None
-    rec = CampaignRecord(
-        cell_index=cell["cell_index"],
-        model=spec.model_id,
-        dataset=spec.dataset_id,
-        engine=cell["engine"],
-        multiplier=cell["multiplier"],
-        mae_percent=a["mae"][cell["multiplier"]],
-        fault_kind=cell["fault_kind"],
-        bit=cell["bit"],
-        percent=cell["percent"],
-        layer=cell["layer"],
-        array_size=cell["array_size"],
-        seed=cell["seed"],
-        baseline_acc=a["baselines"][cell["multiplier"]],
-        faulty_acc=None,
-        acc_loss=None,
-    )
+    rec = CampaignRecord(**cell, model=spec.model_id, dataset=spec.dataset_id,
+                         mae_percent=a["mae"][cell["multiplier"]],
+                         baseline_acc=a["baselines"][cell["multiplier"]],
+                         faulty_acc=None, acc_loss=None)
     try:
         m = a["multipliers"][cell["multiplier"]]
         cseed = cell_seed(cell, m)
@@ -414,30 +391,33 @@ def save_records(records, path) -> None:
 
 
 def load_records(path) -> list:
+    """The records ``save_records`` wrote; ``ValueError`` for a file that
+    holds no list of records with exactly the record fields."""
     with open(path) as f:
-        return [CampaignRecord(**d) for d in json.load(f)]
+        doc = json.load(f)
+    if not isinstance(doc, list) or not all(isinstance(d, dict) for d in doc):
+        raise ValueError(f"{path}: a records file must hold a JSON list of objects")
+    names = {f.name for f in fields(CampaignRecord)}
+    required = {f.name for f in fields(CampaignRecord) if f.default is MISSING}
+    for i, d in enumerate(doc):
+        unknown, missing = sorted(set(d) - names), sorted(required - set(d))
+        if unknown or missing:
+            raise ValueError(f"{path}: record {i}: unknown fields {unknown}, "
+                             f"missing fields {missing}")
+    return [CampaignRecord(**d) for d in doc]
 
 
-def _cell_str(v) -> str:
+def _field_str(name, v) -> str:
+    """A record field as the CSV and the seed key write it: floats by repr,
+    a None layer as "all", any other None as empty."""
     if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        return "all" if name == "layer" else ""
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def records_to_csv(records) -> str:
     lines = [CSV_COLUMNS]
-    for r in records:
-        lines.append(",".join([
-            r.model, r.dataset, r.engine, r.multiplier,
-            _cell_str(r.mae_percent), r.fault_kind, str(r.bit),
-            _cell_str(r.percent), "all" if r.layer is None else str(r.layer),
-            str(r.array_size), str(r.seed), _cell_str(r.baseline_acc),
-            _cell_str(r.faulty_acc), _cell_str(r.acc_loss),
-            _cell_str(r.mitigated_acc), _cell_str(r.energy_pj),
-            _cell_str(r.wall_time_ms),
-        ]))
+    lines += [",".join(_field_str(n, getattr(r, n)) for n in _CSV_FIELDS) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -462,11 +442,27 @@ def _mean_faulty(records, **match):
 
 
 def _axis_label(axis, v):
-    if axis == "layer":
-        return "all" if v is None else str(v)
     if isinstance(v, float) and v == int(v):
         return str(int(v))
-    return str(v)
+    return _field_str(axis, v)
+
+
+def _axis_tables(records):
+    """(axis, labels, series) for each axis that takes two or more values,
+    in ``AXES`` order: the mean faulty accuracy at each value, one series
+    per multiplier, or for the multiplier axis one series of its own."""
+    ok = [r for r in records if r.error is None]
+    mults = _axis_values(records, "multiplier")
+    for axis in AXES:
+        vals = _axis_values(records, axis)
+        if len(vals) < 2:
+            continue
+        if axis == "multiplier":
+            series = [("faulty accuracy", [_mean_faulty(ok, multiplier=v) for v in vals])]
+        else:
+            series = [(mid, [_mean_faulty(ok, multiplier=mid, **{axis: v}) for v in vals])
+                      for mid in mults]
+        yield axis, [_axis_label(axis, v) for v in vals], series
 
 
 def summarize(records, energy_table=None) -> str:
@@ -517,20 +513,15 @@ def summarize(records, energy_table=None) -> str:
         lines.append("No energy table supplied; energy ranking unavailable.")
     lines.append("")
 
-    for axis in AXES:
-        vals = _axis_values(records, axis)
-        if len(vals) < 2 or axis == "multiplier":
+    for axis, labels, series in _axis_tables(records):
+        if axis == "multiplier":
             continue
-        lines.append(f"## Mean faulty accuracy by {axis}")
-        lines.append("")
-        lines.append("| multiplier | " + " | ".join(_axis_label(axis, v) for v in vals) + " |")
-        lines.append("|---" * (len(vals) + 1) + "|")
-        for mid in mults:
-            row = [mid]
-            for v in vals:
-                acc = _mean_faulty(ok, multiplier=mid, **{axis: v})
-                row.append("" if acc is None else f"{acc:.2f}")
-            lines.append("| " + " | ".join(row) + " |")
+        lines += [f"## Mean faulty accuracy by {axis}", "",
+                  "| multiplier | " + " | ".join(labels) + " |",
+                  "|---" * (len(labels) + 1) + "|"]
+        for mid, accs in series:
+            cells = ["" if acc is None else f"{acc:.2f}" for acc in accs]
+            lines.append("| " + " | ".join([mid] + cells) + " |")
         lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -543,37 +534,15 @@ def emit_report(records, out_dir, energy_table=None) -> list:
     """
     if not records:
         raise ValueError("no records to report")
+    texts = {"results.csv": records_to_csv(records),
+             "summary.md": summarize(records, energy_table)}
+    for axis, labels, series in _axis_tables(records):
+        chart = charts.bar_chart if axis == "multiplier" else charts.line_chart
+        texts[f"chart_{axis}.svg"] = chart(labels, series, f"Mean faulty accuracy by {axis}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    path = os.path.join(out_dir, "results.csv")
-    with open(path, "w") as f:
-        f.write(records_to_csv(records))
-    written.append(path)
-
-    path = os.path.join(out_dir, "summary.md")
-    with open(path, "w") as f:
-        f.write(summarize(records, energy_table))
-    written.append(path)
-
-    ok = [r for r in records if r.error is None]
-    mults = _axis_values(records, "multiplier")
-    for axis in AXES:
-        vals = _axis_values(records, axis)
-        if len(vals) < 2:
-            continue
-        cats = [_axis_label(axis, v) for v in vals]
-        if axis == "multiplier":
-            series = [("faulty accuracy",
-                       [_mean_faulty(ok, multiplier=v) for v in vals])]
-            svg = charts.bar_chart(cats, series, "Mean faulty accuracy by multiplier")
-        else:
-            series = [(mid, [_mean_faulty(ok, multiplier=mid, **{axis: v})
-                             for v in vals]) for mid in mults]
-            svg = charts.line_chart(cats, series,
-                                    f"Mean faulty accuracy by {axis}")
-        path = os.path.join(out_dir, f"chart_{axis}.svg")
-        with open(path, "w") as f:
-            f.write(svg)
-        written.append(path)
+    for name, text in texts.items():
+        written.append(os.path.join(out_dir, name))
+        with open(written[-1], "w") as f:
+            f.write(text)
     return written

@@ -244,6 +244,8 @@ def _cmd_campaign_report(args) -> int:
 
 
 def _cmd_dataset_convert(args) -> int:
+    if not args.cifar and (args.images is None or args.labels is None):
+        raise ValueError("dataset convert needs --cifar, or --images and --labels")
     os.makedirs(args.out, exist_ok=True)
     if args.cifar:
         ds = datasets.load_cifar10_batches(args.cifar.split(","), "cifar10")

@@ -132,6 +132,25 @@ def test_cell_seed_distinguishes_percent_format():
     assert _seed(c) == _seed(dict(c))
 
 
+def test_cell_seeds_pinned():
+    # the key format is part of the records: a changed seed draws other faults
+    table = np.outer(np.arange(-128, 128), np.arange(-128, 128)) // 2
+    ms = {"exact": mul.parse_multiplier("exact"),
+          "tables/half.axlut": mul.from_table("lut", table.astype(np.int16).reshape(-1))}
+    spec = cp.CampaignSpec(model_id="m", dataset_id="d", multipliers=list(ms),
+                           engines=["systolic", "gpu_tiles"], fault_kinds=["sa0"],
+                           bits=[7], percents=[16, 2.5], array_sizes=[4], seeds=[3])
+    assert [cp.cell_seed(c, ms[c["multiplier"]]) for c in cp.cells_of(spec)] == [
+        16545010024892621536, 4810924789990766208, 3080587085919522319,
+        8310349524701900323, 8886104701747903215, 7849137714828637525,
+        10187989533900011991, 5688028764080478514]
+    spec = cp.CampaignSpec(model_id="m", dataset_id="d", multipliers=["truncated-4"],
+                           layers=[0, 2])
+    m = mul.parse_multiplier("truncated-4")
+    assert [cp.cell_seed(c, m) for c in cp.cells_of(spec)] == [
+        5715523469124106316, 14147714488644202192]
+
+
 def test_lut_cells_seeded_by_table_not_path(blobs_assets, tmp_path):
     model, ws, _, test_d = blobs_assets
     table = np.random.default_rng(4).integers(-40, 41, size=(256, 256))
@@ -488,6 +507,128 @@ def test_csv_header_pinned(blobs_assets):
     assert row[8] == "all"           # layer axis collapsed
     assert row[14] == row[16] == ""  # no mitigation, no timing
     assert "np.float64" not in text
+
+
+def _pinned_record(i, engine, mult, kind, bit, percent, layer, asize, seed, faulty, **kw):
+    return cp.CampaignRecord(
+        cell_index=i, model="blobs-mlp", dataset="blobs", engine=engine,
+        multiplier=mult, mae_percent=0.0 if mult == "exact" else 0.09765625,
+        fault_kind=kind, bit=bit, percent=percent, layer=layer, array_size=asize,
+        seed=seed, baseline_acc=90.0, faulty_acc=faulty,
+        acc_loss=None if faulty is None else 90.0 - faulty, **kw)
+
+
+# hand-built, so the pinned bytes depend on no BLAS or training run; every
+# axis splits the records differently
+PINNED_RECORDS = [
+    _pinned_record(0, "systolic", "exact", "sa1", 15, 16.0, None, 8, 1, 85.5,
+                   energy_pj=1376.0),
+    _pinned_record(1, "systolic", "exact", "sa0", 7, 12.5, None, 8, 1, 60.25,
+                   energy_pj=1376.0, wall_time_ms=3.125),
+    _pinned_record(2, "gpu_tiles", "exact", "sa1", 7, 16.0, 1, 4, 2, 88.0,
+                   mitigated_acc=89.5),
+    _pinned_record(3, "systolic", "truncated-4", "sa1", 15, 12.5, 1, 8, 2, 80.0 / 3),
+    _pinned_record(4, "systolic", "truncated-4", "sa0", 15, 16.0, None, 4, 1, None,
+                   error="ValueError: boom"),
+    _pinned_record(5, "gpu_tiles", "truncated-4", "sa0", 7, 12.5, None, 8, 2, 40.0),
+]
+
+
+def test_csv_bytes_pinned():
+    assert cp.records_to_csv(PINNED_RECORDS) == (
+        "model,dataset,engine,multiplier,mae_percent,fault_kind,bit,percent_faulty,"
+        "layer,array_size,seed,baseline_acc,faulty_acc,acc_loss,mitigated_acc,"
+        "energy_pj,wall_time_ms\n"
+        "blobs-mlp,blobs,systolic,exact,0.0,sa1,15,16.0,all,8,1,90.0,85.5,4.5,,1376.0,\n"
+        "blobs-mlp,blobs,systolic,exact,0.0,sa0,7,12.5,all,8,1,90.0,60.25,29.75,,"
+        "1376.0,3.125\n"
+        "blobs-mlp,blobs,gpu_tiles,exact,0.0,sa1,7,16.0,1,4,2,90.0,88.0,2.0,89.5,,\n"
+        "blobs-mlp,blobs,systolic,truncated-4,0.09765625,sa1,15,12.5,1,8,2,90.0,"
+        "26.666666666666668,63.33333333333333,,,\n"
+        "blobs-mlp,blobs,systolic,truncated-4,0.09765625,sa0,15,16.0,all,4,1,90.0,,,,,\n"
+        "blobs-mlp,blobs,gpu_tiles,truncated-4,0.09765625,sa0,7,12.5,all,8,2,90.0,"
+        "40.0,50.0,,,\n")
+
+
+def test_summary_bytes_pinned():
+    assert cp.summarize(PINNED_RECORDS) == """\
+# Campaign summary
+
+- records: 6 (1 failed)
+- model: blobs-mlp, dataset: blobs
+
+## Multiplier ranking by mean faulty accuracy
+
+| rank | multiplier | mean faulty acc (%) | mean acc loss (pts) |
+|---|---|---|---|
+| 1 | exact | 77.92 | 12.08 |
+| 2 | truncated-4 | 33.33 | 56.67 |
+
+## Multiplier ranking by energy per inference
+
+| rank | multiplier | energy (pJ/inference) |
+|---|---|---|
+| 1 | exact | 1376.0 |
+
+## Mean faulty accuracy by engine
+
+| multiplier | systolic | gpu_tiles |
+|---|---|---|
+| exact | 72.88 | 88.00 |
+| truncated-4 | 26.67 | 40.00 |
+
+## Mean faulty accuracy by fault_kind
+
+| multiplier | sa1 | sa0 |
+|---|---|---|
+| exact | 86.75 | 60.25 |
+| truncated-4 | 26.67 | 40.00 |
+
+## Mean faulty accuracy by bit
+
+| multiplier | 15 | 7 |
+|---|---|---|
+| exact | 85.50 | 74.12 |
+| truncated-4 | 26.67 | 40.00 |
+
+## Mean faulty accuracy by percent
+
+| multiplier | 16 | 12.5 |
+|---|---|---|
+| exact | 86.75 | 60.25 |
+| truncated-4 |  | 33.33 |
+
+## Mean faulty accuracy by layer
+
+| multiplier | all | 1 |
+|---|---|---|
+| exact | 72.88 | 88.00 |
+| truncated-4 | 40.00 | 26.67 |
+
+## Mean faulty accuracy by array_size
+
+| multiplier | 8 | 4 |
+|---|---|---|
+| exact | 72.88 | 88.00 |
+| truncated-4 | 33.33 |  |
+
+## Mean faulty accuracy by seed
+
+| multiplier | 1 | 2 |
+|---|---|---|
+| exact | 72.88 | 88.00 |
+| truncated-4 |  | 33.33 |
+
+"""
+    # records without an energy column rank by the table's per-MAC costs
+    text = cp.summarize([r for r in PINNED_RECORDS if r.energy_pj is None],
+                        cp.ILLUSTRATIVE_ENERGY_PJ)
+    assert """\
+| rank | multiplier | energy (pJ/MAC) |
+|---|---|---|
+| 1 | truncated-4 | 0.85 |
+| 2 | exact | 1.00 |
+""" in text
 
 
 def test_summary_contains_both_rankings(blobs_assets):

@@ -5,6 +5,7 @@ whole file stays fast.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,31 @@ def test_campaign_run_rejects_malformed_spec(trained, spec, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_RECORD = {"cell_index": 0, "model": "m", "dataset": "d", "engine": "systolic",
+           "multiplier": "exact", "mae_percent": 0.0, "fault_kind": "sa1", "bit": 15,
+           "percent": 16.0, "layer": None, "array_size": 8, "seed": 1,
+           "baseline_acc": 90.0, "faulty_acc": 80.0, "acc_loss": 10.0}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([{"cell_index": 0, "bogus": 1}],
+     r"record 0: unknown fields \['bogus'\], missing fields \['acc_loss', "),
+    ([_RECORD, {k: v for k, v in _RECORD.items() if k != "seed"}],
+     r"record 1: unknown fields \[\], missing fields \['seed'\]$"),
+    ({"records": [_RECORD]}, "must hold a JSON list of objects$"),
+], ids=["unknown-field", "missing-field", "object"])
+def test_campaign_report_rejects_malformed_records(tmp_path, doc, match, capsys):
+    # each used to end in a TypeError traceback and exit 1
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["campaign", "report", "--records", str(path), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(match, err.strip())
+    assert not (tmp_path / "rep").exists()
+
+
 def test_campaign_run_has_no_seed_flag(trained, capsys):
     # cells take their seeds from the spec, so the flag did nothing
     spec_path = trained["tmp"] / "spec.json"
@@ -390,6 +416,18 @@ def test_dataset_convert_round_trip(tmp_path, capsys):
     assert meta["test"]["count"] == 20
     back = datasets.load_idx(f"{out}/test-images-idx.bin")
     assert np.array_equal(back, raw)
+
+
+@pytest.mark.parametrize("given", [[], ["--images", "imgs.idx"], ["--labels", "labs.idx"]],
+                         ids=["none", "images-only", "labels-only"])
+def test_dataset_convert_without_input_fails(tmp_path, given, capsys):
+    # used to end in a TypeError traceback on the None path and exit 1
+    out = tmp_path / "conv"
+    rc = cli.main(["dataset", "convert", *given, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: dataset convert needs --cifar, "
+                                       "or --images and --labels\n")
+    assert not out.exists()
 
 
 def test_error_exit_code_and_message(tmp_path, capsys):
