@@ -85,7 +85,6 @@ from .training import (
     HyperParams,
     grad_check,
     init_weights,
-    retrain_masked,
     train,
 )
 

@@ -38,6 +38,7 @@ import math
 import numbers
 import os
 import time
+import typing
 
 import numpy as np
 
@@ -242,14 +243,29 @@ def mac_count(model) -> int:
                for idx in model.param_layers())
 
 
+def _check_energy_table(table) -> None:
+    """Raise ``ValueError`` unless ``table`` is None or maps multiplier ids
+    to finite, positive per-MAC energies in picojoules."""
+    if table is None:
+        return
+    if not isinstance(table, dict):
+        raise ValueError(f"an energy table must map multiplier ids to pJ per MAC, "
+                         f"got {type(table).__name__}")
+    for mid, pj in table.items():
+        if not isinstance(mid, str):
+            raise ValueError(f"energy table keys must be multiplier ids, got {mid!r}")
+        if (not isinstance(pj, numbers.Real) or isinstance(pj, bool)
+                or not math.isfinite(pj) or pj <= 0):
+            raise ValueError(f"energy of {mid!r} must be a finite, positive number "
+                             f"of pJ per MAC, got {pj!r}")
+
+
 def energy_estimate(model, multiplier_id: str, table: dict) -> float:
     """Joules per inference: MAC count times the per-op energy."""
+    _check_energy_table(table)
     if multiplier_id not in table:
         raise ValueError(f"no energy entry for multiplier {multiplier_id!r}")
-    pj = float(table[multiplier_id])
-    if pj <= 0:
-        raise ValueError("per-op energy must be positive")
-    return mac_count(model) * pj * 1e-12
+    return mac_count(model) * float(table[multiplier_id]) * 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +351,13 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
     identical to the sequential run because each cell's randomness is
     self-contained and records are ordered by cell index afterwards.
 
-    Raises ``ValueError`` when ``spec.mitigation`` is set for
+    Raises ``ValueError`` for an ``energy_table`` that
+    ``_check_energy_table`` refuses, when ``spec.mitigation`` is set for
     layer-filtered cells (mitigation repairs every layer), and, through
     ``golden_pass``, when a ``spec.layers`` entry is no dense or conv2d
     layer of ``model``.
     """
+    _check_energy_table(energy_table)
     layers = list(dict.fromkeys(i for i in spec.layer_values() if i is not None))
     if layers and spec.mitigation is not None:
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
@@ -390,20 +408,37 @@ def save_records(records, path) -> None:
         f.write("\n")
 
 
+def _value_fits(v, types) -> bool:
+    """Whether JSON value ``v`` fits a record field typed ``types``: an int
+    fits a float field, a bool fits none, None only a field that allows it."""
+    if v is None:
+        return type(None) in types
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, types) or isinstance(v, int) and float in types
+
+
 def load_records(path) -> list:
     """The records ``save_records`` wrote; ``ValueError`` for a file that
-    holds no list of records with exactly the record fields."""
+    holds no list of records with exactly the record fields, each holding
+    a value of its field's type."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, list) or not all(isinstance(d, dict) for d in doc):
         raise ValueError(f"{path}: a records file must hold a JSON list of objects")
-    names = {f.name for f in fields(CampaignRecord)}
+    types = {f.name: typing.get_args(f.type) or (f.type,) for f in fields(CampaignRecord)}
     required = {f.name for f in fields(CampaignRecord) if f.default is MISSING}
     for i, d in enumerate(doc):
-        unknown, missing = sorted(set(d) - names), sorted(required - set(d))
+        unknown, missing = sorted(set(d) - set(types)), sorted(required - set(d))
         if unknown or missing:
             raise ValueError(f"{path}: record {i}: unknown fields {unknown}, "
                              f"missing fields {missing}")
+        for name, v in d.items():
+            if not _value_fits(v, types[name]):
+                want = " or ".join("null" if t is type(None) else t.__name__
+                                   for t in types[name])
+                raise ValueError(f"{path}: record {i}: field {name!r} must be "
+                                 f"{want}, got {v!r}")
     return [CampaignRecord(**d) for d in doc]
 
 
@@ -467,6 +502,7 @@ def _axis_tables(records):
 
 def summarize(records, energy_table=None) -> str:
     """Markdown summary: rankings over multipliers, then per-axis tables."""
+    _check_energy_table(energy_table)
     ok = [r for r in records if r.error is None]
     mults = _axis_values(records, "multiplier")
     lines = ["# Campaign summary", ""]

@@ -322,25 +322,35 @@ def synth_digits(count: int, seed: int = 0, split: str = "train") -> Dataset:
     return Dataset(f"digits-{split}-{count}-s{seed}", images, labels, 10)
 
 
-def mnist_or_synthetic(train_count: int = 10000, test_count: int = 2000,
-                       seed: int = 7, directory=None):
+# mnist_or_synthetic's default sample count per split, and its default seed
+_MNIST_COUNTS = {"train": 10000, "test": 2000}
+_MNIST_SEED = 7
+
+
+def mnist_or_synthetic(train_count: int = _MNIST_COUNTS["train"],
+                       test_count: int = _MNIST_COUNTS["test"],
+                       seed: int = _MNIST_SEED, directory=None):
     """(train, test, source) preferring real IDX files when present.
 
     Looks in ``directory``, then $AXFAULT_MNIST_DIR, then ./data/mnist.
     Falls back to the procedural digit generator.
     """
-    candidates = [directory, os.environ.get("AXFAULT_MNIST_DIR"), "data/mnist"]
-    for cand in candidates:
+    train, source = _mnist_split("train", train_count, seed, directory)
+    test, _ = _mnist_split("test", test_count, seed, directory)
+    return train, test, source
+
+
+def _mnist_split(split: str, count: int, seed: int, directory):
+    """(dataset, source) of one ``mnist_or_synthetic`` split, building
+    nothing of the other."""
+    for cand in (directory, os.environ.get("AXFAULT_MNIST_DIR"), "data/mnist"):
         layout = find_idx_layout(cand)
         if layout:
-            train = load_idx_pair(layout["train-images"], layout["train-labels"],
-                                  "mnist-train")
-            test = load_idx_pair(layout["test-images"], layout["test-labels"],
-                                 "mnist-test")
-            return train.subset(train_count), test.subset(test_count), f"idx:{cand}"
-    train = synth_digits(train_count, seed=seed, split="train")
-    test = synth_digits(test_count, seed=seed + 1, split="test")
-    return train, test, "synthetic"
+            ds = load_idx_pair(layout[f"{split}-images"], layout[f"{split}-labels"],
+                               f"mnist-{split}")
+            return ds.subset(count), f"idx:{cand}"
+    seed = seed if split == "train" else seed + 1
+    return synth_digits(count, seed=seed, split=split), "synthetic"
 
 
 def parse_dataset_arg(spec: str) -> Dataset:
@@ -354,8 +364,8 @@ def parse_dataset_arg(spec: str) -> Dataset:
     kind = parts[0]
     if kind in ("mnist-train", "mnist-test"):
         directory = parts[1] if len(parts) > 1 else None
-        train, test, _ = mnist_or_synthetic(directory=directory)
-        return train if kind == "mnist-train" else test
+        split = kind.removeprefix("mnist-")
+        return _mnist_split(split, _MNIST_COUNTS[split], _MNIST_SEED, directory)[0]
     if kind == "digits":
         count = int(parts[1]) if len(parts) > 1 else 2000
         seed = int(parts[2]) if len(parts) > 2 else 0

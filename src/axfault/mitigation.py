@@ -1,16 +1,17 @@
 """Repair pipeline for faulty approximate accelerators.
 
-The sequence: derive the pruned positions from the fault map, zero them,
-retrain with those positions pinned, remap the surviving weight codes so
-their approximate products track the exact ones, then score inference with
-the broken MACs bypassed.
+The sequence: derive the pruned positions from the fault map, retrain with
+those positions pinned to zero from the first step, remap the surviving
+weight codes so their approximate products track the exact ones, then score
+inference with the broken MACs bypassed.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 import json
 
 import numpy as np
 
+from . import training
 from .faults import FaultMap, SystolicConfig, pruned_mask
 from .multipliers import (
     ActivationSample,
@@ -21,7 +22,6 @@ from .multipliers import (
 )
 from .network import ExecEnv, ModelSpec, WeightSet, _stored_weights, evaluate
 from .quantize import quantize
-from .training import HyperParams, retrain_masked
 
 
 # the named distributions a retuning map can be built against
@@ -55,18 +55,7 @@ class MitigationReport:
                 raise ValueError("accuracies must be percents in [0, 100]")
 
     def to_json(self) -> str:
-        doc = {
-            "baseline_acc": self.baseline_acc,
-            "faulty_acc_before": self.faulty_acc_before,
-            "acc_after": self.acc_after,
-            "pruned_per_layer": {str(k): int(v) for k, v in self.pruned_per_layer.items()},
-            "epochs_used": self.epochs_used,
-            "multiplier_id": self.multiplier_id,
-            "fault_summary": self.fault_summary,
-            "acc_thresh": self.acc_thresh,
-            "reached_thresh": self.reached_thresh,
-        }
-        return json.dumps(doc, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
 
 def save_report(report: MitigationReport, path) -> None:
@@ -92,13 +81,6 @@ def prune_masks(model: ModelSpec, fm: FaultMap) -> dict:
     return {idx: _stored_weights(model.layers[idx],
                                  pruned_mask(model.gemm_weight_shape(idx), fm))
             for idx in model.param_layers()}
-
-
-def apply_masks(weights: WeightSet, masks: dict) -> WeightSet:
-    out = weights.deep_copy()
-    for idx, m in masks.items():
-        out[idx]["W"][m] = 0.0
-    return out
 
 
 def retune_weights(model: ModelSpec, weights: WeightSet, table: WeightMapTable,
@@ -139,7 +121,7 @@ def capture_activations(model: ModelSpec, weights: WeightSet, data,
 
 def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
                    cfg: SystolicConfig, m: Multiplier, train_data, test_data,
-                   hp: HyperParams, acc_thresh: float, *,
+                   hp: training.HyperParams, acc_thresh: float, *,
                    activations="uniform", capture_limit=None,
                    log_path=None):
     """Full repair run; returns (retuned WeightSet, MitigationReport).
@@ -147,7 +129,8 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
     ``activations`` selects the distribution the retuning map is built
     against: "uniform" weighs all codes equally, "empirical" harvests a
     histogram from a fault-free pass over ``train_data`` with the repaired
-    weights, or pass an ActivationSample directly.
+    weights, or pass an ActivationSample directly. With ``hp.epochs`` 0 the
+    pruned weights go to retuning untrained.
     """
     if fm.n != cfg.n:
         raise ValueError("fault map and systolic config disagree on n")
@@ -160,15 +143,10 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
     faulty_before = evaluate(model, weights, test_data, env=prop_env)
 
     masks = prune_masks(model, fm)
-    pruned = apply_masks(weights, masks)
-
     history = []
-    if hp.epochs > 0:
-        retrained = retrain_masked(model, pruned, masks, train_data, hp,
-                                   eval_data=test_data, stop_acc=acc_thresh,
-                                   history=history, log_path=log_path)
-    else:
-        retrained = pruned
+    retrained = training.train(model, train_data, hp, start_weights=weights, mask=masks,
+                               eval_data=test_data, stop_acc=acc_thresh,
+                               history=history, log_path=log_path)
 
     if isinstance(activations, ActivationSample):
         acts = activations

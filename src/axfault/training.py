@@ -6,9 +6,10 @@ The loss is always softmax cross-entropy on the final layer (a final
 ``softmax`` or ``none`` activation is folded into the loss for stability;
 other final activations are backpropagated through).
 
-Masked retraining follows the per-epoch discipline: all weights move during
-an epoch, then masked entries are forced back to exactly zero at the epoch
-boundary, and the returned weights always satisfy the mask.
+Masked retraining follows the per-epoch discipline: masked entries are zeroed
+before the first step, all weights move during an epoch, then masked entries
+are forced back to exactly zero at the epoch boundary, so the returned
+weights satisfy the mask at any epoch count, 0 included.
 """
 
 from __future__ import annotations
@@ -189,10 +190,11 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
           history=None) -> WeightSet:
     """Minibatch SGD with momentum; returns the trained WeightSet.
 
-    ``mask`` (layer index -> bool array over W) pins entries to zero at
-    every epoch boundary. ``stop_acc`` stops early once float-engine
-    accuracy on ``eval_data`` reaches the threshold. ``history``, when a
-    list is passed, collects one dict per completed epoch.
+    ``mask`` (layer index -> bool array over W) pins entries to zero
+    before the first step and at every epoch boundary. ``stop_acc`` stops
+    early once float-engine accuracy on ``eval_data`` reaches the
+    threshold. ``history``, when a list is passed, collects one dict per
+    completed epoch.
     """
     images, labels = _as_xy(data)
     n = len(images)
@@ -230,15 +232,6 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
                 wtr.writerow([r["epoch"], f"{r['loss']:.6f}",
                               "" if "eval_acc" not in r else f"{r['eval_acc']:.4f}"])
     return ws
-
-
-def retrain_masked(model: ModelSpec, weights: WeightSet, mask, data,
-                   hp: HyperParams, **kwargs) -> WeightSet:
-    """Resume training with pruned positions pinned to zero.
-
-    With an empty mask this is exactly ``train`` resumed from ``weights``.
-    """
-    return train(model, data, hp, start_weights=weights, mask=mask, **kwargs)
 
 
 def grad_check(model: ModelSpec, weights: WeightSet, sample, n_checks: int = 200,

@@ -212,6 +212,35 @@ def test_illustrative_energy_table_shape():
     assert all(0 < v <= 1.0 for v in t.values())
 
 
+_BAD_ENERGY_TABLES = [
+    ([["exact", 1.0]], "must map multiplier ids to pJ per MAC, got list"),
+    ({"exact": -1}, "energy of 'exact' must be a finite, positive number"),
+    ({"exact": 0.0}, "energy of 'exact' must be"),
+    ({"exact": float("inf")}, "energy of 'exact' must be"),
+    ({"exact": float("nan")}, "energy of 'exact' must be"),
+    ({"exact": "1.0"}, "energy of 'exact' must be"),
+    ({"exact": True}, "energy of 'exact' must be"),
+    ({1: 1.0}, "keys must be multiplier ids"),
+]
+
+
+@pytest.mark.parametrize("table, match", _BAD_ENERGY_TABLES,
+                         ids=["list", "negative", "zero", "inf", "nan", "string", "bool",
+                              "int-key"])
+def test_bad_energy_table_rejected(blobs_assets, table, match):
+    # a list used to read as no table, a negative cost was ranked
+    model, ws, _, test_d = blobs_assets
+    with pytest.raises(ValueError, match=match):
+        cp.run_campaign(_tiny_spec(seeds=[1]), model, ws, test_d, energy_table=table)
+    with pytest.raises(ValueError, match=match):
+        cp.summarize(PINNED_RECORDS, table)
+
+
+def test_good_energy_tables_accepted():
+    for table in (cp.ILLUSTRATIVE_ENERGY_PJ, {"exact": 1}, {}):
+        assert "## Multiplier ranking by energy" in cp.summarize(PINNED_RECORDS, table)
+
+
 # --- execution ---------------------------------------------------------------
 
 

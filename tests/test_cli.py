@@ -272,7 +272,17 @@ _RECORD = {"cell_index": 0, "model": "m", "dataset": "d", "engine": "systolic",
     ([_RECORD, {k: v for k, v in _RECORD.items() if k != "seed"}],
      r"record 1: unknown fields \[\], missing fields \['seed'\]$"),
     ({"records": [_RECORD]}, "must hold a JSON list of objects$"),
-], ids=["unknown-field", "missing-field", "object"])
+    ([dict(_RECORD, faulty_acc="80")],
+     r"record 0: field 'faulty_acc' must be float or null, got '80'$"),
+    ([_RECORD, dict(_RECORD, bit=True)], r"record 1: field 'bit' must be int, got True$"),
+    ([dict(_RECORD, seed=1.0)], r"record 0: field 'seed' must be int, got 1.0$"),
+    ([dict(_RECORD, model=None)], r"record 0: field 'model' must be str, got None$"),
+    ([dict(_RECORD, baseline_acc=None)],
+     r"record 0: field 'baseline_acc' must be float, got None$"),
+    ([dict(_RECORD, layer="all")],
+     r"record 0: field 'layer' must be int or null, got 'all'$"),
+], ids=["unknown-field", "missing-field", "object", "string-float", "bool-int",
+        "float-int", "null-str", "null-float", "string-layer"])
 def test_campaign_report_rejects_malformed_records(tmp_path, doc, match, capsys):
     # each used to end in a TypeError traceback and exit 1
     path = tmp_path / "records.json"
@@ -283,6 +293,39 @@ def test_campaign_report_rejects_malformed_records(tmp_path, doc, match, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(match, err.strip())
     assert not (tmp_path / "rep").exists()
+
+
+def test_campaign_report_reads_ints_and_nulls_where_fields_allow(tmp_path, capsys):
+    # JSON may write a float field as an int; optional fields may be null
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([dict(_RECORD, faulty_acc=80, acc_loss=None,
+                                     energy_pj=None)]))
+    rc = cli.main(["campaign", "report", "--records", str(path), "--out", str(tmp_path / "rep")])
+    assert rc == 0
+    assert (tmp_path / "rep" / "summary.md").exists()
+
+
+@pytest.mark.parametrize("table, match", [
+    ([["exact", 1.0]], "must map multiplier ids to pJ per MAC, got list$"),
+    ({"exact": -1}, "energy of 'exact' must be a finite, positive number of pJ per MAC, got -1$"),
+], ids=["list", "negative"])
+def test_campaign_rejects_bad_energy_table(trained, tmp_path, table, match, capsys):
+    # a list used to read as no table, and -1 was ranked as -1.00 pJ/MAC
+    energy = tmp_path / "energy.json"
+    energy.write_text(json.dumps(table))
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps([_RECORD]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"model_id": trained["model"], "dataset_id": "blobs:3:300:8:2",
+                                "multipliers": ["exact"], "sample_limit": 20}))
+    for argv in (["campaign", "report", "--records", str(records)],
+                 ["campaign", "run", "--spec", str(spec), "--weights", trained["weights"]]):
+        rc = cli.main(argv + ["--energy", str(energy), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(match, err.strip())
+        assert not (tmp_path / "out").exists()
 
 
 def test_campaign_run_has_no_seed_flag(trained, capsys):

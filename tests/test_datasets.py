@@ -441,3 +441,32 @@ def test_parse_dataset_arg_mnist_shorthand(tmp_path, monkeypatch):
     assert train.id.startswith("mnist-train")
     assert test.id.startswith("mnist-test")
     assert len(train) == 12 and len(test) == 6
+    both = ds.mnist_or_synthetic(directory=tmp_path)
+    for got, want in ((train, both[0]), (test, both[1])):
+        assert got.id == want.id
+        assert np.array_equal(got.images, want.images)
+        assert np.array_equal(got.labels, want.labels)
+
+
+def test_parse_dataset_arg_mnist_builds_one_split(tmp_path, monkeypatch):
+    # each spec used to render both synthetic splits and keep one; the spy
+    # renders at most 5 digits per call so the 12,000 default ones cost nothing
+    monkeypatch.delenv("AXFAULT_MNIST_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    real, calls = ds.synth_digits, []
+
+    def spy(count, seed=0, split="train"):
+        calls.append((count, seed, split))
+        return real(min(count, 5), seed=seed, split=split)
+
+    monkeypatch.setattr(ds, "synth_digits", spy)
+    train, test, _ = ds.mnist_or_synthetic()
+    both_calls = calls[:]
+    assert [c[2] for c in both_calls] == ["train", "test"]
+    for i, want in enumerate((train, test)):
+        calls.clear()
+        got = ds.parse_dataset_arg(f"mnist-{both_calls[i][2]}")
+        assert calls == [both_calls[i]]
+        assert got.id == want.id
+        assert np.array_equal(got.images, want.images)
+        assert np.array_equal(got.labels, want.labels)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from axfault import faults as fl
 from axfault import multipliers as mul
 from axfault.faults import (FaultMap, SystolicConfig, TileFaultSpec,
-                            _check_gemm_operands, _station_masks)
+                            _check_gemm_operands)
 from axfault.multipliers import Multiplier, product_function
 
 
@@ -42,7 +42,21 @@ def systolic_gemm_ref(
     rows, depth = wq.shape
     batch = aq.shape[1]
     prod = product_function(m)
-    or_m, and_m, hit = _station_masks(fm, rows, depth)
+    # weight (r, c) sits on MAC (r mod n, c mod n), so fault (i, j) owns the
+    # strided slice [i::n, j::n]; built here from the fault model, not with
+    # the engine's mask helpers, so a defect in those cannot hide
+    or_m = and_m = hit = None
+    if fm is not None and fm.entries:
+        n = fm.n
+        or_m = np.zeros((rows, depth), dtype=np.uint16)
+        and_m = np.full((rows, depth), 0xFFFF, dtype=np.uint16)
+        hit = np.zeros((rows, depth), dtype=bool)
+        for (i, j), f in fm.entries.items():
+            if f.kind == "sa1":
+                or_m[i::n, j::n] = 1 << f.bit
+            else:
+                and_m[i::n, j::n] = 0xFFFF ^ (1 << f.bit)
+            hit[i::n, j::n] = True
 
     out = np.empty((rows, batch), dtype=np.int32)
     chunk = max(1, (1 << 24) // (rows * depth))

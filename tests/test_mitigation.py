@@ -95,9 +95,42 @@ def test_prune_masks_conv_orientation():
     flat = fl.pruned_mask((4, 9), fm)
     assert np.array_equal(masks[0].transpose(3, 0, 1, 2).reshape(4, 9), flat)
     ws = training.init_weights(model, seed=1)
-    pruned = mit.apply_masks(ws, masks)
+    # zero epochs: train only copies the start weights and pins the mask
+    data = (np.zeros((1, 8, 8, 1)), np.zeros(1, dtype=np.int64))
+    pruned = training.train(model, data, _hp(0), start_weights=ws, mask=masks)
     assert not pruned[0]["W"][masks[0]].any()
+    assert np.array_equal(pruned[0]["W"][~masks[0]], ws[0]["W"][~masks[0]])
     assert pruned[0]["W"][~masks[0]].all()
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_run_mitigation_zeroes_pruned_positions(blobs_setup, epochs):
+    s = blobs_setup
+    fm = fl.random_fault_map(4, 25.0, fl.StuckAtFault(15, "sa1"), seed=3)
+    cfg = fl.SystolicConfig(n=4)
+    m = mul.truncated_multiplier(3)
+    retuned, rep = mit.run_mitigation(
+        s["model"], s["weights"], fm, cfg, m, s["train"], s["test"],
+        _hp(epochs), acc_thresh=100.0)
+    masks = mit.prune_masks(s["model"], fm)
+    assert rep.pruned_per_layer == {i: int(mk.sum()) for i, mk in masks.items()}
+    for idx, mk in masks.items():
+        assert mk.any()
+        assert not retuned[idx]["W"][mk].any()
+    if epochs == 0:
+        # no training: the repair is the retuned, pruned input
+        masked = s["weights"].deep_copy()
+        for idx, mk in masks.items():
+            masked[idx]["W"][mk] = 0.0
+        table = mul.build_weight_map(m, mul.uniform_activations())
+        want = mit.retune_weights(s["model"], masked, table, masks)
+        for idx in want:
+            for key in ("W", "b"):
+                assert np.array_equal(retuned[idx][key], want[idx][key])
+        assert rep.epochs_used == 0
+    else:
+        # blobs can reach 100% after one epoch and stop training there
+        assert 1 <= rep.epochs_used <= epochs
 
 
 def test_retune_exact_multiplier_is_identity(blobs_setup):
@@ -219,6 +252,20 @@ def test_report_serialization(tmp_path):
         pruned_per_layer={0: 12, 2: 3}, epochs_used=4,
         multiplier_id="truncated-3", fault_summary="x", acc_thresh=96.5,
         reached_thresh=False)
+    assert rep.to_json() == """{
+ "baseline_acc": 97.5,
+ "faulty_acc_before": 40.0,
+ "acc_after": 95.0,
+ "pruned_per_layer": {
+  "0": 12,
+  "2": 3
+ },
+ "epochs_used": 4,
+ "multiplier_id": "truncated-3",
+ "fault_summary": "x",
+ "acc_thresh": 96.5,
+ "reached_thresh": false
+}"""
     doc = json.loads(rep.to_json())
     assert doc["acc_after"] == 95.0
     assert doc["pruned_per_layer"] == {"0": 12, "2": 3}

@@ -166,8 +166,8 @@ def test_mask_pins_weights_to_zero():
     ws = training.train(m, data, training.HyperParams(lr=0.1, epochs=3, seed=1))
     mask = {0: np.zeros((16, 8), dtype=bool)}
     mask[0][::2, ::3] = True
-    out = training.retrain_masked(m, ws, mask, data,
-                                  training.HyperParams(lr=0.1, epochs=3, seed=1))
+    out = training.train(m, data, training.HyperParams(lr=0.1, epochs=3, seed=1),
+                         start_weights=ws, mask=mask)
     assert not out[0]["W"][mask[0]].any()
     assert out[1]["W"].any()
     # unmasked entries still moved
@@ -178,8 +178,8 @@ def test_retrain_empty_mask_is_plain_resume():
     data = synth_blobs(count=200, seed=4)
     m = _mlp()
     ws = training.train(m, data, training.HyperParams(lr=0.1, epochs=2, seed=1))
-    a = training.retrain_masked(m, ws, {}, data,
-                                training.HyperParams(lr=0.1, epochs=2, seed=3))
+    a = training.train(m, data, training.HyperParams(lr=0.1, epochs=2, seed=3),
+                       start_weights=ws, mask={})
     b = training.train(m, data, training.HyperParams(lr=0.1, epochs=2, seed=3),
                        start_weights=ws)
     for idx in a:
