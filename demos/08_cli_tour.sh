@@ -39,7 +39,7 @@ axfault inject --model "$work/model.json" --weights "$work/weights.axdn" \
 echo "== repair =="
 axfault mitigate --model "$work/model.json" --weights "$work/weights.axdn" \
     --data blobs:4:800:8:1 --test-data blobs:4:400:8:2 \
-    --multiplier truncated-3 --n 8 --fault-map "$work/faults.axfm" \
+    --multiplier truncated-3 --fault-map "$work/faults.axfm" \
     --epochs 5 --lr 0.05 --seed 21 \
     --out "$work/repaired.axdn" --report "$work/report.json"
 

@@ -329,8 +329,6 @@ def _run_cell(cell: dict) -> CampaignRecord:
 
 
 def _mitigate_cell(a, cell, m, fm) -> float:
-    if a["train"] is None:
-        raise ValueError("mitigation requested but no training data supplied")
     hp, acc_thresh, activations = _repair_settings(a["spec"].mitigation)
     images, labels = _as_xy(a["test"])
     limit = a["spec"].sample_limit
@@ -352,14 +350,16 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
     self-contained and records are ordered by cell index afterwards.
 
     Raises ``ValueError`` for an ``energy_table`` that
-    ``_check_energy_table`` refuses, when ``spec.mitigation`` is set for
-    layer-filtered cells (mitigation repairs every layer), and, through
-    ``golden_pass``, when a ``spec.layers`` entry is no dense or conv2d
-    layer of ``model``.
+    ``_check_energy_table`` refuses, when ``spec.mitigation`` is set without
+    ``train_data`` or for layer-filtered cells (mitigation repairs every
+    layer), and, through ``golden_pass``, when a ``spec.layers`` entry is
+    no dense or conv2d layer of ``model``.
     """
     _check_energy_table(energy_table)
     layers = list(dict.fromkeys(i for i in spec.layer_values() if i is not None))
-    if layers and spec.mitigation is not None:
+    if spec.mitigation is not None and train_data is None:
+        raise ValueError("mitigation requested but no training data supplied")
+    if spec.mitigation is not None and layers:
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}
     mae = {mid: error_metrics(m).mae_percent for mid, m in mults.items()}
@@ -410,10 +410,11 @@ def save_records(records, path) -> None:
 
 def _value_fits(v, types) -> bool:
     """Whether JSON value ``v`` fits a record field typed ``types``: an int
-    fits a float field, a bool fits none, None only a field that allows it."""
+    fits a float field, a bool, NaN or infinity none, None only a field that
+    allows it."""
     if v is None:
         return type(None) in types
-    if isinstance(v, bool):
+    if isinstance(v, bool) or isinstance(v, float) and not math.isfinite(v):
         return False
     return isinstance(v, types) or isinstance(v, int) and float in types
 

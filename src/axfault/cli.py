@@ -20,7 +20,6 @@ from . import datasets, mitigation, multipliers, network, training
 from .faults import (
     FAULT_KINDS,
     GEMM_MODES,
-    FaultMap,
     StuckAtFault,
     SystolicConfig,
     TileFaultSpec,
@@ -36,14 +35,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"AXFAULT_SEED must be an integer, got {raw!r}") from None
-
-
-def _multiplier_for(args) -> multipliers.Multiplier:
-    if getattr(args, "family", None):
-        return multipliers.parse_multiplier(f"{args.family}-{args.k}"
-                                            if args.family != "exact"
-                                            else "exact")
-    return multipliers.parse_multiplier(args.multiplier)
 
 
 def _hp_from(args) -> training.HyperParams:
@@ -121,7 +112,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mul_info(args) -> int:
-    m = _multiplier_for(args)
+    m = multipliers.parse_multiplier(args.multiplier)
     em = multipliers.error_metrics(m)
     print(f"id={m.id}")
     print(f"mae_percent={em.mae_percent}")
@@ -131,14 +122,14 @@ def _cmd_mul_info(args) -> int:
 
 
 def _cmd_mul_gen_lut(args) -> int:
-    m = _multiplier_for(args)
+    m = multipliers.parse_multiplier(args.multiplier)
     multipliers.save_lut(m, args.out)
     print(f"lut={args.out}")
     return 0
 
 
 def _cmd_mul_map(args) -> int:
-    m = _multiplier_for(args)
+    m = multipliers.parse_multiplier(args.multiplier)
     table = multipliers.build_weight_map(m, multipliers.uniform_activations())
     multipliers.save_weight_map(table, args.out)
     moved = int(np.sum(table.map != np.arange(-128, 128)))
@@ -175,17 +166,18 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
+    draw = _given(args, args.fault_map is None, n=16, percent=16.0, bit=15, kind="sa1")
+    if args.fault_map is not None and draw is not None:
+        raise ValueError("mitigate takes --fault-map or the options that draw a map "
+                         "(--n, --percent, --bit, --kind), not both")
+    fm = (load_fault_map(args.fault_map) if draw is None else
+          random_fault_map(draw["n"], draw["percent"],
+                           StuckAtFault(draw["bit"], draw["kind"]), seed=args.seed))
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     train_data = datasets.parse_dataset_arg(args.data)
     test_data = datasets.parse_dataset_arg(args.test_data)
     m = multipliers.parse_multiplier(args.multiplier)
-    if args.fault_map:
-        fm = load_fault_map(args.fault_map)
-    else:
-        fm = random_fault_map(args.n, args.percent,
-                              StuckAtFault(args.bit, args.kind),
-                              seed=args.seed)
     hp = _hp_from(args)
     retuned, report = mitigation.run_mitigation(
         model, w, fm, SystolicConfig(n=fm.n), m, train_data, test_data, hp,
@@ -243,35 +235,6 @@ def _cmd_campaign_report(args) -> int:
     return 0
 
 
-def _cmd_dataset_convert(args) -> int:
-    if not args.cifar and (args.images is None or args.labels is None):
-        raise ValueError("dataset convert needs --cifar, or --images and --labels")
-    os.makedirs(args.out, exist_ok=True)
-    if args.cifar:
-        ds = datasets.load_cifar10_batches(args.cifar.split(","), "cifar10")
-    else:
-        ds = datasets.load_idx_pair(args.images, args.labels, "converted")
-    img_name = f"{args.split}-images-idx.bin"
-    lab_name = f"{args.split}-labels-idx.bin"
-    raw = np.round(ds.images * 255.0).astype(np.uint8)
-    datasets.save_idx(raw, os.path.join(args.out, img_name))
-    datasets.save_idx(ds.labels.astype(np.uint8),
-                      os.path.join(args.out, lab_name))
-    meta_path = os.path.join(args.out, "meta.json")
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-    meta[args.split] = {"images": img_name, "labels": lab_name,
-                        "count": len(ds.images), "classes": ds.n_classes}
-    with open(meta_path, "w") as f:
-        json.dump(meta, f, indent=1)
-        f.write("\n")
-    print(f"count={len(ds.images)}")
-    print(f"out={args.out}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -320,10 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in (("info", _cmd_mul_info), ("gen-lut", _cmd_mul_gen_lut),
                      ("map", _cmd_mul_map)):
         p = msub.add_parser(name)
-        p.add_argument("--family", choices=["exact", "truncated", "broken-carry"])
-        p.add_argument("--k", type=int, default=0)
-        p.add_argument("--multiplier",
-                       help="multiplier id or LUT path (alternative to --family)")
+        p.add_argument("--multiplier", required=True, help="multiplier id or LUT path")
         if name != "info":
             p.add_argument("--out", required=True)
         p.set_defaults(func=fn)
@@ -353,11 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training dataset spec")
     p.add_argument("--test-data", required=True)
     p.add_argument("--multiplier", default="exact")
-    p.add_argument("--fault-map", help="existing fault map file")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--percent", type=float, default=16.0)
-    p.add_argument("--bit", type=int, default=15)
-    p.add_argument("--kind", choices=FAULT_KINDS, default="sa1")
+    p.add_argument("--fault-map", help="existing fault map file, or draw one:")
+    p.add_argument("--n", type=int, help="drawn map's array size (default 16)")
+    p.add_argument("--percent", type=float, help="drawn map (default 16)")
+    p.add_argument("--bit", type=int, help="drawn map (default 15)")
+    p.add_argument("--kind", choices=FAULT_KINDS, help="drawn map (default sa1)")
     p.add_argument("--acc-thresh", type=float, default=0.0)
     p.add_argument("--activations", choices=mitigation.ACTIVATION_SOURCES,
                    default="uniform")
@@ -383,16 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--energy")
     p.set_defaults(func=_cmd_campaign_report)
-
-    p = sub.add_parser("dataset", help="dataset tools")
-    dsub = p.add_subparsers(dest="dataset_command", required=True)
-    p = dsub.add_parser("convert")
-    p.add_argument("--images", help="raw IDX images file")
-    p.add_argument("--labels", help="raw IDX labels file")
-    p.add_argument("--cifar", help="comma-separated CIFAR-10 binary batches")
-    p.add_argument("--split", choices=["train", "test"], default="train")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dataset_convert)
 
     return ap
 

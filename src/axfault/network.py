@@ -50,7 +50,14 @@ from .faults import (FaultMap, SystolicConfig, TileFaultSpec, _check_int, _clean
 from .multipliers import Multiplier, WeightMapTable
 from .quantize import QTensor, quantize, requantize_accum
 
-LAYER_KINDS = ("dense", "conv2d", "maxpool", "flatten")
+# each layer kind's parameters and the least value of each
+_LAYER_PARAMS = {
+    "dense": {"in": 1, "out": 1},
+    "conv2d": {"kh": 1, "kw": 1, "cin": 1, "cout": 1, "stride": 1, "pad": 0},
+    "maxpool": {"k": 1, "stride": 1},
+    "flatten": {},
+}
+LAYER_KINDS = tuple(_LAYER_PARAMS)
 ACTIVATIONS = ("none", "relu", "tanh", "softmax")
 QUANTIZED_ENGINES = ("systolic", "gpu_tiles")
 ENGINES = ("float",) + QUANTIZED_ENGINES
@@ -73,23 +80,28 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        want = _LAYER_PARAMS[self.kind]
+        unknown = sorted(set(self.params) - set(want))
+        missing = sorted(set(want) - set(self.params))
+        if unknown or missing:
+            raise ValueError(f"{self.kind} layer: unknown parameters {unknown}, "
+                             f"missing parameters {missing}")
+        for name, lo in want.items():
+            _check_int(f"{self.kind} {name}", self.params[name], lo)
+        self.params = {k: int(v) for k, v in self.params.items()}
 
 
 def dense(in_dim: int, out_dim: int, activation: str = "none") -> LayerSpec:
-    return LayerSpec("dense", activation, {"in": int(in_dim), "out": int(out_dim)})
+    return LayerSpec("dense", activation, {"in": in_dim, "out": out_dim})
 
 
 def conv2d(kh, kw, cin, cout, stride=1, pad=0, activation="none") -> LayerSpec:
-    return LayerSpec(
-        "conv2d",
-        activation,
-        {"kh": int(kh), "kw": int(kw), "cin": int(cin), "cout": int(cout),
-         "stride": int(stride), "pad": int(pad)},
-    )
+    return LayerSpec("conv2d", activation, {"kh": kh, "kw": kw, "cin": cin, "cout": cout,
+                                            "stride": stride, "pad": pad})
 
 
 def maxpool(k: int, stride: int | None = None) -> LayerSpec:
-    return LayerSpec("maxpool", "none", {"k": int(k), "stride": int(stride or k)})
+    return LayerSpec("maxpool", "none", {"k": k, "stride": k if stride is None else stride})
 
 
 def flatten() -> LayerSpec:

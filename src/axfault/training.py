@@ -193,9 +193,11 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
     ``mask`` (layer index -> bool array over W) pins entries to zero
     before the first step and at every epoch boundary. ``stop_acc`` stops
     early once float-engine accuracy on ``eval_data`` reaches the
-    threshold. ``history``, when a list is passed, collects one dict per
-    completed epoch.
+    threshold; without ``eval_data`` it raises ``ValueError``. ``history``,
+    when a list is passed, collects one dict per completed epoch.
     """
+    if stop_acc is not None and eval_data is None:
+        raise ValueError("stop_acc needs eval_data to score the epochs against")
     images, labels = _as_xy(data)
     n = len(images)
     if n == 0:
@@ -222,7 +224,7 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
         rows.append(row)
         if history is not None:
             history.append(dict(row))
-        if stop_acc is not None and row.get("eval_acc", -1.0) >= stop_acc:
+        if stop_acc is not None and row["eval_acc"] >= stop_acc:
             break
     if log_path:
         with open(log_path, "w", newline="") as f:

@@ -479,13 +479,18 @@ def test_mitigation_of_layer_filtered_cells_is_rejected(blobs_assets):
         cp.run_campaign(spec, model, ws, test_d, train_data=train_d)
 
 
-def test_mitigation_without_train_data_records_error(blobs_assets):
+def test_mitigation_without_train_data_fails_before_any_evaluate(blobs_assets, monkeypatch):
+    # every golden pass and faulty evaluate used to run, and then each cell
+    # recorded the error
     model, ws, _, test_d = blobs_assets
+    calls = []
+    monkeypatch.setattr(net, "evaluate", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cp, "evaluate", lambda *a, **k: calls.append(a))
     spec = _tiny_spec(multipliers=["exact"], seeds=[1],
                       mitigation={"epochs": 1})
-    records = cp.run_campaign(spec, model, ws, test_d)
-    assert records[0].error is not None
-    assert records[0].mitigated_acc is None
+    with pytest.raises(ValueError, match="mitigation requested but no training data supplied"):
+        cp.run_campaign(spec, model, ws, test_d)
+    assert calls == []
 
 
 def test_energy_column_from_table(blobs_assets):
@@ -512,7 +517,9 @@ def test_records_json_round_trip(blobs_assets, tmp_path):
     model, ws, _, test_d = blobs_assets
     spec = _tiny_spec(multipliers=["exact"], seeds=[1],
                       mitigation={"epochs": 1})
-    records = cp.run_campaign(spec, model, ws, test_d)
+    # an empty training set fails each mitigated cell
+    empty = (test_d.images[:0], test_d.labels[:0])
+    records = cp.run_campaign(spec, model, ws, test_d, train_data=empty)
     p = tmp_path / "records.json"
     cp.save_records(records, p)
     back = cp.load_records(p)

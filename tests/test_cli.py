@@ -7,10 +7,9 @@ whole file stays fast.
 import json
 import re
 
-import numpy as np
 import pytest
 
-from axfault import cli, datasets, faults, network, training
+from axfault import cli, faults, mitigation, network, training
 
 MODEL_JSON = json.dumps({
     "name": "cli-blobs",
@@ -58,7 +57,6 @@ def _kv(capsys):
     ["mitigate", "--help"],
     ["campaign", "--help"],
     ["campaign", "run", "--help"],
-    ["dataset", "convert", "--help"],
 ])
 def test_help_exits_zero(argv):
     with pytest.raises(SystemExit) as e:
@@ -98,7 +96,7 @@ def test_eval_quantized_engine(trained, capsys):
 
 
 def test_mul_info(capsys):
-    rc = cli.main(["mul", "info", "--family", "exact"])
+    rc = cli.main(["mul", "info", "--multiplier", "exact"])
     assert rc == 0
     kv = _kv(capsys)
     assert kv["id"] == "exact"
@@ -107,7 +105,7 @@ def test_mul_info(capsys):
 
 
 def test_mul_info_truncated(capsys):
-    rc = cli.main(["mul", "info", "--family", "truncated", "--k", "4"])
+    rc = cli.main(["mul", "info", "--multiplier", "truncated-4"])
     assert rc == 0
     kv = _kv(capsys)
     assert kv["id"] == "truncated-4"
@@ -116,8 +114,7 @@ def test_mul_info_truncated(capsys):
 
 def test_mul_gen_lut_and_reuse(tmp_path, capsys):
     lut = str(tmp_path / "bc2.axlut")
-    rc = cli.main(["mul", "gen-lut", "--family", "broken-carry", "--k", "2",
-                   "--out", lut])
+    rc = cli.main(["mul", "gen-lut", "--multiplier", "broken-carry-2", "--out", lut])
     assert rc == 0
     assert (tmp_path / "bc2.axlut").stat().st_size == 131072
     capsys.readouterr()
@@ -128,11 +125,28 @@ def test_mul_gen_lut_and_reuse(tmp_path, capsys):
 
 def test_mul_map(tmp_path, capsys):
     out = str(tmp_path / "m.axwm")
-    rc = cli.main(["mul", "map", "--family", "exact", "--out", out])
+    rc = cli.main(["mul", "map", "--multiplier", "exact", "--out", out])
     assert rc == 0
     kv = _kv(capsys)
     assert kv["remapped_codes"] == "0"
     assert (tmp_path / "m.axwm").stat().st_size == 264
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "info"],
+    ["mul", "info", "--family", "truncated", "--multiplier", "exact"],
+    ["mul", "map", "--family", "truncated", "--k", "3", "--out", "m.axwm"],
+], ids=["none", "family", "family-k"])
+def test_mul_takes_only_multiplier(tmp_path, monkeypatch, argv, capsys):
+    # no multiplier ended in an AttributeError traceback, and --family
+    # silently overrode a --multiplier given beside it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert ("required: --multiplier" in err) != ("unrecognized arguments: --family" in err)
+    assert not (tmp_path / "m.axwm").exists()
 
 
 def test_inject_zero_percent_is_lossless(trained, capsys):
@@ -194,6 +208,55 @@ def test_mitigate_flow(trained, capsys):
     rc = cli.main(["eval", "--model", trained["model"], "--weights", out,
                    "--data", "blobs:3:300:8:2"])
     assert rc == 0
+
+
+_DRAWS = [[], ["--n", "8", "--percent", "30", "--bit", "7", "--kind", "sa0"]]
+
+
+@pytest.mark.parametrize("draw", _DRAWS, ids=["defaults", "given"])
+def test_mitigate_with_saved_map_equals_drawn_map(trained, draw, capsys):
+    # the options draw the map a saved fault map holds, with the same seed
+    tmp = trained["tmp"]
+    opts = {"--n": "16", "--percent": "16", "--bit": "15", "--kind": "sa1",
+            **dict(zip(draw[::2], draw[1::2]))}
+    fm = faults.random_fault_map(int(opts["--n"]), float(opts["--percent"]),
+                                 faults.StuckAtFault(int(opts["--bit"]), opts["--kind"]),
+                                 seed=2)
+    faults.save_fault_map(fm, tmp / "fm.axfm")
+    runs = []
+    for given in (draw, ["--fault-map", str(tmp / "fm.axfm")]):
+        out, rep = tmp / f"fixed{len(runs)}.axdn", tmp / f"rep{len(runs)}.json"
+        rc = cli.main(["mitigate", "--model", trained["model"], "--weights", trained["weights"],
+                       "--data", "blobs:3:200:8:1", "--test-data", "blobs:3:100:8:2",
+                       "--multiplier", "truncated-3", "--epochs", "2", "--seed", "2",
+                       *given, "--out", str(out), "--report", str(rep)])
+        assert rc == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        runs.append((out.read_bytes(), rep.read_bytes(), printed))
+    assert runs[0] == runs[1]
+    summary = json.loads(runs[0][1])["fault_summary"]
+    assert summary == mitigation.fault_map_summary(fm)
+
+
+@pytest.mark.parametrize("option, value", [("--n", "8"), ("--percent", "30"),
+                                           ("--bit", "7"), ("--kind", "sa0")])
+def test_mitigate_refuses_draw_options_beside_fault_map(trained, option, value, capsys):
+    # each used to be ignored: the saved map was repaired as it stood
+    tmp = trained["tmp"]
+    faults.save_fault_map(faults.random_fault_map(8, 16.0, faults.StuckAtFault(15, "sa1"),
+                                                  seed=1), tmp / "fm.axfm")
+    capsys.readouterr()
+    for weights in (trained["weights"], str(tmp / "missing.axdn")):
+        # refused before the model, weights or data are read
+        rc = cli.main(["mitigate", "--model", trained["model"], "--weights", weights,
+                       "--data", "blobs:3:200:8:1", "--test-data", "blobs:3:100:8:2",
+                       "--fault-map", str(tmp / "fm.axfm"), option, value,
+                       "--out", str(tmp / "fixed.axdn")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: mitigate takes --fault-map or the options that draw a map "
+            "(--n, --percent, --bit, --kind), not both\n")
+    assert not (tmp / "fixed.axdn").exists()
 
 
 def test_campaign_run_and_report(trained, capsys):
@@ -281,8 +344,13 @@ _RECORD = {"cell_index": 0, "model": "m", "dataset": "d", "engine": "systolic",
      r"record 0: field 'baseline_acc' must be float, got None$"),
     ([dict(_RECORD, layer="all")],
      r"record 0: field 'layer' must be int or null, got 'all'$"),
+    # NaN used to be ranked, as "| 1 | exact | nan | 10.00 |"
+    ([dict(_RECORD, faulty_acc=float("nan"))],
+     r"record 0: field 'faulty_acc' must be float or null, got nan$"),
+    ([_RECORD, dict(_RECORD, baseline_acc=float("-inf"))],
+     r"record 1: field 'baseline_acc' must be float, got -inf$"),
 ], ids=["unknown-field", "missing-field", "object", "string-float", "bool-int",
-        "float-int", "null-str", "null-float", "string-layer"])
+        "float-int", "null-str", "null-float", "string-layer", "nan", "infinity"])
 def test_campaign_report_rejects_malformed_records(tmp_path, doc, match, capsys):
     # each used to end in a TypeError traceback and exit 1
     path = tmp_path / "records.json"
@@ -390,7 +458,7 @@ def test_eval_rejects_options_its_engine_does_not_read(trained, engine, option, 
     tmp = trained["tmp"]
     faults.save_fault_map(faults.random_fault_map(16, 100.0, faults.StuckAtFault(15, "sa1"),
                                                   seed=1), tmp / "sa1.axfm")
-    assert cli.main(["mul", "map", "--family", "truncated", "--k", "3",
+    assert cli.main(["mul", "map", "--multiplier", "truncated-3",
                      "--out", str(tmp / "t3.axwm")]) == 0
     if option.endswith("-map"):
         value = str(tmp / value)
@@ -443,36 +511,6 @@ def test_options_with_defaults_are_refused_off_their_engine(trained, argv, field
     assert not (trained["tmp"] / "fm.txt").exists()
 
 
-def test_dataset_convert_round_trip(tmp_path, capsys):
-    src = datasets.synth_digits(20, seed=1)
-    raw = np.round(src.images * 255).astype(np.uint8)
-    datasets.save_idx(raw, tmp_path / "imgs.idx")
-    datasets.save_idx(src.labels.astype(np.uint8), tmp_path / "labs.idx")
-    out = str(tmp_path / "conv")
-    rc = cli.main(["dataset", "convert", "--images", str(tmp_path / "imgs.idx"),
-                   "--labels", str(tmp_path / "labs.idx"),
-                   "--split", "test", "--out", out])
-    assert rc == 0
-    kv = _kv(capsys)
-    assert kv["count"] == "20"
-    meta = json.loads(open(f"{out}/meta.json").read())
-    assert meta["test"]["count"] == 20
-    back = datasets.load_idx(f"{out}/test-images-idx.bin")
-    assert np.array_equal(back, raw)
-
-
-@pytest.mark.parametrize("given", [[], ["--images", "imgs.idx"], ["--labels", "labs.idx"]],
-                         ids=["none", "images-only", "labels-only"])
-def test_dataset_convert_without_input_fails(tmp_path, given, capsys):
-    # used to end in a TypeError traceback on the None path and exit 1
-    out = tmp_path / "conv"
-    rc = cli.main(["dataset", "convert", *given, "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == ("error: dataset convert needs --cifar, "
-                                       "or --images and --labels\n")
-    assert not out.exists()
-
-
 def test_error_exit_code_and_message(tmp_path, capsys):
     rc = cli.main(["eval", "--model", "no-such-model",
                    "--weights", str(tmp_path / "missing.axdn"),
@@ -496,6 +534,34 @@ def test_train_rejects_non_positive_batch_size(tmp_path, model_path, capsys):
                    "--out", str(out), "--epochs", "1", "--batch-size", "-4"])
     assert rc == 2
     assert "batch_size must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_stop_acc_needs_eval_data(tmp_path, model_path, capsys):
+    # the threshold used to be ignored: every epoch ran
+    out = tmp_path / "w.axdn"
+    rc = cli.main(["train", "--model", model_path, "--data", "blobs:3:50:8:1",
+                   "--out", str(out), "--epochs", "2", "--stop-acc", "90"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: stop_acc needs eval_data to score the epochs against\n"
+    assert not out.exists()
+
+
+def test_train_rejects_zero_stride(tmp_path, capsys):
+    # used to end in a ZeroDivisionError traceback and exit 1
+    model = json.loads(MODEL_JSON)
+    model.update(input_shape=[6, 6, 1], layers=[
+        {"kind": "conv2d", "activation": "relu", "kh": 3, "kw": 3, "cin": 1, "cout": 2,
+         "stride": 0, "pad": 0},
+        {"kind": "flatten"}, {"kind": "dense", "in": 32, "out": 3}])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "w.axdn"
+    rc = cli.main(["train", "--model", str(path), "--data", "blobs:3:50:36:1",
+                   "--out", str(out), "--epochs", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: conv2d stride must be at least 1, got 0\n"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Model zoo, serialization, conv lowering, and the execution engines."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,43 @@ def test_model_json_round_trip():
         assert a.kind == b.kind
         assert a.params == b.params
         assert a.activation == b.activation
+
+
+_CONV = {"kind": "conv2d", "activation": "relu", "kh": 3, "kw": 3, "cin": 1, "cout": 2,
+         "stride": 1, "pad": 0}
+
+
+@pytest.mark.parametrize("layer, match", [
+    # a zero stride ended in a ZeroDivisionError, and a negative pad in a
+    # broadcast error inside forward
+    (dict(_CONV, stride=0), "conv2d stride must be at least 1, got 0$"),
+    (dict(_CONV, pad=-1), "conv2d pad must be at least 0, got -1$"),
+    ({"kind": "maxpool", "k": 2, "stride": 0}, "maxpool stride must be at least 1, got 0$"),
+    # an unknown key was kept silently, and a bool read as the integer 1
+    (dict(_CONV, outt=5), r"conv2d layer: unknown parameters \['outt'\], missing parameters \[\]$"),
+    ({"kind": "maxpool", "k": 2}, r"unknown parameters \[\], missing parameters \['stride'\]$"),
+    ({"kind": "dense", "in": True, "out": 3}, "dense in must be an integer, got True$"),
+    (dict(_CONV, kh=3.0), "conv2d kh must be an integer, got 3.0$"),
+], ids=["zero-stride", "negative-pad", "pool-stride", "unknown-key", "missing-key",
+        "bool", "float"])
+def test_model_json_rejects_bad_layer_parameters(layer, match):
+    doc = {"name": "c", "input_shape": [6, 6, 1],
+           "layers": [layer, {"kind": "flatten"}, {"kind": "dense", "in": 8, "out": 3}]}
+    with pytest.raises(ValueError, match=match):
+        net.model_from_json(json.dumps(doc))
+
+
+def test_layer_helpers_refuse_fractions_and_store_python_ints():
+    # stride 1.5 used to be truncated to 1
+    with pytest.raises(ValueError, match="conv2d stride must be an integer, got 1.5$"):
+        net.conv2d(3, 3, 1, 2, stride=1.5)
+    with pytest.raises(ValueError, match="maxpool stride must be at least 1, got 0$"):
+        net.maxpool(2, stride=0)
+    layer = net.conv2d(np.int64(3), 3, 1, 2, stride=np.int32(2))
+    assert all(type(v) is int for v in layer.params.values())
+    model = net.ModelSpec("c", (7, 7, 1), [layer, net.flatten(), net.dense(18, 3)])
+    assert '"stride": 2' in net.model_to_json(model)
+    assert net.maxpool(3).params == {"k": 3, "stride": 3}
 
 
 def test_model_file_round_trip(tmp_path):

@@ -160,6 +160,15 @@ def test_early_stop(tmp_path):
     assert len(lines) == len(hist) + 1
 
 
+def test_stop_acc_needs_eval_data():
+    # the threshold used to be ignored: both epochs ran
+    hist = []
+    with pytest.raises(ValueError, match="stop_acc needs eval_data"):
+        training.train(_mlp(), synth_blobs(count=50, seed=4),
+                       training.HyperParams(epochs=2, seed=1), stop_acc=0.0, history=hist)
+    assert hist == []
+
+
 def test_mask_pins_weights_to_zero():
     data = synth_blobs(count=300, seed=4)
     m = _mlp()
