@@ -26,7 +26,7 @@ echo "== eval, float then quantized through truncated-4 =="
 axfault eval --model "$work/model.json" --weights "$work/weights.axdn" \
     --data blobs:4:400:8:2
 axfault eval --model "$work/model.json" --weights "$work/weights.axdn" \
-    --data blobs:4:400:8:2 --engine systolic --multiplier truncated-4 --n 8
+    --data blobs:4:400:8:2 --engine systolic --multiplier truncated-4
 
 echo "== multiplier info =="
 axfault mul info --multiplier broken-carry-2
@@ -42,6 +42,11 @@ axfault mitigate --model "$work/model.json" --weights "$work/weights.axdn" \
     --multiplier truncated-3 --fault-map "$work/faults.axfm" \
     --epochs 5 --lr 0.05 --seed 21 \
     --out "$work/repaired.axdn" --report "$work/report.json"
+
+echo "== score the repair under the saved fault, broken MACs bypassed =="
+axfault inject --model "$work/model.json" --weights "$work/repaired.axdn" \
+    --data blobs:4:400:8:2 --multiplier truncated-3 \
+    --fault-map "$work/faults.axfm" --mode bypass
 
 echo "== campaign =="
 cat > "$work/sweep.json" <<EOF

@@ -66,6 +66,31 @@ def _given(args, fill: bool, **defaults):
     return {k: defaults[k] if v is None else v for k, v in values.items()}
 
 
+# the options that draw a fault map, and their defaults
+_DRAW = {"n": 16, "percent": 16.0, "bit": 15, "kind": "sa1"}
+
+
+def _fault_map(args, command: str):
+    """The map in --fault-map, or the one that the draw options (unset ones
+    at their defaults) draw from --seed; refuses both, naming ``command``."""
+    draw = _given(args, args.fault_map is None, **_DRAW)
+    if args.fault_map is None:
+        return random_fault_map(draw["n"], draw["percent"],
+                                StuckAtFault(draw["bit"], draw["kind"]), seed=args.seed)
+    if draw is not None:
+        raise ValueError(f"{command} takes --fault-map or the options that draw a map "
+                         "(--n, --percent, --bit, --kind), not both")
+    return load_fault_map(args.fault_map)
+
+
+def _add_fault_flags(p):
+    p.add_argument("--fault-map", help="saved fault map, or draw one:")
+    p.add_argument("--n", type=int, help="drawn map's array size (default 16)")
+    p.add_argument("--percent", type=float, help="faulty share, in %% (default 16)")
+    p.add_argument("--bit", type=int, help="stuck product bit (default 15)")
+    p.add_argument("--kind", choices=FAULT_KINDS, help="stuck-at kind (default sa1)")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -89,19 +114,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # no fault, so neither the array size nor the tile changes the result
     mul = _given(args, args.engine != "float", multiplier="exact")
-    cfg = _given(args, args.engine == "systolic", n=16, mode="propagate")
-    tf = _given(args, False, tile_index=0, tile_fraction=0.0, bit=15, kind="sa1")
     env = network.ExecEnv(
-        args.engine,
-        mul and multipliers.parse_multiplier(mul["multiplier"]),
-        cfg and SystolicConfig(**cfg),
-        None if args.fault_map is None else load_fault_map(args.fault_map),
-        args.tile,
-        tf and TileFaultSpec(tf["tile_index"], tf["tile_fraction"],
-                             StuckAtFault(tf["bit"], tf["kind"]), args.seed),
-        args.layer,
-        None if args.weight_map is None else multipliers.load_weight_map(args.weight_map),
+        args.engine, mul and multipliers.parse_multiplier(mul["multiplier"]),
+        SystolicConfig(16) if args.engine == "systolic" else None,
+        weight_map=None if args.weight_map is None else
+        multipliers.load_weight_map(args.weight_map),
     )
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
@@ -139,26 +158,28 @@ def _cmd_mul_map(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    fault = StuckAtFault(args.bit, args.kind)
-    # --save-map saves the systolic engine's fault map
-    cfg = _given(args, args.engine == "systolic" or args.save_map is not None,
-                 n=16, mode="propagate")
-    cfg = cfg and SystolicConfig(**cfg)
-    fm = cfg and random_fault_map(cfg.n, args.percent, fault, seed=args.seed)
-    tf = _given(args, args.engine == "gpu_tiles" and args.percent > 0, tile_index=0)
-    tf = tf and TileFaultSpec(tf["tile_index"], args.percent / 100.0, fault, args.seed)
-    env = network.ExecEnv(args.engine, multipliers.parse_multiplier(args.multiplier),
-                          cfg, fm, args.tile, tf, args.layer)
+    # the systolic engine reads a fault map, saved or drawn, and the gpu_tiles
+    # engine one damaged tile; ExecEnv refuses either on the other engine
+    on_map = args.engine == "systolic" or any(
+        getattr(args, k) is not None for k in ("fault_map", "n", "mode", "save_map"))
+    fm = _fault_map(args, "inject") if on_map else None
+    d = _given(args, True, tile_index=0, **_DRAW)
+    tf = (TileFaultSpec(d["tile_index"], d["percent"] / 100.0,
+                        StuckAtFault(d["bit"], d["kind"]), args.seed)
+          if not on_map or args.tile_index is not None else None)
+    env = network.ExecEnv(
+        args.engine, multipliers.parse_multiplier(args.multiplier),
+        None if fm is None else SystolicConfig(fm.n, args.mode or "propagate"), fm,
+        args.tile, tf, args.layer,
+        None if args.weight_map is None else multipliers.load_weight_map(args.weight_map),
+    )
     if args.save_map:
         save_fault_map(fm, args.save_map)
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     data = datasets.parse_dataset_arg(args.data)
-    base_env = replace(env, fault_map=None, tile_fault=None)
-    baseline = network.evaluate(model, w, data, env=base_env,
-                                sample_limit=args.sample_limit)
-    faulty = network.evaluate(model, w, data, env=env,
-                              sample_limit=args.sample_limit)
+    baseline, faulty = (network.evaluate(model, w, data, env=e, sample_limit=args.sample_limit)
+                        for e in (replace(env, fault_map=None, tile_fault=None), env))
     print(f"baseline_acc={baseline:.2f}")
     print(f"faulty_acc={faulty:.2f}")
     print(f"acc_loss={baseline - faulty:.2f}")
@@ -166,13 +187,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
-    draw = _given(args, args.fault_map is None, n=16, percent=16.0, bit=15, kind="sa1")
-    if args.fault_map is not None and draw is not None:
-        raise ValueError("mitigate takes --fault-map or the options that draw a map "
-                         "(--n, --percent, --bit, --kind), not both")
-    fm = (load_fault_map(args.fault_map) if draw is None else
-          random_fault_map(draw["n"], draw["percent"],
-                           StuckAtFault(draw["bit"], draw["kind"]), seed=args.seed))
+    fm = _fault_map(args, "mitigate")
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
     train_data = datasets.parse_dataset_arg(args.data)
@@ -258,24 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="accuracy of saved weights on a dataset")
+    p = sub.add_parser("eval", help="clean accuracy of saved weights on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--engine", choices=network.ENGINES, default="float")
     p.add_argument("--multiplier", help="default exact on the quantized engines")
-    p.add_argument("--n", type=int, help="systolic array size (default 16)")
-    p.add_argument("--mode", choices=GEMM_MODES, help="systolic (default propagate)")
-    p.add_argument("--tile", type=int, help="gpu_tiles (default 16)")
-    p.add_argument("--tile-index", type=int, help="gpu_tiles fault (default 0)")
-    p.add_argument("--tile-fraction", type=float, help="gpu_tiles fault (default 0)")
-    p.add_argument("--bit", type=int, help="gpu_tiles fault (default 15)")
-    p.add_argument("--kind", choices=FAULT_KINDS, help="gpu_tiles fault (default sa1)")
-    p.add_argument("--fault-map")
     p.add_argument("--weight-map")
-    p.add_argument("--layer", type=int)
     p.add_argument("--sample-limit", type=int)
-    _add_seed(p)
     p.set_defaults(func=_cmd_eval)
 
     mul = sub.add_parser("mul", help="approximate multiplier tools")
@@ -288,19 +293,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("inject", help="single fault-injection run")
+    p = sub.add_parser("inject", help="accuracy before and after a fault")
     p.add_argument("--model", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--multiplier", default="exact")
     p.add_argument("--engine", choices=network.QUANTIZED_ENGINES, default="systolic")
-    p.add_argument("--n", type=int, help="systolic array size (default 16)")
-    p.add_argument("--tile", type=int, help="gpu_tiles (default 16)")
-    p.add_argument("--tile-index", type=int, help="gpu_tiles (default 0)")
-    p.add_argument("--percent", type=float, required=True)
-    p.add_argument("--bit", type=int, required=True)
-    p.add_argument("--kind", choices=FAULT_KINDS, required=True)
+    p.add_argument("--weight-map")
+    _add_fault_flags(p)
     p.add_argument("--mode", choices=GEMM_MODES, help="systolic (default propagate)")
+    p.add_argument("--tile", type=int, help="gpu_tiles (default 16)")
+    p.add_argument("--tile-index", type=int, help="gpu_tiles damaged tile (default 0)")
     p.add_argument("--layer", type=int)
     p.add_argument("--sample-limit", type=int)
     p.add_argument("--save-map")
@@ -313,11 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training dataset spec")
     p.add_argument("--test-data", required=True)
     p.add_argument("--multiplier", default="exact")
-    p.add_argument("--fault-map", help="existing fault map file, or draw one:")
-    p.add_argument("--n", type=int, help="drawn map's array size (default 16)")
-    p.add_argument("--percent", type=float, help="drawn map (default 16)")
-    p.add_argument("--bit", type=int, help="drawn map (default 15)")
-    p.add_argument("--kind", choices=FAULT_KINDS, help="drawn map (default sa1)")
+    _add_fault_flags(p)
     p.add_argument("--acc-thresh", type=float, default=0.0)
     p.add_argument("--activations", choices=mitigation.ACTIVATION_SOURCES,
                    default="uniform")

@@ -332,8 +332,10 @@ def mnist_or_synthetic(train_count: int = _MNIST_COUNTS["train"],
                        seed: int = _MNIST_SEED, directory=None):
     """(train, test, source) preferring real IDX files when present.
 
-    Looks in ``directory``, then $AXFAULT_MNIST_DIR, then ./data/mnist.
-    Falls back to the procedural digit generator.
+    Looks in ``directory`` alone if it is given, and raises ``ValueError``
+    when it holds no MNIST file quartet. Otherwise looks in
+    $AXFAULT_MNIST_DIR, then ./data/mnist, and falls back to the procedural
+    digit generator.
     """
     train, source = _mnist_split("train", train_count, seed, directory)
     test, _ = _mnist_split("test", test_count, seed, directory)
@@ -343,12 +345,15 @@ def mnist_or_synthetic(train_count: int = _MNIST_COUNTS["train"],
 def _mnist_split(split: str, count: int, seed: int, directory):
     """(dataset, source) of one ``mnist_or_synthetic`` split, building
     nothing of the other."""
-    for cand in (directory, os.environ.get("AXFAULT_MNIST_DIR"), "data/mnist"):
+    named = directory is not None
+    for cand in (directory,) if named else (os.environ.get("AXFAULT_MNIST_DIR"), "data/mnist"):
         layout = find_idx_layout(cand)
         if layout:
             ds = load_idx_pair(layout[f"{split}-images"], layout[f"{split}-labels"],
                                f"mnist-{split}")
             return ds.subset(count), f"idx:{cand}"
+    if named:
+        raise ValueError(f"no MNIST IDX file quartet in {str(directory)!r}")
     seed = seed if split == "train" else seed + 1
     return synth_digits(count, seed=seed, split=split), "synthetic"
 

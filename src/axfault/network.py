@@ -115,6 +115,8 @@ class ModelSpec:
     layers: list
 
     def __post_init__(self):
+        for d in self.input_shape:
+            _check_int("input dim", d, 1)
         self.input_shape = tuple(int(d) for d in self.input_shape)
         if len(self.input_shape) not in (1, 3):
             raise ValueError("input shape must be (features,) or (H, W, C)")

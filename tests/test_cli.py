@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from axfault import cli, faults, mitigation, network, training
+from axfault import cli, datasets, faults, mitigation, multipliers, network, training
 
 MODEL_JSON = json.dumps({
     "name": "cli-blobs",
@@ -38,7 +38,10 @@ def trained(tmp_path, model_path):
 
 
 def _kv(capsys):
-    out = capsys.readouterr().out
+    return _kv_of(capsys.readouterr().out)
+
+
+def _kv_of(out):
     pairs = {}
     for line in out.splitlines():
         if "=" in line:
@@ -89,10 +92,31 @@ def test_eval_quantized_engine(trained, capsys):
     rc = cli.main(["eval", "--model", trained["model"],
                    "--weights", trained["weights"],
                    "--data", "blobs:3:300:8:2",
-                   "--engine", "systolic", "--multiplier", "truncated-4",
-                   "--n", "8"])
+                   "--engine", "systolic", "--multiplier", "truncated-4"])
     assert rc == 0
     assert float(_kv(capsys)["accuracy"]) >= 90.0
+
+
+def test_eval_offers_only_clean_options(trained, capsys):
+    # without faults both quantized engines compute the same GEMM, so eval
+    # used to take ten options that could not change its result
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--help"])
+    assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == [
+        "--model", "--weights", "--data", "--engine", "--multiplier", "--weight-map",
+        "--sample-limit"]
+    argv = ["eval", "--model", trained["model"], "--weights", trained["weights"],
+            "--data", "blobs:3:300:8:2", "--multiplier", "truncated-4", "--engine", "systolic"]
+    assert cli.main(argv) == 0
+    accs = {_kv(capsys)["accuracy"]}
+    assert cli.main([*argv[:-1], "gpu_tiles"]) == 0
+    accs.add(_kv(capsys)["accuracy"])
+    assert len(accs) == 1
+    for option, value in (("--n", "8"), ("--fault-map", "fm.axfm"), ("--layer", "0")):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv + [option, value])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 def test_mul_info(capsys):
@@ -259,6 +283,104 @@ def test_mitigate_refuses_draw_options_beside_fault_map(trained, option, value, 
     assert not (tmp / "fixed.axdn").exists()
 
 
+@pytest.mark.parametrize("option, value", [("--n", "8"), ("--percent", "30"),
+                                           ("--bit", "7"), ("--kind", "sa0")])
+def test_inject_refuses_draw_options_beside_fault_map(trained, option, value, capsys):
+    # the same helper as mitigate's builds the map, and its error names inject
+    tmp = trained["tmp"]
+    faults.save_fault_map(faults.random_fault_map(8, 16.0, faults.StuckAtFault(15, "sa1"),
+                                                  seed=1), tmp / "fm.axfm")
+    capsys.readouterr()
+    rc = cli.main(["inject", "--model", trained["model"], "--weights", str(tmp / "missing.axdn"),
+                   "--data", "blobs:3:100:8:2", "--fault-map", str(tmp / "fm.axfm"),
+                   option, value])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: inject takes --fault-map or the options that draw a map "
+        "(--n, --percent, --bit, --kind), not both\n")
+
+
+@pytest.mark.parametrize("draw, mode", [([], []),
+                                        (["--n", "8", "--percent", "25"], ["--mode", "bypass"])],
+                         ids=["defaults", "given"])
+def test_inject_scores_a_saved_map_as_the_draw_that_saved_it(trained, draw, mode, capsys):
+    # the array size comes from the map: a map saved at --n 8 used to fail
+    # "fault map is 8x8 but array is 16x16" unless --n 8 was given again
+    fm = str(trained["tmp"] / "fm.axfm")
+    argv = ["inject", "--model", trained["model"], "--weights", trained["weights"],
+            "--data", "blobs:3:300:8:2", "--seed", "3"]
+    capsys.readouterr()
+    assert cli.main(argv + draw + mode + ["--save-map", fm]) == 0
+    drawn = capsys.readouterr().out
+    assert float(_kv_of(drawn)["acc_loss"]) > 0
+    assert cli.main(argv + mode + ["--fault-map", fm]) == 0
+    assert capsys.readouterr().out == drawn
+    # a map is the systolic engine's fault
+    assert cli.main(argv + ["--engine", "gpu_tiles", "--fault-map", fm]) == 2
+    assert capsys.readouterr().err == "error: the gpu_tiles engine does not read systolic\n"
+
+
+@pytest.mark.parametrize("mul", ["truncated-3", "broken-carry-3", "truncated-8"])
+def test_inject_scores_repaired_weights_as_mitigate_does(trained, mul, capsys):
+    # the repair loop on the command line: save a fault, repair it, then
+    # score the repair under that fault with the broken MACs bypassed
+    tmp = trained["tmp"]
+    fm, fixed = str(tmp / "fm.axfm"), str(tmp / "fixed.axdn")
+    argv = ["--model", trained["model"], "--multiplier", mul]
+    assert cli.main(["inject", *argv, "--weights", trained["weights"], "--data",
+                     "blobs:3:100:8:2", "--n", "8", "--percent", "25", "--seed", "4",
+                     "--save-map", fm]) == 0
+    capsys.readouterr()
+    assert cli.main(["mitigate", *argv, "--weights", trained["weights"],
+                     "--data", "blobs:3:200:8:1", "--test-data", "blobs:3:100:8:2",
+                     "--fault-map", fm, "--epochs", "2", "--seed", "2", "--out", fixed]) == 0
+    repaired = _kv(capsys)
+    assert cli.main(["inject", *argv, "--weights", fixed, "--data", "blobs:3:100:8:2",
+                     "--fault-map", fm, "--mode", "bypass"]) == 0
+    assert _kv(capsys)["faulty_acc"] == repaired["acc_after"]
+
+
+def test_inject_gpu_tile_fault_is_tile_index_and_percent(trained, capsys):
+    # spelled as a campaign cell spells it: the damaged share in percent
+    model = network.resolve_model(trained["model"])
+    w = network.load_weights(model, trained["weights"])
+    data = datasets.parse_dataset_arg("blobs:3:300:8:2")
+    m = multipliers.parse_multiplier("exact")
+    env = network.ExecEnv("gpu_tiles", m, tile=4, tile_fault=faults.TileFaultSpec(
+        1, 0.5, faults.StuckAtFault(15, "sa1"), 3))
+    clean = network.evaluate(model, w, data, env=network.ExecEnv("gpu_tiles", m, tile=4))
+    want = network.evaluate(model, w, data, env=env)
+    assert want != clean
+    capsys.readouterr()
+    assert cli.main(["inject", "--model", trained["model"], "--weights", trained["weights"],
+                     "--data", "blobs:3:300:8:2", "--engine", "gpu_tiles", "--tile", "4",
+                     "--tile-index", "1", "--percent", "50", "--seed", "3"]) == 0
+    kv = _kv(capsys)
+    assert (kv["baseline_acc"], kv["faulty_acc"]) == (f"{clean:.2f}", f"{want:.2f}")
+
+
+def test_inject_scores_a_weight_mapped_model(trained, capsys):
+    # eval took --weight-map but inject did not, so a retuned model could
+    # not be scored under a fault
+    tmp = trained["tmp"]
+    wm, fm = str(tmp / "bc3.axwm"), str(tmp / "fm.axfm")
+    assert cli.main(["mul", "map", "--multiplier", "broken-carry-3", "--out", wm]) == 0
+    argv = ["--model", trained["model"], "--weights", trained["weights"],
+            "--data", "blobs:3:300:8:2", "--multiplier", "broken-carry-3", "--weight-map", wm]
+    capsys.readouterr()
+    assert cli.main(["eval", *argv, "--engine", "systolic"]) == 0
+    clean = _kv(capsys)["accuracy"]
+    assert cli.main(["inject", *argv, "--n", "8", "--percent", "25", "--save-map", fm]) == 0
+    kv = _kv(capsys)
+    model = network.resolve_model(trained["model"])
+    env = network.ExecEnv("systolic", multipliers.parse_multiplier("broken-carry-3"),
+                          faults.SystolicConfig(8), faults.load_fault_map(fm),
+                          weight_map=multipliers.load_weight_map(wm))
+    want = network.evaluate(model, network.load_weights(model, trained["weights"]),
+                            datasets.parse_dataset_arg("blobs:3:300:8:2"), env=env)
+    assert (kv["baseline_acc"], kv["faulty_acc"]) == (clean, f"{want:.2f}")
+
+
 def test_campaign_run_and_report(trained, capsys):
     spec = {
         "model_id": trained["model"],
@@ -410,7 +532,7 @@ def test_campaign_run_has_no_seed_flag(trained, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["eval", "--engine", "systolic"],
+    ["inject", "--engine", "gpu_tiles", "--percent", "50", "--tile", "4"],
     ["inject", "--percent", "50", "--bit", "15", "--kind", "sa1", "--n", "4"],
 ])
 def test_layer_that_is_no_gemm_layer_fails(tmp_path, command, capsys):
@@ -427,7 +549,7 @@ def test_layer_that_is_no_gemm_layer_fails(tmp_path, command, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["eval", "--engine", "gpu_tiles", "--tile", "0", "--tile-fraction", "0.5"],
+    ["inject", "--engine", "gpu_tiles", "--tile", "0", "--percent", "0"],
     ["inject", "--engine", "gpu_tiles", "--tile", "0", "--percent", "50", "--bit", "15",
      "--kind", "sa1"],
     ["eval", "--sample-limit", "-5"],
@@ -445,32 +567,21 @@ def test_bad_tile_or_sample_limit_fails(trained, command, capsys):
 
 
 @pytest.mark.parametrize("engine, option, value", [
-    ("gpu_tiles", "--fault-map", "sa1.axfm"),
-    ("float", "--fault-map", "sa1.axfm"),
     ("float", "--weight-map", "t3.axwm"),
-    ("float", "--layer", "0"),
-    ("systolic", "--tile-fraction", "0.5"),
 ])
 def test_eval_rejects_options_its_engine_does_not_read(trained, engine, option, value,
                                                         capsys):
-    # each used to be ignored: gpu_tiles with an all-sa1 fault map printed
-    # the clean accuracy
+    # it used to be ignored: float printed the accuracy without the map
     tmp = trained["tmp"]
-    faults.save_fault_map(faults.random_fault_map(16, 100.0, faults.StuckAtFault(15, "sa1"),
-                                                  seed=1), tmp / "sa1.axfm")
     assert cli.main(["mul", "map", "--multiplier", "truncated-3",
                      "--out", str(tmp / "t3.axwm")]) == 0
-    if option.endswith("-map"):
-        value = str(tmp / value)
+    value = str(tmp / value)
     argv = ["eval", "--model", trained["model"], "--weights", trained["weights"],
             "--data", "blobs:3:8:8:2", "--engine", engine]
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert cli.main(argv + [option, value]) == 2
-    err = capsys.readouterr().err
-    field = {"--fault-map": "fault_map", "--weight-map": "weight_map",
-             "--layer": "layer_filter", "--tile-fraction": "tile_fault"}[option]
-    assert err == f"error: the {engine} engine does not read {field}\n"
+    assert capsys.readouterr().err == f"error: the {engine} engine does not read weight_map\n"
 
 
 _REFUSED = [
@@ -480,14 +591,7 @@ _REFUSED = [
     (["inject", "--engine", "gpu_tiles", "--save-map", "fm.txt"], "systolic"),
     (["inject", "--engine", "systolic", "--tile", "4"], "tile"),
     (["inject", "--engine", "systolic", "--tile-index", "1"], "tile_fault"),
-    (["eval", "--engine", "systolic", "--tile", "8"], "tile"),
-    (["eval", "--engine", "systolic", "--tile-index", "1"], "tile_fault"),
-    (["eval", "--engine", "systolic", "--bit", "3"], "tile_fault"),
-    (["eval", "--engine", "systolic", "--kind", "sa0"], "tile_fault"),
-    (["eval", "--engine", "gpu_tiles", "--n", "4"], "systolic"),
-    (["eval", "--engine", "gpu_tiles", "--mode", "bypass"], "systolic"),
     (["eval", "--engine", "float", "--multiplier", "exact"], "multiplier"),
-    (["eval", "--engine", "float", "--tile", "4"], "tile"),
 ]
 
 

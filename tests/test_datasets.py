@@ -1,6 +1,7 @@
 """IDX/CIFAR loaders and the synthetic generators."""
 
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -446,6 +447,23 @@ def test_parse_dataset_arg_mnist_shorthand(tmp_path, monkeypatch):
         assert got.id == want.id
         assert np.array_equal(got.images, want.images)
         assert np.array_equal(got.labels, want.labels)
+
+
+def test_named_mnist_directory_without_files_fails(tmp_path, monkeypatch):
+    # a named directory with no quartet used to give 2000 synthetic digits,
+    # so a typo in the path evaluated on synthetic data
+    (tmp_path / "mnist").mkdir()
+    _write_idx_quartet(tmp_path / "mnist")
+    monkeypatch.setenv("AXFAULT_MNIST_DIR", str(tmp_path / "mnist"))
+    (tmp_path / "empty").mkdir()
+    for named in (tmp_path / "no-such-dir", tmp_path / "empty"):
+        for spec in (f"mnist-test:{named}", f"mnist-train:{named}"):
+            with pytest.raises(ValueError, match=re.escape(f"no MNIST IDX file quartet in '{named}'")):
+                ds.parse_dataset_arg(spec)
+        with pytest.raises(ValueError, match="^no MNIST IDX file quartet in "):
+            ds.mnist_or_synthetic(train_count=4, test_count=2, directory=named)
+    # with no directory named the search goes on: here to $AXFAULT_MNIST_DIR
+    assert ds.parse_dataset_arg("mnist-test").id.startswith("mnist-test")
 
 
 def test_parse_dataset_arg_mnist_builds_one_split(tmp_path, monkeypatch):

@@ -63,24 +63,34 @@ _CONV = {"kind": "conv2d", "activation": "relu", "kh": 3, "kw": 3, "cin": 1, "co
          "stride": 1, "pad": 0}
 
 
-@pytest.mark.parametrize("layer, match", [
+@pytest.mark.parametrize("shape, layer, match", [
     # a zero stride ended in a ZeroDivisionError, and a negative pad in a
     # broadcast error inside forward
-    (dict(_CONV, stride=0), "conv2d stride must be at least 1, got 0$"),
-    (dict(_CONV, pad=-1), "conv2d pad must be at least 0, got -1$"),
-    ({"kind": "maxpool", "k": 2, "stride": 0}, "maxpool stride must be at least 1, got 0$"),
+    ([6, 6, 1], dict(_CONV, stride=0), "conv2d stride must be at least 1, got 0$"),
+    ([6, 6, 1], dict(_CONV, pad=-1), "conv2d pad must be at least 0, got -1$"),
+    ([6, 6, 1], {"kind": "maxpool", "k": 2, "stride": 0},
+     "maxpool stride must be at least 1, got 0$"),
     # an unknown key was kept silently, and a bool read as the integer 1
-    (dict(_CONV, outt=5), r"conv2d layer: unknown parameters \['outt'\], missing parameters \[\]$"),
-    ({"kind": "maxpool", "k": 2}, r"unknown parameters \[\], missing parameters \['stride'\]$"),
-    ({"kind": "dense", "in": True, "out": 3}, "dense in must be an integer, got True$"),
-    (dict(_CONV, kh=3.0), "conv2d kh must be an integer, got 3.0$"),
+    ([6, 6, 1], dict(_CONV, outt=5),
+     r"conv2d layer: unknown parameters \['outt'\], missing parameters \[\]$"),
+    ([6, 6, 1], {"kind": "maxpool", "k": 2},
+     r"unknown parameters \[\], missing parameters \['stride'\]$"),
+    ([6, 6, 1], {"kind": "dense", "in": True, "out": 3}, "dense in must be an integer, got True$"),
+    ([6, 6, 1], dict(_CONV, kh=3.0), "conv2d kh must be an integer, got 3.0$"),
+    # an input dim was read through int(): 6.7 as 6 and True as 1
+    ([6.7, 6, 1], _CONV, "input dim must be an integer, got 6.7$"),
+    ([6, 6, True], _CONV, "input dim must be an integer, got True$"),
+    ([6, 0, 1], _CONV, "input dim must be at least 1, got 0$"),
 ], ids=["zero-stride", "negative-pad", "pool-stride", "unknown-key", "missing-key",
-        "bool", "float"])
-def test_model_json_rejects_bad_layer_parameters(layer, match):
-    doc = {"name": "c", "input_shape": [6, 6, 1],
+        "bool", "float", "float-input", "bool-input", "zero-input"])
+def test_model_json_rejects_bad_layer_parameters(shape, layer, match):
+    doc = {"name": "c", "input_shape": shape,
            "layers": [layer, {"kind": "flatten"}, {"kind": "dense", "in": 8, "out": 3}]}
     with pytest.raises(ValueError, match=match):
         net.model_from_json(json.dumps(doc))
+    if shape != [6, 6, 1]:
+        with pytest.raises(ValueError, match=match):
+            net.ModelSpec("c", tuple(shape), [])
 
 
 def test_layer_helpers_refuse_fractions_and_store_python_ints():
