@@ -254,8 +254,16 @@ def _cmd_campaign_report(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``ValueError``, which ``main``
+    reports as it does every other failure; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="axfault",
         description="Fault injection and repair for int8 networks on "
                     "approximate-multiplier accelerators.",

@@ -38,20 +38,24 @@ products on the stationed lattice formed, as int16, grouped by array row,
 and corrected with int32 sums.
 
 Every other multiplier is read from its product table: per-weight tables of
-the 256 products with every activation code are built (``_weight_tables``)
-and one contiguous row of them is summed per MAC (``_table_sums``). The
-fault-free tables depend on the weights and the multiplier alone, so a
+the 256 products with every activation code, depth-major (row
+``c * 256 + v + 128`` for depth column c and activation code v), are built
+(``_weight_tables``) and one contiguous row of them is summed per MAC
+(``_table_gemm``). The GEMM walks the depth in slabs of at most
+``_SLAB_ENTRIES`` entries and sums each slab while it is still in cache.
+The fault-free tables depend on the weights and the multiplier alone, so a
 caller can build them once (``_clean_tables``) and pass them to either
-engine as ``tables``: ``network`` builds them once per evaluate of several
-eval batches, and a campaign's golden pass shares them with its resumed
-cells. Without ``tables``, or for tables of more than 2^24 entries, every
-call builds them, at most 2^24 entries at a time. Since a stuck-at fault
-acts on the product pattern alone, a faulty MAC is another table: the
-systolic engine stacks the multiplier's table with one table per distinct
-fault (``propagate``) or a table of zeros (``bypass``) and builds each
-weight's products from the table of its MAC, so faults cost no more than a
-fresh build. The gpu engine reads the fault-free tables. Without faults the
-two engines compute the same GEMM.
+engine as ``tables``, whose slabs are then slices: ``network`` builds them
+once per evaluate of several eval batches, and a campaign's golden pass
+shares them with its resumed cells. Without ``tables``, or for tables of
+more than ``_TABLE_ENTRIES`` entries, every call builds its slabs one at a
+time and never the whole table. Since a stuck-at fault acts on the product
+pattern alone, a faulty MAC is another table: the systolic engine stacks
+the multiplier's table with one table per distinct fault (``propagate``) or
+a table of zeros (``bypass``) and builds each weight's products from the
+table of its MAC, so faults cost no more than a fresh build. The gpu engine
+reads the fault-free tables. Without faults the two engines compute the
+same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
@@ -82,8 +86,12 @@ MAX_GEMM_DEPTH = 32768
 # with |s| <= 1024 * 2^14 = 2^24, and float32 holds all of those exactly
 _SLAB = 1024
 
-# cap on the entries of one block of per-weight product tables (32 MiB)
+# cap on the entries of the per-weight product tables a plan keeps (32 MiB)
 _TABLE_ENTRIES = 1 << 24
+
+# cap on the entries of one depth slab of per-weight product tables
+# (512 KiB), small enough to be read while it is still in cache
+_SLAB_ENTRIES = 1 << 18
 
 # faulty weights per activation row read at which matmuls take over from
 # forming the faulty products (see _correct_lattice)
@@ -352,60 +360,87 @@ def _mac_tables(m: Multiplier, fm: FaultMap, mode: str, rows: int, depth: int):
     return np.hstack(tables), _station(sel_n, rows, depth)
 
 
-def _weight_tables(wq, tables, sel) -> np.ndarray:
-    """Per-weight product tables of ``wq``: a (256 depth, rows) int16 array
-    ``h`` whose entry ``h[(v + 128) * depth + c, r]`` is the product of
-    activation code v with weight (r, c), faults included. ``tables`` and
-    ``sel`` are as ``_mac_tables`` returns them, or the bare table and None
-    without faults.
+def _weight_tables(wq, tables, sel):
+    """Per-weight product tables of ``wq``, depth-major, built a slab of at
+    most ``_slab_columns`` depth columns at a time: returns ``slab(c0, c1)``,
+    a (256 (c1 - c0), rows) int16 array ``h`` whose entry
+    ``h[(c - c0) * 256 + v + 128, r]`` is the product of activation code v
+    with weight (r, c), faults included; the next call overwrites it.
+    ``tables`` and ``sel`` are as ``_mac_tables`` returns them, or the bare
+    table and None without faults.
     """
-    # column of the stacked tables that holds each weight's products
-    col = wq.astype(np.int32) + 128
-    if sel is not None:
-        col += 256 * sel
-    return np.take(tables, col.T, axis=1).reshape(256 * wq.shape[1], -1)
+    rows = wq.shape[0]
+    # one row of 256 products per weight code and table number
+    products = np.ascontiguousarray(tables.T)
+    step = min(_slab_columns(rows), wq.shape[1])
+    # every slab reuses these buffers, as _table_gemm does its own
+    gathered = np.empty((step, rows, 256), dtype=np.int16)
+    built = np.empty((step, 256, rows), dtype=np.int16)
+
+    def slab(c0, c1):
+        # row of ``products`` that holds each weight's products, (d, rows)
+        col = wq[:, c0:c1].T.astype(np.intp) + 128
+        if sel is not None:
+            col += 256 * sel[:, c0:c1].T
+        d = col.shape[0]
+        g = np.take(products, col, axis=0, out=gathered[:d], mode="clip")
+        np.copyto(built[:d], g.transpose(0, 2, 1))
+        return built[:d].reshape(-1, rows)
+
+    return slab
 
 
-def _table_sums(h, aq) -> np.ndarray:
-    """The GEMM of ``_weight_tables`` output ``h``: output column b is the
-    sum over c of ``h[(aq[c, b] + 128) * depth + c]``, one gather of a
-    contiguous row per MAC."""
-    depth, batch = aq.shape
-    width = h.shape[1]
-    idx = (aq.astype(np.intp) + 128) * depth + np.arange(depth)[:, None]
-    out = np.empty((width, batch), dtype=np.int32)
-    # chunks of about 2^17 gathered products stay in cache
-    chunk = max(1, (1 << 17) // (depth * width))
-    for b0 in range(0, batch, chunk):
-        p = np.take(h, idx[:, b0 : b0 + chunk], axis=0)
-        out[:, b0 : b0 + chunk] = p.sum(axis=0, dtype=np.int32).T
-    return out
+def _slab_columns(rows: int) -> int:
+    """Depth columns in one slab of the per-weight tables of ``rows``
+    weights: at most ``_SLAB_ENTRIES`` entries, and at least one column."""
+    return max(1, _SLAB_ENTRIES // (256 * rows))
 
 
-def _table_gemm(wq, aq, tables, sel) -> np.ndarray:
-    """GEMM read from per-weight product tables, built a block of rows at a
-    time so that a block holds at most ``_TABLE_ENTRIES`` entries. ``tables``
-    and ``sel`` are as for ``_weight_tables``."""
+def _table_gemm(wq, aq, slab) -> np.ndarray:
+    """GEMM read from per-weight product tables: output column b is the sum
+    over c of the product of ``aq[c, b]`` with weight (r, c), row
+    ``c * 256 + aq[c, b] + 128`` of the tables. ``slab(c0, c1)`` gives the
+    tables of depth columns [c0, c1) as ``_weight_tables`` builds them. Each
+    slab is read whole, in chunks of about 2^17 gathered products, while it
+    is still in cache."""
     rows, depth = wq.shape
-    out = np.empty((rows, aq.shape[1]), dtype=np.int32)
-    block = max(1, _TABLE_ENTRIES // (256 * depth))
-    for r0 in range(0, rows, block):
-        rs = slice(r0, r0 + block)
-        h = _weight_tables(wq[rs], tables, None if sel is None else sel[rs])
-        out[rs] = _table_sums(h, aq)
+    batch = aq.shape[1]
+    step = min(_slab_columns(rows), depth)
+    chunk = min(batch, max(1, (1 << 17) // (step * rows)))
+    # one buffer for the gathers of every slab: allocated per slab, it lets
+    # the allocator hand its pages back and fault them in again. Every
+    # index is in range, so "clip" only spares a copy of ``out``
+    gathered = np.empty(step * chunk * rows, dtype=np.int16)
+    out = np.zeros((rows, batch), dtype=np.int32)
+    for c0 in range(0, depth, step):
+        h = slab(c0, c0 + step)
+        a = aq[c0 : c0 + step]
+        idx = a.astype(np.intp) + (256 * np.arange(a.shape[0])[:, None] + 128)
+        for b0 in range(0, batch, chunk):
+            i = idx[:, b0 : b0 + chunk]
+            p = gathered[: i.size * rows].reshape(*i.shape, rows)
+            np.take(h, i, axis=0, out=p, mode="clip")
+            out[:, b0 : b0 + chunk] += p.sum(axis=0, dtype=np.int32).T
     return out
 
 
 def _clean_tables(wq, m: Multiplier, room) -> np.ndarray | None:
     """The fault-free per-weight tables of ``wq`` under ``m`` to pass to
-    ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``, or None: when
-    ``m`` is ``_blas_ready`` (no tables are read), or the tables would
-    exceed ``_TABLE_ENTRIES`` entries (they are then built a block of rows
-    at a time on every call) or ``room`` bytes."""
+    ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``: a (256 depth,
+    rows) int16 array, row ``c * 256 + v + 128`` as ``_weight_tables``
+    lays it out. None when ``m`` is ``_blas_ready`` (no tables are read),
+    or the tables would exceed ``_TABLE_ENTRIES`` entries or ``room`` bytes:
+    every call then builds them, a slab at a time."""
+    rows, depth = wq.shape
     entries = 256 * wq.size
-    if _blas_ready(m, wq.shape[0]) or entries > _TABLE_ENTRIES or 2 * entries > room:
+    if _blas_ready(m, rows) or entries > _TABLE_ENTRIES or 2 * entries > room:
         return None
-    return _weight_tables(wq, m.table2d(), None)
+    slab = _weight_tables(wq, m.table2d(), None)
+    h = np.empty((256 * depth, rows), dtype=np.int16)
+    step = _slab_columns(rows)
+    for c0 in range(0, depth, step):
+        h[256 * c0 : 256 * (c0 + step)] = slab(c0, c0 + step)
+    return h
 
 
 def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
@@ -416,11 +451,11 @@ def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     if _blas_ready(m, rows):
         return _blas_gemm(wq, aq, m)
     if tables is None:
-        return _table_gemm(wq, aq, m.table2d(), None)
+        return _table_gemm(wq, aq, _weight_tables(wq, m.table2d(), None))
     if tables.shape != (256 * depth, rows) or tables.dtype != np.int16:
         raise ValueError(f"tables {tables.shape} {tables.dtype} are not the int16 "
                          f"per-weight tables of a {rows}x{depth} weight matrix")
-    return _table_sums(tables, aq)
+    return _table_gemm(wq, aq, lambda c0, c1: tables[256 * c0 : 256 * c1])
 
 
 def _form_products(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
@@ -566,7 +601,7 @@ def systolic_gemm(
     faulty = fm is not None and bool(fm.entries)
     if clean is None and faulty and not _blas_ready(m, wq.shape[0]):
         # faults folded into the product tables
-        return _table_gemm(wq, aq, *_mac_tables(m, fm, cfg.mode, *wq.shape))
+        return _table_gemm(wq, aq, _weight_tables(wq, *_mac_tables(m, fm, cfg.mode, *wq.shape)))
     out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if faulty:
         _correct_lattice(out, wq, aq, m, fm, cfg.mode)

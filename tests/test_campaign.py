@@ -361,7 +361,8 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
 @pytest.fixture
 def table_builds(monkeypatch):
     """(weight matrix shape, faults folded in) of every per-weight table
-    build."""
+    build: one ``_weight_tables`` call, which builds a plan's tables of a
+    layer, or the slabs that one GEMM call reads."""
     builds = []
 
     def spy(wq, tables, sel, _real=fl._weight_tables):

@@ -113,10 +113,24 @@ def test_eval_offers_only_clean_options(trained, capsys):
     accs.add(_kv(capsys)["accuracy"])
     assert len(accs) == 1
     for option, value in (("--n", "8"), ("--fault-map", "fm.axfm"), ("--layer", "0")):
-        with pytest.raises(SystemExit) as e:
-            cli.main(argv + [option, value])
-        assert e.value.code == 2
-        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert cli.main(argv + [option, value]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {option} {value}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval"], "the following arguments are required: --model, --weights, --data"),
+    (["eval", "--model", "m", "--weights", "w", "--data", "d", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["eval", "--model", "m", "--weights", "w", "--data", "d", "--engine", "fpga"],
+     "argument --engine: invalid choice: 'fpga' (choose from 'float', 'systolic', "
+     "'gpu_tiles')"),
+], ids=["missing", "unknown", "choice"])
+def test_usage_errors_print_one_error_line(argv, message, capsys):
+    # argparse used to print its usage block and a second, prefixed line
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_mul_info(capsys):
@@ -165,9 +179,7 @@ def test_mul_takes_only_multiplier(tmp_path, monkeypatch, argv, capsys):
     # no multiplier ended in an AttributeError traceback, and --family
     # silently overrode a --multiplier given beside it
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as e:
-        cli.main(argv)
-    assert e.value.code == 2
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert ("required: --multiplier" in err) != ("unrecognized arguments: --family" in err)
     assert not (tmp_path / "m.axwm").exists()
@@ -524,11 +536,9 @@ def test_campaign_run_has_no_seed_flag(trained, capsys):
     spec_path.write_text(json.dumps({"model_id": trained["model"],
                                      "dataset_id": "blobs:3:300:8:2",
                                      "multipliers": ["exact"], "sample_limit": 20}))
-    with pytest.raises(SystemExit) as e:
-        cli.main(["campaign", "run", "--seed", "3", "--spec", str(spec_path),
-                  "--weights", trained["weights"], "--out", str(trained["tmp"] / "camp")])
-    assert e.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert cli.main(["campaign", "run", "--seed", "3", "--spec", str(spec_path),
+                     "--weights", trained["weights"], "--out", str(trained["tmp"] / "camp")]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 3\n"
 
 
 @pytest.mark.parametrize("command", [

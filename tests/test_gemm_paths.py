@@ -200,13 +200,18 @@ def _fault_map(n, fill, seed):
 
 
 def _check_systolic(w, a, m, fm, cfg, step=False):
-    """With ``step``, also the route of a campaign cell resumed at this
-    layer: the clean GEMM, then the faults alone added to it. The clean GEMM is the
-    gpu engine's, since a campaign keeps one clean pass for both engines."""
+    """With ``step``, also the routes of a campaign's cells, which share the
+    fault-free tables of a plan (``_clean_tables``; None for matmuls): the
+    GEMM given the tables, which reads them unless it folds in faults, and
+    a cell resumed at this layer, the clean GEMM read from the tables, then
+    the faults alone added to it. The clean GEMM is the gpu engine's, since
+    a campaign keeps one clean pass for both engines."""
     want = systolic_gemm_ref(w, a, m, fm, cfg)
     got = [fl.systolic_gemm(w, a, m, fm, cfg)]
     if step:
-        clean = fl.gpu_tile_gemm(w, a, m, None, cfg.n)
+        tables = fl._clean_tables(w, m, math.inf)
+        got.append(fl.systolic_gemm(w, a, m, fm, cfg, tables=tables))
+        clean = fl.gpu_tile_gemm(w, a, m, None, cfg.n, tables=tables)
         kept = clean.copy()
         got.append(fl.systolic_gemm(w, a, m, fm, cfg, clean))
         np.testing.assert_array_equal(clean, kept)
@@ -360,32 +365,43 @@ def test_exact_table_lut_equals_exact_multiplier():
 
 # The two GEMM properties take their example count from the loaded
 # hypothesis profile: 100 by default, more under tests/conftest.py's
-# "gemm-deep"
+# "gemm-deep". They also draw the entries of one slab of per-weight tables:
+# at 2^18 one slab spans at least 51 columns, more than the 40 drawn at
+# most; below that the table path reads several, the last one often ragged.
+SLAB_ENTRIES = st.sampled_from([256, 1024, 4096, fl._SLAB_ENTRIES])
+
+
 @settings(deadline=None)
 @given(ANY_MULTIPLIER, st.integers(1, 6), st.integers(1, 20),
        st.integers(1, 40), BATCHES, st.sampled_from(FILLS),
-       st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1))
+       st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1), SLAB_ENTRIES)
 # sign faults on either side of the rule that sends them to matmuls
-@example(mul.exact_multiplier(), 2, 20, 40, 130, "mixed", "propagate", 1)
-@example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1)
-def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed):
+@example(mul.exact_multiplier(), 2, 20, 40, 130, "mixed", "propagate", 1, 1 << 18)
+@example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1, 1 << 18)
+def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed,
+                                             slab):
     # rows and depth below n leave array rows and columns unused
     w, a = _operands(seed, rows, depth, batch)
-    _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode), step=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fl, "_SLAB_ENTRIES", slab)
+        _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode), step=True)
 
 
 @settings(deadline=None)
 @given(ANY_MULTIPLIER, st.integers(1, 40), st.integers(1, 20),
        st.integers(1, 40), BATCHES, st.sampled_from([0.0, 0.3, 1.0]),
-       st.integers(0, 15), st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1))
+       st.integers(0, 15), st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1),
+       SLAB_ENTRIES)
 def test_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch, fraction,
-                                              bit, kind, seed):
+                                              bit, kind, seed, slab):
     # shapes that are no multiple of tile give ragged edge blocks
     w, a = _operands(seed, rows, depth, batch)
     blocks = -(-rows // tile) * -(-batch // tile)
     tf = TileFaultSpec(seed % blocks, fraction, fl.StuckAtFault(bit, kind), seed)
-    _check_gpu(w, a, m, tf, tile, step=True)
-    _check_gpu(w, a, m, None, tile, step=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fl, "_SLAB_ENTRIES", slab)
+        _check_gpu(w, a, m, tf, tile, step=True)
+        _check_gpu(w, a, m, None, tile, step=True)
 
 
 def _int64_gemm(w, a, m, or_m=None, and_m=None):
@@ -499,10 +515,11 @@ def test_random_maps_stack_one_table_per_distinct_fault():
 
 
 def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
-    # 256 products per weight over MAX_GEMM_DEPTH = 2^23 entries per row, so
-    # the per-weight tables of three rows are built two rows at a time
-    depth, batch = fl.MAX_GEMM_DEPTH, 128
-    w, a = _operands(6, 3, depth, batch)
+    # the per-weight tables of three rows over MAX_GEMM_DEPTH hold 2^23
+    # entries per row; built on every call, they are built and read a slab
+    # at a time, and no gather, building a slab or reading one, exceeds it
+    depth, batch, rows = fl.MAX_GEMM_DEPTH, 128, 3
+    w, a = _operands(6, rows, depth, batch)
     fm = _fault_map(2, "random", 6)
     sizes = []
     take = np.take
@@ -512,10 +529,11 @@ def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
         sizes.append(out.size)
         return out
 
-    for mode in fl.GEMM_MODES:
+    for fmap, mode in [(None, "propagate")] + [(fm, mode) for mode in fl.GEMM_MODES]:
         cfg = SystolicConfig(2, mode)
         monkeypatch.setattr(np, "take", spy)
-        got = fl.systolic_gemm(w, a, _RANDOM_LUT, fm, cfg)
+        got = fl.systolic_gemm(w, a, _RANDOM_LUT, fmap, cfg)
         monkeypatch.undo()
-        np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fm, cfg))
-    assert max(sizes) <= 1 << 24
+        np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fmap, cfg))
+    assert len(sizes) > 3 * depth // fl._slab_columns(rows)
+    assert max(sizes) <= max(fl._SLAB_ENTRIES, 256 * rows)
