@@ -38,8 +38,8 @@ products on the stationed lattice formed, as int16, grouped by array row,
 and corrected with int32 sums.
 
 Every other multiplier is read from its product table: per-weight tables of
-the 256 products with every activation code, depth-major (row
-``c * 256 + v + 128`` for depth column c and activation code v), are built
+the products with ``span`` activation codes from ``lo``, depth-major (row
+``c * span + v - lo`` for depth column c and activation code v), are built
 (``_weight_tables``) and one contiguous row of them is summed per MAC
 (``_table_gemm``). The GEMM walks the depth in slabs of at most
 ``_SLAB_ENTRIES`` entries and sums each slab while it is still in cache.
@@ -47,15 +47,18 @@ The fault-free tables depend on the weights and the multiplier alone, so a
 caller can build them once (``_clean_tables``) and pass them to either
 engine as ``tables``, whose slabs are then slices: ``network`` builds them
 once per evaluate of several eval batches, and a campaign's golden pass
-shares them with its resumed cells. Without ``tables``, or for tables of
-more than ``_TABLE_ENTRIES`` entries, every call builds its slabs one at a
-time and never the whole table. Since a stuck-at fault acts on the product
-pattern alone, a faulty MAC is another table: the systolic engine stacks
-the multiplier's table with one table per distinct fault (``propagate``) or
-a table of zeros (``bypass``) and builds each weight's products from the
-table of its MAC, so faults cost no more than a fresh build. The gpu engine
-reads the fault-free tables. Without faults the two engines compute the
-same GEMM.
+shares them with its resumed cells. Such plan tables hold all 256 codes
+(lo = -128), since any activations may read them. Without ``tables``, or
+for tables of more than ``_TABLE_ENTRIES`` entries, every call builds its
+slabs one at a time and never the whole table, and only for the codes it
+reads: lo and lo + span - 1 are its smallest and largest activation code
+(digit pixels, for one, read codes 0..127). Since a stuck-at fault acts on
+the product pattern alone, a faulty MAC is another table: the systolic
+engine stacks the multiplier's table with one table per distinct fault
+(``propagate``) or a table of zeros (``bypass``) and builds each weight's
+products from the table of its MAC, so faults cost no more than a fresh
+build. The gpu engine reads the fault-free tables. Without faults the two
+engines compute the same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
@@ -90,7 +93,9 @@ _SLAB = 1024
 _TABLE_ENTRIES = 1 << 24
 
 # cap on the entries of one depth slab of per-weight product tables
-# (512 KiB), small enough to be read while it is still in cache
+# (512 KiB), small enough to be read while it is still in cache: a slab
+# spans _SLAB_ENTRIES // (span * rows) depth columns, span 256 for a plan's
+# tables and the number of activation codes read for a call's own
 _SLAB_ENTRIES = 1 << 18
 
 # faulty weights per activation row read at which matmuls take over from
@@ -339,17 +344,18 @@ def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     return out
 
 
-def _mac_tables(m: Multiplier, fm: FaultMap, mode: str, rows: int, depth: int):
+def _mac_tables(table, fm: FaultMap, mode: str, rows: int, depth: int):
     """Product tables of every kind of MAC in the array, and which one each
     weight is stationed on.
 
-    Returns ``(tables, sel)``. ``tables`` is a (256, 256 t) int16 stack of
-    [activation + 128, weight + 128] tables: the multiplier's own, then one
-    per distinct fault (``propagate``) or one of zeros (``bypass``), since a
-    stuck-at fault acts on the product pattern alone. ``sel`` is the
-    (rows, depth) table number of each weight; ``fm`` is not empty.
+    ``table`` holds rows of the multiplier's [activation + 128, weight + 128]
+    table, those of the activation codes a GEMM reads. Returns
+    ``(tables, sel)``. ``tables`` stacks, as (span, 256 t) int16, ``table``,
+    then one table per distinct fault (``propagate``) or one of zeros
+    (``bypass``), since a stuck-at fault acts on the product pattern alone.
+    ``sel`` is the (rows, depth) table number of each weight; ``fm`` is not
+    empty.
     """
-    table = m.table2d()
     if mode == "bypass":
         return np.hstack([table, np.zeros_like(table)]), pruned_mask((rows, depth), fm)
     number = {}
@@ -362,20 +368,25 @@ def _mac_tables(m: Multiplier, fm: FaultMap, mode: str, rows: int, depth: int):
 
 def _weight_tables(wq, tables, sel):
     """Per-weight product tables of ``wq``, depth-major, built a slab of at
-    most ``_slab_columns`` depth columns at a time: returns ``slab(c0, c1)``,
-    a (256 (c1 - c0), rows) int16 array ``h`` whose entry
-    ``h[(c - c0) * 256 + v + 128, r]`` is the product of activation code v
-    with weight (r, c), faults included; the next call overwrites it.
-    ``tables`` and ``sel`` are as ``_mac_tables`` returns them, or the bare
-    table and None without faults.
+    most ``_slab_columns`` depth columns at a time.
+
+    ``tables`` has one row for each of ``span`` activation codes from lo:
+    those a GEMM call reads for the tables it builds itself, all 256 for a
+    plan's (``_clean_tables``). It and ``sel`` are as ``_mac_tables``
+    returns them, or the bare table's rows and None without faults.
+    Returns ``slab(c0, c1)``, a (span (c1 - c0), rows) int16 array ``h``
+    whose entry ``h[(c - c0) * span + v - lo, r]`` is the product of
+    activation code v with weight (r, c), faults included; the next call
+    overwrites it.
     """
     rows = wq.shape[0]
-    # one row of 256 products per weight code and table number
+    span = tables.shape[0]
+    # one row of span products per weight code and table number
     products = np.ascontiguousarray(tables.T)
-    step = min(_slab_columns(rows), wq.shape[1])
+    step = min(_slab_columns(rows, span), wq.shape[1])
     # every slab reuses these buffers, as _table_gemm does its own
-    gathered = np.empty((step, rows, 256), dtype=np.int16)
-    built = np.empty((step, 256, rows), dtype=np.int16)
+    gathered = np.empty((step, rows, span), dtype=np.int16)
+    built = np.empty((step, span, rows), dtype=np.int16)
 
     def slab(c0, c1):
         # row of ``products`` that holds each weight's products, (d, rows)
@@ -390,22 +401,24 @@ def _weight_tables(wq, tables, sel):
     return slab
 
 
-def _slab_columns(rows: int) -> int:
+def _slab_columns(rows: int, span: int) -> int:
     """Depth columns in one slab of the per-weight tables of ``rows``
-    weights: at most ``_SLAB_ENTRIES`` entries, and at least one column."""
-    return max(1, _SLAB_ENTRIES // (256 * rows))
+    weights and ``span`` activation codes: at most ``_SLAB_ENTRIES``
+    entries, and at least one column."""
+    return max(1, _SLAB_ENTRIES // (span * rows))
 
 
-def _table_gemm(wq, aq, slab) -> np.ndarray:
-    """GEMM read from per-weight product tables: output column b is the sum
-    over c of the product of ``aq[c, b]`` with weight (r, c), row
-    ``c * 256 + aq[c, b] + 128`` of the tables. ``slab(c0, c1)`` gives the
-    tables of depth columns [c0, c1) as ``_weight_tables`` builds them. Each
-    slab is read whole, in chunks of about 2^17 gathered products, while it
-    is still in cache."""
+def _table_gemm(wq, aq, slab, lo, span) -> np.ndarray:
+    """GEMM read from per-weight product tables of ``span`` activation
+    codes from ``lo``: output column b is the sum over c of the product of
+    ``aq[c, b]`` with weight (r, c), row ``c * span + aq[c, b] - lo`` of the
+    tables. ``slab(c0, c1)`` gives the tables of depth columns [c0, c1) as
+    ``_weight_tables`` builds them: per call, of the codes ``aq`` holds;
+    a plan's, of all 256 (lo = -128). Each slab is read whole, in chunks of
+    about 2^17 gathered products, while it is still in cache."""
     rows, depth = wq.shape
     batch = aq.shape[1]
-    step = min(_slab_columns(rows), depth)
+    step = min(_slab_columns(rows, span), depth)
     chunk = min(batch, max(1, (1 << 17) // (step * rows)))
     # one buffer for the gathers of every slab: allocated per slab, it lets
     # the allocator hand its pages back and fault them in again. Every
@@ -415,7 +428,7 @@ def _table_gemm(wq, aq, slab) -> np.ndarray:
     for c0 in range(0, depth, step):
         h = slab(c0, c0 + step)
         a = aq[c0 : c0 + step]
-        idx = a.astype(np.intp) + (256 * np.arange(a.shape[0])[:, None] + 128)
+        idx = a.astype(np.intp) + (span * np.arange(a.shape[0])[:, None] - lo)
         for b0 in range(0, batch, chunk):
             i = idx[:, b0 : b0 + chunk]
             p = gathered[: i.size * rows].reshape(*i.shape, rows)
@@ -424,20 +437,35 @@ def _table_gemm(wq, aq, slab) -> np.ndarray:
     return out
 
 
+def _fresh_gemm(wq, aq, m: Multiplier, fm: FaultMap | None, mode: str | None):
+    """GEMM read from per-weight tables built for this call alone, with the
+    faults of ``fm`` (if any) folded in. The tables hold the span codes from
+    the smallest activation code to the largest, the only ones read."""
+    lo = int(aq.min())
+    span = int(aq.max()) - lo + 1
+    table = m.table2d()[lo + 128 : lo + 128 + span]
+    # the stacked tables go before _table_gemm allocates its buffers: held
+    # through it, they made a fault-folded 10x32x256 GEMM about twice as slow
+    slab = _weight_tables(wq, *((table, None) if fm is None
+                                else _mac_tables(table, fm, mode, *wq.shape)))
+    return _table_gemm(wq, aq, slab, lo, span)
+
+
 def _clean_tables(wq, m: Multiplier, room) -> np.ndarray | None:
     """The fault-free per-weight tables of ``wq`` under ``m`` to pass to
     ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``: a (256 depth,
-    rows) int16 array, row ``c * 256 + v + 128`` as ``_weight_tables``
-    lays it out. None when ``m`` is ``_blas_ready`` (no tables are read),
-    or the tables would exceed ``_TABLE_ENTRIES`` entries or ``room`` bytes:
-    every call then builds them, a slab at a time."""
+    rows) int16 array of every activation code, row ``c * 256 + v + 128``
+    as ``_weight_tables`` lays it out for the whole table, so that any
+    activations can read them. None when ``m`` is ``_blas_ready`` (no
+    tables are read), or the tables would exceed ``_TABLE_ENTRIES`` entries
+    or ``room`` bytes: every call then builds its own, a slab at a time."""
     rows, depth = wq.shape
     entries = 256 * wq.size
     if _blas_ready(m, rows) or entries > _TABLE_ENTRIES or 2 * entries > room:
         return None
     slab = _weight_tables(wq, m.table2d(), None)
     h = np.empty((256 * depth, rows), dtype=np.int16)
-    step = _slab_columns(rows)
+    step = _slab_columns(rows, 256)
     for c0 in range(0, depth, step):
         h[256 * c0 : 256 * (c0 + step)] = slab(c0, c0 + step)
     return h
@@ -451,11 +479,11 @@ def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     if _blas_ready(m, rows):
         return _blas_gemm(wq, aq, m)
     if tables is None:
-        return _table_gemm(wq, aq, _weight_tables(wq, m.table2d(), None))
+        return _fresh_gemm(wq, aq, m, None, None)
     if tables.shape != (256 * depth, rows) or tables.dtype != np.int16:
         raise ValueError(f"tables {tables.shape} {tables.dtype} are not the int16 "
                          f"per-weight tables of a {rows}x{depth} weight matrix")
-    return _table_gemm(wq, aq, lambda c0, c1: tables[256 * c0 : 256 * c1])
+    return _table_gemm(wq, aq, lambda c0, c1: tables[256 * c0 : 256 * c1], -128, 256)
 
 
 def _form_products(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
@@ -601,7 +629,7 @@ def systolic_gemm(
     faulty = fm is not None and bool(fm.entries)
     if clean is None and faulty and not _blas_ready(m, wq.shape[0]):
         # faults folded into the product tables
-        return _table_gemm(wq, aq, _weight_tables(wq, *_mac_tables(m, fm, cfg.mode, *wq.shape)))
+        return _fresh_gemm(wq, aq, m, fm, cfg.mode)
     out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if faulty:
         _correct_lattice(out, wq, aq, m, fm, cfg.mode)

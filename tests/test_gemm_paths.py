@@ -160,18 +160,21 @@ BATCHES = st.one_of(st.integers(1, 20), st.integers(128, 300))
 _EDGE_CODES = np.array([-128, -4, -3, -2, -1, 0, 1, 2, 3, 4, 127], dtype=np.int8)
 
 
-def _operands(seed, rows, depth, batch):
-    """Random codes, a quarter of them drawn from ``_EDGE_CODES``."""
+def _operands(seed, rows, depth, batch, window=(-128, 127)):
+    """Random codes, a quarter of them drawn from ``_EDGE_CODES``. The
+    activations lie in the code ``window`` [lo, hi] and hold lo."""
     rng = np.random.default_rng(seed)
     out = []
-    for shape in ((rows, depth), (depth, batch)):
-        x = rng.integers(-128, 128, size=shape).astype(np.int8)
+    for shape, (lo, hi) in (((rows, depth), (-128, 127)), ((depth, batch), window)):
+        x = rng.integers(lo, hi + 1, size=shape).astype(np.int8)
         edge = rng.random(shape) < 0.25
-        x[edge] = rng.choice(_EDGE_CODES, size=np.count_nonzero(edge))
+        codes = _EDGE_CODES[(lo <= _EDGE_CODES) & (_EDGE_CODES <= hi)]
+        if codes.size:
+            x[edge] = rng.choice(codes, size=np.count_nonzero(edge))
         out.append(x)
     w, a = out
     # -128 is a legal code: a weight_map can emit it
-    w[0, 0] = a[0, 0] = -128
+    w[0, 0], a[0, 0] = -128, window[0]
     return w, a
 
 
@@ -369,19 +372,30 @@ def test_exact_table_lut_equals_exact_multiplier():
 # at 2^18 one slab spans at least 51 columns, more than the 40 drawn at
 # most; below that the table path reads several, the last one often ragged.
 SLAB_ENTRIES = st.sampled_from([256, 1024, 4096, fl._SLAB_ENTRIES])
+# and the window [lo, hi] of activation codes, whose span of codes sizes the
+# tables that a call builds for itself: one code, the [0, 127] of images and
+# ReLU outputs, windows of up to 8 codes, and every code
+WINDOWS = st.one_of(
+    st.integers(-128, 127).map(lambda v: (v, v)),
+    st.just((0, 127)),
+    st.tuples(st.integers(-128, 127), st.integers(1, 7)).map(
+        lambda t: (t[0], min(127, t[0] + t[1]))),
+    st.just((-128, 127)))
 
 
 @settings(deadline=None)
 @given(ANY_MULTIPLIER, st.integers(1, 6), st.integers(1, 20),
        st.integers(1, 40), BATCHES, st.sampled_from(FILLS),
-       st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1), SLAB_ENTRIES)
+       st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1), SLAB_ENTRIES, WINDOWS)
 # sign faults on either side of the rule that sends them to matmuls
-@example(mul.exact_multiplier(), 2, 20, 40, 130, "mixed", "propagate", 1, 1 << 18)
-@example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1, 1 << 18)
+@example(mul.exact_multiplier(), 2, 20, 40, 130, "mixed", "propagate", 1, 1 << 18,
+         (-128, 127))
+@example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1, 1 << 18,
+         (-128, 127))
 def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed,
-                                             slab):
+                                             slab, window):
     # rows and depth below n leave array rows and columns unused
-    w, a = _operands(seed, rows, depth, batch)
+    w, a = _operands(seed, rows, depth, batch, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fl, "_SLAB_ENTRIES", slab)
         _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode), step=True)
@@ -391,11 +405,11 @@ def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mod
 @given(ANY_MULTIPLIER, st.integers(1, 40), st.integers(1, 20),
        st.integers(1, 40), BATCHES, st.sampled_from([0.0, 0.3, 1.0]),
        st.integers(0, 15), st.sampled_from(fl.FAULT_KINDS), st.integers(0, 2**31 - 1),
-       SLAB_ENTRIES)
+       SLAB_ENTRIES, WINDOWS)
 def test_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch, fraction,
-                                              bit, kind, seed, slab):
+                                              bit, kind, seed, slab, window):
     # shapes that are no multiple of tile give ragged edge blocks
-    w, a = _operands(seed, rows, depth, batch)
+    w, a = _operands(seed, rows, depth, batch, window)
     blocks = -(-rows // tile) * -(-batch // tile)
     tf = TileFaultSpec(seed % blocks, fraction, fl.StuckAtFault(bit, kind), seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -507,11 +521,31 @@ def test_random_maps_stack_one_table_per_distinct_fault():
     fm = _fault_map(4, "random", 3)
     distinct = set(fm.entries.values())
     assert len(distinct) > 1
-    tables, sel = fl._mac_tables(_RANDOM_LUT, fm, "propagate", 9, 10)
+    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), fm, "propagate", 9, 10)
     assert tables.shape == (256, 256 * (1 + len(distinct)))
     assert sel.shape == (9, 10) and set(np.unique(sel)) == set(range(1 + len(distinct)))
-    tables, sel = fl._mac_tables(_RANDOM_LUT, fm, "bypass", 9, 10)
+    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), fm, "bypass", 9, 10)
     assert tables.shape == (256, 512) and not tables[:, 256:].any()
+
+
+def test_calls_build_tables_of_the_codes_they_read(monkeypatch):
+    # a call that builds its own tables, with or without faults folded in,
+    # builds the products of codes -3..4 alone; a plan's tables hold all 256
+    w, a = _operands(2, 5, 30, 9, (-3, 4))
+    a[-1, -1] = 4
+    spans = []
+
+    def spy(wq, tables, sel, _real=fl._weight_tables):
+        spans.append(tables.shape[0])
+        return _real(wq, tables, sel)
+
+    monkeypatch.setattr(fl, "_weight_tables", spy)
+    for fm in (None, _fault_map(2, "random", 2)):
+        cfg = SystolicConfig(2)
+        got = fl.systolic_gemm(w, a, _RANDOM_LUT, fm, cfg)
+        np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fm, cfg))
+    assert fl._clean_tables(w, _RANDOM_LUT, math.inf).shape == (256 * 30, 5)
+    assert spans == [8, 8, 256]
 
 
 def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
@@ -535,5 +569,5 @@ def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
         got = fl.systolic_gemm(w, a, _RANDOM_LUT, fmap, cfg)
         monkeypatch.undo()
         np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fmap, cfg))
-    assert len(sizes) > 3 * depth // fl._slab_columns(rows)
+    assert len(sizes) > 3 * depth // fl._slab_columns(rows, 256)
     assert max(sizes) <= max(fl._SLAB_ENTRIES, 256 * rows)
