@@ -367,6 +367,9 @@ def parse_dataset_arg(spec: str) -> Dataset:
     """
     parts = spec.split(":")
     kind = parts[0]
+    most = {"mnist-train": 1, "mnist-test": 1, "digits": 2, "blobs": 4}.get(kind)
+    if most is not None and len(parts) - 1 > most:
+        raise ValueError(f"dataset spec {spec!r}: {kind} takes at most {most} fields")
     if kind in ("mnist-train", "mnist-test"):
         directory = parts[1] if len(parts) > 1 else None
         split = kind.removeprefix("mnist-")

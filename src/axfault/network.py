@@ -165,15 +165,24 @@ class ModelSpec:
     def param_layers(self) -> list:
         return [i for i, l in enumerate(self.layers) if l.kind in ("dense", "conv2d")]
 
-    def gemm_weight_shape(self, idx: int) -> tuple:
-        """Shape of the weight matrix this layer presents to the GEMM engine."""
+    def weight_shape(self, idx: int) -> tuple:
+        """Shape of the layer's stored weights ``W``: dense (out, in), conv2d
+        (kh, kw, cin, cout)."""
         layer = self.layers[idx]
         p = layer.params
         if layer.kind == "dense":
             return (p["out"], p["in"])
         if layer.kind == "conv2d":
-            return (p["cout"], p["kh"] * p["kw"] * p["cin"])
+            return (p["kh"], p["kw"], p["cin"], p["cout"])
         raise ValueError(f"layer {idx} has no weights")
+
+    def gemm_weight_shape(self, idx: int) -> tuple:
+        """Shape of the weight matrix this layer presents to the GEMM engine:
+        (units, fan-in); conv's (kh, kw, cin) become one axis, as in im2col."""
+        shape = self.weight_shape(idx)
+        if self.layers[idx].kind == "conv2d":
+            return (shape[-1], math.prod(shape[:-1]))
+        return shape
 
 
 class WeightSet(dict):
@@ -249,43 +258,44 @@ def save_weights(ws: WeightSet, model: ModelSpec, path) -> None:
 
 
 def load_weights(model: ModelSpec, path) -> WeightSet:
+    """Read a ``save_weights`` file for ``model``; raises ``ValueError``,
+    naming ``path``, on a file that is cut short, runs on, or does not fit
+    the model."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] != WEIGHTS_MAGIC:
-        raise ValueError("bad weights file magic")
-    version, count = struct.unpack_from("<HH", data, 4)
+    off = 0
+
+    def take(size, what):
+        nonlocal off
+        if off + size > len(data):
+            raise ValueError(f"weights file {path} is cut short in {what}")
+        off += size
+        return data[off - size : off]
+
+    if take(4, "the header") != WEIGHTS_MAGIC:
+        raise ValueError(f"weights file {path} has a bad magic")
+    version, count = struct.unpack("<HH", take(4, "the header"))
     if version != WEIGHTS_VERSION:
-        raise ValueError(f"unsupported weights version {version}")
+        raise ValueError(f"weights file {path} has unsupported version {version}")
     pidx = model.param_layers()
     if count != 2 * len(pidx):
-        raise ValueError(f"weights file has {count} tensors, model needs {2 * len(pidx)}")
-    off = 8
+        raise ValueError(f"weights file {path} has {count} tensors, "
+                         f"model needs {2 * len(pidx)}")
     ws = WeightSet()
     for idx in pidx:
         pair = {}
         for key in ("W", "b"):
-            dims = struct.unpack_from("<4I", data, off)
-            off += 16
-            size = int(np.prod(dims))
-            arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).astype(np.float64)
-            off += 4 * size
-            expect = _expected_tensor_shape(model.layers[idx], key)
-            if size != int(np.prod(expect)):
-                raise ValueError(f"layer {idx} tensor {key} has wrong size")
-            pair[key] = arr.reshape(expect)
+            what = f"layer {idx} tensor {key}"
+            size = math.prod(struct.unpack("<4I", take(16, what)))
+            expect = model.weight_shape(idx) if key == "W" else model.gemm_weight_shape(idx)[:1]
+            if size != math.prod(expect):
+                raise ValueError(f"weights file {path}: {what} has wrong size")
+            arr = np.frombuffer(take(4 * size, what), dtype="<f4")
+            pair[key] = arr.astype(np.float64).reshape(expect)
         ws[idx] = pair
     if off != len(data):
-        raise ValueError("trailing bytes in weights file")
+        raise ValueError(f"weights file {path} has trailing bytes")
     return ws
-
-
-def _expected_tensor_shape(layer: LayerSpec, key: str) -> tuple:
-    p = layer.params
-    if layer.kind == "dense":
-        return (p["out"], p["in"]) if key == "W" else (p["out"],)
-    if layer.kind == "conv2d":
-        return (p["kh"], p["kw"], p["cin"], p["cout"]) if key == "W" else (p["cout"],)
-    raise ValueError("layer has no tensors")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +377,8 @@ def col2im(cols: np.ndarray, x_shape, out_hw, kh, kw, stride=1, pad=0) -> np.nda
     return xp
 
 
-def _activate(name: str, z: np.ndarray, axis: int) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Softmax runs over axis -2: dense features or conv channels."""
     if name == "none":
         return z
     if name == "relu":
@@ -375,9 +386,9 @@ def _activate(name: str, z: np.ndarray, axis: int) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z)
     if name == "softmax":
-        zs = z - z.max(axis=axis, keepdims=True)
+        zs = z - z.max(axis=-2, keepdims=True)
         e = np.exp(zs)
-        return e / e.sum(axis=axis, keepdims=True)
+        return e / e.sum(axis=-2, keepdims=True)
     raise ValueError(name)
 
 
@@ -598,7 +609,7 @@ def run_layers(model: ModelSpec, weights: WeightSet, X, env: ExecEnv, observe=No
                 Z = _gemm_weights(layer, weights[idx]["W"]) @ cols + b[:, None]
             if layer.kind == "conv2d":
                 Z = Z.reshape(p["cout"], *shapes[idx][:2], -1).transpose(1, 2, 0, 3)
-            Y = _activate(layer.activation, Z, axis=-2)  # features or channels
+            Y = _activate(layer.activation, Z)
         elif layer.kind == "maxpool":
             Y = _pool_windows(X, p).max(axis=(-2, -1))
         else:  # flatten

@@ -44,7 +44,6 @@ class HyperParams:
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         # settings also arrive from campaign spec JSON; a wrong type would
@@ -56,28 +55,19 @@ class HyperParams:
             if (not isinstance(v, numbers.Real) or isinstance(v, bool)
                     or not math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if not isinstance(self.shuffle, bool):
-            raise ValueError(f"shuffle must be true or false, got {self.shuffle!r}")
 
 
 def init_weights(model: ModelSpec, seed: int) -> WeightSet:
-    """Glorot-uniform weights, zero biases, drawn in layer order."""
+    """Glorot-uniform weights, zero biases, drawn in layer order. A conv
+    layer's fans count its kernel window: kh*kw*cin in, kh*kw*cout out."""
     rng = np.random.default_rng(seed)
     ws = WeightSet()
     for idx in model.param_layers():
-        layer = model.layers[idx]
-        p = layer.params
-        if layer.kind == "dense":
-            fan_in, fan_out = p["in"], p["out"]
-            shape = (p["out"], p["in"])
-            bshape = (p["out"],)
-        else:
-            fan_in = p["kh"] * p["kw"] * p["cin"]
-            fan_out = p["kh"] * p["kw"] * p["cout"]
-            shape = (p["kh"], p["kw"], p["cin"], p["cout"])
-            bshape = (p["cout"],)
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        ws[idx] = {"W": rng.uniform(-a, a, size=shape), "b": np.zeros(bshape)}
+        shape = model.weight_shape(idx)
+        units, fan_in = model.gemm_weight_shape(idx)
+        window = math.prod(shape[:2]) if model.layers[idx].kind == "conv2d" else 1
+        a = np.sqrt(6.0 / (fan_in + window * units))
+        ws[idx] = {"W": rng.uniform(-a, a, size=shape), "b": np.zeros(units)}
     return ws
 
 
@@ -95,7 +85,8 @@ def _softmax_ce(S, labels):
     return loss, dS / batch
 
 
-def _act_backward(act: str, cache, dY, axis: int):
+def _act_backward(act: str, cache, dY):
+    """Backward of ``network._activate``, softmax over axis -2 as there."""
     if act == "none":
         return dY
     if act == "relu":
@@ -104,7 +95,7 @@ def _act_backward(act: str, cache, dY, axis: int):
         return dY * (1.0 - cache["Y"] ** 2)
     if act == "softmax":
         Y = cache["Y"]
-        return Y * (dY - np.sum(dY * Y, axis=axis, keepdims=True))
+        return Y * (dY - np.sum(dY * Y, axis=-2, keepdims=True))
     raise ValueError(act)
 
 
@@ -134,21 +125,17 @@ def _loss_and_grads(model: ModelSpec, ws: WeightSet, xb, yb):
     for idx in reversed(range(first, len(caches))):
         c, layer = caches[idx], model.layers[idx]
         p = layer.params
-        if layer.kind == "dense":
-            dZ = d if (fold and idx == len(caches) - 1) else _act_backward(
-                layer.activation, c, d, axis=0)
-            grads[idx] = {"W": dZ @ c["X"].T, "b": dZ.sum(axis=1)}
+        if layer.kind in ("dense", "conv2d"):
+            dZ = d if (fold and idx == len(caches) - 1) else _act_backward(layer.activation, c, d)
+            if layer.kind == "conv2d":
+                # (units, positions x batch), the layout of the GEMM's output
+                dZ = dZ.transpose(2, 0, 1, 3).reshape(p["cout"], -1)
+            grads[idx] = {"W": _stored_weights(layer, dZ @ c["cols"].T), "b": dZ.sum(axis=1)}
             if idx > first:
-                d = ws[idx]["W"].T @ dZ
-        elif layer.kind == "conv2d":
-            dZ = _act_backward(layer.activation, c, d, axis=2)
-            dZc = dZ.transpose(2, 0, 1, 3).reshape(p["cout"], -1)
-            grads[idx] = {"W": _stored_weights(layer, dZc @ c["cols"].T),
-                          "b": dZc.sum(axis=1)}
-            if idx > first:
-                wmat = _gemm_weights(layer, ws[idx]["W"])
-                d = col2im(wmat.T @ dZc, c["X"].shape, shapes[idx][:2], p["kh"], p["kw"],
-                           p["stride"], p["pad"])
+                d = _gemm_weights(layer, ws[idx]["W"]).T @ dZ
+                if layer.kind == "conv2d":
+                    d = col2im(d, c["X"].shape, shapes[idx][:2], p["kh"], p["kw"],
+                               p["stride"], p["pad"])
         elif layer.kind == "maxpool":
             k, s = p["k"], p["stride"]
             win = _pool_windows(c["X"], p)
@@ -209,7 +196,7 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
     shuffle_rng = np.random.default_rng([hp.seed, 0xA5])
     rows = []
     for epoch in range(1, hp.epochs + 1):
-        order = shuffle_rng.permutation(n) if hp.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         total = 0.0
         for i0 in range(0, n, hp.batch_size):
             sel = order[i0 : i0 + hp.batch_size]

@@ -90,7 +90,8 @@ def test_spec_validation():
             ({"mitigation": {"epochs": "3"}}, "epochs must be an integer"),
             ({"mitigation": {"lr": None}}, "lr must be a finite number"),
             ({"mitigation": {"batch_size": 0}}, "batch_size must be at least 1"),
-            ({"mitigation": {"shuffle": "yes"}}, "shuffle must be true or false"),
+            ({"mitigation": {"momentum": "0.9"}}, "momentum must be a finite number"),
+            ({"mitigation": {"shuffle": False}}, r"unknown mitigation keys \['shuffle'\]"),
             ({"mitigation": {"acc_thresh": "50"}}, "acc_thresh must be a finite number"),
             ({"mitigation": {"acc_thresh": float("nan")}}, "acc_thresh must be a finite number"),
             ({"mitigation": {"acc_thresh": True}}, "acc_thresh must be a finite number")):

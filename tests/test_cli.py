@@ -634,6 +634,22 @@ def test_error_exit_code_and_message(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("cut", [10, -3])
+def test_eval_on_cut_weights_file(trained, cut, capsys):
+    # a cut header used to end in a struct.error traceback
+    short = trained["tmp"] / "short.axdn"
+    with open(trained["weights"], "rb") as f:
+        short.write_bytes(f.read()[:cut])
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", trained["model"], "--weights", str(short),
+                   "--data", "blobs:3:8:8:2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "layer 0 tensor W" if cut == 10 else "layer 1 tensor b"
+    assert captured.err == f"error: weights file {short} is cut short in {where}\n"
+
+
 def test_error_on_bad_dataset(trained, capsys):
     rc = cli.main(["eval", "--model", trained["model"],
                    "--weights", trained["weights"],

@@ -432,6 +432,14 @@ def test_parse_dataset_arg_forms(tmp_path):
         ds.parse_dataset_arg("edgecase-corpus")
     with pytest.raises(ValueError):
         ds.parse_dataset_arg("digits:notanumber")
+    # fields past the ones read used to be dropped: digits:10:1:9 gave
+    # digits-train-10-s1
+    for spec, kind, most in (("digits:10:1:9", "digits", 2),
+                             ("blobs:3:50:4:1:77", "blobs", 4),
+                             ("mnist-test:some-dir:x", "mnist-test", 1)):
+        with pytest.raises(ValueError,
+                           match=f"^dataset spec '{spec}': {kind} takes at most {most} fields$"):
+            ds.parse_dataset_arg(spec)
 
 
 def test_parse_dataset_arg_mnist_shorthand(tmp_path, monkeypatch):

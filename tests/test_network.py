@@ -1,6 +1,7 @@
 """Model zoo, serialization, conv lowering, and the execution engines."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,23 @@ def test_model_shapes_lenet():
     assert shapes[-1] == (10,)
     assert m.gemm_weight_shape(0) == (8, 25)
     assert m.gemm_weight_shape(2) == (16, 200)
+
+
+def test_weight_shapes_per_layer_kind():
+    m = net.ModelSpec("s", (9, 9, 2), [
+        net.conv2d(3, 2, 2, 5, stride=2, pad=1, activation="relu"),
+        net.maxpool(2),
+        net.flatten(),
+        net.dense(20, 7),
+    ])
+    assert m.shapes()[0] == (5, 5, 5)
+    assert m.weight_shape(0) == (3, 2, 2, 5)
+    assert m.gemm_weight_shape(0) == (5, 12)
+    assert m.weight_shape(3) == m.gemm_weight_shape(3) == (7, 20)
+    for idx in (1, 2):
+        for shape_of in (m.weight_shape, m.gemm_weight_shape):
+            with pytest.raises(ValueError, match=f"layer {idx} has no weights"):
+                shape_of(idx)
 
 
 def test_desk_model_unknown_id():
@@ -149,9 +167,27 @@ def test_weights_file_rejects_wrong_model(tmp_path):
     net.save_weights(ws, mp, p)
     with pytest.raises(ValueError):
         net.load_weights(net.desk_model("lenet-desk"), p)
+    # a tensor's size is checked before its payload is read
+    raw = bytearray(p.read_bytes())
+    raw[8:12] = (2**31).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="layer 0 tensor W has wrong size$"):
+        net.load_weights(mp, p)
     p.write_bytes(b"NOPE" + p.read_bytes()[4:])
     with pytest.raises(ValueError):
         net.load_weights(mp, p)
+
+
+@pytest.mark.parametrize("cut", [5, 10, 20, 8 + 16 + 4 * 1000, -1])
+def test_weights_file_cut_short(tmp_path, cut):
+    # a cut header used to raise struct.error and a cut payload numpy's
+    # "buffer is smaller than requested size", neither naming the file
+    m = net.desk_model("mp-tanh-desk")
+    p = tmp_path / "w.axdn"
+    net.save_weights(training.init_weights(m, seed=0), m, p)
+    p.write_bytes(p.read_bytes()[:cut])
+    with pytest.raises(ValueError, match=f"^weights file {re.escape(str(p))} is cut short in "):
+        net.load_weights(m, p)
 
 
 def test_weight_set_helpers():

@@ -24,6 +24,38 @@ def test_init_weights_shapes_and_scale():
     assert not ws[5]["b"].any()
 
 
+@pytest.mark.parametrize("seed", [0, 9])
+def test_init_weights_match_glorot_reference(seed):
+    # Glorot-uniform from the layer parameters, written out per layer kind:
+    # a conv's fans count its kh x kw window, and the draws come from one
+    # default_rng in layer order, W only (biases are zeros)
+    m = net.desk_model("lenet-desk")
+    rng = np.random.default_rng(seed)
+    want = {}
+    for idx, layer in enumerate(m.layers):
+        p = layer.params
+        if layer.kind == "conv2d":
+            fan_in = p["kh"] * p["kw"] * p["cin"]
+            fan_out = p["kh"] * p["kw"] * p["cout"]
+            shape, units = (p["kh"], p["kw"], p["cin"], p["cout"]), p["cout"]
+        elif layer.kind == "dense":
+            fan_in, fan_out = p["in"], p["out"]
+            shape, units = (p["out"], p["in"]), p["out"]
+        else:
+            continue
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        want[idx] = (rng.uniform(-a, a, size=shape), np.zeros(units))
+    ws = training.init_weights(m, seed)
+    assert sorted(ws) == sorted(want) == [0, 2, 5, 6]
+    for idx, (w, b) in want.items():
+        assert np.array_equal(ws[idx]["W"], w)
+        assert np.array_equal(ws[idx]["b"], b)
+    # both sides of the bound are reached, for conv and dense alike
+    for idx, lim in ((0, np.sqrt(6.0 / (25 + 200))), (5, np.sqrt(6.0 / (256 + 64)))):
+        assert -lim <= ws[idx]["W"].min() < -0.9 * lim
+        assert 0.9 * lim < ws[idx]["W"].max() <= lim
+
+
 def test_init_weights_deterministic():
     m = _mlp()
     a = training.init_weights(m, seed=4)
@@ -115,8 +147,8 @@ _BAD_HYPERPARAMS = [
     ({"lr": float("nan")}, "lr must be a finite number"),
     ({"momentum": float("inf")}, "momentum must be a finite number"),
     ({"momentum": True}, "momentum must be a finite number"),
-    ({"shuffle": 1}, "shuffle must be true or false"),
-    ({"shuffle": "no"}, "shuffle must be true or false"),
+    ({"batch_size": 2.5}, "batch_size must be an integer"),
+    ({"momentum": "0.9"}, "momentum must be a finite number"),
 ]
 
 
@@ -212,11 +244,3 @@ def test_empty_training_set_rejected():
     empty = data.subset(0)
     with pytest.raises(ValueError):
         training.train(m, empty, training.HyperParams(epochs=1))
-
-
-def test_no_shuffle_path():
-    data = synth_blobs(count=200, seed=4)
-    hp = training.HyperParams(lr=0.05, epochs=2, seed=1, shuffle=False)
-    a = training.train(_mlp(), data, hp)
-    b = training.train(_mlp(), data, hp)
-    assert np.array_equal(a[0]["W"], b[0]["W"])
