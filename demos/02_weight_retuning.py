@@ -30,8 +30,7 @@ def main():
               ax.broken_carry_multiplier(2)]:
         table = ax.build_weight_map(m, acts)
         moved = np.nonzero(table.map != np.arange(-128, 128, dtype=np.int16))[0]
-        ident = ax.WeightMapTable(np.arange(-128, 128, dtype=np.int16),
-                                  m.id, acts.id)
+        ident = ax.WeightMapTable(np.arange(-128, 128, dtype=np.int16))
         before = expected_error(m, ident, acts)
         after = expected_error(m, table, acts)
         print(f"{m.id:<16} codes moved: {moved.size:>3}   "

@@ -2,7 +2,8 @@
 
 Byte-identical output for identical inputs is the design goal here, so
 all floats are formatted through one helper and nothing consults clocks,
-locales, or dict iteration order.
+locales, or dict iteration order. Every chart plots accuracy in percent
+on a fixed 0-100 y axis.
 """
 
 _PALETTE = [
@@ -12,6 +13,9 @@ _PALETTE = [
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 36, 64
+
+_YLABEL = "accuracy (%)"
+_YMIN, _YMAX = 0.0, 100.0
 
 
 def _f(v: float) -> str:
@@ -23,7 +27,7 @@ def _esc(s: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-def _frame(title: str, ylabel: str, ymin: float, ymax: float):
+def _frame(title: str):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -31,14 +35,14 @@ def _frame(title: str, ylabel: str, ymin: float, ymax: float):
         f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">'
         f"{_esc(title)}</text>",
         f'<text x="14" y="{_H // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_H // 2})">{_esc(ylabel)}</text>',
+        f'transform="rotate(-90 14 {_H // 2})">{_esc(_YLABEL)}</text>',
     ]
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        yv = ymin + frac * (ymax - ymin)
+        yv = _YMIN + frac * (_YMAX - _YMIN)
         yp = y0 + (y1 - y0) * frac
         parts.append(
             f'<line x1="{x0 - 4}" y1="{_f(yp)}" x2="{x0}" y2="{_f(yp)}" '
@@ -88,17 +92,15 @@ def _check_data(categories, series):
             )
 
 
-def line_chart(categories, series, title, ylabel="accuracy (%)",
-               ymin=0.0, ymax=100.0) -> str:
-    """One polyline per series over categorical x positions.
+def line_chart(categories, series, title) -> str:
+    """One polyline per series of accuracies over categorical x positions.
 
     ``series`` is a list of (name, values) pairs; values may contain None
     for missing cells, which breaks the line there.
     """
     _check_data(categories, series)
-    parts, (x0, x1, y0, y1) = _frame(title, ylabel, ymin, ymax)
+    parts, (x0, x1, y0, y1) = _frame(title)
     _cat_labels(parts, categories, x0, x1, y0)
-    span = max(ymax - ymin, 1e-12)
     for si, (name, values) in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
         run = []
@@ -114,7 +116,7 @@ def line_chart(categories, series, title, ylabel="accuracy (%)",
                 run = []
                 continue
             xp = _xpos(i, len(values), x0, x1)
-            yp = y0 + (y1 - y0) * (v - ymin) / span
+            yp = y0 + (y1 - y0) * (v - _YMIN) / (_YMAX - _YMIN)
             run.append((xp, yp))
             parts.append(
                 f'<circle cx="{_f(xp)}" cy="{_f(yp)}" r="2.5" fill="{color}"/>'
@@ -124,13 +126,11 @@ def line_chart(categories, series, title, ylabel="accuracy (%)",
     return "\n".join(parts) + "\n"
 
 
-def bar_chart(categories, series, title, ylabel="accuracy (%)",
-              ymin=0.0, ymax=100.0) -> str:
+def bar_chart(categories, series, title) -> str:
     """Grouped vertical bars, same data contract as line_chart."""
     _check_data(categories, series)
-    parts, (x0, x1, y0, y1) = _frame(title, ylabel, ymin, ymax)
+    parts, (x0, x1, y0, y1) = _frame(title)
     _cat_labels(parts, categories, x0, x1, y0)
-    span = max(ymax - ymin, 1e-12)
     ncat = len(categories)
     nser = max(len(series), 1)
     slot = (x1 - x0) / max(ncat, 1)
@@ -142,7 +142,7 @@ def bar_chart(categories, series, title, ylabel="accuracy (%)",
                 continue
             center = _xpos(i, ncat, x0, x1)
             bx = center - bw * nser / 2 + si * bw
-            h = (y0 - y1) * (v - ymin) / span
+            h = (y0 - y1) * (v - _YMIN) / (_YMAX - _YMIN)
             parts.append(
                 f'<rect x="{_f(bx)}" y="{_f(y0 - h)}" width="{_f(bw)}" '
                 f'height="{_f(h)}" fill="{color}"/>'

@@ -48,11 +48,11 @@ caller can build them once (``_clean_tables``) and pass them to either
 engine as ``tables``, whose slabs are then slices: ``network`` builds them
 once per evaluate of several eval batches, and a campaign's golden pass
 shares them with its resumed cells. Such plan tables hold all 256 codes
-(lo = -128), since any activations may read them. Without ``tables``, or
-for tables of more than ``_TABLE_ENTRIES`` entries, every call builds its
-slabs one at a time and never the whole table, and only for the codes it
-reads: lo and lo + span - 1 are its smallest and largest activation code
-(digit pixels, for one, read codes 0..127). Since a stuck-at fault acts on
+(lo = -128), since any activations may read them; ``network`` decides which
+tables a plan keeps. Without ``tables``, every call builds its slabs one at
+a time and never the whole table, and only for the codes it reads: lo and
+lo + span - 1 are its smallest and largest activation code (digit pixels,
+for one, read codes 0..127). Since a stuck-at fault acts on
 the product pattern alone, a faulty MAC is another table: the systolic
 engine stacks the multiplier's table with one table per distinct fault
 (``propagate``) or a table of zeros (``bypass``) and builds each weight's
@@ -88,9 +88,6 @@ MAX_GEMM_DEPTH = 32768
 # depth of one float32 matmul of int8 codes: every partial sum is an integer
 # with |s| <= 1024 * 2^14 = 2^24, and float32 holds all of those exactly
 _SLAB = 1024
-
-# cap on the entries of the per-weight product tables a plan keeps (32 MiB)
-_TABLE_ENTRIES = 1 << 24
 
 # cap on the entries of one depth slab of per-weight product tables
 # (512 KiB), small enough to be read while it is still in cache: a slab
@@ -451,17 +448,15 @@ def _fresh_gemm(wq, aq, m: Multiplier, fm: FaultMap | None, mode: str | None):
     return _table_gemm(wq, aq, slab, lo, span)
 
 
-def _clean_tables(wq, m: Multiplier, room) -> np.ndarray | None:
+def _clean_tables(wq, m: Multiplier) -> np.ndarray | None:
     """The fault-free per-weight tables of ``wq`` under ``m`` to pass to
     ``systolic_gemm`` or ``gpu_tile_gemm`` as ``tables``: a (256 depth,
     rows) int16 array of every activation code, row ``c * 256 + v + 128``
     as ``_weight_tables`` lays it out for the whole table, so that any
-    activations can read them. None when ``m`` is ``_blas_ready`` (no
-    tables are read), or the tables would exceed ``_TABLE_ENTRIES`` entries
-    or ``room`` bytes: every call then builds its own, a slab at a time."""
+    activations can read them. None when ``m`` is ``_blas_ready``: no
+    tables are read."""
     rows, depth = wq.shape
-    entries = 256 * wq.size
-    if _blas_ready(m, rows) or entries > _TABLE_ENTRIES or 2 * entries > room:
+    if _blas_ready(m, rows):
         return None
     slab = _weight_tables(wq, m.table2d(), None)
     h = np.empty((256 * depth, rows), dtype=np.int16)

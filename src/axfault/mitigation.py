@@ -30,11 +30,10 @@ ACTIVATION_SOURCES = ("uniform", "empirical")
 
 def check_activations(activations) -> None:
     """Raise ``ValueError`` unless ``activations`` is one of
-    ``ACTIVATION_SOURCES`` or an ActivationSample."""
-    if not (isinstance(activations, ActivationSample)
-            or isinstance(activations, str) and activations in ACTIVATION_SOURCES):
-        raise ValueError(f"activations must be one of {ACTIVATION_SOURCES} or an "
-                         f"ActivationSample, got {activations!r}")
+    ``ACTIVATION_SOURCES``."""
+    if activations not in ACTIVATION_SOURCES:
+        raise ValueError(f"activations must be one of {ACTIVATION_SOURCES}, "
+                         f"got {activations!r}")
 
 
 @dataclass
@@ -115,22 +114,21 @@ def capture_activations(model: ModelSpec, weights: WeightSet, data,
             counts[:] += np.bincount(codes, minlength=256).astype(np.uint64)
 
     evaluate(model, weights, data, env=env, sample_limit=sample_limit, observe=count)
-    name = getattr(data, "id", "capture")
-    return ActivationSample(id=f"capture-{name}", counts=counts)
+    return ActivationSample(counts)
 
 
 def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
                    cfg: SystolicConfig, m: Multiplier, train_data, test_data,
                    hp: training.HyperParams, acc_thresh: float, *,
-                   activations="uniform", capture_limit=None,
-                   log_path=None):
+                   activations="uniform", capture_limit=None):
     """Full repair run; returns (retuned WeightSet, MitigationReport).
 
-    ``activations`` selects the distribution the retuning map is built
-    against: "uniform" weighs all codes equally, "empirical" harvests a
-    histogram from a fault-free pass over ``train_data`` with the repaired
-    weights, or pass an ActivationSample directly. With ``hp.epochs`` 0 the
-    pruned weights go to retuning untrained.
+    ``activations``, one of ``ACTIVATION_SOURCES``, names the distribution
+    the retuning map is built against: "uniform" weighs all codes equally,
+    "empirical" harvests a histogram from a fault-free pass over
+    ``train_data`` (at most ``capture_limit`` samples) with the repaired
+    weights. With ``hp.epochs`` 0 the pruned weights go to retuning
+    untrained.
     """
     if fm.n != cfg.n:
         raise ValueError("fault map and systolic config disagree on n")
@@ -146,11 +144,9 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
     history = []
     retrained = training.train(model, train_data, hp, start_weights=weights, mask=masks,
                                eval_data=test_data, stop_acc=acc_thresh,
-                               history=history, log_path=log_path)
+                               history=history)
 
-    if isinstance(activations, ActivationSample):
-        acts = activations
-    elif activations == "empirical":
+    if activations == "empirical":
         acts = capture_activations(model, retrained, train_data, clean_env,
                                    sample_limit=capture_limit)
     else:

@@ -156,9 +156,7 @@ def load_lut(path, mult_id: str | None = None) -> Multiplier:
     table = np.frombuffer(data, dtype="<i2").astype(np.int16)
     if mult_id is None:
         mult_id = os.path.splitext(os.path.basename(str(path)))[0]
-    m = from_table(mult_id, table)
-    m.params["source"] = str(path)
-    return m
+    return from_table(mult_id, table)
 
 
 def error_metrics(m: Multiplier) -> ErrorMetrics:
@@ -224,9 +222,9 @@ def product_function(m: Multiplier):
 
 @dataclass(eq=False)
 class ActivationSample:
-    """Histogram of int8 activation codes, indexed by code + 128."""
+    """Histogram of int8 activation codes, indexed by code + 128: the 256
+    counts are all it holds."""
 
-    id: str
     counts: np.ndarray
 
     def __post_init__(self):
@@ -249,22 +247,21 @@ class ActivationSample:
 
 
 def uniform_activations() -> ActivationSample:
-    return ActivationSample(id="uniform-full", counts=np.ones(256, dtype=np.uint64))
+    return ActivationSample(np.ones(256, dtype=np.uint64))
 
 
-def activations_from_codes(codes, sample_id: str) -> ActivationSample:
+def activations_from_codes(codes) -> ActivationSample:
     codes = np.asarray(codes)
     hist = np.bincount(codes.astype(np.int32).reshape(-1) + 128, minlength=256)
-    return ActivationSample(id=sample_id, counts=hist.astype(np.uint64))
+    return ActivationSample(hist.astype(np.uint64))
 
 
 @dataclass(eq=False)
 class WeightMapTable:
-    """Per-weight retuning map: map[w + 128] is the substitute int8 code."""
+    """Per-weight retuning map: map[w + 128] is the substitute int8 code.
+    The 256 codes are the whole map, as ``save_weight_map`` stores it."""
 
     map: np.ndarray
-    multiplier_id: str
-    activation_set_id: str
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.map, dtype=np.int16)
@@ -335,7 +332,7 @@ def build_weight_map(m: Multiplier, acts: ActivationSample) -> WeightMapTable:
     step = codes[:, None] - codes
     rank = np.where(cost == cost.min(axis=0), 2 * np.abs(step) + (step > 0), 1024)
     out = codes[np.argmin(rank, axis=0)].astype(np.int16)
-    return WeightMapTable(out, multiplier_id=m.id, activation_set_id=acts.id)
+    return WeightMapTable(out)
 
 
 WEIGHT_MAP_MAGIC = b"AXWM"
@@ -353,7 +350,7 @@ def save_weight_map(wm: WeightMapTable, path) -> None:
         f.write(payload)
 
 
-def load_weight_map(path, multiplier_id: str = "", activation_set_id: str = "") -> WeightMapTable:
+def load_weight_map(path) -> WeightMapTable:
     with open(path, "rb") as f:
         data = f.read()
     if len(data) != 8 + 256:
@@ -363,24 +360,22 @@ def load_weight_map(path, multiplier_id: str = "", activation_set_id: str = "") 
     if data[4] != WEIGHT_MAP_VERSION:
         raise ValueError(f"unsupported weight map version {data[4]}")
     table = np.frombuffer(data[8:], dtype=np.int8).astype(np.int16)
-    return WeightMapTable(table, multiplier_id, activation_set_id)
+    return WeightMapTable(table)
 
 
 def parse_multiplier(spec: str) -> Multiplier:
-    """Resolve a multiplier from a command-line style name.
-
-    Accepts ``exact``, ``truncated-<k>``, ``broken-carry-<k>`` (underscores
-    also fine), or a path to a raw LUT file.
+    """Resolve a multiplier from its name: ``exact``, ``truncated-<k>`` or
+    ``broken-carry-<k>``, each the ``id`` of the multiplier it names, so
+    one multiplier has one spelling, or a path to a raw LUT file.
     """
-    s = spec.strip()
-    if s == "exact":
+    if spec == "exact":
         return exact_multiplier()
-    mt = re.fullmatch(r"truncated[-_:](\d+)", s)
+    mt = re.fullmatch(r"truncated-(0|[1-9][0-9]*)", spec)
     if mt:
         return truncated_multiplier(int(mt.group(1)))
-    mb = re.fullmatch(r"broken[-_]carry[-_:](\d+)", s)
+    mb = re.fullmatch(r"broken-carry-(0|[1-9][0-9]*)", spec)
     if mb:
         return broken_carry_multiplier(int(mb.group(1)))
-    if os.path.exists(s):
-        return load_lut(s)
+    if os.path.exists(spec):
+        return load_lut(spec)
     raise ValueError(f"unknown multiplier '{spec}'")

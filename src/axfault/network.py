@@ -61,6 +61,8 @@ LAYER_KINDS = tuple(_LAYER_PARAMS)
 ACTIVATIONS = ("none", "relu", "tanh", "softmax")
 QUANTIZED_ENGINES = ("systolic", "gpu_tiles")
 ENGINES = ("float",) + QUANTIZED_ENGINES
+# cap on the entries of the per-weight product tables a plan keeps (32 MiB)
+_TABLE_ENTRIES = 1 << 24
 # the ExecEnv fields each engine reads besides ``engine``
 _READS = {
     "float": (),
@@ -260,7 +262,8 @@ def save_weights(ws: WeightSet, model: ModelSpec, path) -> None:
 def load_weights(model: ModelSpec, path) -> WeightSet:
     """Read a ``save_weights`` file for ``model``; raises ``ValueError``,
     naming ``path``, on a file that is cut short, runs on, or does not fit
-    the model."""
+    the model: each tensor's stored dims must be its shape padded with 1s,
+    so a transposed tensor is refused, not read in the wrong order."""
     with open(path, "rb") as f:
         data = f.read()
     off = 0
@@ -286,11 +289,12 @@ def load_weights(model: ModelSpec, path) -> WeightSet:
         pair = {}
         for key in ("W", "b"):
             what = f"layer {idx} tensor {key}"
-            size = math.prod(struct.unpack("<4I", take(16, what)))
+            dims = struct.unpack("<4I", take(16, what))
             expect = model.weight_shape(idx) if key == "W" else model.gemm_weight_shape(idx)[:1]
-            if size != math.prod(expect):
-                raise ValueError(f"weights file {path}: {what} has wrong size")
-            arr = np.frombuffer(take(4 * size, what), dtype="<f4")
+            if dims != tuple(expect) + (1,) * (4 - len(expect)):
+                raise ValueError(f"weights file {path}: {what} has dims {dims}, "
+                                 f"expected {tuple(expect)}")
+            arr = np.frombuffer(take(4 * math.prod(expect), what), dtype="<f4")
             pair[key] = arr.astype(np.float64).reshape(expect)
         ws[idx] = pair
     if off != len(data):
@@ -458,10 +462,11 @@ class _GemmPlan:
     multiplier and weight map, each part built on its first use and then
     reused: per layer index, the int8 weight codes after ``weight_map`` and
     their scale, and, for a table multiplier, the fault-free per-weight
-    product tables (``faults._clean_tables``) if they fit in ``room``, the
-    bytes the plan may still spend; a layer without them builds them on
-    every GEMM. ``evaluate`` builds one plan for all its eval batches; a
-    campaign's golden pass fills one that its cells share.
+    product tables (``faults._clean_tables``) if they fit under
+    ``_TABLE_ENTRIES`` and in ``room``, the bytes the plan may still spend;
+    a layer without them builds them on every GEMM. ``evaluate`` builds one
+    plan for all its eval batches; a campaign's golden pass fills one that
+    its cells share.
 
     ``golden_pass`` keeps in it ``states[layer]``, per eval batch the
     ``QTensor`` entering the layer and its fault-free int32 accumulator,
@@ -508,10 +513,14 @@ class _GemmPlan:
         return self._codes[idx]
 
     def tables(self, model: ModelSpec, idx: int):
-        """Fault-free per-weight tables of layer ``idx``, or None."""
+        """Fault-free per-weight tables of layer ``idx``, or None: kept
+        only when their 256 entries per weight number at most
+        ``_TABLE_ENTRIES`` and their bytes fit in ``room``."""
         if idx not in self._tables:
-            t = self._tables[idx] = _clean_tables(self.codes(model, idx)[0],
-                                                  self.multiplier, self.room)
+            wcodes = self.codes(model, idx)[0]
+            entries = 256 * wcodes.size
+            fits = entries <= _TABLE_ENTRIES and 2 * entries <= self.room
+            t = self._tables[idx] = _clean_tables(wcodes, self.multiplier) if fits else None
             self.room -= 0 if t is None else t.nbytes
         return self._tables[idx]
 

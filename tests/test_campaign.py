@@ -103,6 +103,19 @@ def test_spec_validation():
         cp.CampaignSpec.from_json(json.dumps({"model_id": "m", "dataset_id": "d"}))
 
 
+def test_campaign_refuses_a_multiplier_spelt_other_than_its_id(blobs_assets, monkeypatch):
+    # truncated_3 used to run as truncated-3 under other cell seeds, and
+    # its cells recorded no energy_pj
+    model, ws, _, test_d = blobs_assets
+    ran = []
+    monkeypatch.setattr(cp, "golden_pass", lambda *a, **k: ran.append("golden"))
+    monkeypatch.setattr(cp, "_run_cell", lambda cell: ran.append(cell))
+    spec = _tiny_spec(multipliers=["truncated_3"])
+    with pytest.raises(ValueError, match="unknown multiplier 'truncated_3'"):
+        cp.run_campaign(spec, model, ws, test_d, energy_table=cp.ILLUSTRATIVE_ENERGY_PJ)
+    assert ran == []
+
+
 def test_spec_json_round_trip():
     # every repair setting a spec may hold
     mitigation = {**asdict(HyperParams(epochs=3)), "acc_thresh": 50.0,

@@ -101,7 +101,7 @@ def envs(draw):
     wm = None
     if draw(st.booleans()):
         codes = np.random.default_rng(draw(st.integers(0, 2**16))).integers(-128, 128, 256)
-        wm = mul.WeightMapTable(codes, m.id, "random")
+        wm = mul.WeightMapTable(codes)
     n = draw(st.integers(1, 4))
     tile = draw(st.integers(1, 4))
     systolic = net.ExecEnv(engine="systolic", multiplier=m, weight_map=wm,
@@ -125,7 +125,7 @@ def _lut_example():
         net.conv2d(3, 3, 2, 4, stride=2, pad=1, activation="relu"), net.flatten(),
         net.dense(36, 7, "tanh"), net.dense(7, 3)])
     codes = np.random.default_rng(3).integers(-128, 128, 256)
-    wm = mul.WeightMapTable(codes, _RANDOM_LUT.id, "random")
+    wm = mul.WeightMapTable(codes)
     fault = fl.StuckAtFault(9, "sa0")
     faulty = net.ExecEnv(engine="systolic", multiplier=_RANDOM_LUT, weight_map=wm,
                          systolic=fl.SystolicConfig(3),
@@ -160,7 +160,7 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
     for (images, _), out in zip(batches, logits, strict=True):
         own = net.run_layers(model, ws, net._to_internal(model, images)[0], env)
         np.testing.assert_array_equal(out, own)
-    other_map = mul.WeightMapTable(np.arange(-128, 128) // 2, env.multiplier.id, "halved")
+    other_map = mul.WeightMapTable(np.arange(-128, 128) // 2)
     if env.weight_map is not None:
         other_map = None
     # the same samples and batches, asked for in other ways

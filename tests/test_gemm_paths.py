@@ -212,7 +212,7 @@ def _check_systolic(w, a, m, fm, cfg, step=False):
     want = systolic_gemm_ref(w, a, m, fm, cfg)
     got = [fl.systolic_gemm(w, a, m, fm, cfg)]
     if step:
-        tables = fl._clean_tables(w, m, math.inf)
+        tables = fl._clean_tables(w, m)
         got.append(fl.systolic_gemm(w, a, m, fm, cfg, tables=tables))
         clean = fl.gpu_tile_gemm(w, a, m, None, cfg.n, tables=tables)
         kept = clean.copy()
@@ -544,7 +544,7 @@ def test_calls_build_tables_of_the_codes_they_read(monkeypatch):
         cfg = SystolicConfig(2)
         got = fl.systolic_gemm(w, a, _RANDOM_LUT, fm, cfg)
         np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fm, cfg))
-    assert fl._clean_tables(w, _RANDOM_LUT, math.inf).shape == (256 * 30, 5)
+    assert fl._clean_tables(w, _RANDOM_LUT).shape == (256 * 30, 5)
     assert spans == [8, 8, 256]
 
 

@@ -154,7 +154,7 @@ def test_retune_applies_code_substitution():
     codes[-127 + 128] = 127
     codes[64 + 128] = 63
     codes[0 + 128] = 5
-    table = mul.WeightMapTable(codes, "crafted", "none")
+    table = mul.WeightMapTable(codes)
     out = mit.retune_weights(model, ws, table)
     got = quantize(out[0]["W"]).data
     assert list(got.reshape(-1)) == [-127, 127, 63, 5]
@@ -166,7 +166,7 @@ def test_retune_rezeroes_masked_positions():
     ws[0]["W"] = np.array([[127.0, 0.0], [0.0, -64.0]])
     codes = np.arange(-128, 128, dtype=np.int16)
     codes[128] = 5  # table moves code 0 off zero
-    table = mul.WeightMapTable(codes, "crafted", "none")
+    table = mul.WeightMapTable(codes)
     mask = {0: np.array([[False, True], [False, False]])}
     out = mit.retune_weights(model, ws, table, mask)
     assert out[0]["W"][0, 1] == 0.0
@@ -223,7 +223,6 @@ def test_capture_activations_histogram(blobs_setup):
     acts = mit.capture_activations(s["model"], s["weights"], s["test"], env,
                                    sample_limit=40)
     assert acts.counts.sum() == 40 * (8 + 16)
-    assert acts.id.startswith("capture-")
 
 
 def test_mismatched_n_rejected(blobs_setup):
@@ -235,7 +234,8 @@ def test_mismatched_n_rejected(blobs_setup):
                            s["train"], s["test"], _hp(0), acc_thresh=0.0)
 
 
-@pytest.mark.parametrize("activations", ["emprical", "", None, 3])
+@pytest.mark.parametrize("activations", ["emprical", "", None, 3,
+                                         mul.uniform_activations()])
 def test_unknown_activation_source_rejected(blobs_setup, activations):
     # a misspelt source used to fall through to uniform activations
     s = blobs_setup

@@ -171,11 +171,29 @@ def test_weights_file_rejects_wrong_model(tmp_path):
     raw = bytearray(p.read_bytes())
     raw[8:12] = (2**31).to_bytes(4, "little")
     p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="layer 0 tensor W has wrong size$"):
+    with pytest.raises(ValueError, match=r"layer 0 tensor W has dims \(2147483648, 784, 1, 1\), "
+                                         r"expected \(64, 784\)$"):
         net.load_weights(mp, p)
     p.write_bytes(b"NOPE" + p.read_bytes()[4:])
     with pytest.raises(ValueError):
         net.load_weights(mp, p)
+
+
+def test_weights_file_rejects_permuted_dims(tmp_path):
+    # a dense W written as (in, out) has the right size, and used to load
+    # reshaped to (out, in): other weights, with no error
+    m = net.desk_model("mp-tanh-desk")
+    ws = training.init_weights(m, seed=0)
+    p = tmp_path / "w.axdn"
+    net.save_weights(ws, m, p)
+    raw = bytearray(p.read_bytes())
+    raw[8:24] = np.array([784, 64, 1, 1], dtype="<u4").tobytes()
+    raw[24 : 24 + 4 * 784 * 64] = ws[0]["W"].T.astype("<f4").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"^weights file {re.escape(str(p))}: layer 0 "
+                                         r"tensor W has dims \(784, 64, 1, 1\), "
+                                         r"expected \(64, 784\)$"):
+        net.load_weights(m, p)
 
 
 @pytest.mark.parametrize("cut", [5, 10, 20, 8 + 16 + 4 * 1000, -1])
@@ -366,8 +384,7 @@ def test_identity_weight_map_is_transparent():
     model, ws, test = _tiny_problem()
     m = mul.truncated_multiplier(3)
     cfg = fl.SystolicConfig(n=8)
-    ident = mul.WeightMapTable(np.arange(-128, 128, dtype=np.int16),
-                               m.id, "uniform-full")
+    ident = mul.WeightMapTable(np.arange(-128, 128, dtype=np.int16))
     plain = net.evaluate(model, ws, test, net.ExecEnv(
         engine="systolic", multiplier=m, systolic=cfg))
     mapped = net.evaluate(model, ws, test, net.ExecEnv(
@@ -589,7 +606,7 @@ def test_plan_of_other_operands_is_rejected():
     assert net.evaluate(model, ws, test, env) == 100.0
     with pytest.raises(ValueError, match="plan of multiplier 'noisy' cannot run"):
         net.evaluate(model, ws, test, env, _plan=plan)
-    halved = mul.WeightMapTable(np.arange(-128, 128) // 2, "noisy", "halved")
+    halved = mul.WeightMapTable(np.arange(-128, 128) // 2)
     with pytest.raises(ValueError, match="one weight map cannot run another"):
         net.evaluate(model, ws, test, replace(env, multiplier=noisy, weight_map=halved),
                      _plan=plan)
