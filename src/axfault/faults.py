@@ -17,7 +17,11 @@ Two engines share the multiplier and fault semantics:
 * ``systolic_gemm``: a weight-stationary n x n array. Weight element (r, c)
   is stationed on MAC (r mod n, c mod n), so a single faulty MAC corrupts a
   regular lattice of weight positions when the matrix is larger than the
-  array.
+  array. A call reads its fault map once, into one int8 code per MAC
+  (``_lattice``), and every fault route stations that lattice or slices of
+  it (``_station``): the weights a fault hits (``pruned_mask``), the masks
+  that force the stuck bits, the table of each weight's MAC, and which
+  faults take matmuls.
 * ``gpu_tile_gemm``: output is computed in tile x tile blocks (row-major
   block order); faults live in one block's MAC grid and corrupt every
   product feeding the damaged output positions of that block only.
@@ -249,6 +253,15 @@ def load_fault_map(path) -> FaultMap:
     return FaultMap(n=n, entries=entries)
 
 
+def _lattice(fm: FaultMap) -> np.ndarray:
+    """The fault of every MAC of ``fm``'s array as an (n, n) int8 code: the
+    bit for sa0, the bit + 16 for sa1, -1 on a fault-free MAC."""
+    lattice = np.full((fm.n, fm.n), -1, dtype=np.int8)
+    for ij, f in fm.entries.items():
+        lattice[ij] = f.bit + 16 * (f.kind == "sa1")
+    return lattice
+
+
 def _station(lattice: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Tile a per-MAC n x n lattice over a (rows, cols) weight matrix:
     weight (r, c) is stationed on MAC (r mod n, c mod n)."""
@@ -256,17 +269,11 @@ def _station(lattice: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.tile(lattice, (-(-rows // n), -(-cols // n)))[:rows, :cols]
 
 
-def _station_masks(fm: FaultMap | None, rows: int, cols: int):
-    """Expand a fault map to full (rows, cols) or/and masks via mod-n
-    stationing. Returns (None, None, None) when there is nothing to apply."""
-    if fm is None or not fm.entries:
-        return None, None, None
-    or_n = np.zeros((fm.n, fm.n), dtype=np.uint16)
-    and_n = np.full((fm.n, fm.n), 0xFFFF, dtype=np.uint16)
-    for (i, j), f in fm.entries.items():
-        or_n[i, j], and_n[i, j] = f.masks()
-    return (_station(or_n, rows, cols), _station(and_n, rows, cols),
-            pruned_mask((rows, cols), fm))
+def _masks(codes: np.ndarray):
+    """(or_mask, and_mask) as uint16 of ``_lattice`` codes, as
+    ``StuckAtFault.masks`` gives them; a fault-free MAC's change nothing."""
+    bit = np.uint16(1) << (codes & 15).astype(np.uint16)
+    return bit * (codes >= 16), np.where((codes >= 0) & (codes < 16), ~bit, np.uint16(0xFFFF))
 
 
 def _int8_codes(x, name: str) -> np.ndarray:
@@ -341,26 +348,23 @@ def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     return out
 
 
-def _mac_tables(table, fm: FaultMap, mode: str, rows: int, depth: int):
+def _mac_tables(table, lattice, mode: str, rows: int, depth: int):
     """Product tables of every kind of MAC in the array, and which one each
     weight is stationed on.
 
     ``table`` holds rows of the multiplier's [activation + 128, weight + 128]
     table, those of the activation codes a GEMM reads. Returns
-    ``(tables, sel)``. ``tables`` stacks, as (span, 256 t) int16, ``table``,
-    then one table per distinct fault (``propagate``) or one of zeros
-    (``bypass``), since a stuck-at fault acts on the product pattern alone.
-    ``sel`` is the (rows, depth) table number of each weight; ``fm`` is not
-    empty.
+    ``(tables, sel)``. ``tables`` stacks, as (span, 256 t) int16, one table
+    per distinct code of ``lattice`` (``_lattice``; ``table`` itself for
+    -1), since a stuck-at fault acts on the product pattern alone
+    (``propagate``), or ``table`` and one of zeros (``bypass``). ``sel`` is
+    the (rows, depth) table number of each weight.
     """
     if mode == "bypass":
-        return np.hstack([table, np.zeros_like(table)]), pruned_mask((rows, depth), fm)
-    number = {}
-    sel_n = np.zeros((fm.n, fm.n), dtype=np.int32)
-    for ij, f in fm.entries.items():
-        sel_n[ij] = number.setdefault(f, len(number) + 1)
-    tables = [table] + [apply_fault(table, f) for f in number]
-    return np.hstack(tables), _station(sel_n, rows, depth)
+        return np.hstack([table, np.zeros_like(table)]), _station(lattice >= 0, rows, depth)
+    codes, number = np.unique(lattice, return_inverse=True)
+    tables = [((table.view(np.uint16) & am) | om).view(np.int16) for om, am in zip(*_masks(codes))]
+    return np.hstack(tables), _station(number.reshape(lattice.shape), rows, depth)
 
 
 def _weight_tables(wq, tables, sel):
@@ -434,17 +438,17 @@ def _table_gemm(wq, aq, slab, lo, span) -> np.ndarray:
     return out
 
 
-def _fresh_gemm(wq, aq, m: Multiplier, fm: FaultMap | None, mode: str | None):
+def _fresh_gemm(wq, aq, m: Multiplier, lattice, mode: str | None):
     """GEMM read from per-weight tables built for this call alone, with the
-    faults of ``fm`` (if any) folded in. The tables hold the span codes from
-    the smallest activation code to the largest, the only ones read."""
+    faults of ``lattice`` (if any) folded in. The tables hold the span codes
+    from the smallest activation code to the largest, the only ones read."""
     lo = int(aq.min())
     span = int(aq.max()) - lo + 1
     table = m.table2d()[lo + 128 : lo + 128 + span]
     # the stacked tables go before _table_gemm allocates its buffers: held
     # through it, they made a fault-folded 10x32x256 GEMM about twice as slow
-    slab = _weight_tables(wq, *((table, None) if fm is None
-                                else _mac_tables(table, fm, mode, *wq.shape)))
+    slab = _weight_tables(wq, *((table, None) if lattice is None
+                                else _mac_tables(table, lattice, mode, *wq.shape)))
     return _table_gemm(wq, aq, slab, lo, span)
 
 
@@ -481,19 +485,21 @@ def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     return _table_gemm(wq, aq, lambda c0, c1: tables[256 * c0 : 256 * c1], -128, 256)
 
 
-def _form_products(out, wq, aq, prod, fm: FaultMap, mode: str) -> None:
-    """Add to ``out`` the change the faults of ``fm`` make, forming their
-    products.
+def _form_products(out, wq, aq, prod, lattice, mode: str) -> None:
+    """Add to ``out`` the change the faults of ``lattice`` (``_lattice``
+    codes, -1 on a MAC left out) make, forming their products.
 
     Rows i, i+n, ... are stationed on array row i, so they share one set of
-    faulty columns; only those products are formed. Each reduction of int16
-    products is exact in int32, |sum| <= MAX_GEMM_DEPTH * 2^15 = 2^30, and
-    int32 addition wraps modulo 2^32, so ``out`` ends exact.
+    faulty columns, lattice row i stationed along the depth; only those
+    products are formed. Each reduction of int16 products is exact in int32,
+    |sum| <= MAX_GEMM_DEPTH * 2^15 = 2^30, and int32 addition wraps modulo
+    2^32, so ``out`` ends exact.
     """
-    n = fm.n
+    n = lattice.shape[0]
     rows, depth = wq.shape
     batch = aq.shape[1]
-    or_m, and_m, hit = _station_masks(fm, min(rows, n), depth)
+    codes = _station(lattice, min(rows, n), depth)
+    (or_m, and_m), hit = _masks(codes), codes >= 0
     for i in range(hit.shape[0]):
         cols = np.flatnonzero(hit[i])
         if cols.size == 0:
@@ -537,8 +543,9 @@ def _sign_counts(out, wq, aq, m: Multiplier, hit, sa1_rows) -> None:
         out[:, b0 : b0 + chunk] += ((ws @ signs).astype(np.int32) - h) << 15
 
 
-def _correct_lattice(out, wq, aq, m: Multiplier, fm: FaultMap, mode: str) -> None:
-    """Add to a fault-free int32 GEMM the change its faults make.
+def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
+    """Add to a fault-free int32 GEMM the change the faults of ``lattice``
+    (``_lattice``) make.
 
     For a ``_blas_ready`` multiplier some faults take a few float32 matmuls
     instead of forming their products: in ``propagate`` those at bit 15
@@ -548,33 +555,28 @@ def _correct_lattice(out, wq, aq, m: Multiplier, fm: FaultMap, mode: str) -> Non
     row that such a weight meets, so they are taken only when those weights
     number at least ``_COUNTED_PER_ROW`` per activation row read. Below
     that, as in shallow GEMMs and sparse maps, forming the products is
-    cheaper. The other faults form their products (``_form_products``).
+    cheaper. A boolean lattice marks the faults that may take matmuls; when
+    they do, the rest of the lattice forms its products (``_form_products``).
     """
     rows, depth = wq.shape
     if mode == "bypass" and m.kind in ("exact", "broken_carry"):
-        counted = fm.entries
+        counted = lattice >= 0
     elif mode == "propagate" and _blas_ready(m, rows):
-        counted = {ij: f for ij, f in fm.entries.items() if f.bit == 15}
+        counted = np.isin(lattice, (15, 31))  # sa0 and sa1 at bit 15
     else:
-        counted = {}
-    hit = pruned_mask((rows, depth), FaultMap(fm.n, counted))
+        counted = np.zeros(lattice.shape, dtype=bool)
+    hit = _station(counted, rows, depth)
     cols = np.flatnonzero(hit.any(axis=0))
     if cols.size and np.count_nonzero(hit) >= _COUNTED_PER_ROW * cols.size:
         hit, w, a = hit[:, cols], wq[:, cols], aq[cols]
         if mode == "bypass":
             out -= _blas_gemm(w * hit, a, m)
         else:
-            sa1 = FaultMap(fm.n, {ij: f for ij, f in counted.items() if f.kind == "sa1"})
-            h = pruned_mask((rows, depth), sa1).sum(axis=1, dtype=np.int32)
+            h = _station(counted & (lattice >= 16), rows, depth).sum(axis=1, dtype=np.int32)
             _sign_counts(out, w, a, m, hit, h)
-        fm = FaultMap(fm.n, {ij: f for ij, f in fm.entries.items() if ij not in counted})
-    if fm.entries:
-        _form_products(out, wq, aq, product_function(m), fm, mode)
-
-
-def _check_array(fm: FaultMap | None, cfg: SystolicConfig) -> None:
-    if fm is not None and fm.n != cfg.n:
-        raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
+        lattice = np.where(counted, -1, lattice)
+    if (lattice >= 0).any():
+        _form_products(out, wq, aq, product_function(m), lattice, mode)
 
 
 def _check_tiles(wq, aq, tf: TileFaultSpec | None, tile: int):
@@ -614,20 +616,20 @@ def systolic_gemm(
     equals the integer matrix product.
 
     From ``clean``, the fault-free output of the same GEMM (left as it
-    is), only the change the faults make is added. ``tables``,
-    the fault-free per-weight tables of ``wq`` (``_clean_tables``), spare a
-    table multiplier their build; faults folded into the tables build
-    their own.
+    is), only the change the faults make is added. ``tables``, the
+    fault-free per-weight tables of ``wq`` (``_clean_tables``), spare a table
+    multiplier their build; faults folded into the tables build their own.
     """
     wq, aq = _check_gemm_operands(wq, aq)
-    _check_array(fm, cfg)
-    faulty = fm is not None and bool(fm.entries)
-    if clean is None and faulty and not _blas_ready(m, wq.shape[0]):
+    if fm is not None and fm.n != cfg.n:
+        raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
+    lattice = _lattice(fm) if fm is not None and fm.entries else None
+    if clean is None and lattice is not None and not _blas_ready(m, wq.shape[0]):
         # faults folded into the product tables
-        return _fresh_gemm(wq, aq, m, fm, cfg.mode)
+        return _fresh_gemm(wq, aq, m, lattice, cfg.mode)
     out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
-    if faulty:
-        _correct_lattice(out, wq, aq, m, fm, cfg.mode)
+    if lattice is not None:
+        _correct_lattice(out, wq, aq, m, lattice, cfg.mode)
     return out
 
 
@@ -685,7 +687,4 @@ def gpu_tile_gemm(
 def pruned_mask(shape, fm: FaultMap) -> np.ndarray:
     """Boolean (rows, cols) array marking weights stationed on faulty MACs;
     these are the positions a mitigation run prunes."""
-    hit_n = np.zeros((fm.n, fm.n), dtype=bool)
-    for (i, j) in fm.entries:
-        hit_n[i, j] = True
-    return _station(hit_n, *shape)
+    return _station(_lattice(fm) >= 0, *shape)

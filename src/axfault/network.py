@@ -240,21 +240,33 @@ WEIGHTS_MAGIC = b"AXDN"
 WEIGHTS_VERSION = 1
 
 
+def _tensor_shape(model: ModelSpec, idx: int, key: str, dims, where: str) -> tuple:
+    """The shape of layer ``idx``'s tensor ``key`` in ``model``: W's
+    ``weight_shape``, b's (units,). Raises ``ValueError``, naming ``where``,
+    the layer and the tensor, unless ``dims`` is that shape, or it padded
+    with 1s to the four dims of a weights file."""
+    shape = model.weight_shape(idx) if key == "W" else model.gemm_weight_shape(idx)[:1]
+    if tuple(dims) not in (shape, shape + (1,) * (4 - len(shape))):
+        raise ValueError(f"{where}: layer {idx} tensor {key} has dims {tuple(dims)}, "
+                         f"expected {shape}")
+    return shape
+
+
 def save_weights(ws: WeightSet, model: ModelSpec, path) -> None:
     """Binary container: magic 'AXDN', u16 version, u16 tensor count, then
     per tensor four u32 little-endian dims (trailing dims padded with 1)
-    followed by the row-major float32 payload."""
+    followed by the row-major float32 payload. Raises ``ValueError``, before
+    the file is opened, on a tensor that does not fit ``model``."""
     tensors = []
     for idx in model.param_layers():
-        tensors.append(ws[idx]["W"])
-        tensors.append(ws[idx]["b"])
+        for key in ("W", "b"):
+            t = np.asarray(ws[idx][key])
+            shape = _tensor_shape(model, idx, key, t.shape, f"weights for {path}")
+            tensors.append((shape + (1,) * (4 - len(shape)), t))
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<HH", WEIGHTS_VERSION, len(tensors)))
-        for t in tensors:
-            if t.ndim > 4:
-                raise ValueError("tensors above rank 4 are not supported")
-            dims = list(t.shape) + [1] * (4 - t.ndim)
+        for dims, t in tensors:
             f.write(struct.pack("<4I", *dims))
             f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
@@ -290,12 +302,9 @@ def load_weights(model: ModelSpec, path) -> WeightSet:
         for key in ("W", "b"):
             what = f"layer {idx} tensor {key}"
             dims = struct.unpack("<4I", take(16, what))
-            expect = model.weight_shape(idx) if key == "W" else model.gemm_weight_shape(idx)[:1]
-            if dims != tuple(expect) + (1,) * (4 - len(expect)):
-                raise ValueError(f"weights file {path}: {what} has dims {dims}, "
-                                 f"expected {tuple(expect)}")
-            arr = np.frombuffer(take(4 * math.prod(expect), what), dtype="<f4")
-            pair[key] = arr.astype(np.float64).reshape(expect)
+            shape = _tensor_shape(model, idx, key, dims, f"weights file {path}")
+            arr = np.frombuffer(take(4 * math.prod(shape), what), dtype="<f4")
+            pair[key] = arr.astype(np.float64).reshape(shape)
         ws[idx] = pair
     if off != len(data):
         raise ValueError(f"weights file {path} has trailing bytes")
@@ -311,12 +320,6 @@ def desk_model(model_id: str) -> ModelSpec:
         return ModelSpec(model_id, (784,), [
             dense(784, 64, "tanh"),
             dense(64, 32, "tanh"),
-            dense(32, 10, "none"),
-        ])
-    if model_id == "mp-softmax-desk":
-        return ModelSpec(model_id, (784,), [
-            dense(784, 64, "softmax"),
-            dense(64, 32, "softmax"),
             dense(32, 10, "none"),
         ])
     if model_id == "lenet-desk":

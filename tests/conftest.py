@@ -14,8 +14,10 @@ from hypothesis import settings
 from axfault import datasets, network, training
 
 # Selected with `pytest --hypothesis-profile=gemm-deep`. The hypothesis
-# properties that leave their example count to the loaded profile, the GEMM
-# oracle properties of test_gemm_paths.py, then draw ten times the default.
+# properties that leave their example count to the loaded profile then draw
+# ten times the default: the GEMM oracle properties of test_gemm_paths.py,
+# the whole-network relations of test_forward_properties.py and the fault
+# lattice property of test_faults.py.
 settings.register_profile("gemm-deep", max_examples=1000)
 
 

@@ -431,6 +431,99 @@ def test_pruned_mask_empty_map():
     assert not fl.pruned_mask((6, 6), fl.FaultMap(3)).any()
 
 
+# --- the fault lattice -------------------------------------------------------
+
+_FAULTS = st.builds(fl.StuckAtFault, st.integers(0, 15), st.sampled_from(fl.FAULT_KINDS))
+
+
+@st.composite
+def _fault_maps(draw):
+    """Maps of mixed bits and kinds: empty, one faulty MAC, some, or all."""
+    n = draw(st.integers(1, 5))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    fill = draw(st.sampled_from(["empty", "one", "some", "full"]))
+    if fill == "empty":
+        cells = []
+    elif fill == "one":
+        cells = [draw(st.sampled_from(cells))]
+    elif fill == "some":
+        cells = draw(st.lists(st.sampled_from(cells), unique=True))
+    return fl.FaultMap(n, {c: draw(_FAULTS) for c in cells})
+
+
+@settings(deadline=None)
+@given(_fault_maps(), st.data())
+def test_stationed_lattice_matches_a_loop_over_the_entries(fm, data):
+    # rows and depth below, at and above n, most of them no multiple of it
+    rows, depth = (data.draw(st.integers(1, 3 * fm.n + 1)) for _ in range(2))
+    lattice = fl._lattice(fm)
+    or_m, and_m = fl._masks(fl._station(lattice, rows, depth))
+    hit = fl.pruned_mask((rows, depth), fm)
+    # products of five activation codes, one table per kind of MAC
+    table = mul.truncated_multiplier(3).table2d()[60:65]
+    tables, sel = fl._mac_tables(table, lattice, "propagate", rows, depth)
+    zeroed, bypassed = fl._mac_tables(table, lattice, "bypass", rows, depth)
+    np.testing.assert_array_equal(zeroed, np.hstack([table, np.zeros_like(table)]))
+    for r in range(rows):
+        for c in range(depth):
+            f = fm.entries.get((r % fm.n, c % fm.n))
+            assert hit[r, c] == bypassed[r, c] == (f is not None)
+            masks = (0, 0xFFFF) if f is None else f.masks()
+            assert (or_m[r, c], and_m[r, c]) == masks
+            want = table if f is None else fl.apply_fault(table, f)
+            np.testing.assert_array_equal(tables[:, 256 * sel[r, c] : 256 * (sel[r, c] + 1)],
+                                          want)
+    # one table per distinct fault, and the bare one if a MAC is fault-free
+    distinct = len(set(fm.entries.values())) + (len(fm.entries) < fm.n**2)
+    assert tables.shape == (5, 256 * distinct)
+
+
+class _Walks(dict):
+    """A dict that counts the walks over its entries."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+
+def test_a_faulty_call_reads_its_map_once_and_builds_no_map(monkeypatch):
+    # every route, counts, a matmul of bypassed weights, formed products and
+    # folded tables, reads the one lattice of the map
+    F = fl.StuckAtFault
+    entries = _Walks({(0, 0): F(15, "sa1"), (0, 1): F(3, "sa0"),
+                      (1, 0): F(15, "sa0"), (1, 1): F(14, "sa1"), (2, 2): F(0, "sa1")})
+    fm = fl.FaultMap(3, entries)
+    built = []
+    real = fl.FaultMap.__post_init__
+    monkeypatch.setattr(fl.FaultMap, "__post_init__", lambda self: built.append(self) or real(self))
+    rng = np.random.default_rng(4)
+    w = rng.integers(-128, 128, (8, 12)).astype(np.int8)
+    a = rng.integers(-128, 128, (12, 40)).astype(np.int8)
+    lut = mul.from_table("lut-random", rng.integers(-32768, 32768, mul.TABLE_SIZE).astype(np.int16))
+    for m in (mul.exact_multiplier(), mul.truncated_multiplier(4), lut):
+        for mode in fl.GEMM_MODES:
+            cfg = fl.SystolicConfig(3, mode)
+            for clean in (None, fl.systolic_gemm(w, a, m, None, cfg)):
+                entries.walks = 0
+                fl.systolic_gemm(w, a, m, fm, cfg, clean)
+                assert entries.walks == 1, (m.id, mode, clean is None)
+    assert built == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 24),
        st.integers(1, 24))

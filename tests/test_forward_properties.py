@@ -10,6 +10,14 @@ Each evaluate builds the weight side of its GEMM layers (weight codes and
 per-weight tables) once for all its eval batches, and the resumed runs
 read the golden pass's. Neither may change a logit, and a golden plan
 handed to an evaluate of other eval batches is not resumed from.
+
+Two relations of whole passes need no reference. Bypassing the faulty MACs
+is pruning the weights stationed on them, which ties the repair's masks in
+the stored weight layout to the engine's stationing through the conv
+lowering. And where every fault of a layer sits at one bit, the layer's
+accumulator under sa1 minus that under sa0 counts, per output row, the
+weights on faulty MACs, which checks the stuck bit, the stationing and
+every fault route at once.
 """
 
 import contextlib
@@ -17,10 +25,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from axfault import faults as fl
+from axfault import mitigation
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
@@ -118,6 +127,13 @@ def envs(draw):
     return replace(gpu, tile_fault=tf), golden
 
 
+def _data(model, seed, count):
+    """``count`` random samples with random labels."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(count, *model.input_shape)),
+            rng.integers(0, model.n_classes, count))
+
+
 def _lut_example():
     """A conv net with a LUT multiplier and a weight map, over three eval
     batches, resumed from a golden pass of the other engine."""
@@ -140,9 +156,7 @@ def _lut_example():
 def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_size):
     env, golden_env = env_pair
     ws = training.init_weights(model, seed)
-    rng = np.random.default_rng(seed)
-    data = (rng.normal(size=(count, *model.input_shape)),
-            rng.integers(0, model.n_classes, count))
+    data = _data(model, seed, count)
     gemm_layers = model.param_layers()
     acc, plan = net.golden_pass(model, ws, data, golden_env, gemm_layers,
                                 batch_size=batch_size)
@@ -193,3 +207,85 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
         with pytest.raises(ValueError, match="weight map"):
             net.evaluate(model, ws, data, replace(faulty, weight_map=other_map),
                          batch_size=batch_size, _plan=plan)
+
+
+# --- whole-network relations -------------------------------------------------
+
+# a fault map on an array of 1-4 MACs a side
+FAULT_MAPS = st.integers(1, 4).flatmap(fault_maps)
+
+
+def _observed(model, ws, data, env, layer, key):
+    """``key`` of layer ``layer``'s ``observe`` records in an evaluate of
+    ``data`` (one eval batch)."""
+    seen = []
+
+    def keep(idx, record):
+        if idx == layer:
+            seen.append(record[key])
+
+    net.evaluate(model, ws, data, env, observe=keep)
+    return seen[0]
+
+
+def _systolic(env, fm, mode, layer=None):
+    """A systolic env with ``env``'s multiplier and weight map and the faults
+    of ``fm``."""
+    return net.ExecEnv(engine="systolic", multiplier=env.multiplier, weight_map=env.weight_map,
+                       systolic=fl.SystolicConfig(fm.n, mode), fault_map=fm, layer_filter=layer)
+
+
+@settings(deadline=None)
+@given(models(), envs(), FAULT_MAPS, st.integers(0, 2**16), st.integers(1, 9))
+def test_bypass_is_pruning(model, env_pair, fm, seed, count):
+    # exact, truncated-k and broken-carry-k multiply a zero weight to 0, and
+    # so does a weight map that keeps code 0: bypassing a faulty MAC then
+    # drops what its pruned weights add. Each layer's largest |W| sits on a
+    # fault-free MAC, so that pruning moves no weight scale
+    golden = env_pair[1]
+    assume(golden.multiplier.kind != "lut")
+    if golden.weight_map is not None:
+        codes = golden.weight_map.map.copy()
+        codes[128] = 0
+        golden = replace(golden, weight_map=mul.WeightMapTable(codes))
+    ws = training.init_weights(model, seed)
+    rng = np.random.default_rng(seed)
+    masks = mitigation.prune_masks(model, fm)
+    pruned = ws.deep_copy()
+    for idx, mask in masks.items():
+        W = ws[idx]["W"]
+        free = np.flatnonzero(~mask)
+        if free.size:
+            W.flat[rng.choice(free)] = 2 * np.abs(W).max()
+        pruned[idx]["W"] = np.where(mask, 0.0, W)
+    data = _data(model, seed, count)
+    last = len(model.layers) - 1
+    np.testing.assert_array_equal(
+        _observed(model, ws, data, _systolic(golden, fm, "bypass"), last, "Y"),
+        _observed(model, pruned, data, golden, last, "Y"))
+
+
+@settings(deadline=None)
+@given(models(), envs(), FAULT_MAPS, st.integers(0, 15), st.data(), st.integers(0, 2**16),
+       st.integers(1, 9))
+def test_sa1_minus_sa0_is_a_count(model, env_pair, cells, bit, data, seed, count):
+    # with every fault at one bit, sa1 and sa0 differ in that bit of each
+    # product on a faulty MAC alone, by 2^bit (-2^15 at the sign bit),
+    # whatever the multiplier, weight map and activations: row r of the
+    # accumulator moves by that times the weights of row r on faulty MACs.
+    # Only the layer holds faults, so its input is the same in both passes
+    golden = env_pair[1]
+    layer = data.draw(st.sampled_from(model.param_layers()))
+    ws = training.init_weights(model, seed)
+    samples = _data(model, seed, count)
+    n = cells.n
+    acc = {kind: _observed(model, ws, samples, _systolic(
+        golden, fl.FaultMap(n, {c: fl.StuckAtFault(bit, kind) for c in cells.entries}),
+        "propagate", layer), layer, "acc") for kind in fl.FAULT_KINDS}
+    rows, depth = model.gemm_weight_shape(layer)
+    # weight (r, c) of the GEMM sits on MAC (r mod n, c mod n)
+    faulty = np.array([[sum((r % n, c % n) in cells.entries for c in range(depth))]
+                       for r in range(rows)])
+    step = -(1 << 15) if bit == 15 else 1 << bit
+    moved = acc["sa1"].astype(np.int64) - acc["sa0"]
+    np.testing.assert_array_equal(moved, np.broadcast_to(step * faulty, moved.shape))

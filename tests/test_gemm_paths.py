@@ -338,9 +338,9 @@ def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
         clean = systolic_gemm_ref(w, a, m, None, cfg)
         out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
         assert [name for name, _ in calls] == want
-        formed = calls[-1][1][4]
-        assert formed.entries == {ij: f for ij, f in fm.entries.items()
-                                  if f.bit != 15 or len(want) == 1}
+        # the lattice of the MACs whose products are formed
+        formed = {ij: f for ij, f in fm.entries.items() if f.bit != 15 or len(want) == 1}
+        np.testing.assert_array_equal(calls[-1][1][4], fl._lattice(FaultMap(2, formed)))
         np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
 
 
@@ -521,10 +521,11 @@ def test_random_maps_stack_one_table_per_distinct_fault():
     fm = _fault_map(4, "random", 3)
     distinct = set(fm.entries.values())
     assert len(distinct) > 1
-    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), fm, "propagate", 9, 10)
+    lattice = fl._lattice(fm)
+    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), lattice, "propagate", 9, 10)
     assert tables.shape == (256, 256 * (1 + len(distinct)))
     assert sel.shape == (9, 10) and set(np.unique(sel)) == set(range(1 + len(distinct)))
-    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), fm, "bypass", 9, 10)
+    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), lattice, "bypass", 9, 10)
     assert tables.shape == (256, 512) and not tables[:, 256:].any()
 
 

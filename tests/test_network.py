@@ -196,6 +196,23 @@ def test_weights_file_rejects_permuted_dims(tmp_path):
         net.load_weights(m, p)
 
 
+def test_saving_weights_that_do_not_fit_the_model_writes_no_file(tmp_path):
+    # a transposed W used to save cleanly and be refused only when loaded
+    m = net.desk_model("lenet-desk")
+    p = tmp_path / "w.axdn"
+    for idx, key, bad, want in ((5, "W", lambda t: t.T, r"\(256, 64\), expected \(64, 256\)"),
+                                (0, "W", lambda t: t.transpose(3, 0, 1, 2),
+                                 r"\(8, 5, 5, 1\), expected \(5, 5, 1, 8\)"),
+                                (6, "b", lambda t: t[:, None, None, None, None],
+                                 r"\(10, 1, 1, 1, 1\), expected \(10,\)")):
+        ws = training.init_weights(m, seed=0)
+        ws[idx][key] = bad(ws[idx][key])
+        with pytest.raises(ValueError, match=rf"^weights for {re.escape(str(p))}: layer {idx} "
+                                             rf"tensor {key} has dims {want}$"):
+            net.save_weights(ws, m, p)
+        assert not p.exists()
+
+
 @pytest.mark.parametrize("cut", [5, 10, 20, 8 + 16 + 4 * 1000, -1])
 def test_weights_file_cut_short(tmp_path, cut):
     # a cut header used to raise struct.error and a cut payload numpy's
