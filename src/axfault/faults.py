@@ -41,8 +41,9 @@ weights per depth column they touch, and for every other fault, are the
 products on the stationed lattice formed, as int16, grouped by array row,
 and corrected with int32 sums.
 
-Every other multiplier is read from its product table: per-weight tables of
-the products with ``span`` activation codes from ``lo``, depth-major (row
+Every other multiplier is read from its product table, held weight-major
+once per multiplier (``Multiplier.by_weight``): per-weight tables of the
+products with ``span`` activation codes from ``lo``, depth-major (row
 ``c * span + v - lo`` for depth column c and activation code v), are built
 (``_weight_tables``) and one contiguous row of them is summed per MAC
 (``_table_gemm``). The GEMM walks the depth in slabs of at most
@@ -66,8 +67,11 @@ engines compute the same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
-adds what they change as above, forming the faulty products for a table
-multiplier, and ``gpu_tile_gemm`` recomputes the damaged outputs. A
+adds what they change as above, and ``gpu_tile_gemm`` recomputes the
+damaged outputs. For a multiplier read from its table, a GEMM of at least
+``_CHANGE_TABLE_BATCH`` batch columns reads the change of each faulty
+weight from a 256-entry change table at its column's activation codes
+(``_table_changes``), and a narrower one forms the faulty products. A
 campaign cell resumed from the clean pass at its faulty layer takes this
 route.
 """
@@ -102,6 +106,16 @@ _SLAB_ENTRIES = 1 << 18
 # faulty weights per activation row read at which matmuls take over from
 # forming the faulty products (see _correct_lattice)
 _COUNTED_PER_ROW = 2
+
+# GEMM batch width at which change tables take over from forming the faulty
+# products of a table multiplier (see _correct_lattice): at the shapes of
+# both desk models they win from 1024 columns on, and at 512 they lose on
+# lenet conv 2 (16x200)
+_CHANGE_TABLE_BATCH = 1024
+
+# multiplier kinds whose products product_function computes; every other
+# kind reads them from its table
+_ARITHMETIC = ("exact", "truncated", "broken_carry")
 
 
 def _check_int(name: str, value, lo: int | None = None) -> None:
@@ -348,42 +362,46 @@ def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     return out
 
 
-def _mac_tables(table, lattice, mode: str, rows: int, depth: int):
+def _mac_tables(products, lattice, mode: str, rows: int, depth: int):
     """Product tables of every kind of MAC in the array, and which one each
     weight is stationed on.
 
-    ``table`` holds rows of the multiplier's [activation + 128, weight + 128]
-    table, those of the activation codes a GEMM reads. Returns
-    ``(tables, sel)``. ``tables`` stacks, as (span, 256 t) int16, one table
-    per distinct code of ``lattice`` (``_lattice``; ``table`` itself for
-    -1), since a stuck-at fault acts on the product pattern alone
-    (``propagate``), or ``table`` and one of zeros (``bypass``). ``sel`` is
-    the (rows, depth) table number of each weight.
+    ``products`` holds columns of the multiplier's weight-major
+    [weight + 128, activation + 128] table (``Multiplier.by_weight``),
+    those of the activation codes a GEMM reads. Returns ``(tables, sel)``.
+    ``tables`` stacks, as (256 t, span) int16, one table per distinct code
+    of ``lattice`` (``_lattice``; ``products`` itself for -1), since a
+    stuck-at fault acts on the product pattern alone (``propagate``), or
+    ``products`` and one of zeros (``bypass``). ``sel`` is the (rows,
+    depth) table number of each weight.
     """
     if mode == "bypass":
-        return np.hstack([table, np.zeros_like(table)]), _station(lattice >= 0, rows, depth)
+        return np.vstack([products, np.zeros_like(products)]), _station(lattice >= 0, rows, depth)
     codes, number = np.unique(lattice, return_inverse=True)
-    tables = [((table.view(np.uint16) & am) | om).view(np.int16) for om, am in zip(*_masks(codes))]
-    return np.hstack(tables), _station(number.reshape(lattice.shape), rows, depth)
+    tables = [((products.view(np.uint16) & am) | om).view(np.int16)
+              for om, am in zip(*_masks(codes))]
+    return np.vstack(tables), _station(number.reshape(lattice.shape), rows, depth)
 
 
 def _weight_tables(wq, tables, sel):
     """Per-weight product tables of ``wq``, depth-major, built a slab of at
     most ``_slab_columns`` depth columns at a time.
 
-    ``tables`` has one row for each of ``span`` activation codes from lo:
-    those a GEMM call reads for the tables it builds itself, all 256 for a
-    plan's (``_clean_tables``). It and ``sel`` are as ``_mac_tables``
-    returns them, or the bare table's rows and None without faults.
-    Returns ``slab(c0, c1)``, a (span (c1 - c0), rows) int16 array ``h``
-    whose entry ``h[(c - c0) * span + v - lo, r]`` is the product of
-    activation code v with weight (r, c), faults included; the next call
-    overwrites it.
+    ``tables`` is weight-major, one row of products per weight code (and
+    table number), with one column for each of ``span`` activation codes
+    from lo: those a GEMM call reads for the tables it builds itself, all
+    256 for a plan's (``_clean_tables``). It and ``sel`` are as
+    ``_mac_tables`` returns them, or columns of ``Multiplier.by_weight``
+    and None without faults. Returns ``slab(c0, c1)``, a (span (c1 - c0),
+    rows) int16 array ``h`` whose entry ``h[(c - c0) * span + v - lo, r]``
+    is the product of activation code v with weight (r, c), faults
+    included; the next call overwrites it.
     """
     rows = wq.shape[0]
-    span = tables.shape[0]
-    # one row of span products per weight code and table number
-    products = np.ascontiguousarray(tables.T)
+    span = tables.shape[1]
+    # np.take copies a strided table on every gather: a call's own codes
+    # are a column slice of the weight-major table
+    products = np.ascontiguousarray(tables)
     step = min(_slab_columns(rows, span), wq.shape[1])
     # every slab reuses these buffers, as _table_gemm does its own
     gathered = np.empty((step, rows, span), dtype=np.int16)
@@ -444,11 +462,11 @@ def _fresh_gemm(wq, aq, m: Multiplier, lattice, mode: str | None):
     from the smallest activation code to the largest, the only ones read."""
     lo = int(aq.min())
     span = int(aq.max()) - lo + 1
-    table = m.table2d()[lo + 128 : lo + 128 + span]
+    products = m.by_weight[:, lo + 128 : lo + 128 + span]
     # the stacked tables go before _table_gemm allocates its buffers: held
     # through it, they made a fault-folded 10x32x256 GEMM about twice as slow
-    slab = _weight_tables(wq, *((table, None) if lattice is None
-                                else _mac_tables(table, lattice, mode, *wq.shape)))
+    slab = _weight_tables(wq, *((products, None) if lattice is None
+                                else _mac_tables(products, lattice, mode, *wq.shape)))
     return _table_gemm(wq, aq, slab, lo, span)
 
 
@@ -462,7 +480,7 @@ def _clean_tables(wq, m: Multiplier) -> np.ndarray | None:
     rows, depth = wq.shape
     if _blas_ready(m, rows):
         return None
-    slab = _weight_tables(wq, m.table2d(), None)
+    slab = _weight_tables(wq, m.by_weight, None)
     h = np.empty((256 * depth, rows), dtype=np.int16)
     step = _slab_columns(rows, 256)
     for c0 in range(0, depth, step):
@@ -515,6 +533,45 @@ def _form_products(out, wq, aq, prod, lattice, mode: str) -> None:
             out[i::n, b0 : b0 + chunk] += delta
 
 
+def _table_changes(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
+    """Add to ``out`` the change the faults of ``lattice`` (``_lattice``
+    codes) make, read from per-weight change tables of table multiplier
+    ``m``.
+
+    Faulty weight w's change table holds, for every activation code v at
+    v + 128, fault(P(v, w)) - P(v, w) in ``propagate`` and -P(v, w) in
+    ``bypass``: int32, since a change reaches 2^16 - 1. Its 256 products
+    are row w + 128 of ``m.by_weight``. The faulty weights are taken
+    depth column by depth column, so that each column's activation codes
+    become indices once, and their tables are built a block of at most
+    ``_SLAB_ENTRIES`` entries at a time, never for the whole layer. The
+    int32 sums wrap as in ``_form_products``, so ``out`` ends exact.
+    """
+    rows, depth = wq.shape
+    codes = _station(lattice, rows, depth)
+    step = max(1, _SLAB_ENTRIES // (256 * rows))
+    for c0 in range(0, depth, step):
+        block = codes[:, c0 : c0 + step]
+        # faulty weights of the block, column by column
+        cs, rs = np.nonzero(block.T >= 0)
+        if cs.size == 0:
+            continue
+        p = m.by_weight[wq[rs, cs + c0].astype(np.intp) + 128]
+        if mode == "propagate":
+            om, am = _masks(block[rs, cs])
+            change = ((p.view(np.uint16) & am[:, None]) | om[:, None]).view(np.int16).astype(np.int32)
+            change -= p
+        else:
+            change = np.negative(p, dtype=np.int32)
+        # code + 128 of every activation the block's columns read
+        idx = aq[c0 : c0 + step].view(np.uint8) ^ np.uint8(0x80)
+        ends = np.append(np.flatnonzero(np.diff(cs)) + 1, cs.size)
+        k0 = 0
+        for k1 in ends.tolist():
+            out[rs[k0:k1]] += np.take(change[k0:k1], idx[cs[k0]], axis=1)
+            k0 = k1
+
+
 def _sign_counts(out, wq, aq, m: Multiplier, hit, sa1_rows) -> None:
     """Add to ``out`` the change that stuck-at faults at bit 15 make on the
     weights ``hit`` marks, from counts of negative products.
@@ -557,6 +614,13 @@ def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
     that, as in shallow GEMMs and sparse maps, forming the products is
     cheaper. A boolean lattice marks the faults that may take matmuls; when
     they do, the rest of the lattice forms its products (``_form_products``).
+
+    A multiplier read from its table (a kind not in ``_ARITHMETIC``) forms a
+    product by a gather from its 64K table, about ten times the cost of a
+    table GEMM's. From ``_CHANGE_TABLE_BATCH`` batch columns on, its faults
+    read per-weight change tables instead (``_table_changes``), whose
+    Python work per faulty weight only wide GEMMs repay: conv layers, and
+    dense layers over many samples.
     """
     rows, depth = wq.shape
     if mode == "bypass" and m.kind in ("exact", "broken_carry"):
@@ -575,7 +639,11 @@ def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
             h = _station(counted & (lattice >= 16), rows, depth).sum(axis=1, dtype=np.int32)
             _sign_counts(out, w, a, m, hit, h)
         lattice = np.where(counted, -1, lattice)
-    if (lattice >= 0).any():
+    if not (lattice >= 0).any():
+        return
+    if m.kind not in _ARITHMETIC and aq.shape[1] >= _CHANGE_TABLE_BATCH:
+        _table_changes(out, wq, aq, m, lattice, mode)
+    else:
         _form_products(out, wq, aq, product_function(m), lattice, mode)
 
 

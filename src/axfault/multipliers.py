@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,12 @@ class Multiplier:
     def table2d(self) -> np.ndarray:
         """View of the table as [x + 128, y + 128]."""
         return self.table.reshape(256, 256)
+
+    @cached_property
+    def by_weight(self) -> np.ndarray:
+        """The table weight-major, as [y + 128, x + 128]: row y + 128 holds
+        the products of weight y with every activation code. Built once."""
+        return np.ascontiguousarray(self.table2d().T)
 
 
 @dataclass(frozen=True)

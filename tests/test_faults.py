@@ -459,11 +459,12 @@ def test_stationed_lattice_matches_a_loop_over_the_entries(fm, data):
     lattice = fl._lattice(fm)
     or_m, and_m = fl._masks(fl._station(lattice, rows, depth))
     hit = fl.pruned_mask((rows, depth), fm)
-    # products of five activation codes, one table per kind of MAC
-    table = mul.truncated_multiplier(3).table2d()[60:65]
+    # products of five activation codes, weight-major, one table per kind
+    # of MAC
+    table = mul.truncated_multiplier(3).by_weight[:, 60:65]
     tables, sel = fl._mac_tables(table, lattice, "propagate", rows, depth)
     zeroed, bypassed = fl._mac_tables(table, lattice, "bypass", rows, depth)
-    np.testing.assert_array_equal(zeroed, np.hstack([table, np.zeros_like(table)]))
+    np.testing.assert_array_equal(zeroed, np.vstack([table, np.zeros_like(table)]))
     for r in range(rows):
         for c in range(depth):
             f = fm.entries.get((r % fm.n, c % fm.n))
@@ -471,11 +472,11 @@ def test_stationed_lattice_matches_a_loop_over_the_entries(fm, data):
             masks = (0, 0xFFFF) if f is None else f.masks()
             assert (or_m[r, c], and_m[r, c]) == masks
             want = table if f is None else fl.apply_fault(table, f)
-            np.testing.assert_array_equal(tables[:, 256 * sel[r, c] : 256 * (sel[r, c] + 1)],
+            np.testing.assert_array_equal(tables[256 * sel[r, c] : 256 * (sel[r, c] + 1)],
                                           want)
     # one table per distinct fault, and the bare one if a MAC is fault-free
     distinct = len(set(fm.entries.values())) + (len(fm.entries) < fm.n**2)
-    assert tables.shape == (5, 256 * distinct)
+    assert tables.shape == (256 * distinct, 5)
 
 
 class _Walks(dict):

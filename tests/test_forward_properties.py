@@ -42,6 +42,17 @@ MULTIPLIERS = st.sampled_from([mul.exact_multiplier(), mul.broken_carry_multipli
                                mul.truncated_multiplier(1), mul.truncated_multiplier(3),
                                _RANDOM_LUT])
 ACTIVATIONS = st.sampled_from(net.ACTIVATIONS)
+# the batch width from which a LUT's faults read change tables
+# (faults._CHANGE_TABLE_BATCH): every GEMM, the conv GEMMs of several
+# samples, or none of the widths these models reach
+CHANGE_TABLE_BATCHES = st.sampled_from([1, 32, fl._CHANGE_TABLE_BATCH])
+
+
+@contextlib.contextmanager
+def change_table_batch(width):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fl, "_CHANGE_TABLE_BATCH", width)
+        yield
 
 
 @contextlib.contextmanager
@@ -147,13 +158,21 @@ def _lut_example():
                          systolic=fl.SystolicConfig(3),
                          fault_map=fl.FaultMap(3, {(0, 1): fault, (2, 2): fault}))
     golden = net.ExecEnv(engine="gpu_tiles", multiplier=_RANDOM_LUT, weight_map=wm, tile=2)
-    return dict(model=model, env_pair=(faulty, golden), seed=5, count=8, batch_size=3)
+    return dict(model=model, env_pair=(faulty, golden), seed=5, count=8, batch_size=3,
+                change_batch=1)
 
 
 @example(**_lut_example())
 @settings(max_examples=60, deadline=None)
-@given(models(), envs(), st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 9))
-def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_size):
+@given(models(), envs(), st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 9),
+       CHANGE_TABLE_BATCHES)
+def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_size,
+                                           change_batch):
+    with change_table_batch(change_batch):
+        _check_resumed_pass(model, env_pair, seed, count, batch_size)
+
+
+def _check_resumed_pass(model, env_pair, seed, count, batch_size):
     env, golden_env = env_pair
     ws = training.init_weights(model, seed)
     data = _data(model, seed, count)
@@ -215,16 +234,16 @@ def test_resumed_pass_equals_the_full_pass(model, env_pair, seed, count, batch_s
 FAULT_MAPS = st.integers(1, 4).flatmap(fault_maps)
 
 
-def _observed(model, ws, data, env, layer, key):
+def _observed(model, ws, data, env, layer, key, plan=None):
     """``key`` of layer ``layer``'s ``observe`` records in an evaluate of
-    ``data`` (one eval batch)."""
+    ``data`` (one eval batch), resumed from ``plan`` if it is given."""
     seen = []
 
     def keep(idx, record):
         if idx == layer:
             seen.append(record[key])
 
-    net.evaluate(model, ws, data, env, observe=keep)
+    net.evaluate(model, ws, data, env, observe=keep, _plan=plan)
     return seen[0]
 
 
@@ -289,3 +308,33 @@ def test_sa1_minus_sa0_is_a_count(model, env_pair, cells, bit, data, seed, count
     step = -(1 << 15) if bit == 15 else 1 << bit
     moved = acc["sa1"].astype(np.int64) - acc["sa0"]
     np.testing.assert_array_equal(moved, np.broadcast_to(step * faulty, moved.shape))
+
+
+@settings(deadline=None)
+@given(models(), envs(), FAULT_MAPS, st.sampled_from(fl.GEMM_MODES), st.data(),
+       st.integers(0, 2**16), st.integers(1, 9), CHANGE_TABLE_BATCHES)
+def test_faults_add_up(model, env_pair, cells, mode, data, seed, count, change_batch):
+    # each product is formed on one MAC and the int32 sum is exact, so the
+    # change that disjoint maps F1 and F2 make together to a layer's
+    # accumulator is the sum of the changes each makes alone, whatever the
+    # multiplier, mode and route. Only the layer holds faults, so its input
+    # is the same in every pass. Resumed from the golden pass, a LUT's
+    # faults read change tables or form their products; run from the input
+    # they are folded into its tables
+    golden = env_pair[1]
+    layer = data.draw(st.sampled_from(model.param_layers()))
+    ws = training.init_weights(model, seed)
+    samples = _data(model, seed, count)
+    plan = None
+    if data.draw(st.booleans()):
+        plan = net.golden_pass(model, ws, samples, golden, [layer])[1]
+    first = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    n = cells.n
+    maps = [{}, {}, cells.entries]
+    for (c, f), one in zip(cells.entries.items(), first):
+        maps[0 if one else 1][c] = f
+    with change_table_batch(change_batch):
+        acc = [_observed(model, ws, samples, _systolic(golden, fl.FaultMap(n, m), mode, layer),
+                         layer, "acc", plan).astype(np.int64) for m in [{}] + maps]
+    clean = acc[0]
+    np.testing.assert_array_equal(acc[3] - clean, (acc[1] - clean) + (acc[2] - clean))

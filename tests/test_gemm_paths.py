@@ -288,7 +288,7 @@ def _routes(monkeypatch, *args):
     """``systolic_gemm(*args)`` and the (name, arguments) of each call it
     makes to the helpers that correct its faults."""
     calls = []
-    for name in ("_sign_counts", "_blas_gemm", "_form_products"):
+    for name in ("_sign_counts", "_blas_gemm", "_form_products", "_table_changes"):
         def spy(*a, _real=getattr(fl, name), _name=name):
             calls.append((_name, a))
             return _real(*a)
@@ -344,6 +344,26 @@ def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
         np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
 
 
+@pytest.mark.parametrize("mode", fl.GEMM_MODES)
+@pytest.mark.parametrize("fill", ["random", "sign", "full"])
+def test_table_faults_on_both_sides_of_the_change_table_crossover(monkeypatch, mode, fill):
+    # a LUT's faults read change tables from _CHANGE_TABLE_BATCH batch
+    # columns on and form their products below; truncated-15, a table
+    # multiplier whose products are arithmetic, forms them at any width.
+    # The 9 rows and 11 columns are no multiple of the 4 x 4 array
+    width = fl._CHANGE_TABLE_BATCH
+    fm = _fault_map(4, fill, 9)
+    cfg = SystolicConfig(4, mode)
+    for batch, route in ((width - 1, "_form_products"), (width, "_table_changes")):
+        w, a = _operands(batch, 9, 11, batch)
+        w[0, :11] = a[:, 0] = _EDGE_CODES
+        for m, want in ((_RANDOM_LUT, route), (mul.truncated_multiplier(15), "_form_products")):
+            clean = systolic_gemm_ref(w, a, m, None, cfg)
+            out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
+            assert [name for name, _ in calls] == [want]
+            np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+
+
 @pytest.mark.parametrize("bit", range(16))
 @pytest.mark.parametrize("kind", fl.FAULT_KINDS)
 @pytest.mark.parametrize("mode", fl.GEMM_MODES)
@@ -371,7 +391,11 @@ def test_exact_table_lut_equals_exact_multiplier():
 # "gemm-deep". They also draw the entries of one slab of per-weight tables:
 # at 2^18 one slab spans at least 51 columns, more than the 40 drawn at
 # most; below that the table path reads several, the last one often ragged.
+# The change tables of a LUT's faults are built in blocks of the same cap.
 SLAB_ENTRIES = st.sampled_from([256, 1024, 4096, fl._SLAB_ENTRIES])
+# and the batch width from which a LUT's faults read change tables: every
+# width, the wide batches alone, or none of those drawn
+CHANGE_TABLE_BATCHES = st.sampled_from([1, 128, fl._CHANGE_TABLE_BATCH])
 # and the window [lo, hi] of activation codes, whose span of codes sizes the
 # tables that a call builds for itself: one code, the [0, 127] of images and
 # ReLU outputs, windows of up to 8 codes, and every code
@@ -386,18 +410,22 @@ WINDOWS = st.one_of(
 @settings(deadline=None)
 @given(ANY_MULTIPLIER, st.integers(1, 6), st.integers(1, 20),
        st.integers(1, 40), BATCHES, st.sampled_from(FILLS),
-       st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1), SLAB_ENTRIES, WINDOWS)
+       st.sampled_from(fl.GEMM_MODES), st.integers(0, 2**31 - 1), SLAB_ENTRIES, WINDOWS,
+       CHANGE_TABLE_BATCHES)
 # sign faults on either side of the rule that sends them to matmuls
 @example(mul.exact_multiplier(), 2, 20, 40, 130, "mixed", "propagate", 1, 1 << 18,
-         (-128, 127))
+         (-128, 127), 1024)
 @example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1, 1 << 18,
-         (-128, 127))
+         (-128, 127), 1024)
+# a LUT's change tables in blocks of one depth column
+@example(_RANDOM_LUT, 3, 20, 40, 130, "random", "propagate", 1, 256, (-128, 127), 1)
 def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed,
-                                             slab, window):
+                                             slab, window, change_batch):
     # rows and depth below n leave array rows and columns unused
     w, a = _operands(seed, rows, depth, batch, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fl, "_SLAB_ENTRIES", slab)
+        mp.setattr(fl, "_CHANGE_TABLE_BATCH", change_batch)
         _check_systolic(w, a, m, _fault_map(n, fill, seed), SystolicConfig(n, mode), step=True)
 
 
@@ -522,11 +550,13 @@ def test_random_maps_stack_one_table_per_distinct_fault():
     distinct = set(fm.entries.values())
     assert len(distinct) > 1
     lattice = fl._lattice(fm)
-    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), lattice, "propagate", 9, 10)
-    assert tables.shape == (256, 256 * (1 + len(distinct)))
+    # weight-major: 256 rows of products per table, one per weight code
+    tables, sel = fl._mac_tables(_RANDOM_LUT.by_weight, lattice, "propagate", 9, 10)
+    assert tables.shape == (256 * (1 + len(distinct)), 256)
     assert sel.shape == (9, 10) and set(np.unique(sel)) == set(range(1 + len(distinct)))
-    tables, sel = fl._mac_tables(_RANDOM_LUT.table2d(), lattice, "bypass", 9, 10)
-    assert tables.shape == (256, 512) and not tables[:, 256:].any()
+    tables, sel = fl._mac_tables(_RANDOM_LUT.by_weight, lattice, "bypass", 9, 10)
+    assert tables.shape == (512, 256) and not tables[256:].any()
+    np.testing.assert_array_equal(tables[:256], _RANDOM_LUT.table2d().T)
 
 
 def test_calls_build_tables_of_the_codes_they_read(monkeypatch):
@@ -537,7 +567,7 @@ def test_calls_build_tables_of_the_codes_they_read(monkeypatch):
     spans = []
 
     def spy(wq, tables, sel, _real=fl._weight_tables):
-        spans.append(tables.shape[0])
+        spans.append(tables.shape[1])
         return _real(wq, tables, sel)
 
     monkeypatch.setattr(fl, "_weight_tables", spy)
