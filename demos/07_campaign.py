@@ -1,9 +1,10 @@
 """Sweep fault scenarios over a grid and emit the CSV + report bundle.
 
 A campaign is the cross product of multipliers, fault kinds, bits, fault
-percentages, layers, array sizes, and seeds. Every cell derives its own
-RNG seed from the cell coordinates, so reruns and different worker counts
-give byte-identical results.
+percentages, layers, array sizes, and seeds. Every cell draws its fault
+from its seed alone, so the multipliers of a seed are compared under one
+fault map, and reruns and different worker counts give byte-identical
+results.
 """
 
 from pathlib import Path

@@ -1,9 +1,14 @@
 """Sweep orchestration: run the fault axes as a Cartesian product, collect
 accuracy and energy numbers, and render reports.
 
-Determinism contract: a cell's randomness is seeded from a hash of its own
-axis values, never from execution order or worker id, so the same spec
-yields the same records at any worker count.
+Determinism contract: a cell draws its fault from its ``seed`` value alone,
+never from execution order or worker id, so the same spec yields the same
+records at any worker count. A systolic cell draws its map as ``axfault
+inject --seed`` does; a gpu_tiles cell also draws its tile index from the
+seed, where ``inject`` takes ``--tile-index``. Every multiplier and layer
+of one seed is scored under one fault map, and the fault kinds and bits of
+a seed share its positions, so two cells of a seed differ only in the axis
+that tells them apart (common random numbers).
 
 Golden-run reuse: without faults both engines compute the same GEMMs, so
 one clean pass per multiplier (``network.golden_pass``) gives the baseline
@@ -24,14 +29,13 @@ does not fit, and every cell with ``layers: "all"``, is evaluated from the
 input; a layer without tables builds them per GEMM. Workers inherit the
 plans from the parent process.
 
-``AXES`` is the one declaration of the axes: cells, their seeds, the record
-fields they fill and the report's per-axis tables all follow it, and the CSV
-columns follow the record fields.
+``AXES`` is the one declaration of the axes: cells, the record fields they
+fill and the report's per-axis tables all follow it, and the CSV columns
+follow the record fields.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, asdict
-import hashlib
 import itertools
 import json
 import math
@@ -46,20 +50,20 @@ from . import charts
 from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
                      random_fault_map)
 from .mitigation import check_activations, run_mitigation
-from .multipliers import Multiplier, error_metrics, parse_multiplier
+from .multipliers import error_metrics, parse_multiplier
 from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
 from .training import HyperParams
 
 # The campaign's axes in canonical order, the only place that order is
 # written. Each names a CampaignRecord field; a spec lists the axis' values
-# under its plural (layers through ``layer_values``). Cells, their seed keys
-# and the report's per-axis tables all follow this tuple, so records come out
-# in its product order by construction, however execution was scheduled.
+# under its plural (layers through ``layer_values``). Cells and the report's
+# per-axis tables follow this tuple, so records come out in its product
+# order by construction, however execution was scheduled.
 AXES = ("engine", "multiplier", "fault_kind", "bit", "percent", "layer",
         "array_size", "seed")
 
-# the casts ``cells_of`` gives axis values: ``cell_seed`` hashes
-# ``repr(percent)``, so a percent given as 16 must be the cell of 16.0
+# the casts ``cells_of`` gives axis values: the CSV writes ``repr(percent)``,
+# so a percent given as 16 must be the cell of 16.0
 _AXIS_CASTS = {"bit": int, "percent": float, "array_size": int, "seed": int}
 
 # Cap on the golden-pass state a campaign keeps for its layer-filtered cells,
@@ -115,7 +119,7 @@ class CampaignSpec:
         _check_axis("bits", self.bits, numbers.Integral, 0, 15)
         _check_axis("percents", self.percents, numbers.Real, 0, 100)
         _check_axis("array_sizes", self.array_sizes, numbers.Integral, 1, math.inf)
-        _check_axis("seeds", self.seeds, numbers.Integral)
+        _check_axis("seeds", self.seeds, numbers.Integral, 0, math.inf)
         for k in self.fault_kinds:
             if k not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {k!r}")
@@ -216,21 +220,6 @@ def cells_of(spec: CampaignSpec) -> list:
             for i, values in enumerate(itertools.product(*lists))]
 
 
-def cell_seed(cell: dict, m: Multiplier) -> int:
-    """Per-cell PRNG seed hashed from the axis values themselves.
-
-    Hashing values rather than the enumeration index keeps a cell's
-    randomness stable when other axis lists grow or get reordered. A LUT
-    multiplier ``m`` enters by its table's content, not by the file path
-    that names it, so one table draws the same fault maps at any path.
-    """
-    values = dict(cell)
-    if m.kind == "lut":
-        values["multiplier"] = "lut:" + hashlib.sha256(m.table.astype("<i2").tobytes()).hexdigest()
-    key = "|".join(_field_str(axis, values[axis]) for axis in AXES)
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
-
-
 # ---------------------------------------------------------------------------
 # MAC counting and energy
 
@@ -279,22 +268,22 @@ def _init_worker(payload):
     _ASSETS = payload
 
 
-def _cell_env(cell, m, cseed):
-    layer = cell["layer"]
+def _cell_env(cell, m):
+    """(ExecEnv, fault map) of ``cell``, its fault drawn from its seed alone."""
+    layer, seed = cell["layer"], cell["seed"]
     fault = StuckAtFault(cell["bit"], cell["fault_kind"])
     if cell["engine"] == "systolic":
         n = cell["array_size"]
-        fm = random_fault_map(n, cell["percent"], fault, seed=cseed)
+        fm = random_fault_map(n, cell["percent"], fault, seed)
         return ExecEnv(engine="systolic", multiplier=m,
                        systolic=SystolicConfig(n=n, mode="propagate"),
                        fault_map=fm, layer_filter=layer), fm
     tile = cell["array_size"]
     tf = None
     if cell["percent"] > 0:
-        rng = np.random.default_rng(cseed)
-        tf = TileFaultSpec(tile_index=int(rng.integers(1 << 30)),
+        tf = TileFaultSpec(tile_index=int(np.random.default_rng(seed).integers(1 << 30)),
                            damaged_fraction=cell["percent"] / 100.0,
-                           fault=fault, seed=cseed)
+                           fault=fault, seed=seed)
     return ExecEnv(engine="gpu_tiles", multiplier=m, tile=tile,
                    tile_fault=tf, layer_filter=layer), None
 
@@ -309,8 +298,7 @@ def _run_cell(cell: dict) -> CampaignRecord:
                          faulty_acc=None, acc_loss=None)
     try:
         m = a["multipliers"][cell["multiplier"]]
-        cseed = cell_seed(cell, m)
-        env, fm = _cell_env(cell, m, cseed)
+        env, fm = _cell_env(cell, m)
         rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"], env=env,
                                   sample_limit=spec.sample_limit,
                                   _plan=a["plans"][cell["multiplier"]])
@@ -444,8 +432,8 @@ def load_records(path) -> list:
 
 
 def _field_str(name, v) -> str:
-    """A record field as the CSV and the seed key write it: floats by repr,
-    a None layer as "all", any other None as empty."""
+    """A record field as the CSV writes it: floats by repr, a None layer as
+    "all", any other None as empty."""
     if v is None:
         return "all" if name == "layer" else ""
     return repr(v) if isinstance(v, float) else str(v)

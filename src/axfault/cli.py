@@ -3,8 +3,10 @@
 Every subcommand is batch-oriented and bit-reproducible, and failures exit
 nonzero with a single "error: ..." line on stderr. A command that draws
 random numbers takes them from --seed (default taken from $AXFAULT_SEED,
-then 0); ``campaign run`` has no --seed, since each cell's seed comes from
-the spec (its ``seeds`` axis and the cell's coordinates).
+then 0); ``campaign run`` has no --seed, since each cell draws its fault
+from its value of the spec's ``seeds`` axis: a systolic cell as ``inject
+--seed`` does, a gpu_tiles cell with its tile index drawn from that seed
+too (``inject`` takes ``--tile-index``).
 """
 
 import argparse

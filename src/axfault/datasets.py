@@ -41,6 +41,9 @@ class Dataset:
         return len(self.images)
 
     def subset(self, count: int) -> "Dataset":
+        """The first ``count`` samples (all of them when fewer); 0 gives an
+        empty set. ``ValueError`` for a negative or non-integer count."""
+        _check_int("count", count, 0)
         return Dataset(f"{self.id}[:{count}]", self.images[:count],
                        self.labels[:count], self.n_classes)
 
@@ -335,8 +338,11 @@ def mnist_or_synthetic(train_count: int = _MNIST_COUNTS["train"],
     Looks in ``directory`` alone if it is given, and raises ``ValueError``
     when it holds no MNIST file quartet. Otherwise looks in
     $AXFAULT_MNIST_DIR, then ./data/mnist, and falls back to the procedural
-    digit generator.
+    digit generator. ``ValueError`` for a count below 1, whichever source
+    would serve it.
     """
+    _check_int("train_count", train_count, 1)
+    _check_int("test_count", test_count, 1)
     train, source = _mnist_split("train", train_count, seed, directory)
     test, _ = _mnist_split("test", test_count, seed, directory)
     return train, test, source

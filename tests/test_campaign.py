@@ -3,7 +3,7 @@
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -71,6 +71,9 @@ def test_spec_validation():
         _tiny_spec(engines=["float"])
     with pytest.raises(ValueError):
         _tiny_spec(layers=[])
+    # random_fault_map and TileFaultSpec would refuse it in every cell
+    with pytest.raises(ValueError, match=r"seeds must lie in \[0, inf\], got -1"):
+        _tiny_spec(seeds=[1, -1])
     # JSON that used to crash with TypeError or be coerced to other cells
     doc = json.loads(_tiny_spec().to_json())
     for bad, match in (
@@ -127,42 +130,32 @@ def test_spec_json_round_trip():
     assert _tiny_spec().layer_values() == [None]
 
 
-def _seed(c):
-    return cp.cell_seed(c, mul.parse_multiplier(c["multiplier"]))
-
-
-def test_cell_seed_depends_on_values_not_position():
-    spec_a = _tiny_spec()
-    spec_b = _tiny_spec(multipliers=["truncated-4", "exact"], seeds=[2, 1])
-    seeds_a = {(c["multiplier"], c["seed"]): _seed(c) for c in cp.cells_of(spec_a)}
-    seeds_b = {(c["multiplier"], c["seed"]): _seed(c) for c in cp.cells_of(spec_b)}
-    assert seeds_a == seeds_b
-
-
-def test_cell_seed_distinguishes_percent_format():
-    c = cp.cells_of(_tiny_spec(percents=[16.0]))[0]
-    d = dict(c, percent=16.5)
-    assert _seed(c) != _seed(d)
-    assert _seed(c) == _seed(dict(c))
-
-
-def test_cell_seeds_pinned():
-    # the key format is part of the records: a changed seed draws other faults
+def test_cells_of_a_seed_share_one_fault_draw(tmp_path):
+    # a cell draws its fault from its seed as inject --seed does, so two
+    # multipliers (one a LUT) and two layers of a seed are scored under one
+    # map, and its fault kinds and bits share the map's positions
     table = np.outer(np.arange(-128, 128), np.arange(-128, 128)) // 2
-    ms = {"exact": mul.parse_multiplier("exact"),
-          "tables/half.axlut": mul.from_table("lut", table.astype(np.int16).reshape(-1))}
-    spec = cp.CampaignSpec(model_id="m", dataset_id="d", multipliers=list(ms),
-                           engines=["systolic", "gpu_tiles"], fault_kinds=["sa0"],
-                           bits=[7], percents=[16, 2.5], array_sizes=[4], seeds=[3])
-    assert [cp.cell_seed(c, ms[c["multiplier"]]) for c in cp.cells_of(spec)] == [
-        16545010024892621536, 4810924789990766208, 3080587085919522319,
-        8310349524701900323, 8886104701747903215, 7849137714828637525,
-        10187989533900011991, 5688028764080478514]
-    spec = cp.CampaignSpec(model_id="m", dataset_id="d", multipliers=["truncated-4"],
-                           layers=[0, 2])
-    m = mul.parse_multiplier("truncated-4")
-    assert [cp.cell_seed(c, m) for c in cp.cells_of(spec)] == [
-        5715523469124106316, 14147714488644202192]
+    lut = tmp_path / "half.axlut"
+    mul.save_lut(mul.from_table("half", table.astype(np.int16).reshape(-1)), lut)
+    spec = cp.CampaignSpec(model_id="m", dataset_id="d", multipliers=["exact", str(lut)],
+                           engines=["systolic", "gpu_tiles"], fault_kinds=["sa0", "sa1"],
+                           bits=[7, 15], percents=[16.0], layers=[0, 2],
+                           array_sizes=[8], seeds=[5])
+    cells = cp.cells_of(spec)
+    assert len(cells) == 32
+    positions, tiles = set(), set()
+    for cell in cells:
+        env, fm = cp._cell_env(cell, mul.parse_multiplier(cell["multiplier"]))
+        fault = fl.StuckAtFault(cell["bit"], cell["fault_kind"])
+        if cell["engine"] == "systolic":
+            assert fm == fl.random_fault_map(8, 16.0, fault, 5)
+            positions.add(frozenset(fm.entries))
+        else:
+            assert fm is None and env.tile_fault.fault == fault
+            tiles.add(replace(env.tile_fault, fault=None))
+    assert len(positions) == 1 and len(next(iter(positions))) == 10
+    assert tiles == {fl.TileFaultSpec(int(np.random.default_rng(5).integers(1 << 30)),
+                                      0.16, None, 5)}
 
 
 def test_lut_cells_seeded_by_table_not_path(blobs_assets, tmp_path):
@@ -351,7 +344,7 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
     assert len(resumed) == 2 * len(runs[0]) == 2 * 48
     for rec, cell in zip(runs[0], cp.cells_of(spec)):
         m = mul.parse_multiplier(cell["multiplier"])
-        env, _ = cp._cell_env(cell, m, cp.cell_seed(cell, m))
+        env, _ = cp._cell_env(cell, m)
         assert rec.error is None
         assert rec.faulty_acc == net.evaluate(model, ws, test_d, env=env, sample_limit=300)
     assert len({r.faulty_acc for r in runs[0]}) > 5

@@ -122,6 +122,25 @@ def test_mnist_or_synthetic_fallback(tmp_path, monkeypatch):
     assert not np.array_equal(train.images[0], test.images[0])
 
 
+@pytest.mark.parametrize("quartet", [True, False], ids=["idx", "synthetic"])
+@pytest.mark.parametrize("counts, name", [((-5, 2), "train_count"), ((0, 2), "train_count"),
+                                          ((4, 2.5), "test_count"), ((4, -1), "test_count")])
+def test_mnist_or_synthetic_refuses_counts_below_one(tmp_path, monkeypatch, quartet,
+                                                     counts, name):
+    # with an IDX quartet a train_count of -5 used to give 7 of 12 samples,
+    # where the synthetic branch raised; now neither source is read
+    if quartet:
+        _write_idx_quartet(tmp_path)
+    monkeypatch.setenv("AXFAULT_MNIST_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    built = []
+    monkeypatch.setattr(ds, "load_idx_pair", lambda *a: built.append(a))
+    monkeypatch.setattr(ds, "synth_digits", lambda *a, **k: built.append(a))
+    with pytest.raises(ValueError, match=name):
+        ds.mnist_or_synthetic(*counts)
+    assert built == []
+
+
 def test_cifar_loader(tmp_path):
     rec = bytearray()
     for label in (3, 7):
@@ -413,6 +432,11 @@ def test_subset():
     s = d.subset(10)
     assert len(s) == 10
     assert np.array_equal(s.images, d.images[:10])
+    assert len(d.subset(0)) == 0 and len(d.subset(80)) == 50
+    # -5 used to drop the last five samples
+    for bad in (-5, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="count must be"):
+            d.subset(bad)
 
 
 def test_parse_dataset_arg_forms(tmp_path):

@@ -417,8 +417,9 @@ WINDOWS = st.one_of(
          (-128, 127), 1024)
 @example(mul.broken_carry_multiplier(2), 6, 1, 40, 5, "sign", "propagate", 1, 1 << 18,
          (-128, 127), 1024)
-# a LUT's change tables in blocks of one depth column
+# a LUT's change tables in blocks of one depth column, in either mode
 @example(_RANDOM_LUT, 3, 20, 40, 130, "random", "propagate", 1, 256, (-128, 127), 1)
+@example(_RANDOM_LUT, 3, 20, 40, 130, "random", "bypass", 1, 256, (-128, 127), 1)
 def test_systolic_matches_reference_property(m, n, rows, depth, batch, fill, mode, seed,
                                              slab, window, change_batch):
     # rows and depth below n leave array rows and columns unused
