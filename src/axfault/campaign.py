@@ -3,12 +3,12 @@ accuracy and energy numbers, and render reports.
 
 Determinism contract: a cell draws its fault from its ``seed`` value alone,
 never from execution order or worker id, so the same spec yields the same
-records at any worker count. A systolic cell draws its map as ``axfault
-inject --seed`` does; a gpu_tiles cell also draws its tile index from the
-seed, where ``inject`` takes ``--tile-index``. Every multiplier and layer
-of one seed is scored under one fault map, and the fault kinds and bits of
-a seed share its positions, so two cells of a seed differ only in the axis
-that tells them apart (common random numbers).
+records at any worker count. A cell draws its fault as ``axfault inject
+--seed`` does: a systolic cell its map, a gpu_tiles cell its damaged tile
+(``faults.seeded_tile_index``) and the positions in it. Every multiplier
+and layer of one seed is scored under one fault map, and the fault kinds
+and bits of a seed share its positions, so two cells of a seed differ only
+in the axis that tells them apart (common random numbers).
 
 Golden-run reuse: without faults both engines compute the same GEMMs, so
 one clean pass per multiplier (``network.golden_pass``) gives the baseline
@@ -44,11 +44,9 @@ import os
 import time
 import typing
 
-import numpy as np
-
 from . import charts
 from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
-                     random_fault_map)
+                     random_fault_map, seeded_tile_index)
 from .mitigation import check_activations, run_mitigation
 from .multipliers import error_metrics, parse_multiplier
 from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
@@ -281,7 +279,7 @@ def _cell_env(cell, m):
     tile = cell["array_size"]
     tf = None
     if cell["percent"] > 0:
-        tf = TileFaultSpec(tile_index=int(np.random.default_rng(seed).integers(1 << 30)),
+        tf = TileFaultSpec(tile_index=seeded_tile_index(seed),
                            damaged_fraction=cell["percent"] / 100.0,
                            fault=fault, seed=seed)
     return ExecEnv(engine="gpu_tiles", multiplier=m, tile=tile,

@@ -4,9 +4,9 @@ Every subcommand is batch-oriented and bit-reproducible, and failures exit
 nonzero with a single "error: ..." line on stderr. A command that draws
 random numbers takes them from --seed (default taken from $AXFAULT_SEED,
 then 0); ``campaign run`` has no --seed, since each cell draws its fault
-from its value of the spec's ``seeds`` axis: a systolic cell as ``inject
---seed`` does, a gpu_tiles cell with its tile index drawn from that seed
-too (``inject`` takes ``--tile-index``).
+from its value of the spec's ``seeds`` axis as ``inject --seed`` does; on
+gpu_tiles, ``inject`` without ``--tile-index`` damages the tile that the
+seed picks, as a campaign cell does.
 """
 
 import argparse
@@ -28,6 +28,7 @@ from .faults import (
     load_fault_map,
     random_fault_map,
     save_fault_map,
+    seeded_tile_index,
 )
 
 
@@ -165,10 +166,12 @@ def _cmd_inject(args) -> int:
     on_map = args.engine == "systolic" or any(
         getattr(args, k) is not None for k in ("fault_map", "n", "mode", "save_map"))
     fm = _fault_map(args, "inject") if on_map else None
-    d = _given(args, True, tile_index=0, **_DRAW)
-    tf = (TileFaultSpec(d["tile_index"], d["percent"] / 100.0,
-                        StuckAtFault(d["bit"], d["kind"]), args.seed)
-          if not on_map or args.tile_index is not None else None)
+    d = _given(args, True, **_DRAW)
+    tf = None
+    if not on_map or args.tile_index is not None:
+        index = seeded_tile_index(args.seed) if args.tile_index is None else args.tile_index
+        tf = TileFaultSpec(index, d["percent"] / 100.0, StuckAtFault(d["bit"], d["kind"]),
+                           args.seed)
     env = network.ExecEnv(
         args.engine, multipliers.parse_multiplier(args.multiplier),
         None if fm is None else SystolicConfig(fm.n, args.mode or "propagate"), fm,
@@ -313,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_flags(p)
     p.add_argument("--mode", choices=GEMM_MODES, help="systolic (default propagate)")
     p.add_argument("--tile", type=int, help="gpu_tiles (default 16)")
-    p.add_argument("--tile-index", type=int, help="gpu_tiles damaged tile (default 0)")
+    p.add_argument("--tile-index", type=int,
+                   help="gpu_tiles damaged tile (default: drawn from --seed)")
     p.add_argument("--layer", type=int)
     p.add_argument("--sample-limit", type=int)
     p.add_argument("--save-map")

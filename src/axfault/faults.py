@@ -29,17 +29,24 @@ Two engines share the multiplier and fault semantics:
 How the engines compute this, bit-identical to forming every product:
 the fault-free GEMM of ``exact``, ``broken_carry`` and ``truncated`` (k <= 8,
 2^k <= rows) multipliers is float32 matmuls over depth slabs of at most
-``_SLAB`` columns, each exact and summed in int32. On that path the gpu
-engine then forms the products of its damaged outputs, along the full
-depth, as int16 and sums them in int32. The systolic engine adds what its
-faults change (``_correct_lattice``). Faults at bit 15, and in ``bypass``
-all faults but under truncated-k, take float32 matmuls: the sign bit moves
-a product by 2^15 exactly when its sign is one way, so counts of products
-by sign give the change, and a bypassed product is taken away by a matmul
-of the faulty weights. Only when such faults station fewer than two
-weights per depth column they touch, and for every other fault, are the
-products on the stationed lattice formed, as int16, grouped by array row,
-and corrected with int32 sums.
+``_SLAB`` columns, each exact and summed in int32; truncated-k takes off
+what it truncates in 2^(k-1) + k - 1 more (``_truncation``). On that path
+the gpu engine then forms the products of its damaged outputs, along the
+full depth, as int16 and sums them in int32.
+
+A bypassed product is replaced by zero, which is the product of a zero
+weight for every multiplier whose weight-0 products are all 0 (every
+arithmetic kind, and a LUT that keeps them): there ``bypass`` without
+``clean`` is the fault-free GEMM of the weights with those on faulty MACs
+zeroed, the pruning a mitigation run does. Otherwise the systolic engine
+adds what its faults change (``_correct_lattice``). Faults at bit 15, and
+in ``bypass`` all faults but under truncated-k, take float32 matmuls: the
+sign bit moves a product by 2^15 exactly when its sign is one way, so
+counts of products by sign give the change, and a bypassed product is
+taken away by a matmul of the faulty weights. Only when such faults station
+fewer than two weights per depth column they touch, and for every other
+fault, are the products on the stationed lattice formed, as int16, grouped
+by array row, and corrected with int32 sums.
 
 Every other multiplier is read from its product table, held weight-major
 once per multiplier (``Multiplier.by_weight``): per-weight tables of the
@@ -62,8 +69,9 @@ the product pattern alone, a faulty MAC is another table: the systolic
 engine stacks the multiplier's table with one table per distinct fault
 (``propagate``) or a table of zeros (``bypass``) and builds each weight's
 products from the table of its MAC, so faults cost no more than a fresh
-build. The gpu engine reads the fault-free tables. Without faults the two
-engines compute the same GEMM.
+build (a LUT whose weight-0 products are all 0 prunes instead, as above).
+The gpu engine reads the fault-free tables. Without faults the two engines
+compute the same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
@@ -204,6 +212,13 @@ class TileFaultSpec:
             raise ValueError("damaged_fraction must be in [0, 1]")
 
 
+def seeded_tile_index(seed: int) -> int:
+    """The damaged tile that ``seed`` picks when none is named, an index in
+    [0, 2^30) that ``network`` reduces modulo each layer's block grid."""
+    _check_int("seed", seed, 0)
+    return int(np.random.default_rng(seed).integers(1 << 30))
+
+
 def apply_fault(product, fault: StuckAtFault):
     """Force the fault's bit in the 16-bit product pattern.
 
@@ -315,8 +330,8 @@ def _check_gemm_operands(wq, aq):
 def _blas_ready(m: Multiplier, rows: int) -> bool:
     """Whether the fault-free GEMM of ``m`` is a few float32 matmuls.
 
-    truncated-k needs 2^k - 1 extra matmuls, so past k = 8 or 2^k > rows it
-    reads the product tables instead.
+    truncated-k needs 2^(k-1) + k - 1 extra matmuls (``_truncation``), so
+    past k = 8 or 2^k > rows it reads the product tables instead.
     """
     if m.kind in ("exact", "broken_carry"):
         return True
@@ -332,33 +347,63 @@ def _exact_operands(wq, aq, m: Multiplier):
     return (wq.view(np.uint8) & keep).view(np.int8), (aq.view(np.uint8) & keep).view(np.int8)
 
 
+def _matmul(x, y) -> np.ndarray:
+    """The int32 product of two integer matrices, one float32 matmul. The
+    caller keeps every partial sum within 2^24, so float32 holds each one
+    exactly whatever order BLAS sums in."""
+    x, y = x.astype(np.float32, copy=False), y.astype(np.float32, copy=False)
+    return (x @ y).astype(np.int32)
+
+
 def _blas_gemm(wq, aq, m: Multiplier) -> np.ndarray:
     """Fault-free int32 GEMM of a ``_blas_ready`` multiplier.
 
     The products are int8 x int8, so |p| <= 2^14 and a float32 matmul over
-    ``_SLAB`` columns is exact whatever order BLAS sums in; the slabs are
-    summed in int32.
+    ``_SLAB`` columns is exact; the slabs are summed in int32. Truncated-k
+    then takes off what it truncates (``_truncation``).
     """
-    k = m.params.get("k", 0)
     w, a = _exact_operands(wq, aq, m)
     w, a = w.astype(np.float32), a.astype(np.float32)
-    out = (w[:, :_SLAB] @ a[:_SLAB]).astype(np.int32)
+    out = _matmul(w[:, :_SLAB], a[:_SLAB])
     for c0 in range(_SLAB, w.shape[1], _SLAB):
-        out += (w[:, c0 : c0 + _SLAB] @ a[c0 : c0 + _SLAB]).astype(np.int32)
-    if m.kind == "truncated" and k:
-        # truncation subtracts p mod 2^k, which depends on the operands' low
-        # k bits only: sum over each value v of the activation's low bits.
-        # Every term is in [0, 255], so float32 sums the full depth exactly:
-        # 32768 * 255 < 2^24.
-        low = np.uint8((1 << k) - 1)
-        w_lo = wq.view(np.uint8) & low
-        a_lo = aq.view(np.uint8) & low
-        cut = np.zeros(out.shape, dtype=np.float32)
-        for v in range(1, 1 << k):
-            hit = a_lo == v
-            if hit.any():
-                cut += ((np.uint8(v) * w_lo) & low).astype(np.float32) @ hit.astype(np.float32)
-        out -= cut.astype(np.int32)
+        out += _matmul(w[:, c0 : c0 + _SLAB], a[c0 : c0 + _SLAB])
+    if m.kind == "truncated" and m.params["k"]:
+        out -= _truncation(wq, aq, m.params["k"])
+    return out
+
+
+def _truncation(wq, aq, k: int) -> np.ndarray:
+    """What truncated-k takes off the exact GEMM: the int32 sums over c of
+    p mod K, K = 2^k, for the products p of ``wq[r, c]`` and ``aq[c, b]``,
+    in at most K/2 + k - 1 matmuls, the rank of the table of u v mod K.
+
+    p mod K depends on the operands' low k bits u and v alone. Write
+    M_v = v u mod K for each weight and H_v = [activation v]. Then
+    M_{K-v} = K [M_v != 0] - M_v, and M_v != 0 exactly when u mod
+    2^(k-t) != 0, t the 2-adic valuation of v. So the sum is
+    sum_{0<v<K/2} M_v @ (H_v - H_{K-v}) + (K/2) [u odd] @ H_{K/2}
+    + K sum_t [u mod 2^(k-t) != 0] @ [v > K/2 of valuation t]. Every term
+    of these matmuls lies in [-255, 255], so over at most MAX_GEMM_DEPTH
+    columns each is exact in float32; they are summed in int32.
+    """
+    K, half, low = 1 << k, 1 << (k - 1), np.uint8((1 << k) - 1)
+    u = wq.view(np.uint8) & low
+    v = aq.view(np.uint8) & low
+    out = np.zeros((wq.shape[0], aq.shape[1]), dtype=np.int32)
+
+    def add(left, right, shift=0):
+        # an activation value no column holds takes no matmul
+        if right.any():
+            out[...] += _matmul(left, right) << shift
+
+    for j in range(1, half):
+        add((np.uint8(j) * u) & low, (v == j).view(np.int8) - (v == K - j).view(np.int8))
+    add((u & np.uint8(1)) * np.uint8(half), v == half)
+    if k > 1:
+        # the lowest set bit of each v above K/2 (k = 1 has none), 0 elsewhere
+        bottom = (v & -v) & -(v >> np.uint8(k - 1))
+        for t in range(k - 1):
+            add((u & np.uint8((1 << (k - t)) - 1)) != 0, bottom == (1 << t), k)
     return out
 
 
@@ -597,7 +642,7 @@ def _sign_counts(out, wq, aq, m: Multiplier, hit, sa1_rows) -> None:
         signs = np.empty((2 * depth, ab.shape[1]), dtype=np.float32)
         signs[:depth] = ab < 0
         signs[depth:] = ab > 0
-        out[:, b0 : b0 + chunk] += ((ws @ signs).astype(np.int32) - h) << 15
+        out[:, b0 : b0 + chunk] += (_matmul(ws, signs) - h) << 15
 
 
 def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
@@ -608,12 +653,14 @@ def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
     instead of forming their products: in ``propagate`` those at bit 15
     (``_sign_counts``); in ``bypass``, on exact and broken-carry, all of
     them, whose products one ``_blas_gemm`` of their weights takes away
-    (truncated-k would take 2^k matmuls). The matmuls read every activation
-    row that such a weight meets, so they are taken only when those weights
-    number at least ``_COUNTED_PER_ROW`` per activation row read. Below
-    that, as in shallow GEMMs and sparse maps, forming the products is
-    cheaper. A boolean lattice marks the faults that may take matmuls; when
-    they do, the rest of the lattice forms its products (``_form_products``).
+    (truncated-k would take 2^(k-1) + k matmuls). Only a call given
+    ``clean`` gets here in ``bypass`` on these kinds: without it,
+    ``systolic_gemm`` prunes. The matmuls read every activation row that
+    such a weight meets, so they are taken only when those weights number
+    at least ``_COUNTED_PER_ROW`` per activation row read. Below that, as
+    in shallow GEMMs and sparse maps, forming the products is cheaper. A
+    boolean lattice marks the faults that may take matmuls; when they do,
+    the rest of the lattice forms its products (``_form_products``).
 
     A multiplier read from its table (a kind not in ``_ARITHMETIC``) forms a
     product by a gather from its 64K table, about ten times the cost of a
@@ -683,18 +730,26 @@ def systolic_gemm(
     int32 accumulation. With an exact multiplier and an empty fault map this
     equals the integer matrix product.
 
-    From ``clean``, the fault-free output of the same GEMM (left as it
-    is), only the change the faults make is added. ``tables``, the
-    fault-free per-weight tables of ``wq`` (``_clean_tables``), spare a table
-    multiplier their build; faults folded into the tables build their own.
+    Without ``clean``, ``bypass`` under a multiplier whose weight-0
+    products are all 0 is the fault-free GEMM of ``wq`` with the weights on
+    faulty MACs zeroed. From ``clean``, the fault-free output of the same
+    GEMM (left as it is), only the change the faults make is added.
+    ``tables``, the fault-free per-weight tables of ``wq``
+    (``_clean_tables``), spare a table multiplier their build; faults
+    folded into the tables, and pruned weights, build their own.
     """
     wq, aq = _check_gemm_operands(wq, aq)
     if fm is not None and fm.n != cfg.n:
         raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
     lattice = _lattice(fm) if fm is not None and fm.entries else None
-    if clean is None and lattice is not None and not _blas_ready(m, wq.shape[0]):
-        # faults folded into the product tables
-        return _fresh_gemm(wq, aq, m, lattice, cfg.mode)
+    if clean is None and lattice is not None:
+        if cfg.mode == "bypass" and not m.by_weight[128].any():
+            # a bypassed product is a zero weight's: prune, then run clean
+            pruned = np.where(_station(lattice >= 0, *wq.shape), np.int8(0), wq)
+            return _clean_gemm(pruned, aq, m)
+        if not _blas_ready(m, wq.shape[0]):
+            # faults folded into the product tables
+            return _fresh_gemm(wq, aq, m, lattice, cfg.mode)
     out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if lattice is not None:
         _correct_lattice(out, wq, aq, m, lattice, cfg.mode)

@@ -25,9 +25,16 @@ class QTensor:
 
 
 def quantize(t: np.ndarray) -> QTensor:
+    """The int8 codes and scale of ``t``, as above.
+
+    A tensor with no negative value, such as pixels or ReLU outputs (-0.0
+    included), skips the two sign passes: its |x| is x, and its codes carry
+    no sign.
+    """
     t = np.asarray(t, dtype=np.float64)
     # max and min pass NaN and inf through, so a finite amax means finite t
-    amax = max(float(t.max()), -float(t.min())) if t.size else 0.0
+    lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
+    amax = max(hi, -lo)
     if not math.isfinite(amax):
         raise ValueError("cannot quantize non-finite values")
     scale = amax / 127.0
@@ -39,10 +46,12 @@ def quantize(t: np.ndarray) -> QTensor:
     # buffer: sign(x) * min(floor(|x| + 0.5), 127) is the int8 truncation,
     # toward zero, of min(|x| + 0.5, 127) carrying the sign of t
     x = t / scale
-    np.abs(x, out=x)
+    if lo < 0:
+        np.abs(x, out=x)
     x += 0.5
     np.minimum(x, 127.0, out=x)
-    np.copysign(x, t, out=x)
+    if lo < 0:
+        np.copysign(x, t, out=x)
     return QTensor(x.astype(np.int8), scale)
 
 

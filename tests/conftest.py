@@ -15,9 +15,10 @@ from axfault import datasets, network, training
 
 # Selected with `pytest --hypothesis-profile=gemm-deep`. The hypothesis
 # properties that leave their example count to the loaded profile then draw
-# ten times the default: the GEMM oracle properties of test_gemm_paths.py,
-# the whole-network relations of test_forward_properties.py and the fault
-# lattice property of test_faults.py.
+# ten times the default: the GEMM oracle properties and the truncation
+# property of test_gemm_paths.py, the whole-network relations of
+# test_forward_properties.py, the fault lattice property of test_faults.py
+# and the signed-formula property of test_quantize.py.
 settings.register_profile("gemm-deep", max_examples=1000)
 
 

@@ -158,7 +158,10 @@ def test_cells_of_a_seed_share_one_fault_draw(tmp_path):
                                       0.16, None, 5)}
 
 
-def test_lut_cells_seeded_by_table_not_path(blobs_assets, tmp_path):
+def test_lut_records_do_not_depend_on_path(blobs_assets, tmp_path):
+    # one table saved at two paths scores alike on both engines: nothing a
+    # LUT cell computes (its multiplier, plans, fault draw and records, but
+    # for the multiplier field) reads the path it was loaded from
     model, ws, _, test_d = blobs_assets
     table = np.random.default_rng(4).integers(-40, 41, size=(256, 256))
     table += np.outer(np.arange(-128, 128), np.arange(-128, 128))

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from axfault import campaign as camp
 from axfault import cli, datasets, faults, mitigation, multipliers, network, training
 
 MODEL_JSON = json.dumps({
@@ -369,6 +370,30 @@ def test_inject_gpu_tile_fault_is_tile_index_and_percent(trained, capsys):
                      "--tile-index", "1", "--percent", "50", "--seed", "3"]) == 0
     kv = _kv(capsys)
     assert (kv["baseline_acc"], kv["faulty_acc"]) == (f"{clean:.2f}", f"{want:.2f}")
+
+
+def test_inject_without_tile_index_damages_a_campaign_cells_tile(trained, monkeypatch):
+    # a gpu_tiles campaign cell replays from the command line with its seed
+    # alone: inject draws the damaged tile from --seed as the cell does
+    spec = camp.CampaignSpec(model_id="m", dataset_id="d", multipliers=["exact"],
+                             engines=["gpu_tiles"], fault_kinds=["sa0"], bits=[9],
+                             percents=[30.0], layers=[1], array_sizes=[4], seeds=[5])
+    [cell] = camp.cells_of(spec)
+    want, _ = camp._cell_env(cell, multipliers.exact_multiplier())
+    envs = []
+
+    def spy(model, weights, data, env, sample_limit=None):
+        envs.append(env)
+        return 50.0
+
+    monkeypatch.setattr(network, "evaluate", spy)
+    assert cli.main(["inject", "--model", trained["model"], "--weights", trained["weights"],
+                     "--data", "blobs:3:20:8:2", "--engine", "gpu_tiles", "--tile", "4",
+                     "--percent", "30", "--bit", "9", "--kind", "sa0", "--layer", "1",
+                     "--seed", "5"]) == 0
+    assert envs[1].tile_fault == want.tile_fault
+    assert envs[1].tile_fault.tile_index == faults.seeded_tile_index(5) != 0
+    assert (envs[1].tile, envs[1].layer_filter) == (want.tile, want.layer_filter)
 
 
 def test_inject_scores_a_weight_mapped_model(trained, capsys):

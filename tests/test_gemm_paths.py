@@ -286,9 +286,10 @@ def test_systolic_matches_reference_per_multiplier_shallow(m, mode, fill):
 
 def _routes(monkeypatch, *args):
     """``systolic_gemm(*args)`` and the (name, arguments) of each call it
-    makes to the helpers that correct its faults."""
+    makes to the helpers that correct its faults or fold them into tables."""
     calls = []
-    for name in ("_sign_counts", "_blas_gemm", "_form_products", "_table_changes"):
+    for name in ("_sign_counts", "_blas_gemm", "_form_products", "_table_changes",
+                 "_mac_tables"):
         def spy(*a, _real=getattr(fl, name), _name=name):
             calls.append((_name, a))
             return _real(*a)
@@ -303,11 +304,13 @@ def _routes(monkeypatch, *args):
 @pytest.mark.parametrize("kind", fl.FAULT_KINDS)
 @pytest.mark.parametrize("mode", fl.GEMM_MODES)
 def test_sign_faults_and_bypass_take_matmuls(monkeypatch, m, kind, mode):
-    # every _blas_ready family corrects bit-15 faults from sign counts, and
-    # bypass, but for truncated-k (2^k matmuls), with one matmul of the
-    # faulty weights. A 1-row GEMM meets one faulty weight per depth column
-    # and forms the faulty products. Every edge code, among them those that
-    # broken-carry-2 masks to 0, meets every other
+    # given the clean GEMM, every _blas_ready family corrects bit-15 faults
+    # from sign counts, and bypass, but for truncated-k (2^(k-1) + k - 1
+    # matmuls), with one matmul of the faulty weights; without it, bypass is
+    # the clean GEMM of the pruned weights (test_bypass_is_a_pruned_clean_gemm).
+    # A 1-row GEMM meets one faulty weight per depth column and forms the
+    # faulty products. Every edge code, among them those that broken-carry-2
+    # masks to 0, meets every other
     f = fl.StuckAtFault(15, kind)
     fm = FaultMap(2, {(i, j): f for i in range(2) for j in range(2)})
     cfg = SystolicConfig(2, mode)
@@ -342,6 +345,55 @@ def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
         formed = {ij: f for ij, f in fm.entries.items() if f.bit != 15 or len(want) == 1}
         np.testing.assert_array_equal(calls[-1][1][4], fl._lattice(FaultMap(2, formed)))
         np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+
+
+# a LUT whose products with weight 0 are all 0, as those of every arithmetic
+# kind are: a bypassed product equals a zero weight's
+_ZERO_ROW_LUT = mul.from_table("lut-zero-row", np.where(
+    (np.arange(mul.TABLE_SIZE) % 256) == 128, 0, _RANDOM_LUT.table).astype(np.int16))
+
+
+@pytest.mark.parametrize("m", [mul.exact_multiplier(), mul.broken_carry_multiplier(2),
+                               mul.truncated_multiplier(3), _ZERO_ROW_LUT],
+                         ids=lambda m: m.id)
+@pytest.mark.parametrize("fill", ["random", "full"])
+def test_bypass_is_a_pruned_clean_gemm(monkeypatch, m, fill):
+    # without the clean GEMM, bypass zeroes the weights stationed on faulty
+    # MACs and runs the clean GEMM of the rest: no helper corrects a fault,
+    # a _blas_ready multiplier takes one _blas_gemm of the pruned weights and
+    # a LUT builds tables of them, with no fault folded in
+    assert not m.by_weight[128].any()
+    fm = _fault_map(4, fill, 12)
+    fm.entries[(0, 0)] = fl.StuckAtFault(0, "sa0")  # lattice code 0
+    cfg = SystolicConfig(4, "bypass")
+    w, a = _operands(12, 21, 30, 9)
+    w[0, :11] = a[:11, 0] = _EDGE_CODES
+    out, calls = _routes(monkeypatch, w, a, m, fm, cfg)
+    if fl._blas_ready(m, w.shape[0]):
+        assert [name for name, _ in calls] == ["_blas_gemm"]
+        np.testing.assert_array_equal(calls[0][1][0],
+                                      np.where(fl.pruned_mask(w.shape, fm), 0, w))
+    else:
+        assert calls == []
+    np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+
+
+def test_bypass_folds_a_lut_whose_zero_weight_products_are_not_zero(monkeypatch):
+    # pruning would score such a LUT's bypassed products as its products
+    # with weight 0: its faults are folded into its tables, as a table of
+    # zeros, with or without the plan's tables
+    m = _RANDOM_LUT
+    assert m.by_weight[128].any()
+    fm = _fault_map(4, "random", 13)
+    cfg = SystolicConfig(4, "bypass")
+    w, a = _operands(13, 21, 30, 9)
+    want = systolic_gemm_ref(w, a, m, fm, cfg)
+    assert not np.array_equal(want, systolic_gemm_ref(
+        np.where(fl.pruned_mask(w.shape, fm), 0, w), a, m, None, cfg))
+    for tables in (None, fl._clean_tables(w, m)):
+        out, calls = _routes(monkeypatch, w, a, m, fm, cfg, None, tables)
+        assert [name for name, _ in calls] == ["_mac_tables"]
+        np.testing.assert_array_equal(out, want)
 
 
 @pytest.mark.parametrize("mode", fl.GEMM_MODES)
@@ -529,6 +581,66 @@ def _check_worst_case(monkeypatch, kind, row1):
             if depth == fl.MAX_GEMM_DEPTH and m.kind == "exact" and kind == "sa1":
                 assert clean[0, 0] == 1 << 29 and clean[1, 0] == 0
                 assert faulty[1, 0] == -(1 << 30)
+
+
+def _truncated_sums(w, a, k):
+    """sum over c of (w[r, c] mod K) (a[c, b] mod K) mod K, K = 2^k, in
+    int64: what truncated-k takes off the exact GEMM, column by column."""
+    K = 1 << k
+    u, v = w.astype(np.int64) % K, a.astype(np.int64) % K
+    out = np.empty((w.shape[0], a.shape[1]), dtype=np.int64)
+    for b in range(a.shape[1]):
+        out[:, b] = (u * v[:, b] % K).sum(axis=1)
+    return out
+
+
+def _truncation_and_matmuls(monkeypatch, w, a, k):
+    """``_truncation(w, a, k)`` and the number of matmuls it takes."""
+    count = []
+
+    def spy(x, y, _real=fl._matmul):
+        count.append(1)
+        return _real(x, y)
+
+    monkeypatch.setattr(fl, "_matmul", spy)
+    out = fl._truncation(w, a, k)
+    monkeypatch.undo()
+    assert out.dtype == np.int32
+    return out, len(count)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(1, 20), st.integers(1, 64), st.integers(1, 20),
+       st.integers(0, 2**31 - 1), WINDOWS)
+def test_truncation_is_the_per_column_sum(k, rows, depth, batch, seed, window):
+    # the correction takes at most 2^(k-1) + k - 1 matmuls (fewer when a
+    # window of activation codes leaves some low bits unread); the operands
+    # hold -128 and the edge codes
+    w, a = _operands(seed, rows, depth, batch, window)
+    with pytest.MonkeyPatch.context() as mp:
+        got, matmuls = _truncation_and_matmuls(mp, w, a, k)
+    np.testing.assert_array_equal(got, _truncated_sums(w, a, k))
+    assert matmuls <= (1 << (k - 1)) + k - 1
+
+
+def test_truncation_at_max_depth(monkeypatch):
+    # codes whose low k bits are all set (-1) against -1, 1 and -128: the
+    # terms of the matmuls reach +-(2^k - 1) over every one of the
+    # MAX_GEMM_DEPTH columns, and a draw that reads every low-bit value
+    # takes exactly 2^(k-1) + k - 1 matmuls, 1, 3, 6, 11, 20, 37, 70, 135
+    depth = fl.MAX_GEMM_DEPTH
+    w = np.full((2, depth), -1, dtype=np.int8)
+    w[1, ::2] = 1
+    a = np.full((depth, 3), -1, dtype=np.int8)
+    a[:, 1], a[::2, 2] = 1, -128
+    every = np.arange(-128, 128, dtype=np.int8).reshape(-1, 1)
+    for k in range(1, 9):
+        got, matmuls = _truncation_and_matmuls(monkeypatch, w, a, k)
+        np.testing.assert_array_equal(got, _truncated_sums(w, a, k))
+        assert got[0, 1] == depth * ((1 << k) - 1)
+        assert matmuls <= (1 << (k - 1)) + k - 1
+        _, matmuls = _truncation_and_matmuls(monkeypatch, every.T, every, k)
+        assert matmuls == (1 << (k - 1)) + k - 1
 
 
 def test_largest_truncation_correction_at_max_depth():

@@ -174,3 +174,30 @@ def test_non_finite_anywhere_is_rejected(x, bad, data):
     x.flat[data.draw(st.integers(0, x.size - 1))] = bad
     with pytest.raises(ValueError, match="non-finite"):
         quantize(x)
+
+
+@st.composite
+def _one_signed_tensors(draw):
+    """Arrays all >= 0, all <= 0 or of mixed signs, on or next to .5 ties
+    of their scale, with zeros of either sign: a tensor with no negative
+    value takes the path without sign passes, -0.0 entries included."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=12))
+    # amax at most 1 as often as above it: every value then lies in [-1, 1]
+    amax = draw(st.one_of(st.just(127.0), st.floats(1e-30, 1.0), st.floats(1.0, 1e30)))
+    k = draw(hnp.arrays(np.float64, shape, elements=st.integers(0, 126)))
+    half = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.5])))
+    x = (k + half) * (amax / 127.0)
+    x.flat[draw(st.integers(0, x.size - 1))] = amax
+    signs = draw(st.sampled_from([[1.0], [-1.0], [-1.0, 1.0]]))
+    x *= draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(signs)))
+    x[draw(hnp.arrays(np.bool_, shape))] = draw(st.sampled_from([0.0, -0.0]))
+    return x
+
+
+@settings(deadline=None)
+@given(_one_signed_tensors())
+def test_quantize_matches_the_signed_formula(x):
+    q = quantize(x)
+    codes, scale = _quantize_oracle(x)
+    assert np.array_equal(q.data, codes)
+    assert q.scale == scale
