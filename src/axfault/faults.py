@@ -5,7 +5,7 @@ The fault model: a faulty MAC forces one bit of the 16-bit two's complement
 product pattern to 0 (``sa0``) or 1 (``sa1``) on every multiply it performs.
 Registers, interconnect and accumulators are assumed fault-free. ``bypass``
 mode models array-level disabling of a faulty MAC: its product is replaced
-by zero before accumulation.
+by zero before accumulation, one more fault, which forces every bit to 0.
 
 Bit 15 is the product's sign bit. Either kind moves a product by
 2^15 = 32768 there, more than twice the magnitude of any legal product
@@ -17,11 +17,11 @@ Two engines share the multiplier and fault semantics:
 * ``systolic_gemm``: a weight-stationary n x n array. Weight element (r, c)
   is stationed on MAC (r mod n, c mod n), so a single faulty MAC corrupts a
   regular lattice of weight positions when the matrix is larger than the
-  array. A call reads its fault map once, into one int8 code per MAC
-  (``_lattice``), and every fault route stations that lattice or slices of
-  it (``_station``): the weights a fault hits (``pruned_mask``), the masks
-  that force the stuck bits, the table of each weight's MAC, and which
-  faults take matmuls.
+  array. A call reads its fault map once, into one code per MAC holding
+  the two masks that force its product bits (``_lattice``), and every
+  fault route stations that lattice or slices of it (``_station``): the
+  weights a fault hits (``pruned_mask``), the masks, the table of each
+  weight's MAC, and which faults take matmuls.
 * ``gpu_tile_gemm``: output is computed in tile x tile blocks (row-major
   block order); faults live in one block's MAC grid and corrupt every
   product feeding the damaged output positions of that block only.
@@ -36,17 +36,15 @@ full depth, as int16 and sums them in int32.
 
 A bypassed product is replaced by zero, which is the product of a zero
 weight for every multiplier whose weight-0 products are all 0 (every
-arithmetic kind, and a LUT that keeps them): there ``bypass`` without
-``clean`` is the fault-free GEMM of the weights with those on faulty MACs
-zeroed, the pruning a mitigation run does. Otherwise the systolic engine
-adds what its faults change (``_correct_lattice``). Faults at bit 15, and
-in ``bypass`` all faults but under truncated-k, take float32 matmuls: the
-sign bit moves a product by 2^15 exactly when its sign is one way, so
-counts of products by sign give the change, and a bypassed product is
-taken away by a matmul of the faulty weights. Only when such faults station
-fewer than two weights per depth column they touch, and for every other
-fault, are the products on the stationed lattice formed, as int16, grouped
-by array row, and corrected with int32 sums.
+arithmetic kind, and a LUT that keeps them): there ``bypass`` is the
+fault-free GEMM of the weights with those on faulty MACs zeroed, the
+pruning a mitigation run does. Otherwise the systolic engine adds what its
+faults change (``_correct_lattice``). Faults at bit 15 take float32
+matmuls: the sign bit moves a product by 2^15 exactly when its sign is one
+way, so counts of products by sign give the change. Only when such faults
+station fewer than two weights per depth column they touch, and for every
+other fault, are the products on the stationed lattice formed, as int16,
+grouped by array row, and corrected with int32 sums.
 
 Every other multiplier is read from its product table, held weight-major
 once per multiplier (``Multiplier.by_weight``): per-weight tables of the
@@ -65,17 +63,19 @@ tables a plan keeps. Without ``tables``, every call builds its slabs one at
 a time and never the whole table, and only for the codes it reads: lo and
 lo + span - 1 are its smallest and largest activation code (digit pixels,
 for one, read codes 0..127). Since a stuck-at fault acts on
-the product pattern alone, a faulty MAC is another table: the systolic
-engine stacks the multiplier's table with one table per distinct fault
-(``propagate``) or a table of zeros (``bypass``) and builds each weight's
-products from the table of its MAC, so faults cost no more than a fresh
-build (a LUT whose weight-0 products are all 0 prunes instead, as above).
+the product pattern alone, a faulty MAC, bypassed or not, is one more
+table: the systolic engine stacks one table per distinct code of its
+lattice, the multiplier's own for a fault-free MAC, and builds each
+weight's products from the table of its MAC, so faults cost no more than a
+fresh build (a LUT whose weight-0 products are all 0 prunes instead, as
+above).
 The gpu engine reads the fault-free tables. Without faults the two engines
 compute the same GEMM.
 
 Given ``clean``, the output of the same GEMM without faults, either engine
 starts from a copy of it and adds only the faults: ``systolic_gemm``
-adds what they change as above, and ``gpu_tile_gemm`` recomputes the
+adds what they change as above (where ``bypass`` prunes it checks
+``clean``'s shape and no more), and ``gpu_tile_gemm`` recomputes the
 damaged outputs. For a multiplier read from its table, a GEMM of at least
 ``_CHANGE_TABLE_BATCH`` batch columns reads the change of each faulty
 weight from a 256-entry change table at its column's activation codes
@@ -165,7 +165,12 @@ class FaultMap:
         _check_int("n", self.n)
         if self.n <= 0:
             raise ValueError("array dimension must be positive")
-        for (i, j), f in self.entries.items():
+        for ij, f in self.entries.items():
+            if not isinstance(ij, tuple) or len(ij) != 2:
+                raise ValueError(f"fault coordinate must be a pair of integers, got {ij!r}")
+            i, j = ij
+            _check_int("fault coordinate", i)
+            _check_int("fault coordinate", j)
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"fault coordinate ({i}, {j}) outside {self.n}x{self.n} array")
             if not isinstance(f, StuckAtFault):
@@ -282,12 +287,22 @@ def load_fault_map(path) -> FaultMap:
     return FaultMap(n=n, entries=entries)
 
 
-def _lattice(fm: FaultMap) -> np.ndarray:
-    """The fault of every MAC of ``fm``'s array as an (n, n) int8 code: the
-    bit for sa0, the bit + 16 for sa1, -1 on a fault-free MAC."""
-    lattice = np.full((fm.n, fm.n), -1, dtype=np.int8)
+# the ``_lattice`` code of a fault-free MAC, whose masks change nothing
+_FAULT_FREE = 0xFFFF
+
+
+def _lattice(fm: FaultMap, mode: str) -> np.ndarray:
+    """The fault of every MAC of ``fm``'s array as an (n, n) uint32 code,
+    ``or_mask << 16 | and_mask`` of its ``StuckAtFault.masks``:
+    ``_FAULT_FREE`` on a fault-free MAC, and in ``bypass`` 0 on a faulty
+    one, whose masks zero every product."""
+    lattice = np.full((fm.n, fm.n), _FAULT_FREE, dtype=np.uint32)
+    # masks() once per distinct fault, not per MAC: it builds numpy scalars
+    code = {}
     for ij, f in fm.entries.items():
-        lattice[ij] = f.bit + 16 * (f.kind == "sa1")
+        if f not in code:
+            code[f] = int(f.masks()[0]) << 16 | int(f.masks()[1])
+        lattice[ij] = 0 if mode == "bypass" else code[f]
     return lattice
 
 
@@ -299,10 +314,8 @@ def _station(lattice: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _masks(codes: np.ndarray):
-    """(or_mask, and_mask) as uint16 of ``_lattice`` codes, as
-    ``StuckAtFault.masks`` gives them; a fault-free MAC's change nothing."""
-    bit = np.uint16(1) << (codes & 15).astype(np.uint16)
-    return bit * (codes >= 16), np.where((codes >= 0) & (codes < 16), ~bit, np.uint16(0xFFFF))
+    """(or_mask, and_mask) as uint16 of ``_lattice`` codes."""
+    return (codes >> 16).astype(np.uint16), (codes & 0xFFFF).astype(np.uint16)
 
 
 def _int8_codes(x, name: str) -> np.ndarray:
@@ -407,7 +420,7 @@ def _truncation(wq, aq, k: int) -> np.ndarray:
     return out
 
 
-def _mac_tables(products, lattice, mode: str, rows: int, depth: int):
+def _mac_tables(products, lattice, rows: int, depth: int):
     """Product tables of every kind of MAC in the array, and which one each
     weight is stationed on.
 
@@ -415,13 +428,11 @@ def _mac_tables(products, lattice, mode: str, rows: int, depth: int):
     [weight + 128, activation + 128] table (``Multiplier.by_weight``),
     those of the activation codes a GEMM reads. Returns ``(tables, sel)``.
     ``tables`` stacks, as (256 t, span) int16, one table per distinct code
-    of ``lattice`` (``_lattice``; ``products`` itself for -1), since a
-    stuck-at fault acts on the product pattern alone (``propagate``), or
-    ``products`` and one of zeros (``bypass``). ``sel`` is the (rows,
-    depth) table number of each weight.
+    of ``lattice`` (``_lattice``; ``products`` itself on a fault-free MAC,
+    zeros on a bypassed one), since a stuck-at fault acts on the product
+    pattern alone. ``sel`` is the (rows, depth) table number of each
+    weight.
     """
-    if mode == "bypass":
-        return np.vstack([products, np.zeros_like(products)]), _station(lattice >= 0, rows, depth)
     codes, number = np.unique(lattice, return_inverse=True)
     tables = [((products.view(np.uint16) & am) | om).view(np.int16)
               for om, am in zip(*_masks(codes))]
@@ -501,7 +512,7 @@ def _table_gemm(wq, aq, slab, lo, span) -> np.ndarray:
     return out
 
 
-def _fresh_gemm(wq, aq, m: Multiplier, lattice, mode: str | None):
+def _fresh_gemm(wq, aq, m: Multiplier, lattice):
     """GEMM read from per-weight tables built for this call alone, with the
     faults of ``lattice`` (if any) folded in. The tables hold the span codes
     from the smallest activation code to the largest, the only ones read."""
@@ -511,7 +522,7 @@ def _fresh_gemm(wq, aq, m: Multiplier, lattice, mode: str | None):
     # the stacked tables go before _table_gemm allocates its buffers: held
     # through it, they made a fault-folded 10x32x256 GEMM about twice as slow
     slab = _weight_tables(wq, *((products, None) if lattice is None
-                                else _mac_tables(products, lattice, mode, *wq.shape)))
+                                else _mac_tables(products, lattice, *wq.shape)))
     return _table_gemm(wq, aq, slab, lo, span)
 
 
@@ -541,16 +552,16 @@ def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     if _blas_ready(m, rows):
         return _blas_gemm(wq, aq, m)
     if tables is None:
-        return _fresh_gemm(wq, aq, m, None, None)
+        return _fresh_gemm(wq, aq, m, None)
     if tables.shape != (256 * depth, rows) or tables.dtype != np.int16:
         raise ValueError(f"tables {tables.shape} {tables.dtype} are not the int16 "
                          f"per-weight tables of a {rows}x{depth} weight matrix")
     return _table_gemm(wq, aq, lambda c0, c1: tables[256 * c0 : 256 * c1], -128, 256)
 
 
-def _form_products(out, wq, aq, prod, lattice, mode: str) -> None:
+def _form_products(out, wq, aq, prod, lattice) -> None:
     """Add to ``out`` the change the faults of ``lattice`` (``_lattice``
-    codes, -1 on a MAC left out) make, forming their products.
+    codes) make, forming their products.
 
     Rows i, i+n, ... are stationed on array row i, so they share one set of
     faulty columns, lattice row i stationed along the depth; only those
@@ -562,7 +573,7 @@ def _form_products(out, wq, aq, prod, lattice, mode: str) -> None:
     rows, depth = wq.shape
     batch = aq.shape[1]
     codes = _station(lattice, min(rows, n), depth)
-    (or_m, and_m), hit = _masks(codes), codes >= 0
+    (or_m, and_m), hit = _masks(codes), codes != _FAULT_FREE
     for i in range(hit.shape[0]):
         cols = np.flatnonzero(hit[i])
         if cols.size == 0:
@@ -572,20 +583,19 @@ def _form_products(out, wq, aq, prod, lattice, mode: str) -> None:
         chunk = max(1, (1 << 24) // (w.shape[0] * cols.size))
         for b0 in range(0, batch, chunk):
             p = prod(aq[cols, b0 : b0 + chunk][None], w)
-            delta = -p.sum(axis=1, dtype=np.int32)
-            if mode == "propagate":
-                delta += ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
+            delta = ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
+            delta -= p.sum(axis=1, dtype=np.int32)
             out[i::n, b0 : b0 + chunk] += delta
 
 
-def _table_changes(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
+def _table_changes(out, wq, aq, m: Multiplier, lattice) -> None:
     """Add to ``out`` the change the faults of ``lattice`` (``_lattice``
     codes) make, read from per-weight change tables of table multiplier
     ``m``.
 
     Faulty weight w's change table holds, for every activation code v at
-    v + 128, fault(P(v, w)) - P(v, w) in ``propagate`` and -P(v, w) in
-    ``bypass``: int32, since a change reaches 2^16 - 1. Its 256 products
+    v + 128, fault(P(v, w)) - P(v, w), -P(v, w) on a bypassed MAC: int32,
+    since a change reaches 2^16 - 1. Its 256 products
     are row w + 128 of ``m.by_weight``. The faulty weights are taken
     depth column by depth column, so that each column's activation codes
     become indices once, and their tables are built a block of at most
@@ -598,16 +608,13 @@ def _table_changes(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
     for c0 in range(0, depth, step):
         block = codes[:, c0 : c0 + step]
         # faulty weights of the block, column by column
-        cs, rs = np.nonzero(block.T >= 0)
+        cs, rs = np.nonzero(block.T != _FAULT_FREE)
         if cs.size == 0:
             continue
         p = m.by_weight[wq[rs, cs + c0].astype(np.intp) + 128]
-        if mode == "propagate":
-            om, am = _masks(block[rs, cs])
-            change = ((p.view(np.uint16) & am[:, None]) | om[:, None]).view(np.int16).astype(np.int32)
-            change -= p
-        else:
-            change = np.negative(p, dtype=np.int32)
+        om, am = _masks(block[rs, cs])
+        change = ((p.view(np.uint16) & am[:, None]) | om[:, None]).view(np.int16).astype(np.int32)
+        change -= p
         # code + 128 of every activation the block's columns read
         idx = aq[c0 : c0 + step].view(np.uint8) ^ np.uint8(0x80)
         ends = np.append(np.flatnonzero(np.diff(cs)) + 1, cs.size)
@@ -645,22 +652,17 @@ def _sign_counts(out, wq, aq, m: Multiplier, hit, sa1_rows) -> None:
         out[:, b0 : b0 + chunk] += (_matmul(ws, signs) - h) << 15
 
 
-def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
+def _correct_lattice(out, wq, aq, m: Multiplier, lattice) -> None:
     """Add to a fault-free int32 GEMM the change the faults of ``lattice``
     (``_lattice``) make.
 
-    For a ``_blas_ready`` multiplier some faults take a few float32 matmuls
-    instead of forming their products: in ``propagate`` those at bit 15
-    (``_sign_counts``); in ``bypass``, on exact and broken-carry, all of
-    them, whose products one ``_blas_gemm`` of their weights takes away
-    (truncated-k would take 2^(k-1) + k matmuls). Only a call given
-    ``clean`` gets here in ``bypass`` on these kinds: without it,
-    ``systolic_gemm`` prunes. The matmuls read every activation row that
-    such a weight meets, so they are taken only when those weights number
-    at least ``_COUNTED_PER_ROW`` per activation row read. Below that, as
-    in shallow GEMMs and sparse maps, forming the products is cheaper. A
-    boolean lattice marks the faults that may take matmuls; when they do,
-    the rest of the lattice forms its products (``_form_products``).
+    For a ``_blas_ready`` multiplier the faults that force bit 15 alone
+    take a few float32 matmuls instead of forming their products
+    (``_sign_counts``). The matmuls read every activation row that such a
+    weight meets, so they are taken only when those weights number at least
+    ``_COUNTED_PER_ROW`` per activation row read. Below that, as in shallow
+    GEMMs and sparse maps, forming the products is cheaper. When they are
+    taken, the rest of the lattice forms its products (``_form_products``).
 
     A multiplier read from its table (a kind not in ``_ARITHMETIC``) forms a
     product by a gather from its 64K table, about ten times the cost of a
@@ -670,40 +672,35 @@ def _correct_lattice(out, wq, aq, m: Multiplier, lattice, mode: str) -> None:
     dense layers over many samples.
     """
     rows, depth = wq.shape
-    if mode == "bypass" and m.kind in ("exact", "broken_carry"):
-        counted = lattice >= 0
-    elif mode == "propagate" and _blas_ready(m, rows):
-        counted = np.isin(lattice, (15, 31))  # sa0 and sa1 at bit 15
-    else:
-        counted = np.zeros(lattice.shape, dtype=bool)
+    or_m, and_m = _masks(lattice)
+    # sa1 and sa0 at bit 15 force the sign bit and no other
+    counted = ((or_m | ~and_m) == 0x8000) & _blas_ready(m, rows)
     hit = _station(counted, rows, depth)
     cols = np.flatnonzero(hit.any(axis=0))
     if cols.size and np.count_nonzero(hit) >= _COUNTED_PER_ROW * cols.size:
-        hit, w, a = hit[:, cols], wq[:, cols], aq[cols]
-        if mode == "bypass":
-            out -= _blas_gemm(w * hit, a, m)
-        else:
-            h = _station(counted & (lattice >= 16), rows, depth).sum(axis=1, dtype=np.int32)
-            _sign_counts(out, w, a, m, hit, h)
-        lattice = np.where(counted, -1, lattice)
-    if not (lattice >= 0).any():
+        h = _station(counted & (or_m != 0), rows, depth).sum(axis=1, dtype=np.int32)
+        _sign_counts(out, wq[:, cols], aq[cols], m, hit[:, cols], h)
+        lattice = np.where(counted, np.uint32(_FAULT_FREE), lattice)
+    if (lattice == _FAULT_FREE).all():
         return
     if m.kind not in _ARITHMETIC and aq.shape[1] >= _CHANGE_TABLE_BATCH:
-        _table_changes(out, wq, aq, m, lattice, mode)
+        _table_changes(out, wq, aq, m, lattice)
     else:
-        _form_products(out, wq, aq, product_function(m), lattice, mode)
+        _form_products(out, wq, aq, product_function(m), lattice)
 
 
 def _check_tiles(wq, aq, tf: TileFaultSpec | None, tile: int):
-    """Checked operands of a tiled GEMM whose damaged block must exist."""
+    """Checked operands and tile of a tiled GEMM whose damaged block must
+    exist."""
     wq, aq = _check_gemm_operands(wq, aq)
-    if tile <= 0:
-        raise ValueError("tile size must be positive")
+    _check_int("tile", tile, 1)
+    # a numpy integer tile would wrap in the block arithmetic
+    tile = int(tile)
     nbr = -(-wq.shape[0] // tile)
     nbb = -(-aq.shape[1] // tile)
     if tf is not None and tf.tile_index >= nbr * nbb:
         raise ValueError(f"tile_index {tf.tile_index} outside {nbr}x{nbb} block grid")
-    return wq, aq
+    return wq, aq, tile
 
 
 def _clean_copy(clean, wq, aq) -> np.ndarray:
@@ -730,29 +727,31 @@ def systolic_gemm(
     int32 accumulation. With an exact multiplier and an empty fault map this
     equals the integer matrix product.
 
-    Without ``clean``, ``bypass`` under a multiplier whose weight-0
-    products are all 0 is the fault-free GEMM of ``wq`` with the weights on
-    faulty MACs zeroed. From ``clean``, the fault-free output of the same
-    GEMM (left as it is), only the change the faults make is added.
-    ``tables``, the fault-free per-weight tables of ``wq``
-    (``_clean_tables``), spare a table multiplier their build; faults
-    folded into the tables, and pruned weights, build their own.
+    ``bypass`` under a multiplier whose weight-0 products are all 0 is the
+    fault-free GEMM of ``wq`` with the weights on faulty MACs zeroed.
+    Otherwise, from ``clean``, the fault-free output of the same GEMM (left
+    as it is), only the change the faults make is added. ``tables``, the
+    fault-free per-weight tables of ``wq`` (``_clean_tables``), spare a
+    table multiplier their build; faults folded into the tables, and pruned
+    weights, build their own.
     """
     wq, aq = _check_gemm_operands(wq, aq)
     if fm is not None and fm.n != cfg.n:
         raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
-    lattice = _lattice(fm) if fm is not None and fm.entries else None
-    if clean is None and lattice is not None:
+    out = None if clean is None else _clean_copy(clean, wq, aq)
+    lattice = _lattice(fm, cfg.mode) if fm is not None and fm.entries else None
+    if lattice is not None:
         if cfg.mode == "bypass" and not m.by_weight[128].any():
             # a bypassed product is a zero weight's: prune, then run clean
-            pruned = np.where(_station(lattice >= 0, *wq.shape), np.int8(0), wq)
+            pruned = np.where(_station(lattice != _FAULT_FREE, *wq.shape), np.int8(0), wq)
             return _clean_gemm(pruned, aq, m)
-        if not _blas_ready(m, wq.shape[0]):
+        if out is None and not _blas_ready(m, wq.shape[0]):
             # faults folded into the product tables
-            return _fresh_gemm(wq, aq, m, lattice, cfg.mode)
-    out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
+            return _fresh_gemm(wq, aq, m, lattice)
+    if out is None:
+        out = _clean_gemm(wq, aq, m, tables)
     if lattice is not None:
-        _correct_lattice(out, wq, aq, m, lattice, cfg.mode)
+        _correct_lattice(out, wq, aq, m, lattice)
     return out
 
 
@@ -800,7 +799,7 @@ def gpu_tile_gemm(
     is), only the damaged outputs are recomputed. ``tables`` are as for
     ``systolic_gemm``.
     """
-    wq, aq = _check_tiles(wq, aq, tf, tile)
+    wq, aq, tile = _check_tiles(wq, aq, tf, tile)
     out = _clean_gemm(wq, aq, m, tables) if clean is None else _clean_copy(clean, wq, aq)
     if tf is not None:
         _damage_outputs(out, wq, aq, m, tf, tile)
@@ -810,4 +809,4 @@ def gpu_tile_gemm(
 def pruned_mask(shape, fm: FaultMap) -> np.ndarray:
     """Boolean (rows, cols) array marking weights stationed on faulty MACs;
     these are the positions a mitigation run prunes."""
-    return _station(_lattice(fm) >= 0, *shape)
+    return _station(_lattice(fm, "bypass") != _FAULT_FREE, *shape)

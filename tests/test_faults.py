@@ -93,9 +93,17 @@ def test_fault_specs_reject_non_integers():
     # bit True acted as bit 1; bit 14.5, n 2.5 and tile_index 1.5 were
     # accepted and either ran or raised TypeError at the first GEMM. A
     # random map's n 2.5 and seed 1.5 raised numpy's errors naming neither,
-    # and a tile fault's seed 1.5 was kept until a gpu_tiles forward
+    # and a tile fault's seed 1.5 was kept until a gpu_tiles forward. A
+    # fault coordinate 0.5 raised IndexError at the first GEMM and True was
+    # 1; a tile 2.5 raised numpy's "a must be a sequence or an integer" and
+    # True ran as tile 1
     f = fl.StuckAtFault(15, "sa1")
+    ones = np.ones((4, 4), dtype=np.int8)
     for make, field in ((lambda v: fl.StuckAtFault(v, "sa1"), "bit"),
+                        (lambda v: fl.FaultMap(4, {(v, 1): f}), "fault coordinate"),
+                        (lambda v: fl.FaultMap(4, {(1, v): f}), "fault coordinate"),
+                        (lambda v: fl.gpu_tile_gemm(ones, ones, mul.exact_multiplier(), None, v),
+                         "tile"),
                         (lambda v: fl.SystolicConfig(n=v), "n"),
                         (lambda v: fl.FaultMap(n=v), "n"),
                         (lambda v: fl.TileFaultSpec(v, 0.5, f, seed=0), "tile_index"),
@@ -117,6 +125,10 @@ def test_fault_map_validation():
         fl.FaultMap(4, {(4, 0): f})
     with pytest.raises(TypeError):
         fl.FaultMap(4, {(0, 0): "sa0@2"})
+    # a 1-tuple raised an unpacking error
+    for key in ((1,), (1, 2, 3), 5):
+        with pytest.raises(ValueError, match="^fault coordinate must be a pair of integers"):
+            fl.FaultMap(4, {key: f})
 
 
 def test_random_fault_map_count_and_bounds():
@@ -278,12 +290,16 @@ def test_systolic_rejects_mismatched_map():
 
 
 def test_fault_steps_reject_a_clean_output_of_another_shape():
+    # bypass prunes instead of reading clean, and still checks its shape
     w = np.ones((2, 3), dtype=np.int8)
     a = np.ones((3, 4), dtype=np.int8)
     m = mul.exact_multiplier()
+    fm = fl.FaultMap(2, {(0, 1): fl.StuckAtFault(4, "sa1")})
     for clean in (np.zeros((4, 2), dtype=np.int32), np.zeros(8, dtype=np.int32)):
         with pytest.raises(ValueError):
             fl.systolic_gemm(w, a, m, None, fl.SystolicConfig(n=2), clean)
+        with pytest.raises(ValueError):
+            fl.systolic_gemm(w, a, m, fm, fl.SystolicConfig(n=2, mode="bypass"), clean)
         with pytest.raises(ValueError):
             fl.gpu_tile_gemm(w, a, m, None, 2, clean)
 
@@ -452,30 +468,35 @@ def _fault_maps(draw):
 
 
 @settings(deadline=None)
-@given(_fault_maps(), st.data())
-def test_stationed_lattice_matches_a_loop_over_the_entries(fm, data):
+@given(_fault_maps(), st.sampled_from(fl.GEMM_MODES), st.data())
+def test_stationed_lattice_matches_a_loop_over_the_entries(fm, mode, data):
     # rows and depth below, at and above n, most of them no multiple of it
     rows, depth = (data.draw(st.integers(1, 3 * fm.n + 1)) for _ in range(2))
-    lattice = fl._lattice(fm)
+    lattice = fl._lattice(fm, mode)
     or_m, and_m = fl._masks(fl._station(lattice, rows, depth))
     hit = fl.pruned_mask((rows, depth), fm)
     # products of five activation codes, weight-major, one table per kind
     # of MAC
     table = mul.truncated_multiplier(3).by_weight[:, 60:65]
-    tables, sel = fl._mac_tables(table, lattice, "propagate", rows, depth)
-    zeroed, bypassed = fl._mac_tables(table, lattice, "bypass", rows, depth)
-    np.testing.assert_array_equal(zeroed, np.vstack([table, np.zeros_like(table)]))
+    tables, sel = fl._mac_tables(table, lattice, rows, depth)
     for r in range(rows):
         for c in range(depth):
             f = fm.entries.get((r % fm.n, c % fm.n))
-            assert hit[r, c] == bypassed[r, c] == (f is not None)
-            masks = (0, 0xFFFF) if f is None else f.masks()
+            assert hit[r, c] == (f is not None)
+            if f is None:
+                masks, want = (0, 0xFFFF), table
+            elif mode == "propagate":
+                masks, want = f.masks(), fl.apply_fault(table, f)
+            else:
+                # a bypassed MAC's masks zero every product
+                masks, want = (0, 0), np.zeros_like(table)
             assert (or_m[r, c], and_m[r, c]) == masks
-            want = table if f is None else fl.apply_fault(table, f)
             np.testing.assert_array_equal(tables[256 * sel[r, c] : 256 * (sel[r, c] + 1)],
                                           want)
-    # one table per distinct fault, and the bare one if a MAC is fault-free
-    distinct = len(set(fm.entries.values())) + (len(fm.entries) < fm.n**2)
+    # one table per distinct fault (one for all in bypass), and the bare one
+    # if a MAC is fault-free
+    faulty = len(set(fm.entries.values())) if mode == "propagate" else bool(fm.entries)
+    distinct = faulty + (len(fm.entries) < fm.n**2)
     assert tables.shape == (256 * distinct, 5)
 
 
@@ -502,8 +523,8 @@ class _Walks(dict):
 
 
 def test_a_faulty_call_reads_its_map_once_and_builds_no_map(monkeypatch):
-    # every route, counts, a matmul of bypassed weights, formed products and
-    # folded tables, reads the one lattice of the map
+    # every route, counts, pruning, formed products and folded tables, reads
+    # the one lattice of the map
     F = fl.StuckAtFault
     entries = _Walks({(0, 0): F(15, "sa1"), (0, 1): F(3, "sa0"),
                       (1, 0): F(15, "sa0"), (1, 1): F(14, "sa1"), (2, 2): F(0, "sa1")})

@@ -254,8 +254,8 @@ def test_truncated_on_both_sides_of_the_matmul_crossover(k, matmul):
 
 def _counted(w, fm):
     """Whether the faults of ``fm`` station at least two weights of ``w``
-    per depth column they touch, the least at which bit-15 faults, and
-    bypassed ones, take matmuls instead of forming their products."""
+    per depth column they touch, the least at which bit-15 faults take
+    matmuls instead of forming their products."""
     hit = fl.pruned_mask(w.shape, fm)
     return np.count_nonzero(hit) >= 2 * np.count_nonzero(hit.any(axis=0))
 
@@ -303,27 +303,30 @@ def _routes(monkeypatch, *args):
                                mul.truncated_multiplier(3)], ids=lambda m: m.id)
 @pytest.mark.parametrize("kind", fl.FAULT_KINDS)
 @pytest.mark.parametrize("mode", fl.GEMM_MODES)
-def test_sign_faults_and_bypass_take_matmuls(monkeypatch, m, kind, mode):
+def test_sign_faults_take_matmuls_and_bypass_prunes_from_clean(monkeypatch, m, kind, mode):
     # given the clean GEMM, every _blas_ready family corrects bit-15 faults
-    # from sign counts, and bypass, but for truncated-k (2^(k-1) + k - 1
-    # matmuls), with one matmul of the faulty weights; without it, bypass is
-    # the clean GEMM of the pruned weights (test_bypass_is_a_pruned_clean_gemm).
-    # A 1-row GEMM meets one faulty weight per depth column and forms the
-    # faulty products. Every edge code, among them those that broken-carry-2
-    # masks to 0, meets every other
+    # from sign counts; a 1-row GEMM meets one faulty weight per depth
+    # column and forms the faulty products. Bypass ignores the clean GEMM
+    # and takes the clean GEMM of the pruned weights, as without it
+    # (test_bypass_is_a_pruned_clean_gemm): one _blas_gemm where the rows
+    # are _blas_ready (truncated-3 from 8 rows on), no helper otherwise.
+    # Every edge code, among them those that broken-carry-2 masks to 0,
+    # meets every other
     f = fl.StuckAtFault(15, kind)
     fm = FaultMap(2, {(i, j): f for i in range(2) for j in range(2)})
     cfg = SystolicConfig(2, mode)
-    if mode == "propagate":
-        route = "_sign_counts"
-    else:
-        route = "_form_products" if m.kind == "truncated" else "_blas_gemm"
-    for rows, want in ((8, route), (1, "_form_products")):
+    for rows in (8, 1):
         w, a = _operands(rows, rows, 12, 40)
         w[0, :11] = a[:, :11] = _EDGE_CODES
         clean = systolic_gemm_ref(w, a, m, None, cfg)
         out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
-        assert [name for name, _ in calls] == [want]
+        if mode == "propagate":
+            assert [name for name, _ in calls] == ["_sign_counts" if rows > 1 else "_form_products"]
+        elif fl._blas_ready(m, rows):
+            assert [name for name, _ in calls] == ["_blas_gemm"]
+            np.testing.assert_array_equal(calls[0][1][0], np.zeros_like(w))
+        else:
+            assert calls == []
         np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
 
 
@@ -343,7 +346,8 @@ def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
         assert [name for name, _ in calls] == want
         # the lattice of the MACs whose products are formed
         formed = {ij: f for ij, f in fm.entries.items() if f.bit != 15 or len(want) == 1}
-        np.testing.assert_array_equal(calls[-1][1][4], fl._lattice(FaultMap(2, formed)))
+        np.testing.assert_array_equal(calls[-1][1][4],
+                                      fl._lattice(FaultMap(2, formed), "propagate"))
         np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
 
 
@@ -401,18 +405,20 @@ def test_bypass_folds_a_lut_whose_zero_weight_products_are_not_zero(monkeypatch)
 def test_table_faults_on_both_sides_of_the_change_table_crossover(monkeypatch, mode, fill):
     # a LUT's faults read change tables from _CHANGE_TABLE_BATCH batch
     # columns on and form their products below; truncated-15, a table
-    # multiplier whose products are arithmetic, forms them at any width.
+    # multiplier whose products are arithmetic, forms them at any width in
+    # propagate and prunes in bypass, calling no helper.
     # The 9 rows and 11 columns are no multiple of the 4 x 4 array
     width = fl._CHANGE_TABLE_BATCH
     fm = _fault_map(4, fill, 9)
     cfg = SystolicConfig(4, mode)
+    truncated = ["_form_products"] if mode == "propagate" else []
     for batch, route in ((width - 1, "_form_products"), (width, "_table_changes")):
         w, a = _operands(batch, 9, 11, batch)
         w[0, :11] = a[:, 0] = _EDGE_CODES
-        for m, want in ((_RANDOM_LUT, route), (mul.truncated_multiplier(15), "_form_products")):
+        for m, want in ((_RANDOM_LUT, [route]), (mul.truncated_multiplier(15), truncated)):
             clean = systolic_gemm_ref(w, a, m, None, cfg)
             out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
-            assert [name for name, _ in calls] == [want]
+            assert [name for name, _ in calls] == want
             np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
 
 
@@ -662,14 +668,17 @@ def test_random_maps_stack_one_table_per_distinct_fault():
     fm = _fault_map(4, "random", 3)
     distinct = set(fm.entries.values())
     assert len(distinct) > 1
-    lattice = fl._lattice(fm)
+    lattice = fl._lattice(fm, "propagate")
     # weight-major: 256 rows of products per table, one per weight code
-    tables, sel = fl._mac_tables(_RANDOM_LUT.by_weight, lattice, "propagate", 9, 10)
+    tables, sel = fl._mac_tables(_RANDOM_LUT.by_weight, lattice, 9, 10)
     assert tables.shape == (256 * (1 + len(distinct)), 256)
     assert sel.shape == (9, 10) and set(np.unique(sel)) == set(range(1 + len(distinct)))
-    tables, sel = fl._mac_tables(_RANDOM_LUT.by_weight, lattice, "bypass", 9, 10)
-    assert tables.shape == (512, 256) and not tables[256:].any()
-    np.testing.assert_array_equal(tables[:256], _RANDOM_LUT.table2d().T)
+    # bypassed, every faulty MAC reads one table of zeros
+    tables, sel = fl._mac_tables(_RANDOM_LUT.by_weight, fl._lattice(fm, "bypass"), 9, 10)
+    assert tables.shape == (512, 256)
+    np.testing.assert_array_equal(sel == 0, fl.pruned_mask((9, 10), fm))
+    assert not tables[:256].any()
+    np.testing.assert_array_equal(tables[256:], _RANDOM_LUT.table2d().T)
 
 
 def test_calls_build_tables_of_the_codes_they_read(monkeypatch):

@@ -1,0 +1,145 @@
+"""Mutation gate: every named mutant of ``src/`` must fail the fast GEMM tests.
+
+    python tools/mutants.py
+
+A mutant is a named (file, old text, new text) edit of one file under
+``src/``. For each mutant of ``MUTANTS`` the script copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
+edit there and runs ``pytest -x`` on ``TEST_FILES``; the tests kill the
+mutant when they fail. Before the mutants it runs the same tests on an
+unedited copy, which must pass. It exits 1 when the unedited copy fails,
+when a mutant survives or is not killed by a failing test (a collection
+error, say), or when a mutant's old text is not found exactly once in its
+file. The working tree is never edited. Hypothesis runs with seed 0, so a
+run repeats.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+TEST_FILES = ("tests/test_faults.py", "tests/test_gemm_paths.py",
+              "tests/test_forward_properties.py")
+
+_FAULTS = "src/axfault/faults.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    what: str
+
+
+MUTANTS = (
+    Mutant("bypass-code-fault-free", _FAULTS,
+           'lattice[ij] = 0 if mode == "bypass"', 'lattice[ij] = 0xFFFF if mode == "bypass"',
+           "a bypassed MAC gets the lattice code of a fault-free one"),
+    Mutant("station-transposed", _FAULTS,
+           "np.tile(lattice, (", "np.tile(lattice.T, (",
+           "weight (r, c) is stationed on MAC (c mod n, r mod n)"),
+    Mutant("masks-shift", _FAULTS,
+           "(codes >> 16)", "(codes >> 15)",
+           "_masks reads the or-mask one bit low"),
+    Mutant("sign-counts-shift", _FAULTS,
+           "(_matmul(ws, signs) - h) << 15", "(_matmul(ws, signs) - h) << 14",
+           "_sign_counts moves a product by 2^14 instead of 2^15"),
+    Mutant("sign-code", _FAULTS,
+           "(or_m | ~and_m) == 0x8000", "(or_m | ~and_m) == 0x4000",
+           "bit-14 faults are counted as sign faults, and bit-15 faults form their products"),
+    Mutant("sign-sa1-rows", _FAULTS,
+           "counted & (or_m != 0)", "counted & (or_m == 0)",
+           "_sign_counts takes the sa0 weights of each row for its sa1 ones"),
+    Mutant("counted-per-row", _FAULTS,
+           "_COUNTED_PER_ROW = 2", "_COUNTED_PER_ROW = 1",
+           "sign counts taken at one faulty weight per depth column"),
+    Mutant("table-changes-offset", _FAULTS,
+           "view(np.uint8) ^ np.uint8(0x80)", "view(np.uint8) ^ np.uint8(0)",
+           "_table_changes reads change tables at code mod 256, not code + 128"),
+    Mutant("prune-test-inverted", _FAULTS,
+           'cfg.mode == "bypass" and not m.by_weight[128].any()',
+           'cfg.mode == "bypass" and m.by_weight[128].any()',
+           "bypass prunes exactly the multipliers whose weight-0 products are not all 0"),
+)
+
+
+def problems(mutants=MUTANTS, root: str = ROOT) -> list[str]:
+    """Why each mutant cannot be applied: its old text is not found exactly
+    once in its file, or its new text is the old."""
+    out = []
+    for mt in mutants:
+        with open(os.path.join(root, mt.file)) as fh:
+            count = fh.read().count(mt.old)
+        if count != 1:
+            out.append(f"{mt.name}: old text found {count} times in {mt.file}")
+        if mt.new == mt.old:
+            out.append(f"{mt.name}: new text is the old")
+    return out
+
+
+def _copy(tmp: str) -> None:
+    junk = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name), ignore=junk)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+
+
+def run_tests(mutant: Mutant | None) -> tuple[int, str]:
+    """pytest's exit code on a copy with ``mutant`` applied (None: unedited)
+    and the first line naming a failed test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(tmp)
+        if mutant is not None:
+            path = os.path.join(tmp, mutant.file)
+            with open(path) as fh:
+                text = fh.read()
+            with open(path, "w") as fh:
+                fh.write(text.replace(mutant.old, mutant.new))
+        # the copy's pyproject puts its own src/ first on sys.path
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *TEST_FILES],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    failed = next((ln for ln in proc.stdout.splitlines()
+                   if ln.startswith(("FAILED", "ERROR"))), "")
+    return proc.returncode, failed
+
+
+def main() -> int:
+    bad = problems()
+    for line in bad:
+        print(f"error: {line}")
+    if bad:
+        return 1
+    t0 = time.monotonic()
+    code, failed = run_tests(None)
+    if code != 0:
+        print(f"error: the unedited copy fails its tests (exit {code}): {failed}")
+        return 1
+    print(f"unedited copy passes ({time.monotonic() - t0:.1f} s)", flush=True)
+    alive = 0
+    for mt in MUTANTS:
+        t0 = time.monotonic()
+        code, failed = run_tests(mt)
+        # pytest exits 1 exactly when tests ran and some failed
+        verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR (exit {code})"
+        alive += code != 1
+        print(f"{verdict:<8} {mt.name} ({time.monotonic() - t0:.1f} s): {mt.what}", flush=True)
+        if failed:
+            print(f"         {failed}", flush=True)
+    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} mutants killed")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
