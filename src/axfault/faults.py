@@ -126,13 +126,16 @@ _CHANGE_TABLE_BATCH = 1024
 _ARITHMETIC = ("exact", "truncated", "broken_carry")
 
 
-def _check_int(name: str, value, lo: int | None = None) -> None:
-    """Raise ``ValueError``, naming ``name``, unless ``value`` is an integer
-    (not a bool) of at least ``lo``."""
+def _check_int(name: str, value, lo: int | None = None) -> int:
+    """``value`` as a Python int, which callers store: a numpy integer
+    wraps in later arithmetic (``np.uint8(16)`` squares to 0). Raises
+    ``ValueError``, naming ``name``, unless ``value`` is an integer (not a
+    bool) of at least ``lo``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ class StuckAtFault:
     kind: str
 
     def __post_init__(self):
-        _check_int("bit", self.bit)
+        object.__setattr__(self, "bit", _check_int("bit", self.bit))
         if not 0 <= self.bit <= 15:
             raise ValueError(f"fault bit must be in [0, 15], got {self.bit}")
         if self.kind not in FAULT_KINDS:
@@ -162,7 +165,7 @@ class FaultMap:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_int("n", self.n)
+        self.n = _check_int("n", self.n)
         if self.n <= 0:
             raise ValueError("array dimension must be positive")
         for ij, f in self.entries.items():
@@ -186,7 +189,7 @@ class SystolicConfig:
     mode: str = "propagate"
 
     def __post_init__(self):
-        _check_int("n", self.n)
+        object.__setattr__(self, "n", _check_int("n", self.n))
         if self.n <= 0:
             raise ValueError("array dimension must be positive")
         if self.mode not in GEMM_MODES:
@@ -209,10 +212,10 @@ class TileFaultSpec:
     seed: int
 
     def __post_init__(self):
-        _check_int("tile_index", self.tile_index)
+        object.__setattr__(self, "tile_index", _check_int("tile_index", self.tile_index))
         if self.tile_index < 0:
             raise ValueError("tile_index must be non-negative")
-        _check_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
         if not 0.0 <= self.damaged_fraction <= 1.0:
             raise ValueError("damaged_fraction must be in [0, 1]")
 
@@ -246,8 +249,8 @@ def apply_fault(product, fault: StuckAtFault):
 
 def random_fault_map(n: int, percent: float, fault: StuckAtFault, seed: int) -> FaultMap:
     """Uniformly place floor(percent/100 * n^2) copies of ``fault``."""
-    _check_int("n", n, 1)
-    _check_int("seed", seed, 0)
+    n = _check_int("n", n, 1)
+    seed = _check_int("seed", seed, 0)
     if not 0.0 <= percent <= 100.0:
         raise ValueError("percent must be in [0, 100]")
     count = math.floor(n * n * percent / 100.0)
@@ -260,8 +263,9 @@ def random_fault_map(n: int, percent: float, fault: StuckAtFault, seed: int) -> 
 
 
 def save_fault_map(fm: FaultMap, path) -> None:
-    """Text format: 'n=<dim>' header, then one 'i,j,bit,kind' line per fault."""
-    lines = [f"n={fm.n}"]
+    """Text format: 'n=<dim>' header, 'faults=<count>', then one
+    'i,j,bit,kind' line per fault."""
+    lines = [f"n={fm.n}", f"faults={len(fm)}"]
     for (i, j) in sorted(fm.entries):
         f = fm.entries[(i, j)]
         lines.append(f"{i},{j},{f.bit},{f.kind}")
@@ -270,13 +274,21 @@ def save_fault_map(fm: FaultMap, path) -> None:
 
 
 def load_fault_map(path) -> FaultMap:
+    """The map of a ``save_fault_map`` file. Raises ``ValueError``, naming
+    the file, when the count line is missing or differs from the number of
+    fault lines, as in a file cut short."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or not raw[0].startswith("n="):
-        raise ValueError("fault map file must start with an 'n=<dim>' header")
-    n = int(raw[0][2:])
+        raise ValueError(f"fault map file {path} must start with an 'n=<dim>' header")
+    if len(raw) < 2 or not raw[1].startswith("faults="):
+        raise ValueError(f"fault map file {path} has no 'faults=<count>' line after its header")
+    n, count = int(raw[0][2:]), int(raw[1][7:])
+    if count != len(raw) - 2:
+        raise ValueError(f"fault map file {path} holds {len(raw) - 2} faults, "
+                         f"but its count line says {count}")
     entries = {}
-    for ln in raw[1:]:
+    for ln in raw[2:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"bad fault map line: {ln!r}")
@@ -693,9 +705,7 @@ def _check_tiles(wq, aq, tf: TileFaultSpec | None, tile: int):
     """Checked operands and tile of a tiled GEMM whose damaged block must
     exist."""
     wq, aq = _check_gemm_operands(wq, aq)
-    _check_int("tile", tile, 1)
-    # a numpy integer tile would wrap in the block arithmetic
-    tile = int(tile)
+    tile = _check_int("tile", tile, 1)
     nbr = -(-wq.shape[0] // tile)
     nbb = -(-aq.shape[1] // tile)
     if tf is not None and tf.tile_index >= nbr * nbb:

@@ -439,8 +439,7 @@ class ExecEnv:
         if self.engine == "systolic" and self.systolic is None:
             raise ValueError("systolic engine needs a SystolicConfig")
         if self.engine == "gpu_tiles":
-            self.tile = 16 if self.tile is None else self.tile
-            _check_int("tile", self.tile, 1)
+            self.tile = _check_int("tile", 16 if self.tile is None else self.tile, 1)
 
 
 def _gemm_weights(layer: LayerSpec, W) -> np.ndarray:

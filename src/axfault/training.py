@@ -49,7 +49,7 @@ class HyperParams:
         # settings also arrive from campaign spec JSON; a wrong type would
         # otherwise surface as a TypeError deep inside train
         for name, lo in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            _check_int(name, getattr(self, name), lo)
+            setattr(self, name, _check_int(name, getattr(self, name), lo))
         for name in ("lr", "momentum"):
             v = getattr(self, name)
             if (not isinstance(v, numbers.Real) or isinstance(v, bool)

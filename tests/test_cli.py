@@ -208,8 +208,8 @@ def test_inject_saves_fault_map(trained, capsys):
                    "--n", "8", "--seed", "3", "--save-map", fmap])
     assert rc == 0
     lines = open(fmap).read().splitlines()
-    assert lines[0] == "n=8"
-    assert len(lines) == 1 + 16  # floor(64 * 0.25)
+    assert lines[:2] == ["n=8", "faults=16"]  # floor(64 * 0.25)
+    assert len(lines) == 2 + 16
 
 
 def test_inject_gpu_engine(trained, capsys):

@@ -1,12 +1,16 @@
 """Stuck-at faults, fault maps, and the two faulty GEMM engines."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from axfault import faults as fl
 from axfault import multipliers as mul
+from axfault import network
 
 
 def _oracle_fault(p, bit, kind):
@@ -117,6 +121,24 @@ def test_fault_specs_reject_non_integers():
         make(np.uint8(2))
 
 
+def test_numpy_integers_are_kept_as_ints():
+    # a numpy integer n wrapped in random_fault_map's count: np.uint8(16)
+    # placed 0 faults where 16 places 128, and np.int16(200) raised
+    # numpy's "a must be a positive integer"
+    f = fl.StuckAtFault(np.uint8(5), "sa1")
+    for n, typed in ((16, np.uint8), (200, np.int16)):
+        got = fl.random_fault_map(typed(n), 50.0, f, seed=np.uint8(1))
+        assert type(got.n) is int
+        assert got.entries == fl.random_fault_map(n, 50.0, f, seed=1).entries
+    assert len(fl.random_fault_map(np.uint8(16), 50.0, f, seed=1)) == 128
+    tf = fl.TileFaultSpec(np.uint8(3), 0.5, f, seed=np.int16(4))
+    env = network.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier(),
+                          tile=np.uint8(2))
+    for value in (f.bit, fl.FaultMap(np.uint8(4)).n, fl.SystolicConfig(np.int16(8)).n,
+                  tf.tile_index, tf.seed, env.tile):
+        assert type(value) is int
+
+
 def test_fault_map_validation():
     f = fl.StuckAtFault(2, "sa0")
     with pytest.raises(ValueError):
@@ -172,8 +194,8 @@ def test_fault_map_file_round_trip(tmp_path):
     assert back.n == fm.n
     assert back.entries == fm.entries
     lines = p.read_text().splitlines()
-    assert lines[0] == "n=8"
-    assert lines[1:] == sorted(lines[1:])
+    assert lines[:2] == ["n=8", f"faults={len(fm)}"]
+    assert lines[2:] == sorted(lines[2:])
 
 
 def test_fault_map_file_errors(tmp_path):
@@ -181,12 +203,30 @@ def test_fault_map_file_errors(tmp_path):
     p.write_text("0,0,3,sa1\n")
     with pytest.raises(ValueError):
         fl.load_fault_map(p)
-    p.write_text("n=4\n0,0,3,sa1\n0,0,2,sa0\n")
-    with pytest.raises(ValueError):
+    p.write_text("n=4\nfaults=2\n0,0,3,sa1\n0,0,2,sa0\n")
+    with pytest.raises(ValueError, match="^duplicate fault coordinate"):
         fl.load_fault_map(p)
-    p.write_text("n=4\n0,0,3\n")
-    with pytest.raises(ValueError):
+    p.write_text("n=4\nfaults=1\n0,0,3\n")
+    with pytest.raises(ValueError, match="^bad fault map line"):
         fl.load_fault_map(p)
+
+
+def test_a_cut_fault_map_file_is_refused(tmp_path):
+    # a 25-fault map cut at a line end loaded as a smaller map, and its
+    # first 3 bytes, "n=8", as a map with no faults
+    fm = fl.random_fault_map(8, 40.0, fl.StuckAtFault(11, "sa0"), seed=2)
+    p = tmp_path / "m.axfm"
+    fl.save_fault_map(fm, p)
+    text = p.read_bytes()
+    ends = [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+    assert len(fm) == 25 and len(ends) == 27
+    cut = tmp_path / "cut.axfm"
+    for size in [3] + ends[:-1]:
+        cut.write_bytes(text[:size])
+        with pytest.raises(ValueError, match=f"^fault map file {re.escape(str(cut))} "):
+            fl.load_fault_map(cut)
+    cut.write_bytes(text)
+    assert fl.load_fault_map(cut).entries == fm.entries
 
 
 # --- systolic engine --------------------------------------------------------
@@ -214,7 +254,8 @@ def test_systolic_empty_fault_map_is_clean(rng):
 
 def test_systolic_stationing_oracle():
     # one faulty MAC at (0, 0) in a 2x2 array: exactly the products of
-    # weights at (even row, even col) are corrupted
+    # weights at (even row, even col) are corrupted, in the engine and in
+    # the tests' reference GEMM alike
     f = fl.StuckAtFault(15, "sa1")
     fm = fl.FaultMap(2, {(0, 0): f})
     cfg = fl.SystolicConfig(n=2, mode="propagate")
@@ -222,7 +263,8 @@ def test_systolic_stationing_oracle():
     rng = np.random.default_rng(5)
     w = rng.integers(-128, 128, size=(4, 4)).astype(np.int8)
     a = rng.integers(-128, 128, size=(4, 3)).astype(np.int8)
-    got = fl.systolic_gemm(w, a, m, fm, cfg)
+    outs = (fl.systolic_gemm(w, a, m, fm, cfg),
+            reference.gemm(w, a, m, reference.systolic_masks(fm, cfg.mode, w.shape)))
 
     acc = np.zeros((4, 3), dtype=np.int64)
     for r in range(4):
@@ -232,7 +274,8 @@ def test_systolic_stationing_oracle():
                 if r % 2 == 0 and c % 2 == 0:
                     p = _oracle_fault(p, 15, "sa1")
                 acc[r, b] += p
-    assert np.array_equal(got, acc)
+    for got in outs:
+        assert np.array_equal(got, acc)
 
 
 def test_systolic_bypass_zeroes_faulty_products():
@@ -366,7 +409,8 @@ def test_gpu_damaged_block_oracle():
     a = rng.integers(-128, 128, size=(5, 4)).astype(np.int8)
     tf = fl.TileFaultSpec(tile_index=0, damaged_fraction=1.0,
                           fault=fl.StuckAtFault(6, "sa0"), seed=1)
-    out = fl.gpu_tile_gemm(w, a, m, tf, tile=2)
+    outs = (fl.gpu_tile_gemm(w, a, m, tf, tile=2),
+            reference.gemm(w, a, m, reference.tile_masks(tf, 2, 4, 4)))
     acc = np.zeros((4, 4), dtype=np.int64)
     for r in range(4):
         for b in range(4):
@@ -375,7 +419,8 @@ def test_gpu_damaged_block_oracle():
                 if r < 2 and b < 2:
                     p = _oracle_fault(p, 6, "sa0")
                 acc[r, b] += p
-    assert np.array_equal(out, acc)
+    for out in outs:
+        assert np.array_equal(out, acc)
 
 
 def test_gpu_fraction_zero_is_clean(rng):

@@ -1,138 +1,26 @@
-"""Differential tests of the two GEMM engines against reference oracles.
+"""Differential tests of the two GEMM engines against the reference GEMM
+of the fault model (``reference.py``).
 
-The oracles are the engines as they were before the fault-free GEMM became
-float64 matmuls: every product is formed in a (rows, depth, batch) tensor,
-and faults are masked into it before the int32 sum.
+The reference reads every product from the multiplier's table, forces the
+stuck bits of each product with masks drawn from the fault description,
+and sums in int64; the engines' matmuls, tables, sign counts and change
+tables must give the same int32 outputs bit for bit.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from axfault import faults as fl
 from axfault import multipliers as mul
-from axfault.faults import (FaultMap, SystolicConfig, TileFaultSpec,
-                            _check_gemm_operands)
-from axfault.multipliers import Multiplier, product_function
+from axfault.faults import FaultMap, SystolicConfig, TileFaultSpec
 
 
-# --- reference oracles ------------------------------------------------------
-
-
-def systolic_gemm_ref(
-    wq: np.ndarray,
-    aq: np.ndarray,
-    m: Multiplier,
-    fm: FaultMap | None,
-    cfg: SystolicConfig,
-) -> np.ndarray:
-    """Weight-stationary GEMM: out[r, b] = sum_c P(aq[c, b], wq[r, c]).
-
-    Every product goes through multiplier ``m``; products formed on faulty
-    MACs are corrupted (``propagate``) or zeroed (``bypass``) before the
-    int32 accumulation. With an exact multiplier and an empty fault map this
-    equals the integer matrix product.
-    """
-    wq, aq = _check_gemm_operands(wq, aq)
-    if fm is not None and fm.n != cfg.n:
-        raise ValueError(f"fault map is {fm.n}x{fm.n} but array is {cfg.n}x{cfg.n}")
-    rows, depth = wq.shape
-    batch = aq.shape[1]
-    prod = product_function(m)
-    # weight (r, c) sits on MAC (r mod n, c mod n), so fault (i, j) owns the
-    # strided slice [i::n, j::n]; built here from the fault model, not with
-    # the engine's mask helpers, so a defect in those cannot hide
-    or_m = and_m = hit = None
-    if fm is not None and fm.entries:
-        n = fm.n
-        or_m = np.zeros((rows, depth), dtype=np.uint16)
-        and_m = np.full((rows, depth), 0xFFFF, dtype=np.uint16)
-        hit = np.zeros((rows, depth), dtype=bool)
-        for (i, j), f in fm.entries.items():
-            if f.kind == "sa1":
-                or_m[i::n, j::n] = 1 << f.bit
-            else:
-                and_m[i::n, j::n] = 0xFFFF ^ (1 << f.bit)
-            hit[i::n, j::n] = True
-
-    out = np.empty((rows, batch), dtype=np.int32)
-    chunk = max(1, (1 << 24) // (rows * depth))
-    for b0 in range(0, batch, chunk):
-        ab = aq[:, b0 : b0 + chunk]
-        p = prod(ab[None, :, :], wq[:, :, None])
-        if or_m is not None:
-            if cfg.mode == "propagate":
-                pu = p.view(np.uint16)
-                p = ((pu & and_m[:, :, None]) | or_m[:, :, None]).view(np.int16)
-            else:
-                p[hit] = 0
-        out[:, b0 : b0 + chunk] = p.sum(axis=1, dtype=np.int32)
-    return out
-
-
-def gpu_tile_gemm_ref(
-    wq: np.ndarray,
-    aq: np.ndarray,
-    m: Multiplier,
-    tf: TileFaultSpec | None,
-    tile: int,
-) -> np.ndarray:
-    """Tiled GEMM with at most one damaged tile x tile output block.
-
-    Blocks are indexed row-major over the (rows, batch) output grid. In the
-    damaged block, the seeded MAC positions corrupt every product along the
-    reduction for their output element; there is no cross-block coupling.
-    """
-    wq, aq = _check_gemm_operands(wq, aq)
-    if tile <= 0:
-        raise ValueError("tile size must be positive")
-    rows, depth = wq.shape
-    batch = aq.shape[1]
-    nbr = -(-rows // tile)
-    nbb = -(-batch // tile)
-
-    us = vs = None
-    om = am = None
-    if tf is not None:
-        if tf.tile_index >= nbr * nbb:
-            raise ValueError(
-                f"tile_index {tf.tile_index} outside {nbr}x{nbb} block grid"
-            )
-        count = math.ceil(tf.damaged_fraction * tile * tile)
-        if count:
-            rng = np.random.default_rng(tf.seed)
-            flat = np.sort(rng.choice(tile * tile, size=count, replace=False))
-            us = flat // tile
-            vs = flat % tile
-            om, am = tf.fault.masks()
-
-    prod = product_function(m)
-    out = np.empty((rows, batch), dtype=np.int32)
-    for bi in range(nbr):
-        r0, r1 = bi * tile, min(rows, (bi + 1) * tile)
-        for bj in range(nbb):
-            c0, c1 = bj * tile, min(batch, (bj + 1) * tile)
-            damaged = tf is not None and bi * nbb + bj == tf.tile_index and us is not None
-            uu = vv = None
-            if damaged:
-                keep = (us < r1 - r0) & (vs < c1 - c0)
-                uu, vv = us[keep], vs[keep]
-                damaged = uu.size > 0
-            acc = np.zeros((r1 - r0, c1 - c0), dtype=np.int32)
-            kchunk = max(1, (1 << 24) // ((r1 - r0) * (c1 - c0)))
-            for k0 in range(0, depth, kchunk):
-                k1 = min(depth, k0 + kchunk)
-                p = prod(aq[None, k0:k1, c0:c1], wq[r0:r1, k0:k1, None])
-                if damaged:
-                    pu = p.view(np.uint16)
-                    pu[uu, :, vv] = (pu[uu, :, vv] & am) | om
-                    p = pu.view(np.int16)
-                acc += p.sum(axis=1, dtype=np.int32)
-            out[r0:r1, c0:c1] = acc
-    return out
+def _systolic_ref(w, a, m, fm, mode="propagate"):
+    """The reference of ``systolic_gemm`` on fault map ``fm`` in ``mode``."""
+    return reference.gemm(w, a, m, reference.systolic_masks(fm, mode, w.shape))
 
 
 # --- differential tests -----------------------------------------------------
@@ -209,7 +97,7 @@ def _check_systolic(w, a, m, fm, cfg, step=False):
     a cell resumed at this layer, the clean GEMM read from the tables, then
     the faults alone added to it. The clean GEMM is the gpu engine's, since
     a campaign keeps one clean pass for both engines."""
-    want = systolic_gemm_ref(w, a, m, fm, cfg)
+    want = _systolic_ref(w, a, m, fm, cfg.mode)
     got = [fl.systolic_gemm(w, a, m, fm, cfg)]
     if step:
         tables = fl._clean_tables(w, m)
@@ -225,7 +113,7 @@ def _check_systolic(w, a, m, fm, cfg, step=False):
 
 def _check_gpu(w, a, m, tf, tile, step=False):
     """As ``_check_systolic``; the clean GEMM is the systolic engine's."""
-    want = gpu_tile_gemm_ref(w, a, m, tf, tile)
+    want = reference.gemm(w, a, m, reference.tile_masks(tf, tile, w.shape[0], a.shape[1]))
     got = [fl.gpu_tile_gemm(w, a, m, tf, tile)]
     if step:
         clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(tile))
@@ -318,7 +206,7 @@ def test_sign_faults_take_matmuls_and_bypass_prunes_from_clean(monkeypatch, m, k
     for rows in (8, 1):
         w, a = _operands(rows, rows, 12, 40)
         w[0, :11] = a[:, :11] = _EDGE_CODES
-        clean = systolic_gemm_ref(w, a, m, None, cfg)
+        clean = _systolic_ref(w, a, m, None)
         out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
         if mode == "propagate":
             assert [name for name, _ in calls] == ["_sign_counts" if rows > 1 else "_form_products"]
@@ -327,7 +215,7 @@ def test_sign_faults_take_matmuls_and_bypass_prunes_from_clean(monkeypatch, m, k
             np.testing.assert_array_equal(calls[0][1][0], np.zeros_like(w))
         else:
             assert calls == []
-        np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+        np.testing.assert_array_equal(out, _systolic_ref(w, a, m, fm, cfg.mode))
 
 
 def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
@@ -341,14 +229,14 @@ def test_mixed_maps_count_only_the_sign_bit(monkeypatch):
     for m, want in ((mul.exact_multiplier(), ["_sign_counts", "_form_products"]),
                     (mul.truncated_multiplier(4), ["_form_products"]),
                     (_RANDOM_LUT, ["_form_products"])):
-        clean = systolic_gemm_ref(w, a, m, None, cfg)
+        clean = _systolic_ref(w, a, m, None)
         out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
         assert [name for name, _ in calls] == want
         # the lattice of the MACs whose products are formed
         formed = {ij: f for ij, f in fm.entries.items() if f.bit != 15 or len(want) == 1}
         np.testing.assert_array_equal(calls[-1][1][4],
                                       fl._lattice(FaultMap(2, formed), "propagate"))
-        np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+        np.testing.assert_array_equal(out, _systolic_ref(w, a, m, fm, cfg.mode))
 
 
 # a LUT whose products with weight 0 are all 0, as those of every arithmetic
@@ -379,7 +267,7 @@ def test_bypass_is_a_pruned_clean_gemm(monkeypatch, m, fill):
                                       np.where(fl.pruned_mask(w.shape, fm), 0, w))
     else:
         assert calls == []
-    np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+    np.testing.assert_array_equal(out, _systolic_ref(w, a, m, fm, cfg.mode))
 
 
 def test_bypass_folds_a_lut_whose_zero_weight_products_are_not_zero(monkeypatch):
@@ -391,9 +279,9 @@ def test_bypass_folds_a_lut_whose_zero_weight_products_are_not_zero(monkeypatch)
     fm = _fault_map(4, "random", 13)
     cfg = SystolicConfig(4, "bypass")
     w, a = _operands(13, 21, 30, 9)
-    want = systolic_gemm_ref(w, a, m, fm, cfg)
-    assert not np.array_equal(want, systolic_gemm_ref(
-        np.where(fl.pruned_mask(w.shape, fm), 0, w), a, m, None, cfg))
+    want = _systolic_ref(w, a, m, fm, cfg.mode)
+    assert not np.array_equal(want, _systolic_ref(
+        np.where(fl.pruned_mask(w.shape, fm), 0, w), a, m, None))
     for tables in (None, fl._clean_tables(w, m)):
         out, calls = _routes(monkeypatch, w, a, m, fm, cfg, None, tables)
         assert [name for name, _ in calls] == ["_mac_tables"]
@@ -416,10 +304,10 @@ def test_table_faults_on_both_sides_of_the_change_table_crossover(monkeypatch, m
         w, a = _operands(batch, 9, 11, batch)
         w[0, :11] = a[:, 0] = _EDGE_CODES
         for m, want in ((_RANDOM_LUT, [route]), (mul.truncated_multiplier(15), truncated)):
-            clean = systolic_gemm_ref(w, a, m, None, cfg)
+            clean = _systolic_ref(w, a, m, None)
             out, calls = _routes(monkeypatch, w, a, m, fm, cfg, clean)
             assert [name for name, _ in calls] == want
-            np.testing.assert_array_equal(out, systolic_gemm_ref(w, a, m, fm, cfg))
+            np.testing.assert_array_equal(out, _systolic_ref(w, a, m, fm, cfg.mode))
 
 
 @pytest.mark.parametrize("bit", range(16))
@@ -505,25 +393,6 @@ def test_gpu_tiles_matches_reference_property(m, tile, rows, depth, batch, fract
         _check_gpu(w, a, m, None, tile, step=True)
 
 
-def _int64_gemm(w, a, m, or_m=None, and_m=None):
-    """out[r, b] = sum_c P(a[c, b], w[r, c]) summed in int64, P read from
-    ``m``'s table with per-weight (rows, depth) fault masks applied. Rows
-    with equal weights and masks are summed once."""
-    if or_m is None:
-        or_m = np.zeros(w.shape, dtype=np.uint16)
-        and_m = np.full(w.shape, 0xFFFF, dtype=np.uint16)
-    out = np.empty((w.shape[0], a.shape[1]), dtype=np.int64)
-    done = {}
-    for r in range(w.shape[0]):
-        key = (w[r].tobytes(), or_m[r].tobytes(), and_m[r].tobytes())
-        if key not in done:
-            p = m.table[mul.pair_index(a.T, w[r])]
-            p = ((p.view(np.uint16) & and_m[r]) | or_m[r]).view(np.int16)
-            done[key] = p.sum(axis=1, dtype=np.int64)
-        out[r] = done[key]
-    return out
-
-
 # every multiplier whose fault-free GEMM is float32 slabs at 2^k <= rows
 _BLAS_MULTIPLIERS = ([mul.exact_multiplier()]
                      + [mul.broken_carry_multiplier(k) for k in range(1, 8)]
@@ -549,7 +418,6 @@ def _check_worst_case(monkeypatch, kind, row1):
     # the sign counts' 2^15 H or 2^15 N reaches 2^30 at full depth.
     fault = fl.StuckAtFault(15, kind)
     fm = FaultMap(1, {(0, 0): fault})
-    om, am = fault.masks()
     tf = TileFaultSpec(0, 1.0, fault, seed=0)
     rng = np.random.default_rng(0)
     for depth in (1023, 1024, 1025, 2049, fl.MAX_GEMM_DEPTH):
@@ -562,10 +430,10 @@ def _check_worst_case(monkeypatch, kind, row1):
             a[:, 1] = rng.integers(-128, -119, depth)
             clean = fl.systolic_gemm(w, a, m, None, SystolicConfig(1))
             assert clean.dtype == np.int32
-            np.testing.assert_array_equal(clean, _int64_gemm(w, a, m),
+            np.testing.assert_array_equal(clean, reference.gemm(w, a, m),
                                           err_msg=f"{m.id} at depth {depth}")
             # every MAC of the 1 x 1 array carries the fault
-            faulty = _int64_gemm(w, a, m, np.full(w.shape, om), np.full(w.shape, am))
+            faulty = _systolic_ref(w, a, m, fm)
             bypassed = np.zeros_like(faulty)
             for mode, want in (("propagate", faulty), ("bypass", bypassed)):
                 cfg = SystolicConfig(1, mode)
@@ -658,7 +526,7 @@ def test_largest_truncation_correction_at_max_depth():
         w = np.full((1 << k, depth), -1, dtype=np.int8)
         a = np.ones((depth, 3), dtype=np.int8)
         got = fl.systolic_gemm(w, a, m, None, SystolicConfig(1))
-        np.testing.assert_array_equal(got, _int64_gemm(w, a, m))
+        np.testing.assert_array_equal(got, reference.gemm(w, a, m))
         assert (got == -depth << k).all()
 
 
@@ -696,7 +564,7 @@ def test_calls_build_tables_of_the_codes_they_read(monkeypatch):
     for fm in (None, _fault_map(2, "random", 2)):
         cfg = SystolicConfig(2)
         got = fl.systolic_gemm(w, a, _RANDOM_LUT, fm, cfg)
-        np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fm, cfg))
+        np.testing.assert_array_equal(got, _systolic_ref(w, a, _RANDOM_LUT, fm))
     assert fl._clean_tables(w, _RANDOM_LUT).shape == (256 * 30, 5)
     assert spans == [8, 8, 256]
 
@@ -721,6 +589,6 @@ def test_table_path_at_max_depth_blocks_its_tables(monkeypatch):
         monkeypatch.setattr(np, "take", spy)
         got = fl.systolic_gemm(w, a, _RANDOM_LUT, fmap, cfg)
         monkeypatch.undo()
-        np.testing.assert_array_equal(got, systolic_gemm_ref(w, a, _RANDOM_LUT, fmap, cfg))
+        np.testing.assert_array_equal(got, _systolic_ref(w, a, _RANDOM_LUT, fmap, mode))
     assert len(sizes) > 3 * depth // fl._slab_columns(rows, 256)
     assert max(sizes) <= max(fl._SLAB_ENTRIES, 256 * rows)

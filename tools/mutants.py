@@ -1,4 +1,5 @@
-"""Mutation gate: every named mutant of ``src/`` must fail the fast GEMM tests.
+"""Mutation gate: every named mutant of ``src/`` must fail the fast tests of
+the fault routes, the quantizer and the pinned results.
 
     python tools/mutants.py
 
@@ -27,9 +28,11 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TEST_FILES = ("tests/test_faults.py", "tests/test_gemm_paths.py",
-              "tests/test_forward_properties.py")
+              "tests/test_forward_properties.py", "tests/test_quantize.py",
+              "tests/test_pinned_results.py")
 
 _FAULTS = "src/axfault/faults.py"
+_QUANTIZE = "src/axfault/quantize.py"
 
 
 class Mutant(NamedTuple):
@@ -69,6 +72,23 @@ MUTANTS = (
            'cfg.mode == "bypass" and not m.by_weight[128].any()',
            'cfg.mode == "bypass" and m.by_weight[128].any()',
            "bypass prunes exactly the multipliers whose weight-0 products are not all 0"),
+    Mutant("truncation-pairing", _FAULTS,
+           "(v == K - j)", "(v == K + j)",
+           "_truncation pairs low-bit value j with 2^k + j, which no activation has, not 2^k - j"),
+    Mutant("damage-ragged-edge", _FAULTS,
+           "keep = (r < rows) & (b < batch)", "keep = (r < rows) | (b < batch)",
+           "_damage_outputs keeps damage drawn off one side of a ragged edge block"),
+    Mutant("quantize-rounding", _QUANTIZE,
+           "x += 0.5", "x += 0.49",
+           "quantize rounds x.49 and above, not x.5 and above, away from zero"),
+    Mutant("quantize-sign-dropped", _QUANTIZE,
+           "np.copysign(x, t, out=x)", "np.abs(x, out=x)",
+           "quantize drops the sign of a tensor with negative values"),
+    Mutant("requantize-order", _QUANTIZE,
+           "acc.astype(np.float64) * (float(w_scale) * float(a_scale))",
+           "acc.astype(np.float64) * float(w_scale) * float(a_scale)",
+           "requantize_accum rounds acc * w_scale before the product of the scales: "
+           "every quantized logit moves in its last bits"),
 )
 
 
