@@ -32,7 +32,7 @@ the fault-free GEMM of ``exact``, ``broken_carry`` and ``truncated`` (k <= 8,
 ``_SLAB`` columns, each exact and summed in int32; truncated-k takes off
 what it truncates in 2^(k-1) + k - 1 more (``_truncation``). On that path
 the gpu engine then forms the products of its damaged outputs, along the
-full depth, as int16 and sums them in int32.
+full depth, as int16 and sums them in int32 (``_products``).
 
 A bypassed product is replaced by zero, which is the product of a zero
 weight for every multiplier whose weight-0 products are all 0 (every
@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multipliers import Multiplier, product_function
+from .multipliers import Multiplier
 
 FAULT_KINDS = ("sa0", "sa1")
 GEMM_MODES = ("propagate", "bypass")
@@ -121,7 +121,7 @@ _COUNTED_PER_ROW = 2
 # lenet conv 2 (16x200)
 _CHANGE_TABLE_BATCH = 1024
 
-# multiplier kinds whose products product_function computes; every other
+# multiplier kinds whose products are computed (``_products``); every other
 # kind reads them from its table
 _ARITHMETIC = ("exact", "truncated", "broken_carry")
 
@@ -240,8 +240,7 @@ def apply_fault(product, fault: StuckAtFault):
         arr = arr.astype(np.int16)
     else:
         arr = np.ascontiguousarray(arr)
-    om, am = fault.masks()
-    out = ((arr.view(np.uint16) & am) | om).view(np.int16)
+    out = _forced(arr, *fault.masks())
     if np.isscalar(product) or isinstance(product, (int, np.integer)):
         return int(out)
     return out
@@ -330,6 +329,12 @@ def _masks(codes: np.ndarray):
     return (codes >> 16).astype(np.uint16), (codes & 0xFFFF).astype(np.uint16)
 
 
+def _forced(p, om, am) -> np.ndarray:
+    """int16 products ``p`` with the bits set in uint16 ``om`` forced to 1
+    and those clear in ``am`` to 0: the stuck bits of ``_masks``."""
+    return ((p.view(np.uint16) & am) | om).view(np.int16)
+
+
 def _int8_codes(x, name: str) -> np.ndarray:
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.integer):
@@ -364,12 +369,26 @@ def _blas_ready(m: Multiplier, rows: int) -> bool:
 
 
 def _exact_operands(wq, aq, m: Multiplier):
-    """The codes whose exact product a ``_blas_ready`` multiplier rounds:
+    """The codes whose exact product a kind of ``_ARITHMETIC`` rounds:
     broken-carry-k drops the low k bits of both, the others keep them."""
     if m.kind != "broken_carry":
         return wq, aq
     keep = np.uint8((0xFF << m.params["k"]) & 0xFF)
     return (wq.view(np.uint8) & keep).view(np.int8), (aq.view(np.uint8) & keep).view(np.int8)
+
+
+def _products(x, y, m: Multiplier) -> np.ndarray:
+    """The int16 products of int8 activation codes ``x`` with weight codes
+    ``y``, broadcast, under ``m``. A table multiplier gathers them from its
+    table; a kind of ``_ARITHMETIC`` multiplies its ``_exact_operands`` in
+    int16 (|p| <= 2^14), and truncated-k then clears the k low bits."""
+    if m.kind not in _ARITHMETIC:
+        return m.table[((x.astype(np.int32) + 128) << 8) | (y.astype(np.int32) + 128)]
+    y, x = _exact_operands(y, x, m)
+    p = x.astype(np.int16) * y.astype(np.int16)
+    if m.kind == "truncated":
+        p &= np.int16(-(1 << m.params["k"]))
+    return p
 
 
 def _matmul(x, y) -> np.ndarray:
@@ -446,8 +465,7 @@ def _mac_tables(products, lattice, rows: int, depth: int):
     weight.
     """
     codes, number = np.unique(lattice, return_inverse=True)
-    tables = [((products.view(np.uint16) & am) | om).view(np.int16)
-              for om, am in zip(*_masks(codes))]
+    tables = [_forced(products, om, am) for om, am in zip(*_masks(codes))]
     return np.vstack(tables), _station(number.reshape(lattice.shape), rows, depth)
 
 
@@ -571,9 +589,9 @@ def _clean_gemm(wq, aq, m: Multiplier, tables=None) -> np.ndarray:
     return _table_gemm(wq, aq, lambda c0, c1: tables[256 * c0 : 256 * c1], -128, 256)
 
 
-def _form_products(out, wq, aq, prod, lattice) -> None:
+def _form_products(out, wq, aq, m: Multiplier, lattice) -> None:
     """Add to ``out`` the change the faults of ``lattice`` (``_lattice``
-    codes) make, forming their products.
+    codes) make, forming their products under ``m`` (``_products``).
 
     Rows i, i+n, ... are stationed on array row i, so they share one set of
     faulty columns, lattice row i stationed along the depth; only those
@@ -594,8 +612,8 @@ def _form_products(out, wq, aq, prod, lattice) -> None:
         om, am = or_m[i, cols][:, None], and_m[i, cols][:, None]
         chunk = max(1, (1 << 24) // (w.shape[0] * cols.size))
         for b0 in range(0, batch, chunk):
-            p = prod(aq[cols, b0 : b0 + chunk][None], w)
-            delta = ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
+            p = _products(aq[cols, b0 : b0 + chunk][None], w, m)
+            delta = _forced(p, om, am).sum(axis=1, dtype=np.int32)
             delta -= p.sum(axis=1, dtype=np.int32)
             out[i::n, b0 : b0 + chunk] += delta
 
@@ -625,7 +643,7 @@ def _table_changes(out, wq, aq, m: Multiplier, lattice) -> None:
             continue
         p = m.by_weight[wq[rs, cs + c0].astype(np.intp) + 128]
         om, am = _masks(block[rs, cs])
-        change = ((p.view(np.uint16) & am[:, None]) | om[:, None]).view(np.int16).astype(np.int32)
+        change = _forced(p, om[:, None], am[:, None]).astype(np.int32)
         change -= p
         # code + 128 of every activation the block's columns read
         idx = aq[c0 : c0 + step].view(np.uint8) ^ np.uint8(0x80)
@@ -698,7 +716,7 @@ def _correct_lattice(out, wq, aq, m: Multiplier, lattice) -> None:
     if m.kind not in _ARITHMETIC and aq.shape[1] >= _CHANGE_TABLE_BATCH:
         _table_changes(out, wq, aq, m, lattice)
     else:
-        _form_products(out, wq, aq, product_function(m), lattice)
+        _form_products(out, wq, aq, m, lattice)
 
 
 def _check_tiles(wq, aq, tf: TileFaultSpec | None, tile: int):
@@ -782,12 +800,11 @@ def _damage_outputs(out, wq, aq, m: Multiplier, tf: TileFaultSpec, tile: int) ->
     keep = (r < rows) & (b < batch)
     r, b = r[keep], b[keep]
     om, am = tf.fault.masks()
-    prod = product_function(m)
     chunk = max(1, (1 << 24) // depth)
     for k0 in range(0, r.size, chunk):
         rr, bb = r[k0 : k0 + chunk], b[k0 : k0 + chunk]
-        p = prod(aq[:, bb].T, wq[rr])
-        out[rr, bb] = ((p.view(np.uint16) & am) | om).view(np.int16).sum(axis=1, dtype=np.int32)
+        p = _products(aq[:, bb].T, wq[rr], m)
+        out[rr, bb] = _forced(p, om, am).sum(axis=1, dtype=np.int32)
 
 
 def gpu_tile_gemm(

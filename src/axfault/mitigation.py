@@ -17,6 +17,7 @@ from .multipliers import (
     ActivationSample,
     Multiplier,
     WeightMapTable,
+    activations_from_codes,
     build_weight_map,
     uniform_activations,
 )
@@ -110,8 +111,7 @@ def capture_activations(model: ModelSpec, weights: WeightSet, data,
 
     def count(_, record):
         if record["q"] is not None:
-            codes = record["cols"].reshape(-1).astype(np.int32) + 128
-            counts[:] += np.bincount(codes, minlength=256).astype(np.uint64)
+            counts[:] += activations_from_codes(record["cols"]).counts
 
     evaluate(model, weights, data, env=env, sample_limit=sample_limit, observe=count)
     return ActivationSample(counts)

@@ -16,10 +16,14 @@ Two parametric hardware-flavoured families are built in:
 
 Arbitrary third-party multipliers can be loaded from a raw little-endian
 int16 LUT file of exactly 131072 bytes.
+
+This module defines multipliers; ``faults`` computes with them, the
+built-in families from ``kind`` and ``params`` alone, any other from its table.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -50,6 +54,7 @@ class Multiplier:
         if t.shape != (TABLE_SIZE,):
             raise ValueError(f"table must have shape ({TABLE_SIZE},), got {t.shape}")
         # the GEMM engines compute family kinds from kind and params alone
+        self.params = _family_params(self.kind, self.params)
         family = _family_table(self.kind, self.params)
         if family is not None and not np.array_equal(family, t):
             raise ValueError(f"table of {self.id!r} is not the {self.kind} table "
@@ -79,22 +84,34 @@ def _exact_table2d() -> np.ndarray:
     return np.outer(v, v)
 
 
+def _family_params(kind: str, params: dict) -> dict:
+    """``params`` of a built-in family kind, checked: none for ``exact``,
+    and for the others only ``k``, an integer (not a bool) in range, stored
+    as a Python int: a numpy k overflows the masks below, and a bool one
+    names no multiplier. Any other kind keeps its params."""
+    hi = {"truncated": 15, "broken_carry": 7}.get(kind)
+    if hi is None:
+        if kind == "exact" and params:
+            raise ValueError(f"exact multiplier takes no params, got {params}")
+        return params
+    k = params.get("k")
+    if (set(params) != {"k"} or not isinstance(k, numbers.Integral)
+            or isinstance(k, bool) or not 0 <= k <= hi):
+        raise ValueError(f"{kind} params must be an integer k in [0, {hi}], got {params}")
+    return {"k": int(k)}
+
+
 def _family_table(kind: str, params: dict):
-    """Product table of a built-in family kind, or None for any other kind."""
+    """Product table of a built-in family kind with checked ``params``
+    (``_family_params``), or None for any other kind."""
     if kind == "exact":
         return _exact_table2d().astype(np.int16).reshape(-1)
     if kind == "truncated":
-        k = params.get("k")
-        if not isinstance(k, (int, np.integer)) or not 0 <= k <= 15:
-            raise ValueError(f"truncated k must be in [0, 15], got {k}")
-        mask = np.uint16((0xFFFF << k) & 0xFFFF)
+        mask = np.uint16((0xFFFF << params["k"]) & 0xFFFF)
         pattern = _exact_table2d().astype(np.int16).view(np.uint16)
         return (pattern & mask).view(np.int16).reshape(-1)
     if kind == "broken_carry":
-        k = params.get("k")
-        if not isinstance(k, (int, np.integer)) or not 0 <= k <= 7:
-            raise ValueError(f"broken-carry k must be in [0, 7], got {k}")
-        mask = np.uint8((0xFF << k) & 0xFF)
+        mask = np.uint8((0xFF << params["k"]) & 0xFF)
         vals = np.arange(-128, 128, dtype=np.int8)
         ops = (vals.view(np.uint8) & mask).view(np.int8).astype(np.int32)
         return np.outer(ops, ops).astype(np.int16).reshape(-1)
@@ -108,12 +125,14 @@ def exact_multiplier() -> Multiplier:
 
 def truncated_multiplier(k: int) -> Multiplier:
     """Exact product with the k low bits of the 16-bit pattern zeroed."""
+    k = _family_params("truncated", {"k": k})["k"]
     return Multiplier(id=f"truncated-{k}", kind="truncated", params={"k": k},
                       table=_family_table("truncated", {"k": k}))
 
 
 def broken_carry_multiplier(k: int) -> Multiplier:
     """Exact product of operands whose k low bits are zeroed first."""
+    k = _family_params("broken_carry", {"k": k})["k"]
     return Multiplier(id=f"broken-carry-{k}", kind="broken_carry", params={"k": k},
                       table=_family_table("broken_carry", {"k": k}))
 
@@ -179,48 +198,6 @@ def error_metrics(m: Multiplier) -> ErrorMetrics:
         worst_case_abs=int(diff.max()),
         error_count=int(np.count_nonzero(diff)),
     )
-
-
-def product_function(m: Multiplier):
-    """Vectorized product closure for int8 operand arrays.
-
-    Returns ``f(x, y) -> int16 array`` that broadcasts its inputs. Family
-    kinds get direct arithmetic fast paths, which multiply in int16: an
-    int8 x int8 product has |p| <= 2^14. Anything else falls back to a table
-    gather. The fast paths are exhaustively checked against the table in the
-    test suite.
-    """
-    if m.kind == "exact":
-
-        def f_exact(x, y):
-            return x.astype(np.int16) * y.astype(np.int16)
-
-        return f_exact
-    if m.kind == "truncated":
-        mask = np.uint16((0xFFFF << m.params["k"]) & 0xFFFF)
-
-        def f_trunc(x, y):
-            p = x.astype(np.int16) * y.astype(np.int16)
-            return (p.view(np.uint16) & mask).view(np.int16)
-
-        return f_trunc
-    if m.kind == "broken_carry":
-        omask = np.uint8((0xFF << m.params["k"]) & 0xFF)
-
-        def f_broken(x, y):
-            xm = (x.astype(np.int8).view(np.uint8) & omask).view(np.int8)
-            ym = (y.astype(np.int8).view(np.uint8) & omask).view(np.int8)
-            return xm.astype(np.int16) * ym.astype(np.int16)
-
-        return f_broken
-
-    table = m.table
-
-    def f_lut(x, y):
-        idx = ((x.astype(np.int32) + 128) << 8) | (y.astype(np.int32) + 128)
-        return table[idx]
-
-    return f_lut
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,21 @@ def _systolic_ref(w, a, m, fm, mode="propagate"):
     return reference.gemm(w, a, m, reference.systolic_masks(fm, mode, w.shape))
 
 
+# --- product formation ------------------------------------------------------
+
+def test_products_agree_with_table():
+    # all 65536 int8 operand pairs, broadcast as (activation, weight)
+    v = np.arange(-128, 128).astype(np.int8)
+    lut = mul.from_table("lut", np.random.default_rng(3).integers(
+        -32768, 32768, size=mul.TABLE_SIZE).astype(np.int16))
+    for m in ([mul.exact_multiplier(), lut]
+              + [mul.truncated_multiplier(k) for k in range(16)]
+              + [mul.broken_carry_multiplier(k) for k in range(8)]):
+        got = fl._products(v[:, None], v[None, :], m)
+        assert got.dtype == np.int16, m.id
+        assert np.array_equal(got, m.table2d()), m.id
+
+
 # --- differential tests -----------------------------------------------------
 
 _RANDOM_LUT = mul.from_table(

@@ -138,6 +138,23 @@ def test_k_bounds_rejected():
         mul.truncated_multiplier(-1)
     with pytest.raises(ValueError):
         mul.broken_carry_multiplier(8)
+    # True is an int, but truncated-True is no multiplier name
+    for make in (mul.truncated_multiplier, mul.broken_carry_multiplier):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(True)
+
+
+def test_numpy_k_is_kept_as_an_int():
+    # a numpy k overflowed the uint8 mask arithmetic, or was stored as numpy
+    for make, name in ((mul.truncated_multiplier, "truncated"),
+                       (mul.broken_carry_multiplier, "broken-carry")):
+        m = make(np.uint8(3))
+        assert type(m.params["k"]) is int
+        assert m.id == f"{name}-3"
+        assert np.array_equal(m.table, make(3).table)
+        assert mul.parse_multiplier(m.id).id == m.id
+    m = mul.Multiplier("t", "truncated", {"k": np.int64(4)}, mul.truncated_multiplier(4).table)
+    assert type(m.params["k"]) is int
 
 
 def test_family_kind_must_match_its_table():
@@ -152,6 +169,13 @@ def test_family_kind_must_match_its_table():
         mul.Multiplier("x", "broken_carry", {"k": 0}, trunc)
     with pytest.raises(ValueError):
         mul.Multiplier("x", "truncated", {}, trunc)
+    # params hold nothing that kind and table do not use
+    with pytest.raises(ValueError, match="params"):
+        mul.Multiplier("x", "exact", {"k": 3}, mul.exact_multiplier().table)
+    with pytest.raises(ValueError, match="params"):
+        mul.Multiplier("x", "truncated", {"k": 4, "j": 1}, trunc)
+    with pytest.raises(ValueError, match="must be an integer"):
+        mul.Multiplier("x", "truncated", {"k": True}, mul.truncated_multiplier(1).table)
     assert mul.Multiplier("x", "truncated", {"k": 4}, trunc).kind == "truncated"
     assert mul.from_table("x", trunc).kind == "lut"
 
@@ -178,19 +202,6 @@ def test_multiply_vectorized_matches_scalar():
     vec = mul.multiply(m, xs, ys)
     for i in range(64):
         assert vec[i] == mul.multiply(m, int(xs[i]), int(ys[i]))
-
-
-def test_product_function_agrees_with_table():
-    # all 65536 int8 operand pairs, broadcast as (activation, weight)
-    v = np.arange(-128, 128).astype(np.int8)
-    lut = mul.from_table("lut", np.random.default_rng(3).integers(
-        -32768, 32768, size=mul.TABLE_SIZE).astype(np.int16))
-    for m in ([mul.exact_multiplier(), lut]
-              + [mul.truncated_multiplier(k) for k in range(16)]
-              + [mul.broken_carry_multiplier(k) for k in range(8)]):
-        got = mul.product_function(m)(v[:, None], v[None, :])
-        assert got.dtype == np.int16, m.id
-        assert np.array_equal(got, m.table2d()), m.id
 
 
 def test_lut_file_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 """tools/mutants.py: every mutant's old text is found exactly once, so the
-mutant table cannot drift from the source. The mutants themselves run in
-their own CI step, not here."""
+mutant table cannot drift from the source, and a mutant's own test file
+runs first. The mutants themselves run in their own CI step, not here."""
 
 import importlib.util
 import os
@@ -27,3 +27,15 @@ def test_a_drifted_mutant_is_named(tmp_path):
         "twice: old text found 2 times in f.py",
         "missing: old text found 0 times in f.py",
         "same: new text is the old"]
+
+
+def test_a_mutants_own_test_file_runs_first():
+    order = {mt.file: mutants.run_order(mt) for mt in mutants.MUTANTS}
+    assert order["src/axfault/faults.py"][0] == "tests/test_faults.py"
+    assert order["src/axfault/quantize.py"][0] == "tests/test_quantize.py"
+    # every file still runs before a mutant survives
+    for files in order.values():
+        assert sorted(files) == sorted(mutants.TEST_FILES)
+    other = mutants.Mutant("other", "src/axfault/network.py", "a", "b", "")
+    assert mutants.run_order(other) == mutants.TEST_FILES
+    assert mutants.run_order(None) == mutants.TEST_FILES

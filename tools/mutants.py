@@ -6,13 +6,14 @@ the fault routes, the quantizer and the pinned results.
 A mutant is a named (file, old text, new text) edit of one file under
 ``src/``. For each mutant of ``MUTANTS`` the script copies ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-edit there and runs ``pytest -x`` on ``TEST_FILES``; the tests kill the
-mutant when they fail. Before the mutants it runs the same tests on an
-unedited copy, which must pass. It exits 1 when the unedited copy fails,
-when a mutant survives or is not killed by a failing test (a collection
-error, say), or when a mutant's old text is not found exactly once in its
-file. The working tree is never edited. Hypothesis runs with seed 0, so a
-run repeats.
+edit there and runs ``pytest -x`` on ``TEST_FILES``, the mutated module's
+own test file first (``run_order``); the tests kill the mutant when they
+fail, and it survives only when every file passes. Before the mutants it
+runs the same tests on an unedited copy, which must pass. It exits 1 when
+the unedited copy fails, when a mutant survives or is not killed by a
+failing test (a collection error, say), or when a mutant's old text is not
+found exactly once in its file. The working tree is never edited.
+Hypothesis runs with seed 0, so a run repeats.
 """
 
 from __future__ import annotations
@@ -75,6 +76,17 @@ MUTANTS = (
     Mutant("truncation-pairing", _FAULTS,
            "(v == K - j)", "(v == K + j)",
            "_truncation pairs low-bit value j with 2^k + j, which no activation has, not 2^k - j"),
+    Mutant("products-operands-swapped", _FAULTS,
+           "m.table[((x.astype(np.int32) + 128) << 8) | (y.astype(np.int32) + 128)]",
+           "m.table[((y.astype(np.int32) + 128) << 8) | (x.astype(np.int32) + 128)]",
+           "_products gathers a table multiplier's product of (weight, activation), "
+           "from the transposed table"),
+    Mutant("products-truncation-skipped", _FAULTS,
+           'p &= np.int16(-(1 << m.params["k"]))', "p &= np.int16(-1)",
+           "_products keeps the k low bits of a truncated-k product"),
+    Mutant("clean-shape-unchecked", _FAULTS,
+           "if clean.shape != (wq.shape[0], aq.shape[1]):", "if clean.ndim != 2:",
+           "_clean_copy takes a clean output of any 2-d shape"),
     Mutant("damage-ragged-edge", _FAULTS,
            "keep = (r < rows) & (b < batch)", "keep = (r < rows) | (b < batch)",
            "_damage_outputs keeps damage drawn off one side of a ragged edge block"),
@@ -84,6 +96,9 @@ MUTANTS = (
     Mutant("quantize-sign-dropped", _QUANTIZE,
            "np.copysign(x, t, out=x)", "np.abs(x, out=x)",
            "quantize drops the sign of a tensor with negative values"),
+    Mutant("quantize-nonnegative-shortcut", _QUANTIZE,
+           "if lo < 0:\n        np.abs(x, out=x)", "if lo < -1:\n        np.abs(x, out=x)",
+           "quantize skips the absolute value of a tensor whose minimum lies in [-1, 0)"),
     Mutant("requantize-order", _QUANTIZE,
            "acc.astype(np.float64) * (float(w_scale) * float(a_scale))",
            "acc.astype(np.float64) * float(w_scale) * float(a_scale)",
@@ -104,6 +119,15 @@ def problems(mutants=MUTANTS, root: str = ROOT) -> list[str]:
         if mt.new == mt.old:
             out.append(f"{mt.name}: new text is the old")
     return out
+
+
+def run_order(mutant: Mutant | None) -> tuple[str, ...]:
+    """``TEST_FILES`` in the order they run on ``mutant``: its module's own
+    test file (``tests/test_<module>.py``) first, when there is one."""
+    if mutant is None:
+        return TEST_FILES
+    own = "tests/test_" + os.path.basename(mutant.file)
+    return tuple(sorted(TEST_FILES, key=lambda f: f != own))
 
 
 def _copy(tmp: str) -> None:
@@ -128,7 +152,7 @@ def run_tests(mutant: Mutant | None) -> tuple[int, str]:
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *TEST_FILES],
+             "--hypothesis-seed=0", *run_order(mutant)],
             cwd=tmp, env=env, capture_output=True, text=True)
     failed = next((ln for ln in proc.stdout.splitlines()
                    if ln.startswith(("FAILED", "ERROR"))), "")
