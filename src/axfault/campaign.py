@@ -36,17 +36,18 @@ follow the record fields.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, asdict
+import csv
+import io
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 import typing
 
 from . import charts
-from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec,
-                     random_fault_map, seeded_tile_index)
+from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec, _check_int,
+                     _check_real, random_fault_map, seeded_tile_index)
 from .mitigation import check_activations, run_mitigation
 from .multipliers import error_metrics, parse_multiplier
 from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
@@ -59,10 +60,6 @@ from .training import HyperParams
 # order by construction, however execution was scheduled.
 AXES = ("engine", "multiplier", "fault_kind", "bit", "percent", "layer",
         "array_size", "seed")
-
-# the casts ``cells_of`` gives axis values: the CSV writes ``repr(percent)``,
-# so a percent given as 16 must be the cell of 16.0
-_AXIS_CASTS = {"bit": int, "percent": float, "array_size": int, "seed": int}
 
 # Cap on the golden-pass state a campaign keeps for its layer-filtered cells,
 # and then on the per-weight tables of its plans.
@@ -109,15 +106,17 @@ class CampaignSpec:
     sample_limit: int | None = 2000
 
     def __post_init__(self):
+        # stored as the checks return them, so cells_of reads them as they
+        # are: the CSV writes ``repr(percent)``, and a percent given as 16
+        # must be the cell of 16.0
         for name in ("model_id", "dataset_id"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
+            _check_str(name, getattr(self, name))
         for name in ("multipliers", "fault_kinds", "engines"):
-            _check_axis(name, getattr(self, name), str)
-        _check_axis("bits", self.bits, numbers.Integral, 0, 15)
-        _check_axis("percents", self.percents, numbers.Real, 0, 100)
-        _check_axis("array_sizes", self.array_sizes, numbers.Integral, 1, math.inf)
-        _check_axis("seeds", self.seeds, numbers.Integral, 0, math.inf)
+            setattr(self, name, _check_axis(name, getattr(self, name), _check_str))
+        self.bits = _check_axis("bits", self.bits, _check_int, 0, 15)
+        self.percents = _check_axis("percents", self.percents, _check_real, 0, 100)
+        self.array_sizes = _check_axis("array_sizes", self.array_sizes, _check_int, 1)
+        self.seeds = _check_axis("seeds", self.seeds, _check_int, 0)
         for k in self.fault_kinds:
             if k not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {k!r}")
@@ -125,7 +124,7 @@ class CampaignSpec:
             if e not in QUANTIZED_ENGINES:
                 raise ValueError(f"unknown engine {e!r}")
         if self.layers != "all":
-            _check_axis("layers", self.layers, numbers.Integral)
+            self.layers = _check_axis("layers", self.layers, _check_int)
         if self.mitigation is not None:
             if not isinstance(self.mitigation, dict):
                 raise ValueError("mitigation must be an object or null")
@@ -135,10 +134,10 @@ class CampaignSpec:
                                  f"allowed: {sorted(_MITIGATION_KEYS)}")
             _repair_settings(self.mitigation)
         if self.sample_limit is not None:
-            _check_axis("sample_limit", [self.sample_limit], numbers.Integral, 1, math.inf)
+            self.sample_limit = _check_int("sample_limit", self.sample_limit, 1)
 
     def layer_values(self) -> list:
-        return [None] if self.layers == "all" else [int(i) for i in self.layers]
+        return [None] if self.layers == "all" else self.layers
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1)
@@ -159,26 +158,25 @@ def _repair_settings(mitigation: dict):
     """(HyperParams, acc_thresh, activations) from a spec's ``mitigation``
     object; ``ValueError`` for a setting of the wrong type or range."""
     cfg = dict(mitigation)
-    acc_thresh = cfg.pop("acc_thresh", 0.0)
-    if (not isinstance(acc_thresh, numbers.Real) or isinstance(acc_thresh, bool)
-            or not math.isfinite(acc_thresh)):
-        raise ValueError(f"acc_thresh must be a finite number, got {acc_thresh!r}")
+    acc_thresh = _check_real("acc_thresh", cfg.pop("acc_thresh", 0.0))
     activations = cfg.pop("activations", "uniform")
     check_activations(activations)
-    return HyperParams(**cfg), float(acc_thresh), activations
+    return HyperParams(**cfg), acc_thresh, activations
 
 
-def _check_axis(name, values, kind, lo=None, hi=None):
-    """Reject anything but a non-empty list of ``kind`` values in [lo, hi].
-    JSON null, strings, booleans and fractions for integers would otherwise
-    crash a cell or be coerced to another one."""
+def _check_axis(name, values, check, *bounds) -> list:
+    """``values``, a non-empty list, each passed through ``check(name, v,
+    *bounds)``. JSON null, strings, booleans and fractions for integers
+    would otherwise crash a cell or be coerced to another one."""
     if not isinstance(values, (list, tuple)) or not values:
         raise ValueError(f"{name} must be a non-empty list")
-    for v in values:
-        if not isinstance(v, kind) or isinstance(v, bool):
-            raise ValueError(f"{name} must hold {kind.__name__} values, got {v!r}")
-        if lo is not None and not lo <= v <= hi:
-            raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v!r}")
+    return [check(name, v, *bounds) for v in values]
+
+
+def _check_str(name, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -211,8 +209,7 @@ CSV_COLUMNS = ",".join("percent_faulty" if n == "percent" else n for n in _CSV_F
 
 def cells_of(spec: CampaignSpec) -> list:
     """Cartesian product of the axes, in ``AXES`` order, with indices."""
-    lists = [spec.layer_values() if axis == "layer"
-             else [_AXIS_CASTS.get(axis, str)(v) for v in getattr(spec, axis + "s")]
+    lists = [spec.layer_values() if axis == "layer" else getattr(spec, axis + "s")
              for axis in AXES]
     return [{"cell_index": i, **dict(zip(AXES, values))}
             for i, values in enumerate(itertools.product(*lists))]
@@ -241,10 +238,8 @@ def _check_energy_table(table) -> None:
     for mid, pj in table.items():
         if not isinstance(mid, str):
             raise ValueError(f"energy table keys must be multiplier ids, got {mid!r}")
-        if (not isinstance(pj, numbers.Real) or isinstance(pj, bool)
-                or not math.isfinite(pj) or pj <= 0):
-            raise ValueError(f"energy of {mid!r} must be a finite, positive number "
-                             f"of pJ per MAC, got {pj!r}")
+        # the least positive float, so that no MAC is free
+        _check_real(f"energy of {mid!r} in pJ per MAC", pj, math.ulp(0.0))
 
 
 def energy_estimate(model, multiplier_id: str, table: dict) -> float:
@@ -276,13 +271,9 @@ def _cell_env(cell, m):
         return ExecEnv(engine="systolic", multiplier=m,
                        systolic=SystolicConfig(n=n, mode="propagate"),
                        fault_map=fm, layer_filter=layer), fm
-    tile = cell["array_size"]
-    tf = None
-    if cell["percent"] > 0:
-        tf = TileFaultSpec(tile_index=seeded_tile_index(seed),
-                           damaged_fraction=cell["percent"] / 100.0,
-                           fault=fault, seed=seed)
-    return ExecEnv(engine="gpu_tiles", multiplier=m, tile=tile,
+    tf = TileFaultSpec(tile_index=seeded_tile_index(seed),
+                       damaged_fraction=cell["percent"] / 100.0, fault=fault, seed=seed)
+    return ExecEnv(engine="gpu_tiles", multiplier=m, tile=cell["array_size"],
                    tile_fault=tf, layer_filter=layer), None
 
 
@@ -438,9 +429,13 @@ def _field_str(name, v) -> str:
 
 
 def records_to_csv(records) -> str:
-    lines = [CSV_COLUMNS]
-    lines += [",".join(_field_str(n, getattr(r, n)) for n in _CSV_FIELDS) for r in records]
-    return "\n".join(lines) + "\n"
+    """results.csv: ``CSV_COLUMNS``, then one row per record, a field that
+    holds a comma (a dataset of several CIFAR-10 batches) quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS.split(","))
+    writer.writerows([_field_str(n, getattr(r, n)) for n in _CSV_FIELDS] for r in records)
+    return out.getvalue()
 
 
 def _axis_values(records, axis):

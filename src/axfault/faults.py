@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,16 +127,30 @@ _CHANGE_TABLE_BATCH = 1024
 _ARITHMETIC = ("exact", "truncated", "broken_carry")
 
 
-def _check_int(name: str, value, lo: int | None = None) -> int:
+def _check_int(name: str, value, lo=None, hi=None) -> int:
     """``value`` as a Python int, which callers store: a numpy integer
     wraps in later arithmetic (``np.uint8(16)`` squares to 0). Raises
     ``ValueError``, naming ``name``, unless ``value`` is an integer (not a
-    bool) of at least ``lo``."""
+    bool) in [lo, hi], a bound None being open (``hi`` comes with ``lo``)."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value}")
-    return int(value)
+    return _check_range(name, int(value), lo, hi)
+
+
+def _check_real(name: str, value, lo=None, hi=None) -> float:
+    """``value`` as a Python float, as ``_check_int`` for a real number (not
+    a bool) that a float holds: not NaN, infinite or an int past its range."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return _check_range(name, float(value), lo, hi)
+
+
+def _check_range(name: str, value, lo, hi):
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -144,9 +159,7 @@ class StuckAtFault:
     kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "bit", _check_int("bit", self.bit))
-        if not 0 <= self.bit <= 15:
-            raise ValueError(f"fault bit must be in [0, 15], got {self.bit}")
+        object.__setattr__(self, "bit", _check_int("bit", self.bit, 0, 15))
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"fault kind must be one of {FAULT_KINDS}")
 
@@ -165,17 +178,12 @@ class FaultMap:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.n = _check_int("n", self.n)
-        if self.n <= 0:
-            raise ValueError("array dimension must be positive")
+        self.n = _check_int("n", self.n, 1)
         for ij, f in self.entries.items():
             if not isinstance(ij, tuple) or len(ij) != 2:
                 raise ValueError(f"fault coordinate must be a pair of integers, got {ij!r}")
-            i, j = ij
-            _check_int("fault coordinate", i)
-            _check_int("fault coordinate", j)
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"fault coordinate ({i}, {j}) outside {self.n}x{self.n} array")
+            for i in ij:
+                _check_int("fault coordinate", i, 0, self.n - 1)
             if not isinstance(f, StuckAtFault):
                 raise TypeError("fault map values must be StuckAtFault")
 
@@ -189,9 +197,7 @@ class SystolicConfig:
     mode: str = "propagate"
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_int("n", self.n))
-        if self.n <= 0:
-            raise ValueError("array dimension must be positive")
+        object.__setattr__(self, "n", _check_int("n", self.n, 1))
         if self.mode not in GEMM_MODES:
             raise ValueError(f"mode must be one of {GEMM_MODES}")
 
@@ -212,12 +218,10 @@ class TileFaultSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tile_index", _check_int("tile_index", self.tile_index))
-        if self.tile_index < 0:
-            raise ValueError("tile_index must be non-negative")
+        object.__setattr__(self, "tile_index", _check_int("tile_index", self.tile_index, 0))
+        object.__setattr__(self, "damaged_fraction",
+                           _check_real("damaged_fraction", self.damaged_fraction, 0, 1))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
-        if not 0.0 <= self.damaged_fraction <= 1.0:
-            raise ValueError("damaged_fraction must be in [0, 1]")
 
 
 def seeded_tile_index(seed: int) -> int:
@@ -250,8 +254,7 @@ def random_fault_map(n: int, percent: float, fault: StuckAtFault, seed: int) -> 
     """Uniformly place floor(percent/100 * n^2) copies of ``fault``."""
     n = _check_int("n", n, 1)
     seed = _check_int("seed", seed, 0)
-    if not 0.0 <= percent <= 100.0:
-        raise ValueError("percent must be in [0, 100]")
+    percent = _check_real("percent", percent, 0, 100)
     count = math.floor(n * n * percent / 100.0)
     entries = {}
     if count:

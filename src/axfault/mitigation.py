@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import training
-from .faults import FaultMap, SystolicConfig, pruned_mask
+from .faults import FaultMap, SystolicConfig, _check_real, pruned_mask
 from .multipliers import (
     ActivationSample,
     Multiplier,
@@ -50,9 +50,8 @@ class MitigationReport:
     reached_thresh: bool = False
 
     def __post_init__(self):
-        for v in (self.baseline_acc, self.faulty_acc_before, self.acc_after):
-            if not 0.0 <= v <= 100.0:
-                raise ValueError("accuracies must be percents in [0, 100]")
+        for name in ("baseline_acc", "faulty_acc_before", "acc_after"):
+            setattr(self, name, _check_real(name, getattr(self, name), 0, 100))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1)

@@ -416,7 +416,8 @@ class ExecEnv:
     Each engine reads only its fields in ``_READS`` (float none). Raises
     ``ValueError``, naming field and engine, for a field its engine does not
     read; also for a quantized engine without a multiplier, a systolic one
-    without a ``SystolicConfig``, and a ``tile`` that is no integer >= 1.
+    without a ``SystolicConfig``, a ``tile`` that is no integer >= 1 and a
+    ``layer_filter`` that is no integer.
     """
 
     engine: str = "float"
@@ -440,6 +441,8 @@ class ExecEnv:
             raise ValueError("systolic engine needs a SystolicConfig")
         if self.engine == "gpu_tiles":
             self.tile = _check_int("tile", 16 if self.tile is None else self.tile, 1)
+        if self.layer_filter is not None:
+            self.layer_filter = _check_int("layer_filter", self.layer_filter)
 
 
 def _gemm_weights(layer: LayerSpec, W) -> np.ndarray:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .faults import _check_int
+from .faults import _check_int, _check_real
 from .network import (
     ExecEnv,
     ModelSpec,
@@ -50,11 +49,8 @@ class HyperParams:
         # otherwise surface as a TypeError deep inside train
         for name, lo in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             setattr(self, name, _check_int(name, getattr(self, name), lo))
-        for name in ("lr", "momentum"):
-            v = getattr(self, name)
-            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
-                    or not math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        self.lr = _check_real("lr", self.lr)
+        self.momentum = _check_real("momentum", self.momentum)
 
 
 def init_weights(model: ModelSpec, seed: int) -> WeightSet:

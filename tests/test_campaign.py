@@ -1,5 +1,7 @@
 """Sweep grid construction, execution, determinism, energy, reporting."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -72,20 +74,20 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _tiny_spec(layers=[])
     # random_fault_map and TileFaultSpec would refuse it in every cell
-    with pytest.raises(ValueError, match=r"seeds must lie in \[0, inf\], got -1"):
+    with pytest.raises(ValueError, match="seeds must be at least 0, got -1$"):
         _tiny_spec(seeds=[1, -1])
     # JSON that used to crash with TypeError or be coerced to other cells
     doc = json.loads(_tiny_spec().to_json())
     for bad, match in (
             ({"bogus": 1}, r"unknown keys \['bogus'\]"),
-            ({"percents": [None]}, "percents must hold Real values"),
+            ({"percents": [None]}, "percents must be a finite number, got None$"),
             ({"layers": "05"}, "layers must be a non-empty list"),
-            ({"layers": [1.7]}, "layers must hold Integral values"),
-            ({"bits": [True]}, "bits must hold Integral values"),
-            ({"seeds": ["1"]}, "seeds must hold Integral values"),
-            ({"array_sizes": [0]}, "array_sizes must lie in"),
-            ({"multipliers": [None]}, "multipliers must hold str values"),
-            ({"sample_limit": "all"}, "sample_limit must hold Integral values"),
+            ({"layers": [1.7]}, "layers must be an integer, got 1.7$"),
+            ({"bits": [True]}, "bits must be an integer, got True$"),
+            ({"seeds": ["1"]}, "seeds must be an integer, got '1'$"),
+            ({"array_sizes": [0]}, "array_sizes must be at least 1, got 0$"),
+            ({"multipliers": [None]}, "multipliers must be a string, got None$"),
+            ({"sample_limit": "all"}, "sample_limit must be an integer, got 'all'$"),
             # misspelt repair settings used to be dropped: {"epoch": 3} trained 10
             ({"mitigation": {"epoch": 3}}, r"unknown mitigation keys \['epoch'\]"),
             ({"mitigation": {"activations": "emprical"}}, "activations must be one of"),
@@ -117,6 +119,19 @@ def test_campaign_refuses_a_multiplier_spelt_other_than_its_id(blobs_assets, mon
     with pytest.raises(ValueError, match="unknown multiplier 'truncated_3'"):
         cp.run_campaign(spec, model, ws, test_d, energy_table=cp.ILLUSTRATIVE_ENERGY_PJ)
     assert ran == []
+
+
+def test_spec_keeps_its_axes_as_checked():
+    # cells read the spec's values as they are: a percent 16 is the cell of
+    # 16.0, and a numpy integer is an int
+    spec = _tiny_spec(bits=(np.uint8(15), 3), percents=[16, np.float64(12.5)],
+                      layers=(np.int64(0),), array_sizes=[np.int16(8)], seeds=[np.int32(2)],
+                      sample_limit=np.uint8(150))
+    assert spec.percents == [16.0, 12.5] and spec.bits == [15, 3]
+    assert type(spec.sample_limit) is int
+    for cell in cp.cells_of(spec):
+        assert [type(cell[axis]) for axis in cp.AXES] == [str, str, str, int, float, int,
+                                                          int, int]
 
 
 def test_spec_json_round_trip():
@@ -224,12 +239,12 @@ def test_illustrative_energy_table_shape():
 
 _BAD_ENERGY_TABLES = [
     ([["exact", 1.0]], "must map multiplier ids to pJ per MAC, got list"),
-    ({"exact": -1}, "energy of 'exact' must be a finite, positive number"),
-    ({"exact": 0.0}, "energy of 'exact' must be"),
-    ({"exact": float("inf")}, "energy of 'exact' must be"),
-    ({"exact": float("nan")}, "energy of 'exact' must be"),
-    ({"exact": "1.0"}, "energy of 'exact' must be"),
-    ({"exact": True}, "energy of 'exact' must be"),
+    ({"exact": -1}, "energy of 'exact' in pJ per MAC must be at least 5e-324, got -1.0$"),
+    ({"exact": 0.0}, "energy of 'exact' in pJ per MAC must be"),
+    ({"exact": float("inf")}, "energy of 'exact' in pJ per MAC must be"),
+    ({"exact": float("nan")}, "energy of 'exact' in pJ per MAC must be"),
+    ({"exact": "1.0"}, "energy of 'exact' in pJ per MAC must be"),
+    ({"exact": True}, "energy of 'exact' in pJ per MAC must be"),
     ({1: 1.0}, "keys must be multiplier ids"),
 ]
 
@@ -255,14 +270,17 @@ def test_good_energy_tables_accepted():
 
 
 def test_zero_percent_cells_match_baseline(blobs_assets):
+    # a 0% gpu_tiles cell is a tile fault that damages no position
     model, ws, train_d, test_d = blobs_assets
-    spec = _tiny_spec(multipliers=["exact"], percents=[0.0], seeds=[1])
-    records = cp.run_campaign(spec, model, ws, test_d)
-    assert len(records) == 1
-    r = records[0]
-    assert r.error is None
-    assert r.faulty_acc == r.baseline_acc
-    assert r.acc_loss == 0.0
+    for layers in ("all", [0]):
+        spec = _tiny_spec(percents=[0.0], seeds=[1], engines=["systolic", "gpu_tiles"],
+                          layers=layers)
+        records = cp.run_campaign(spec, model, ws, test_d)
+        assert len(records) == 4
+        for r in records:
+            assert r.error is None
+            assert r.faulty_acc == r.baseline_acc
+            assert r.acc_loss == 0.0
 
 
 def test_acc_loss_is_consistent(blobs_assets):
@@ -554,6 +572,18 @@ def test_csv_header_pinned(blobs_assets):
     assert row[8] == "all"           # layer axis collapsed
     assert row[14] == row[16] == ""  # no mitigation, no timing
     assert "np.float64" not in text
+
+
+def test_csv_quotes_a_field_that_holds_a_comma():
+    # a dataset of several CIFAR-10 batches, or a LUT path with a comma,
+    # wrote one field more than the header has
+    rec = replace(PINNED_RECORDS[2], dataset="cifar:/d/data_batch_1,/d/data_batch_2",
+                  multiplier='/luts/a,"b".axlut')
+    rows = list(csv.reader(io.StringIO(cp.records_to_csv([rec, PINNED_RECORDS[3]]))))
+    assert rows[0] == cp.CSV_COLUMNS.split(",")
+    assert rows[1][:4] == ["blobs-mlp", rec.dataset, "gpu_tiles", rec.multiplier]
+    for r, row in zip((rec, PINNED_RECORDS[3]), rows[1:]):
+        assert row == [cp._field_str(n, getattr(r, n)) for n in cp._CSV_FIELDS]
 
 
 def _pinned_record(i, engine, mult, kind, bit, percent, layer, asize, seed, faulty, **kw):

@@ -534,7 +534,7 @@ def test_campaign_report_reads_ints_and_nulls_where_fields_allow(tmp_path, capsy
 
 @pytest.mark.parametrize("table, match", [
     ([["exact", 1.0]], "must map multiplier ids to pJ per MAC, got list$"),
-    ({"exact": -1}, "energy of 'exact' must be a finite, positive number of pJ per MAC, got -1$"),
+    ({"exact": -1}, "energy of 'exact' in pJ per MAC must be at least 5e-324, got -1.0$"),
 ], ids=["list", "negative"])
 def test_campaign_rejects_bad_energy_table(trained, tmp_path, table, match, capsys):
     # a list used to read as no table, and -1 was ranked as -1.00 pJ/MAC

@@ -121,6 +121,22 @@ def test_fault_specs_reject_non_integers():
         make(np.uint8(2))
 
 
+def test_fault_shares_reject_what_is_no_finite_number():
+    # True was a share of 1 (one percent of the array, every position of a
+    # tile), a string raised TypeError in the range test, and an int past
+    # float range OverflowError
+    f = fl.StuckAtFault(15, "sa1")
+    for make, field, hi in ((lambda v: fl.random_fault_map(4, v, f, seed=1), "percent", 100),
+                            (lambda v: fl.TileFaultSpec(0, v, f, seed=0), "damaged_fraction", 1)):
+        for bad in (True, "0.5", None, float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number, got"):
+                make(bad)
+        with pytest.raises(ValueError, match=rf"^{field} must be in \[0, {hi}\], got -0.5$"):
+            make(-0.5)
+    assert type(fl.TileFaultSpec(0, np.float64(0.5), f, seed=0).damaged_fraction) is float
+    assert fl.random_fault_map(4, 50, f, seed=1) == fl.random_fault_map(4, 50.0, f, seed=1)
+
+
 def test_numpy_integers_are_kept_as_ints():
     # a numpy integer n wrapped in random_fault_map's count: np.uint8(16)
     # placed 0 faults where 16 places 128, and np.int16(200) raised

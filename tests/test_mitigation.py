@@ -281,6 +281,16 @@ def test_report_validates_percent_range():
     with pytest.raises(ValueError):
         mit.MitigationReport(baseline_acc=90.0, faulty_acc_before=-2.0,
                              acc_after=0.0)
+    # True was taken as 1%, and a string raised TypeError in the range test
+    good = {"baseline_acc": 90.0, "faulty_acc_before": 40, "acc_after": np.float64(85.5)}
+    rep = mit.MitigationReport(**good)
+    assert [type(getattr(rep, name)) for name in good] == [float] * 3
+    for name in good:
+        for bad in (True, "90", None, float("nan")):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+                mit.MitigationReport(**{**good, name: bad})
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 100\], got 100.5$"):
+            mit.MitigationReport(**{**good, name: 100.5})
 
 
 def test_fault_map_summary_strings():

@@ -33,9 +33,10 @@ def test_a_mutants_own_test_file_runs_first():
     order = {mt.file: mutants.run_order(mt) for mt in mutants.MUTANTS}
     assert order["src/axfault/faults.py"][0] == "tests/test_faults.py"
     assert order["src/axfault/quantize.py"][0] == "tests/test_quantize.py"
+    assert order["src/axfault/network.py"][0] == "tests/test_network.py"
     # every file still runs before a mutant survives
     for files in order.values():
         assert sorted(files) == sorted(mutants.TEST_FILES)
-    other = mutants.Mutant("other", "src/axfault/network.py", "a", "b", "")
+    other = mutants.Mutant("other", "src/axfault/cli.py", "a", "b", "")
     assert mutants.run_order(other) == mutants.TEST_FILES
     assert mutants.run_order(None) == mutants.TEST_FILES

@@ -475,6 +475,13 @@ def test_exec_env_validation():
     for tile in (0, -3, 2.0, True):
         with pytest.raises(ValueError, match="tile must be"):
             net.ExecEnv(engine="gpu_tiles", multiplier=m, tile=tile)
+    # a layer filter True or 1.0 was scored as layer 1, and "1" failed only
+    # in evaluate, as "layer_filter 1 is no dense or conv2d layer"
+    for env in (net.ExecEnv("systolic", m, fl.SystolicConfig(n=4)), net.ExecEnv("gpu_tiles", m)):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=f"^layer_filter must be an integer, got {bad!r}$"):
+                replace(env, layer_filter=bad)
+        assert type(replace(env, layer_filter=np.uint8(1)).layer_filter) is int
     # gpu_tiles alone reads a tile, and fills in 16
     assert net.ExecEnv(engine="gpu_tiles", multiplier=m).tile == 16
     assert net.ExecEnv().tile is None
@@ -583,21 +590,24 @@ def gemm_calls(monkeypatch):
 
 def test_plan_of_other_eval_batches_is_not_resumed(gemm_calls):
     # golden states serve only the call they were kept for; another layer,
-    # batch size or sample limit (states of 65 samples, 64 + 1, asked for
-    # 100, 64 + 36) runs from the input and gives the plain result
+    # batch size, sample limit (states of 65 samples, 64 + 1, asked for
+    # 100, 64 + 36) or dataset of the same length runs from the input and
+    # gives the plain result
     model, ws, test, clean = _golden_setup()
     _, plan = net.golden_pass(model, ws, test, clean, [1], batch_size=64)
     tf = fl.TileFaultSpec(tile_index=1, damaged_fraction=0.5,
                           fault=fl.StuckAtFault(15, "sa1"), seed=1)
     _, short = net.golden_pass(model, ws, test, clean, [1], sample_limit=65, batch_size=64)
-    for p, layer, kwargs in ((plan, 0, dict(batch_size=64)),
-                             (plan, 1, dict(batch_size=100)),
-                             (plan, 1, dict(sample_limit=64 * 4, batch_size=64)),
-                             (short, 1, dict(sample_limit=100, batch_size=64))):
+    other = synth_blobs(count=len(test.labels), seed=7)
+    for p, layer, data, kwargs in ((plan, 0, test, dict(batch_size=64)),
+                                   (plan, 1, test, dict(batch_size=100)),
+                                   (plan, 1, test, dict(sample_limit=64 * 4, batch_size=64)),
+                                   (short, 1, test, dict(sample_limit=100, batch_size=64)),
+                                   (plan, 1, other, dict(batch_size=64))):
         env = replace(clean, tile_fault=tf, layer_filter=layer)
-        want = net.evaluate(model, ws, test, env, **kwargs)
+        want = net.evaluate(model, ws, data, env, **kwargs)
         gemm_calls.clear()
-        assert net.evaluate(model, ws, test, env, _plan=p, **kwargs) == want
+        assert net.evaluate(model, ws, data, env, _plan=p, **kwargs) == want
         assert not any(resumed for _, resumed in gemm_calls)
         assert gemm_calls[0] == (0, False)
     # the call it was kept for resumes

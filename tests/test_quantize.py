@@ -201,3 +201,15 @@ def test_quantize_matches_the_signed_formula(x):
     codes, scale = _quantize_oracle(x)
     assert np.array_equal(q.data, codes)
     assert q.scale == scale
+
+
+def test_requantize_multiplies_by_the_product_of_the_scales():
+    # one rounding of w_scale * a_scale, then one of the product with acc:
+    # (acc * w_scale) * a_scale rounds elsewhere and moves every quantized
+    # logit in its last bits
+    acc = np.random.default_rng(0).integers(-(1 << 24), 1 << 24, size=512).astype(np.int32)
+    w_scale, a_scale = 0.7 / 127.0, 3.1 / 127.0
+    want = acc.astype(np.float64) * (w_scale * a_scale)
+    got = requantize_accum(acc, w_scale, a_scale)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert (acc.astype(np.float64) * w_scale * a_scale != want).any()

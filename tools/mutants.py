@@ -1,5 +1,5 @@
 """Mutation gate: every named mutant of ``src/`` must fail the fast tests of
-the fault routes, the quantizer and the pinned results.
+the fault routes, the quantizer, the network and the pinned results.
 
     python tools/mutants.py
 
@@ -30,10 +30,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TEST_FILES = ("tests/test_faults.py", "tests/test_gemm_paths.py",
               "tests/test_forward_properties.py", "tests/test_quantize.py",
-              "tests/test_pinned_results.py")
+              "tests/test_pinned_results.py", "tests/test_network.py")
 
 _FAULTS = "src/axfault/faults.py"
 _QUANTIZE = "src/axfault/quantize.py"
+_NETWORK = "src/axfault/network.py"
 
 
 class Mutant(NamedTuple):
@@ -104,6 +105,13 @@ MUTANTS = (
            "acc.astype(np.float64) * float(w_scale) * float(a_scale)",
            "requantize_accum rounds acc * w_scale before the product of the scales: "
            "every quantized logit moves in its last bits"),
+    Mutant("plan-check-weights-only", _NETWORK,
+           'for i in weights for k in ("W", "b")', 'for i in weights for k in ("W",)',
+           "a plan runs a weight set whose biases differ from its own"),
+    Mutant("states-for-any-data", _NETWORK,
+           "kept is None or kept[0] is not data or", "kept is None or",
+           "golden states kept for one dataset resume an evaluate of another "
+           "of the same length"),
 )
 
 
