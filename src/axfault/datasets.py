@@ -5,9 +5,11 @@ batches); nothing here touches the network. For hermetic runs there are two
 seeded generators: gaussian blob toy data, and a procedural 28x28
 handwritten-digit renderer with MNIST-like statistics (10 classes, dark
 background, anti-aliased strokes, per-sample affine jitter) that slots into
-any pipeline expecting MNIST-shaped input. A digit costs about 0.4 ms on one
-core of a 2-core x86 host (12,000 in about 5 s), most of it the distance
-field from each pixel to the strokes.
+any pipeline expecting MNIST-shaped input. A digit costs about 0.14 ms on
+one core of a 2-core x86 host (12,000 in 1.6-1.7 s): about 40% of it the
+random draws and affine maps, which run digit by digit, and about 30% the
+distance field, each segment measured only on the pixels within its reach.
+Every step but the draws runs once for a batch of 16 digits.
 """
 
 from __future__ import annotations
@@ -210,71 +212,33 @@ def _digit_strokes() -> dict:
 
 
 def _blur3(pad: np.ndarray) -> np.ndarray:
-    """3x3 binomial blur of the interior of a zero-bordered image."""
+    """3x3 binomial blur of the interior of zero-bordered images (the last
+    two axes)."""
     out = (
-        4 * pad[1:-1, 1:-1]
-        + 2 * (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:])
-        + pad[:-2, :-2] + pad[:-2, 2:] + pad[2:, :-2] + pad[2:, 2:]
+        4 * pad[..., 1:-1, 1:-1]
+        + 2 * (pad[..., :-2, 1:-1] + pad[..., 2:, 1:-1] + pad[..., 1:-1, :-2]
+               + pad[..., 1:-1, 2:])
+        + pad[..., :-2, :-2] + pad[..., :-2, 2:] + pad[..., 2:, :-2] + pad[..., 2:, 2:]
     )
     return out / 16.0
 
 
-# pixel centres in row-major order
-_GRID_X = np.tile(np.arange(28) + 0.5, 28)
-_GRID_Y = np.repeat(np.arange(28) + 0.5, 28)
+# digits rendered together: enough to spread numpy's per-call cost, few
+# enough that the (segment, pixel) arrays stay in cache (32 was no faster,
+# and its render peaked 1.3 MB higher)
+_CHUNK = 16
+# the anti-aliasing half-width of a stroke's edge, in px
+_AA = 0.7
+# pixel centres along either axis
+_CENTRES = np.arange(28) + 0.5
 
 
-def _warp_points(px: np.ndarray, rng, amp: float) -> np.ndarray:
-    """Displace points by a smooth random field (coarse grid, bilinear)."""
-    coarse = rng.normal(0.0, 1.0, size=(2, 4, 4))
-    u = np.clip(px / 28.0 * 3.0, 0.0, 3.0 - 1e-9)
-    i0 = np.floor(u).astype(int)
-    f = u - i0
-    ix, iy, fx, fy = i0[:, 0], i0[:, 1], f[:, 0], f[:, 1]
-    gx = 1 - fx
-    gy = 1 - fy
-    # both axes at once, each product formed left to right as (g * wx) * wy
-    shift = (
-        coarse[:, iy, ix] * gx * gy
-        + coarse[:, iy, ix + 1] * fx * gy
-        + coarse[:, iy + 1, ix] * gx * fy
-        + coarse[:, iy + 1, ix + 1] * fx * fy
-    )
-    shift *= amp
-    return px + shift.T
-
-
-def _segment_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each pixel centre to the nearest of the segments a->b.
-
-    x and y run on separate (nseg, 784) arrays through two reused buffers;
-    the minimum over segments is taken on squared distances, and one sqrt
-    follows. That is exact: IEEE sqrt is correctly rounded, hence monotone.
-    """
-    ax, ay = a[:, :1], a[:, 1:]
-    abx, aby = b[:, :1] - ax, b[:, 1:] - ay
-    denom = np.maximum(abx * abx + aby * aby, 1e-12)
-    t = np.subtract(_GRID_X, ax)
-    t *= abx
-    d = np.subtract(_GRID_Y, ay)
-    d *= aby
-    t += d
-    t /= denom
-    np.clip(t, 0.0, 1.0, out=t)
-    # d = (gx - (ax + t * abx)) ** 2, then t becomes the y term in place
-    np.multiply(t, abx, out=d)
-    d += ax
-    np.subtract(_GRID_X, d, out=d)
-    d *= d
-    t *= aby
-    t += ay
-    np.subtract(_GRID_Y, t, out=t)
-    t *= t
-    d += t
-    return np.sqrt(d.min(axis=0))
-
-
-def _render_digit(styles, rng) -> np.ndarray:
+def _draw_digit(styles, rng) -> tuple:
+    """``(a, b, coarse, noise, thick, peak, amp)``: every draw of one digit,
+    in the renderer's order, with its segments a->b before the warp, its
+    (2, 4, 4) warp field and its (28, 28) noise. The noise follows the warp
+    field at once: the distance field, whose place is between them, draws
+    nothing."""
     strokes = styles[int(rng.integers(len(styles)))]
     theta = rng.uniform(-0.25, 0.25)
     sx, sy = rng.uniform(0.78, 1.16, size=2)
@@ -285,24 +249,121 @@ def _render_digit(styles, rng) -> np.ndarray:
     amp = rng.uniform(0.8, 2.0)
 
     ct, st = np.cos(theta), np.sin(theta)
-    rot = np.array([[ct, -st], [st, ct]])
+    rot = np.array([[ct, -st], [st, ct]]).T
+    affine = np.array([[sx, 0.0], [shear * sx, sy]]).T
+    shift = np.array([tx, ty])
     segs_a, segs_b = [], []
     for pts in strokes:
         p = pts + rng.normal(0.0, 0.025, size=pts.shape)
-        p = (p - 0.5) @ np.array([[sx, 0.0], [shear * sx, sy]]).T
-        p = p @ rot.T + 0.5
-        px = p * 20.0 + 4.0 + np.array([tx, ty])
+        p = (p - 0.5) @ affine
+        p = p @ rot + 0.5
+        px = p * 20.0 + 4.0 + shift
         segs_a.append(px[:-1])
         segs_b.append(px[1:])
-    nseg = sum(map(len, segs_a))
-    joined = _warp_points(np.concatenate(segs_a + segs_b), rng, amp)
-    dist = _segment_distance(joined[:nseg], joined[nseg:])
+    coarse = rng.normal(0.0, 1.0, size=(2, 4, 4))
+    noise = rng.normal(0.0, 0.08, (28, 28))
+    return np.concatenate(segs_a), np.concatenate(segs_b), coarse, noise, thick, peak, amp
 
-    aa = 0.7
-    pad = np.zeros((30, 30))
-    pad[1:-1, 1:-1] = np.clip((thick + aa - dist) / (2 * aa), 0.0, 1.0).reshape(28, 28)
+
+def _warp_points(px: np.ndarray, coarse: np.ndarray, amp: np.ndarray,
+                 owner: np.ndarray) -> np.ndarray:
+    """Displace points by smooth random fields (coarse grid, bilinear):
+    point p by field ``coarse[:, owner[p]]`` (of shape (2, digits, 4, 4))
+    times ``amp[owner[p]]``."""
+    u = np.clip(px / 28.0 * 3.0, 0.0, 3.0 - 1e-9)
+    i0 = np.floor(u).astype(int)
+    f = u - i0
+    ix, iy, fx, fy = i0[:, 0], i0[:, 1], f[:, 0], f[:, 1]
+    gx = 1 - fx
+    gy = 1 - fy
+    # both axes at once, each product formed left to right as (g * wx) * wy
+    shift = (
+        coarse[:, owner, iy, ix] * gx * gy
+        + coarse[:, owner, iy, ix + 1] * fx * gy
+        + coarse[:, owner, iy + 1, ix] * gx * fy
+        + coarse[:, owner, iy + 1, ix + 1] * fx * fy
+    )
+    shift *= amp[owner]
+    return px + shift.T
+
+
+def _ramps(n: np.ndarray) -> np.ndarray:
+    """0 .. n[0] - 1, then 0 .. n[1] - 1, and so on, in one array."""
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _segment_distance(a: np.ndarray, b: np.ndarray, reach: np.ndarray,
+                      owner: np.ndarray, count: int) -> np.ndarray:
+    """The (count, 28, 28) distance from each pixel centre of ``count``
+    digits to the nearest of their segments a->b, segment i being digit
+    ``owner[i]``'s, taken over the segments within ``reach[i]`` of the
+    centre, and +inf where there is none. So the field is exact wherever it
+    is within reach, and beyond reach wherever the field over every segment
+    is.
+
+    Each segment is measured on its window alone: its bounding box widened
+    by its reach and clipped to the grid, outside which every pixel centre
+    lies more than reach from it. The window's pixels are flat (segment,
+    pixel) pairs, and the y term of the projection parameter t is formed
+    once per window row. The minimum over segments is taken on squared
+    distances, and one sqrt follows. That is exact: IEEE sqrt is correctly
+    rounded, hence monotone.
+    """
+    lo = np.clip(np.floor(np.minimum(a, b) - reach[:, None]), 0, 28).astype(np.intp)
+    hi = np.clip(np.ceil(np.maximum(a, b) + reach[:, None]), 0, 28).astype(np.intp)
+    (c0, r0), (w, h) = lo.T, (hi - lo).T
+    ax, ay = a[:, 0], a[:, 1]
+    abx, aby = b[:, 0] - ax, b[:, 1] - ay
+    denom = np.maximum(abx * abx + aby * aby, 1e-12)
+    # one entry per (segment, window row), then one per (segment, pixel)
+    sr = np.repeat(np.arange(len(a)), h)
+    row = r0[sr] + _ramps(h)
+    gy = row + 0.5
+    ty = (gy - ay[sr]) * aby[sr]
+    wr = w[sr]
+    sp = np.repeat(sr, wr)
+    col = c0[sp] + _ramps(wr)
+    gx = col + 0.5
+    t = (gx - ax[sp]) * abx[sp] + np.repeat(ty, wr)
+    t /= denom[sp]
+    np.clip(t, 0.0, 1.0, out=t)
+    # d = (gx - (ax + t * abx)) ** 2, then t becomes the y term in place
+    d = t * abx[sp]
+    d += ax[sp]
+    np.subtract(gx, d, out=d)
+    d *= d
+    t *= aby[sp]
+    t += ay[sp]
+    np.subtract(np.repeat(gy, wr), t, out=t)
+    t *= t
+    d += t
+    dist = np.full(count * 784, np.inf)
+    np.minimum.at(dist, np.repeat((owner[sr] * 28 + row) * 28, wr) + col, d)
+    return np.sqrt(dist, out=dist).reshape(count, 28, 28)
+
+
+def _render_digits(style_lists, rng) -> np.ndarray:
+    """One (28, 28) image per entry of ``style_lists`` (the styles of each
+    digit's class), drawn from ``rng`` digit by digit. The draws and the
+    affine maps run per digit; every other step runs once over the batch,
+    which gives the same bits, as IEEE arithmetic does not depend on the
+    shape of the array."""
+    a, b, coarse, noise, thick, peak, amp = zip(
+        *(_draw_digit(styles, rng) for styles in style_lists))
+    count = len(a)
+    owner = np.repeat(np.arange(count), [len(x) for x in a])
+    thick, peak, amp = np.array(thick), np.array(peak), np.array(amp)
+    ends = _warp_points(np.concatenate(a + b), np.stack(coarse, axis=1), amp,
+                        np.concatenate([owner, owner]))
+    # a pixel beyond thick + aa of every segment clips to 0, so each segment
+    # is measured within thick + aa, plus 1 px to spare
+    dist = _segment_distance(*np.split(ends, 2), (thick + _AA + 1.0)[owner], owner, count)
+
+    thick, peak = thick[:, None, None], peak[:, None, None]
+    pad = np.zeros((count, 30, 30))
+    pad[:, 1:-1, 1:-1] = np.clip((thick + _AA - dist) / (2 * _AA), 0.0, 1.0)
     img = _blur3(pad)
-    img = np.clip(img * (1.0 + rng.normal(0.0, 0.08, img.shape)), 0.0, 1.0)
+    img = np.clip(img * (1.0 + np.stack(noise)), 0.0, 1.0)
     img *= peak
     # store with 8-bit precision, like camera-captured corpora
     return np.round(img * 255.0) / 255.0
@@ -320,8 +381,9 @@ def synth_digits(count: int, seed: int = 0, split: str = "train") -> Dataset:
     labels = rng.permutation(np.arange(count) % 10)
     strokes = _digit_strokes()
     images = np.empty((count, 28, 28))
-    for i in range(count):
-        images[i] = _render_digit(strokes[int(labels[i])], rng)
+    for i in range(0, count, _CHUNK):
+        images[i:i + _CHUNK] = _render_digits(
+            [strokes[int(k)] for k in labels[i:i + _CHUNK]], rng)
     return Dataset(f"digits-{split}-{count}-s{seed}", images, labels, 10)
 
 

@@ -278,14 +278,23 @@ def save_fault_map(fm: FaultMap, path) -> None:
 def load_fault_map(path) -> FaultMap:
     """The map of a ``save_fault_map`` file. Raises ``ValueError``, naming
     the file, when the count line is missing or differs from the number of
-    fault lines, as in a file cut short."""
+    fault lines, as in a file cut short, and naming the file and the line
+    when a header, count or field is not an integer."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or not raw[0].startswith("n="):
         raise ValueError(f"fault map file {path} must start with an 'n=<dim>' header")
     if len(raw) < 2 or not raw[1].startswith("faults="):
         raise ValueError(f"fault map file {path} has no 'faults=<count>' line after its header")
-    n, count = int(raw[0][2:]), int(raw[1][7:])
+
+    def integer(field: str, ln: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"fault map file {path}, line {ln!r}: "
+                             f"{field!r} is not an integer") from None
+
+    n, count = integer(raw[0][2:], raw[0]), integer(raw[1][7:], raw[1])
     if count != len(raw) - 2:
         raise ValueError(f"fault map file {path} holds {len(raw) - 2} faults, "
                          f"but its count line says {count}")
@@ -294,7 +303,7 @@ def load_fault_map(path) -> FaultMap:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"bad fault map line: {ln!r}")
-        i, j, bit = int(parts[0]), int(parts[1]), int(parts[2])
+        i, j, bit = (integer(field, ln) for field in parts[:3])
         if (i, j) in entries:
             raise ValueError(f"duplicate fault coordinate ({i}, {j})")
         entries[(i, j)] = StuckAtFault(bit=bit, kind=parts[3])

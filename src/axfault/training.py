@@ -176,9 +176,13 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
     ``mask`` (layer index -> bool array over W) pins entries to zero
     before the first step and at every epoch boundary. ``stop_acc`` stops
     early once float-engine accuracy on ``eval_data`` reaches the
-    threshold; without ``eval_data`` it raises ``ValueError``. ``history``,
-    when a list is passed, collects one dict per completed epoch.
+    threshold; without ``eval_data`` it raises ``ValueError``, as it does
+    for a ``stop_acc`` that is no finite number (``math.inf``, a threshold
+    never reached, is kept). ``history``, when a list is passed, collects
+    one dict per completed epoch.
     """
+    if stop_acc is not None and stop_acc != math.inf:
+        stop_acc = _check_real("stop_acc", stop_acc)
     if stop_acc is not None and eval_data is None:
         raise ValueError("stop_acc needs eval_data to score the epochs against")
     images, labels = _as_xy(data)

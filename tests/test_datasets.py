@@ -272,11 +272,12 @@ def test_digits_reject_bad_count_and_seed(kw, match):
         ds.synth_digits(**kw)
 
 
-# --- the renderer against its original per-pair form ------------------------
+# --- the renderer against its original per-digit, per-pair form --------------
 #
-# The body of ``_render_digit`` before the in-place distance kernel: x and y
-# reduced with ``.sum(-1)``, one sqrt per segment-pixel pair, a padded blur.
-# The kernel must give the same bytes and draw from the RNG in the same order.
+# The renderer as it was before the in-place distance kernel, the segment
+# windows and the batches: one digit at a time over the whole grid, x and y reduced
+# with ``.sum(-1)``, one sqrt per segment-pixel pair, a padded blur. The
+# renderer must give the same bytes and draw from the RNG in the same order.
 
 
 def _blur3_oracle(img):
@@ -363,6 +364,39 @@ def _synth_digits_oracle(count, seed, split="train"):
 
 _STYLES = [(digit, k) for digit, styles in ds._digit_strokes().items()
            for k in range(len(styles))]
+# the widest reach of a stroke: the thickest draw, the anti-aliased edge
+# and the segment window's 1 px margin
+_MAX_REACH = 2.0 + 0.7 + 1.0
+
+
+def _assert_fields_equal_oracle(cases):
+    # the (a, b, reach) cases as the segments of one batch of digits: each
+    # field is the oracle's to the byte wherever it is within reach, and the
+    # oracle's lies beyond reach wherever it is not
+    a, b, reach = (np.concatenate(v) for v in zip(*((a, b, np.full(len(a), r))
+                                                     for a, b, r in cases)))
+    owner = np.repeat(np.arange(len(cases)), [len(c[0]) for c in cases])
+    got = ds._segment_distance(a, b, reach, owner, len(cases))
+    assert got.shape == (len(cases), 28, 28)
+    for field, (a, b, r) in zip(got, cases):
+        want = _segment_distance_oracle(a[:, None, :], b[:, None, :]).reshape(28, 28)
+        near = field <= r
+        assert field[near].tobytes() == want[near].tobytes()
+        assert (want[~near] > r).all()
+    return got
+
+
+def _assert_renders_equal_oracle(style_lists, seed):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ds._render_digits(style_lists, new)
+    assert got.shape == (len(style_lists), 28, 28)
+    for img, styles in zip(got, style_lists):
+        want = _render_digit_oracle(styles, old)
+        assert img.dtype == want.dtype
+        assert img.tobytes() == want.tobytes()
+    # the same draws were taken in the same order
+    assert new.bit_generator.state == old.bit_generator.state
+    return got
 
 
 @pytest.mark.parametrize("digit, style", _STYLES,
@@ -372,52 +406,99 @@ def test_render_digit_equals_oracle_for_every_style(digit, style):
     if (digit, style) == (1, 1):
         assert len(styles[0]) == 1 and len(styles[0][0]) == 2  # one segment
     for seed in (0, 1, 2, 3):
-        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):  # successive digits from one stream
-            got = ds._render_digit(styles, new)
-            want = _render_digit_oracle(styles, old)
-            assert got.shape == (28, 28) and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-        # the same draws were taken in the same order
-        assert new.bit_generator.state == old.bit_generator.state
+        _assert_renders_equal_oracle([styles] * 3, seed)  # successive digits of one stream
+
+
+# strokes partly or wholly outside the unit box: off the grid, past its
+# border by less than a stroke's reach, and far off it
+_OFF_BOX_STYLES = {
+    "partly-left": [np.array([[-0.6, 0.5], [0.4, 0.5], [0.5, 0.9]])],
+    "partly-below": [np.array([[0.5, 0.5], [0.5, 1.7]]),
+                     np.array([[0.2, 1.2], [0.8, 1.2]])],
+    "just-off": [np.array([[-0.23, 0.1], [-0.23, 0.9]])],
+    "wholly-off": [np.array([[1.8, 1.8], [2.5, 2.2], [2.4, 1.9]])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_BOX_STYLES))
+def test_render_digits_off_the_unit_box_equal_oracle(name):
+    styles = [_OFF_BOX_STYLES[name]]
+    for seed in (0, 5):
+        got = _assert_renders_equal_oracle([styles] * 4, seed)
+        if name == "wholly-off":
+            assert not got.any()
+
+
+def _thickest_seeds(count, tries=400):
+    """The seeds, among the first ``tries``, whose first digit draws the
+    thickest strokes, replaying the renderer's first draws."""
+    def thick(seed):
+        rng = np.random.default_rng(seed)
+        rng.integers(1)
+        rng.uniform(-0.25, 0.25)
+        rng.uniform(0.78, 1.16, size=2)
+        rng.uniform(-0.22, 0.22)
+        rng.uniform(-2.5, 2.5, size=2)
+        return rng.uniform(0.8, 2.0)
+    return sorted(range(tries), key=thick)[-count:]
+
+
+def test_render_thickest_stroke_at_the_grid_border():
+    # a square traced along the grid's four borders, at the thickest draws
+    square = np.array([[-0.17, -0.17], [1.17, -0.17], [1.17, 1.17], [-0.17, 1.17],
+                       [-0.17, -0.17]])
+    for seed in _thickest_seeds(3):
+        got = _assert_renders_equal_oracle([[[square]]], seed)[0]
+        assert all(edge.any() for edge in (got[0], got[-1], got[:, 0], got[:, -1]))
 
 
 @pytest.mark.parametrize("digit, style", _STYLES,
                          ids=[f"{d}-{k}" for d, k in _STYLES])
 def test_segment_distance_equals_oracle(digit, style):
     # the 8-bit output hides most last-bit errors of the field, so the field
-    # is compared on its own, before the blur and the rounding
+    # is compared on its own, before the blur and the rounding; the strokes
+    # may run off the grid, so some windows are clipped
     rng = np.random.default_rng([digit, style])
     strokes = ds._digit_strokes()[digit][style]
+    cases = []
     for _ in range(6):
         scale, shift = rng.uniform(12.0, 24.0), rng.uniform(0.0, 8.0, size=2)
         px = [p * scale + shift + rng.normal(0.0, 0.5, size=p.shape) for p in strokes]
-        a = np.concatenate([p[:-1] for p in px])
-        b = np.concatenate([p[1:] for p in px])
-        want = _segment_distance_oracle(a[:, None, :], b[:, None, :])
-        assert ds._segment_distance(a, b).tobytes() == want.tobytes()
+        cases.append((np.concatenate([p[:-1] for p in px]),
+                      np.concatenate([p[1:] for p in px]), rng.uniform(0.8, 2.0) + 0.7 + 1.0))
+    _assert_fields_equal_oracle(cases)
 
 
 def test_warp_points_equals_oracle():
+    # several digits' points warped at once, each by its own field and amp
     for seed in range(8):
-        px = np.random.default_rng(100 + seed).uniform(-4.0, 32.0, size=(40, 2))
+        pts = np.random.default_rng(100 + seed).uniform(-4.0, 32.0, size=(70, 2))
+        sizes, amps = (40, 2, 28), (1.7, 0.8, 2.0)
+        parts = np.split(pts, np.cumsum(sizes)[:-1])
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = ds._warp_points(px, new, 1.7)
-        assert got.tobytes() == _warp_points_oracle(px, old, 1.7).tobytes()
+        coarse = np.stack([new.normal(0.0, 1.0, size=(2, 4, 4)) for _ in sizes], axis=1)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        got = ds._warp_points(pts, coarse, np.array(amps), owner)
+        want = np.concatenate([_warp_points_oracle(p, old, amp) for p, amp in zip(parts, amps)])
+        assert got.tobytes() == want.tobytes()
         assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_segment_distance_degenerate_segments():
     # zero-length segments (the floor on the squared length keeps 0 / 0
-    # out) and segments through pixel centres
-    a = np.array([[5.5, 5.5], [10.0, 3.0], [0.5, 27.5], [14.5, 0.5]])
-    b = np.array([[5.5, 5.5], [10.0, 3.0], [27.5, 27.5], [14.5, 27.5]])
-    for k in range(1, len(a) + 1):
-        want = _segment_distance_oracle(a[:k, None, :], b[:k, None, :])
-        assert ds._segment_distance(a[:k], b[:k]).tobytes() == want.tobytes()
+    # out), segments through pixel centres, and along the grid's border
+    a = np.array([[5.5, 5.5], [10.0, 3.0], [0.5, 27.5], [14.5, 0.5], [0.0, 0.0]])
+    b = np.array([[5.5, 5.5], [10.0, 3.0], [27.5, 27.5], [14.5, 27.5], [28.0, 0.0]])
+    _assert_fields_equal_oracle([(a[:k], b[:k], _MAX_REACH) for k in range(1, len(a) + 1)]
+                                + [(a[k:k + 1], b[k:k + 1], _MAX_REACH) for k in range(len(a))])
+    # a segment off the grid, farther than reach: no pixel is measured
+    got = _assert_fields_equal_oracle([(np.array([[-9.0, 3.0]]), np.array([[-6.0, 20.0]]),
+                                        _MAX_REACH)])
+    assert np.isinf(got).all()
 
 
-@pytest.mark.parametrize("count", [1, 7, 150])
+# counts around the batches' edges (ds._CHUNK is 16), and beyond
+@pytest.mark.parametrize("count", [1, 7, 15, 16, 17, 33, 150])
 def test_synth_digits_equals_oracle(count):
     for seed in (0, 9):
         got = ds.synth_digits(count, seed=seed, split="test")

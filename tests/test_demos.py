@@ -1,7 +1,7 @@
 """The fast demos run to completion against the package in ``src/``.
 
 A demo is a user of the public API, so a name dropped from ``axfault``
-that a demo still imports fails here. 05 and 06 take about eight seconds
+that a demo still imports fails here. 05 and 06 take about three seconds
 each on a 2-core x86 host (rendering their 12,000 synthetic digits and
 training) and are left out. The command-line tour runs through an
 ``axfault`` shim on ``PATH``: it is the one check of train, inject,

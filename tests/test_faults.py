@@ -227,6 +227,22 @@ def test_fault_map_file_errors(tmp_path):
         fl.load_fault_map(p)
 
 
+@pytest.mark.parametrize("text, line, field", [
+    ("n=4.5\nfaults=0\n", "n=4.5", "4.5"),
+    ("n=4\nfaults=one\n", "faults=one", "one"),
+    ("n=4\nfaults=1\n1,x,3,sa1\n", "1,x,3,sa1", "x"),
+    ("n=4\nfaults=1\n1.0,2,3,sa1\n", "1.0,2,3,sa1", "1.0"),
+    ("n=4\nfaults=1\n1,2,,sa1\n", "1,2,,sa1", ""),
+], ids=["header", "count", "column", "row", "bit"])
+def test_fault_map_file_names_a_field_that_is_no_integer(tmp_path, text, line, field):
+    # these used to raise a bare "invalid literal for int() with base 10"
+    p = tmp_path / "bad.axfm"
+    p.write_text(text)
+    want = f"fault map file {p}, line {line!r}: {field!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        fl.load_fault_map(p)
+
+
 def test_a_cut_fault_map_file_is_refused(tmp_path):
     # a 25-fault map cut at a line end loaded as a smaller map, and its
     # first 3 bytes, "n=8", as a map with no faults

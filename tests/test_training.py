@@ -1,5 +1,7 @@
 """SGD training, gradient checks, masked retraining."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,30 @@ def test_stop_acc_needs_eval_data():
         training.train(_mlp(), synth_blobs(count=50, seed=4),
                        training.HyperParams(epochs=2, seed=1), stop_acc=0.0, history=hist)
     assert hist == []
+
+
+@pytest.mark.parametrize("stop_acc", ["50", True, math.nan, -math.inf],
+                         ids=["str", "bool", "nan", "minus-inf"])
+def test_stop_acc_must_be_a_number(stop_acc):
+    # "50" used to train a whole epoch and then raise TypeError, True
+    # stopped at 1% and NaN never stopped
+    data = synth_blobs(count=40, seed=4)
+    hist = []
+    with pytest.raises(ValueError, match="^stop_acc must be a finite number"):
+        training.train(_mlp(), data, training.HyperParams(epochs=2, seed=1),
+                       eval_data=data, stop_acc=stop_acc, history=hist)
+    assert hist == []
+
+
+@pytest.mark.parametrize("stop_acc, epochs", [(None, 3), (math.inf, 3), (0.0, 1), (0, 1)],
+                         ids=["none", "inf", "zero", "int-zero"])
+def test_stop_acc_none_and_inf_run_every_epoch(stop_acc, epochs):
+    # math.inf is the threshold never reached, as run_mitigation passes it
+    data = synth_blobs(count=40, seed=4)
+    hist = []
+    training.train(_mlp(), data, training.HyperParams(epochs=3, seed=1),
+                   eval_data=data, stop_acc=stop_acc, history=hist)
+    assert len(hist) == epochs
 
 
 def test_mask_pins_weights_to_zero():

@@ -1,5 +1,6 @@
 """Mutation gate: every named mutant of ``src/`` must fail the fast tests of
-the fault routes, the quantizer, the network and the pinned results.
+the fault routes, the quantizer, the network, the digit renderer and the
+pinned results.
 
     python tools/mutants.py
 
@@ -30,11 +31,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TEST_FILES = ("tests/test_faults.py", "tests/test_gemm_paths.py",
               "tests/test_forward_properties.py", "tests/test_quantize.py",
-              "tests/test_pinned_results.py", "tests/test_network.py")
+              "tests/test_pinned_results.py", "tests/test_network.py",
+              "tests/test_datasets.py")
 
 _FAULTS = "src/axfault/faults.py"
 _QUANTIZE = "src/axfault/quantize.py"
 _NETWORK = "src/axfault/network.py"
+_DATASETS = "src/axfault/datasets.py"
 
 
 class Mutant(NamedTuple):
@@ -112,6 +115,13 @@ MUTANTS = (
            "kept is None or kept[0] is not data or", "kept is None or",
            "golden states kept for one dataset resume an evaluate of another "
            "of the same length"),
+    Mutant("window-margin-short", _DATASETS,
+           "(thick + _AA + 1.0)[owner]", "(thick + _AA - 1.0)[owner]",
+           "a segment's window stops 1 px short of its reach: it cuts lit pixels"),
+    Mutant("t-rows-for-columns", _DATASETS,
+           "t = (gx - ax[sp]) * abx[sp]", "t = (np.repeat(gy, wr) - ax[sp]) * abx[sp]",
+           "the x term of the projection parameter t reads the window's row centres "
+           "for its columns"),
 )
 
 
