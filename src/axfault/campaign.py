@@ -10,6 +10,10 @@ and layer of one seed is scored under one fault map, and the fault kinds
 and bits of a seed share its positions, so two cells of a seed differ only
 in the axis that tells them apart (common random numbers).
 
+``run_campaign`` cuts the test data to ``spec.sample_limit`` once; the
+golden passes, every cell's ``evaluate`` and every repair score that one
+object, and a cell's repair runs the ``ExecEnv`` its ``evaluate`` ran.
+
 Golden-run reuse: without faults both engines compute the same GEMMs, so
 one clean pass per multiplier (``network.golden_pass``) gives the baseline
 accuracy of every engine. It fills one plan per multiplier, which every
@@ -156,9 +160,11 @@ class CampaignSpec:
 
 def _repair_settings(mitigation: dict):
     """(HyperParams, acc_thresh, activations) from a spec's ``mitigation``
-    object; ``ValueError`` for a setting of the wrong type or range."""
+    object, an unset or null ``acc_thresh`` None (every epoch runs);
+    ``ValueError`` for a setting of the wrong type or range."""
     cfg = dict(mitigation)
-    acc_thresh = _check_real("acc_thresh", cfg.pop("acc_thresh", 0.0))
+    acc_thresh = cfg.pop("acc_thresh", None)
+    acc_thresh = None if acc_thresh is None else _check_real("acc_thresh", acc_thresh)
     activations = cfg.pop("activations", "uniform")
     check_activations(activations)
     return HyperParams(**cfg), acc_thresh, activations
@@ -261,60 +267,48 @@ def _init_worker(payload):
     _ASSETS = payload
 
 
-def _cell_env(cell, m):
-    """(ExecEnv, fault map) of ``cell``, its fault drawn from its seed alone."""
+def _cell_env(cell, m) -> ExecEnv:
+    """The ``ExecEnv`` of ``cell``, its fault drawn from its seed alone."""
     layer, seed = cell["layer"], cell["seed"]
     fault = StuckAtFault(cell["bit"], cell["fault_kind"])
     if cell["engine"] == "systolic":
         n = cell["array_size"]
-        fm = random_fault_map(n, cell["percent"], fault, seed)
         return ExecEnv(engine="systolic", multiplier=m,
                        systolic=SystolicConfig(n=n, mode="propagate"),
-                       fault_map=fm, layer_filter=layer), fm
+                       fault_map=random_fault_map(n, cell["percent"], fault, seed),
+                       layer_filter=layer)
     tf = TileFaultSpec(tile_index=seeded_tile_index(seed),
                        damaged_fraction=cell["percent"] / 100.0, fault=fault, seed=seed)
     return ExecEnv(engine="gpu_tiles", multiplier=m, tile=cell["array_size"],
-                   tile_fault=tf, layer_filter=layer), None
+                   tile_fault=tf, layer_filter=layer)
 
 
 def _run_cell(cell: dict) -> CampaignRecord:
     a = _ASSETS
     spec = a["spec"]
     t0 = time.perf_counter() if a["include_timing"] else None
+    mid = cell["multiplier"]
     rec = CampaignRecord(**cell, model=spec.model_id, dataset=spec.dataset_id,
-                         mae_percent=a["mae"][cell["multiplier"]],
-                         baseline_acc=a["baselines"][cell["multiplier"]],
+                         mae_percent=a["mae"][mid], baseline_acc=a["baselines"][mid],
                          faulty_acc=None, acc_loss=None)
     try:
-        m = a["multipliers"][cell["multiplier"]]
-        env, fm = _cell_env(cell, m)
+        env = _cell_env(cell, a["multipliers"][mid])
         rec.faulty_acc = evaluate(a["model"], a["weights"], a["test"], env=env,
-                                  sample_limit=spec.sample_limit,
-                                  _plan=a["plans"][cell["multiplier"]])
+                                  _plan=a["plans"][mid])
         rec.acc_loss = rec.baseline_acc - rec.faulty_acc
-        if spec.mitigation is not None and cell["engine"] == "systolic":
-            rec.mitigated_acc = _mitigate_cell(a, cell, m, fm)
-        if a["energy"] is not None and cell["multiplier"] in a["energy"]:
-            rec.energy_pj = mac_count(a["model"]) * float(
-                a["energy"][cell["multiplier"]]
-            )
+        if a["repair"] is not None and env.engine == "systolic":
+            hp, acc_thresh, activations = a["repair"]
+            _, rep = run_mitigation(a["model"], a["weights"], env.fault_map, env.systolic,
+                                    env.multiplier, a["train"], a["test"], hp, acc_thresh,
+                                    activations=activations)
+            rec.mitigated_acc = rep.acc_after
+        if a["energy"] is not None and mid in a["energy"]:
+            rec.energy_pj = a["macs"] * float(a["energy"][mid])
     except Exception as e:  # noqa: BLE001 - a bad cell must not kill the sweep
         rec.error = f"{type(e).__name__}: {e}"
     if t0 is not None:
         rec.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return rec
-
-
-def _mitigate_cell(a, cell, m, fm) -> float:
-    hp, acc_thresh, activations = _repair_settings(a["spec"].mitigation)
-    images, labels = _as_xy(a["test"])
-    limit = a["spec"].sample_limit
-    test = (images[:limit], labels[:limit])
-    _, rep = run_mitigation(a["model"], a["weights"], fm,
-                            SystolicConfig(n=cell["array_size"]), m,
-                            a["train"], test, hp, acc_thresh,
-                            activations=activations)
-    return rep.acc_after
 
 
 def run_campaign(spec: CampaignSpec, model, weights, test_data,
@@ -324,7 +318,7 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
 
     ``workers`` > 1 fans cells out to a process pool; results are
     identical to the sequential run because each cell's randomness is
-    self-contained and records are ordered by cell index afterwards.
+    self-contained, and the pool returns records in cell order.
 
     Raises ``ValueError`` for an ``energy_table`` that
     ``_check_energy_table`` refuses, when ``spec.mitigation`` is set without
@@ -340,39 +334,27 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}
     mae = {mid: error_metrics(m).mae_percent for mid, m in mults.items()}
+    images, labels = _as_xy(test_data)
+    test = (images[:spec.sample_limit], labels[:spec.sample_limit])
     room = _GOLDEN_BYTES
     baselines, plans = {}, {}
     for mid, m in mults.items():
         # the clean pass of either engine serves both
         env = ExecEnv(engine="gpu_tiles", multiplier=m)
-        baselines[mid], plans[mid] = golden_pass(model, weights, test_data, env, layers,
-                                                 sample_limit=spec.sample_limit, room=room)
+        baselines[mid], plans[mid] = golden_pass(model, weights, test, env, layers, room=room)
         room = plans[mid].room
-    payload = {
-        "spec": spec,
-        "model": model,
-        "weights": weights,
-        "test": test_data,
-        "train": train_data,
-        "multipliers": mults,
-        "mae": mae,
-        "baselines": baselines,
-        "plans": plans,
-        "energy": energy_table,
-        "include_timing": include_timing,
-    }
+    payload = dict(spec=spec, model=model, weights=weights, test=test, train=train_data,
+                   multipliers=mults, mae=mae, baselines=baselines, plans=plans,
+                   repair=None if spec.mitigation is None else _repair_settings(spec.mitigation),
+                   energy=energy_table, macs=mac_count(model), include_timing=include_timing)
     cells = cells_of(spec)
     if workers <= 1:
         _init_worker(payload)
-        records = [_run_cell(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(payload,)) as pool:
-            records = list(pool.map(_run_cell, cells,
-                                    chunksize=max(1, len(cells) // (4 * workers))))
-    records.sort(key=lambda r: r.cell_index)
-    return records
+        return [_run_cell(c) for c in cells]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(payload,)) as pool:
+        return list(pool.map(_run_cell, cells,
+                             chunksize=max(1, len(cells) // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------

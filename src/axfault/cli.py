@@ -331,7 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-data", required=True)
     p.add_argument("--multiplier", default="exact")
     _add_fault_flags(p)
-    p.add_argument("--acc-thresh", type=float, default=0.0)
+    p.add_argument("--acc-thresh", type=float,
+                   help="stop retraining once this accuracy is reached "
+                        "(default: run every epoch)")
     p.add_argument("--activations", choices=mitigation.ACTIVATION_SOURCES,
                    default="uniform")
     p.add_argument("--out", required=True)

@@ -279,7 +279,8 @@ def load_fault_map(path) -> FaultMap:
     """The map of a ``save_fault_map`` file. Raises ``ValueError``, naming
     the file, when the count line is missing or differs from the number of
     fault lines, as in a file cut short, and naming the file and the line
-    when a header, count or field is not an integer."""
+    when a header, count or field is not an integer, a fault line does not
+    hold 4 fields or repeats a coordinate."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or not raw[0].startswith("n="):
@@ -302,10 +303,12 @@ def load_fault_map(path) -> FaultMap:
     for ln in raw[2:]:
         parts = ln.split(",")
         if len(parts) != 4:
-            raise ValueError(f"bad fault map line: {ln!r}")
+            raise ValueError(f"fault map file {path}, line {ln!r}: "
+                             f"a fault line holds 4 fields (i,j,bit,kind), got {len(parts)}")
         i, j, bit = (integer(field, ln) for field in parts[:3])
         if (i, j) in entries:
-            raise ValueError(f"duplicate fault coordinate ({i}, {j})")
+            raise ValueError(f"fault map file {path}, line {ln!r}: "
+                             f"duplicate fault coordinate ({i}, {j})")
         entries[(i, j)] = StuckAtFault(bit=bit, kind=parts[3])
     return FaultMap(n=n, entries=entries)
 

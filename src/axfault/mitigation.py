@@ -46,7 +46,7 @@ class MitigationReport:
     epochs_used: int = 0
     multiplier_id: str = ""
     fault_summary: str = ""
-    acc_thresh: float = 0.0
+    acc_thresh: float | None = None
     reached_thresh: bool = False
 
     def __post_init__(self):
@@ -118,10 +118,13 @@ def capture_activations(model: ModelSpec, weights: WeightSet, data,
 
 def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
                    cfg: SystolicConfig, m: Multiplier, train_data, test_data,
-                   hp: training.HyperParams, acc_thresh: float, *,
+                   hp: training.HyperParams, acc_thresh: float | None = None, *,
                    activations="uniform", capture_limit=None):
     """Full repair run; returns (retuned WeightSet, MitigationReport).
 
+    Retraining stops after the first epoch whose float accuracy on
+    ``test_data`` reaches ``acc_thresh``; with None every one of
+    ``hp.epochs`` runs, and the report's ``reached_thresh`` is False.
     ``activations``, one of ``ACTIVATION_SOURCES``, names the distribution
     the retuning map is built against: "uniform" weighs all codes equally,
     "empirical" harvests a histogram from a fault-free pass over
@@ -166,6 +169,6 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
         multiplier_id=m.id,
         fault_summary=fault_map_summary(fm),
         acc_thresh=acc_thresh,
-        reached_thresh=acc_after >= acc_thresh,
+        reached_thresh=acc_thresh is not None and acc_after >= acc_thresh,
     )
     return retuned, report

@@ -26,12 +26,12 @@ eval batches (``_GemmPlan``).
 
 ``golden_pass`` evaluates without faults and keeps in its plan, per eval
 batch, the int8 input and int32 accumulator of chosen GEMM layers. An
-``evaluate`` handed that plan, for the same data, sample limit and batch
-size, and whose faults lie in one of those layers, starts ``run_layers``
-there and adds only the faults to the kept accumulator. A plan never
-changes what ``evaluate`` returns, only the work it does; a plan kept for
-other weights or biases, another multiplier or another weight map is
-refused. What a plan keeps is decided here alone: its byte allowance,
+``evaluate`` handed that plan, for the same data object and batch size and
+no sample limit, whose faults lie in one of those layers, starts
+``run_layers`` there and adds only the faults to the kept accumulator. A
+plan never changes what ``evaluate`` returns, only the work it does; a plan
+kept for other weights or biases, another multiplier or another weight map
+is refused. What a plan keeps is decided here alone: its byte allowance,
 ``room``, goes to the golden states first and then to the tables.
 """
 
@@ -475,7 +475,7 @@ class _GemmPlan:
 
     ``golden_pass`` keeps in it ``states[layer]``, per eval batch the
     ``QTensor`` entering the layer and its fault-free int32 accumulator,
-    for the (data, sample limit, batch size) in ``kept_for``.
+    for the (data, batch size) in ``kept_for``.
     """
 
     def __init__(self, weights: WeightSet, env: ExecEnv, room):
@@ -529,11 +529,11 @@ class _GemmPlan:
             self.room -= 0 if t is None else t.nbytes
         return self._tables[idx]
 
-    def states_for(self, layer, data, sample_limit, batch_size):
+    def states_for(self, layer, data, batch_size):
         """The golden states of ``layer`` if they were kept for this data
-        object, sample limit and batch size, else None."""
+        object and batch size, else None."""
         kept = self.kept_for
-        if kept is None or kept[0] is not data or kept[1:] != (sample_limit, batch_size):
+        if kept is None or kept[0] is not data or kept[1] != batch_size:
             return None
         return self.states.get(layer)
 
@@ -700,12 +700,13 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
     ``observe`` is passed to ``run_layers``. Every eval batch reads one
     ``_GemmPlan``: ``_plan`` (checked against ``weights`` and ``env``), or
     one built for this call, which keeps tables when there is more than
-    one batch. If ``_plan`` holds golden states of layer L =
-    ``env.layer_filter`` kept for this data object, sample limit and batch
-    size, each batch resumes at L: ``observe`` then sees layers L and later,
-    with the ``QTensor`` entering L as ``X`` at L. A plan never changes the
-    result. Raises ``ValueError`` as ``forward`` and ``_eval_batches`` do,
-    and for a plan of other weights, another multiplier or weight map.
+    one batch. If no ``sample_limit`` is given and ``_plan`` holds golden
+    states of layer L = ``env.layer_filter`` kept for this data object and
+    batch size, each batch resumes at L: ``observe`` then sees layers L and
+    later, with the ``QTensor`` entering L as ``X`` at L. A plan never
+    changes the result. Raises ``ValueError`` as ``forward`` and
+    ``_eval_batches`` do, and for a plan of other weights, another
+    multiplier or weight map.
     """
     env = env or ExecEnv()
     batches = _eval_batches(data, sample_limit, batch_size)
@@ -714,7 +715,8 @@ def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = N
     if env.engine != "float":
         plan = _plan or _GemmPlan(weights, env, room=math.inf if len(batches) > 1 else 0)
         plan.check(weights, env)
-    states = plan and plan.states_for(env.layer_filter, data, sample_limit, batch_size)
+    states = sample_limit is None and plan and plan.states_for(env.layer_filter, data,
+                                                                batch_size)
     start = env.layer_filter if states else 0
     hits = 0
     for i, (images, labels) in enumerate(batches):
@@ -734,21 +736,24 @@ def _state_bytes(model: ModelSpec, layer: int, samples: int) -> int:
 
 
 def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
-                sample_limit: int | None = None, batch_size: int = 256, room=math.inf):
-    """``evaluate`` on a quantized ``env`` without faults that keeps what a
-    faulty ``evaluate`` needs to resume at each GEMM layer in ``layers``.
+                batch_size: int = 256, room=math.inf):
+    """``evaluate`` over all of ``data`` on a quantized ``env`` without
+    faults that keeps what a faulty ``evaluate`` needs to resume at each
+    GEMM layer in ``layers``.
 
     Returns ``(accuracy, plan)``, ``plan`` a new ``_GemmPlan`` that spends
     ``room`` bytes first on the golden states of ``layers``, first fit in
-    that order, kept for this data object, sample limit and batch size,
-    then on the tables, layer by layer; ``plan.room`` is what is left.
-    Passing the plan as ``evaluate(..., _plan=plan)`` resumes. Raises
+    that order, kept for this data object and batch size, then on the
+    tables, layer by layer; ``plan.room`` is what is left. Passing the plan
+    as ``evaluate(..., _plan=plan)`` on that data and batch size, with no
+    ``sample_limit`` (to score a prefix, pass the slice to both), resumes.
+    Raises
     ``ValueError`` for an ``env`` that is float or carries faults, and,
     naming it, for an entry of ``layers`` that is no dense or conv2d layer.
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
-    samples = sum(len(labels) for _, labels in _eval_batches(data, sample_limit, batch_size))
+    samples = len(_as_xy(data)[1])
     plan = _GemmPlan(weights, env, room)
     for layer in layers:
         _check_gemm_layer(model, "layer", layer)
@@ -761,6 +766,6 @@ def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers
         if idx in plan.states:
             plan.states[idx].append((record["q"], record["acc"]))
 
-    acc = evaluate(model, weights, data, env, sample_limit, batch_size, keep, plan)
-    plan.kept_for = data, sample_limit, batch_size
+    acc = evaluate(model, weights, data, env, None, batch_size, keep, plan)
+    plan.kept_for = data, batch_size
     return acc, plan

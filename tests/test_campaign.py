@@ -160,13 +160,13 @@ def test_cells_of_a_seed_share_one_fault_draw(tmp_path):
     assert len(cells) == 32
     positions, tiles = set(), set()
     for cell in cells:
-        env, fm = cp._cell_env(cell, mul.parse_multiplier(cell["multiplier"]))
+        env = cp._cell_env(cell, mul.parse_multiplier(cell["multiplier"]))
         fault = fl.StuckAtFault(cell["bit"], cell["fault_kind"])
         if cell["engine"] == "systolic":
-            assert fm == fl.random_fault_map(8, 16.0, fault, 5)
-            positions.add(frozenset(fm.entries))
+            assert env.fault_map == fl.random_fault_map(8, 16.0, fault, 5)
+            positions.add(frozenset(env.fault_map.entries))
         else:
-            assert fm is None and env.tile_fault.fault == fault
+            assert env.tile_fault.fault == fault
             tiles.add(replace(env.tile_fault, fault=None))
     assert len(positions) == 1 and len(next(iter(positions))) == 10
     assert tiles == {fl.TileFaultSpec(int(np.random.default_rng(5).integers(1 << 30)),
@@ -339,6 +339,25 @@ def test_mitigation_cells(blobs_assets, as_tuple):
     assert 0.0 <= records[0].mitigated_acc <= 100.0
 
 
+def test_a_mitigation_without_a_threshold_repairs_every_epoch(blobs_assets, monkeypatch):
+    # the spec's acc_thresh defaulted to 0.0, so every repair stopped after
+    # its first epoch
+    model, ws, train_d, test_d = blobs_assets
+    epochs = []
+
+    def spy(*args, _real=cp.run_mitigation, **kwargs):
+        retuned, rep = _real(*args, **kwargs)
+        epochs.append(rep.epochs_used)
+        return retuned, rep
+
+    monkeypatch.setattr(cp, "run_mitigation", spy)
+    spec = _tiny_spec(multipliers=["truncated-4"], seeds=[1],
+                      mitigation={"epochs": 3, "lr": 0.1})
+    [rec] = cp.run_campaign(spec, model, ws, test_d, train_data=train_d)
+    assert rec.error is None and rec.mitigated_acc is not None
+    assert epochs == [3]
+
+
 def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypatch):
     # 300 samples are two eval batches (256 + 44); truncated-9 takes the
     # table path at 16 and 3 rows
@@ -365,7 +384,7 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
     assert len(resumed) == 2 * len(runs[0]) == 2 * 48
     for rec, cell in zip(runs[0], cp.cells_of(spec)):
         m = mul.parse_multiplier(cell["multiplier"])
-        env, _ = cp._cell_env(cell, m)
+        env = cp._cell_env(cell, m)
         assert rec.error is None
         assert rec.faulty_acc == net.evaluate(model, ws, test_d, env=env, sample_limit=300)
     assert len({r.faulty_acc for r in runs[0]}) > 5

@@ -247,6 +247,23 @@ def test_mitigate_flow(trained, capsys):
     assert rc == 0
 
 
+def test_mitigate_without_a_threshold_runs_every_epoch(trained, capsys):
+    # --acc-thresh defaulted to 0.0, which every epoch reaches, so a
+    # repair stopped after epoch 1 whatever --epochs said
+    rep = trained["tmp"] / "epochs.json"
+    argv = ["mitigate", "--model", trained["model"], "--weights", trained["weights"],
+            "--data", "blobs:3:200:8:1", "--test-data", "blobs:3:100:8:2",
+            "--n", "8", "--epochs", "3", "--lr", "0.1", "--seed", "2",
+            "--out", str(trained["tmp"] / "epochs.axdn")]
+    assert cli.main(argv + ["--report", str(rep)]) == 0
+    assert _kv(capsys)["epochs_used"] == "3"
+    doc = json.loads(rep.read_text())
+    assert doc["acc_thresh"] is None and doc["reached_thresh"] is False
+    # a threshold given stops at the first epoch that reaches it
+    assert cli.main(argv + ["--acc-thresh", "0"]) == 0
+    assert _kv(capsys)["epochs_used"] == "1"
+
+
 _DRAWS = [[], ["--n", "8", "--percent", "30", "--bit", "7", "--kind", "sa0"]]
 
 
@@ -379,7 +396,7 @@ def test_inject_without_tile_index_damages_a_campaign_cells_tile(trained, monkey
                              engines=["gpu_tiles"], fault_kinds=["sa0"], bits=[9],
                              percents=[30.0], layers=[1], array_sizes=[4], seeds=[5])
     [cell] = camp.cells_of(spec)
-    want, _ = camp._cell_env(cell, multipliers.exact_multiplier())
+    want = camp._cell_env(cell, multipliers.exact_multiplier())
     envs = []
 
     def spy(model, weights, data, env, sample_limit=None):

@@ -141,14 +141,21 @@ def test_mnist_or_synthetic_refuses_counts_below_one(tmp_path, monkeypatch, quar
     assert built == []
 
 
-def test_cifar_loader(tmp_path):
+def _cifar_records(labels) -> bytearray:
+    """CIFAR-10 batch bytes, one record per label: a red ramp, the green
+    ramp reversed and a blue plane of the label's value."""
     rec = bytearray()
-    for label in (3, 7):
+    for label in labels:
         rec.append(label)
         plane = np.arange(1024, dtype=np.uint8)
         rec += bytes(plane)          # red
         rec += bytes(plane[::-1])    # green
         rec += bytes([label]) * 1024  # blue
+    return rec
+
+
+def test_cifar_loader(tmp_path):
+    rec = _cifar_records((3, 7))
     p = tmp_path / "b1.bin"
     p.write_bytes(bytes(rec))
     got = ds.load_cifar10_batches([p], "cifar-test")
@@ -159,6 +166,20 @@ def test_cifar_loader(tmp_path):
     p.write_bytes(bytes(rec[:-1]))
     with pytest.raises(ValueError):
         ds.load_cifar10_batches([p], "cifar-test")
+
+
+def test_cifar_spec_loads_several_batches_in_order(tmp_path):
+    # "cifar:<a>,<b>" reads each batch file, a gzipped one too, and joins
+    # their records in the order given
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin.gz"
+    a.write_bytes(bytes(_cifar_records((3, 7))))
+    with gzip.open(b, "wb") as f:
+        f.write(bytes(_cifar_records((1,))))
+    got = ds.parse_dataset_arg(f"cifar:{b},{a}")
+    assert got.id == "cifar10" and got.n_classes == 10
+    assert got.images.shape == (3, 32, 32, 3)
+    assert list(got.labels) == [1, 3, 7]
+    assert [got.images[i, 5, 5, 2] for i in range(3)] == [1 / 255.0, 3 / 255.0, 7 / 255.0]
 
 
 # --- synthetic generators ---------------------------------------------------

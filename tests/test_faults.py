@@ -219,11 +219,14 @@ def test_fault_map_file_errors(tmp_path):
     p.write_text("0,0,3,sa1\n")
     with pytest.raises(ValueError):
         fl.load_fault_map(p)
+    # these two named neither the file nor, for a duplicate, the line
     p.write_text("n=4\nfaults=2\n0,0,3,sa1\n0,0,2,sa0\n")
-    with pytest.raises(ValueError, match="^duplicate fault coordinate"):
+    want = f"fault map file {p}, line '0,0,2,sa0': duplicate fault coordinate (0, 0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         fl.load_fault_map(p)
     p.write_text("n=4\nfaults=1\n0,0,3\n")
-    with pytest.raises(ValueError, match="^bad fault map line"):
+    want = f"fault map file {p}, line '0,0,3': a fault line holds 4 fields (i,j,bit,kind), got 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         fl.load_fault_map(p)
 
 

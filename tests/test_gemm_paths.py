@@ -155,6 +155,21 @@ def test_truncated_on_both_sides_of_the_matmul_crossover(k, matmul):
     _check_gpu(w, a, m, tf, 4)
 
 
+def test_truncated_9_reads_tables_at_512_rows():
+    # 2^9 <= 512 rows, but k = 9 is past the matmul path's k <= 8: its
+    # truncation's low-bit masks would not fit in uint8
+    m = mul.truncated_multiplier(9)
+    assert not fl._blas_ready(m, 512)
+    w, a = _operands(9, 512, 3, 2)
+    for mode in fl.GEMM_MODES:
+        _check_systolic(w, a, m, _fault_map(3, "random", 9), SystolicConfig(3, mode),
+                        step=True)
+    _check_systolic(w, a, m, None, SystolicConfig(3), step=True)
+    _check_gpu(w, a, m, None, 4, step=True)
+    _check_gpu(w, a, m, TileFaultSpec(5, 0.5, fl.StuckAtFault(9, "sa1"), seed=9), 4,
+               step=True)
+
+
 def _counted(w, fm):
     """Whether the faults of ``fm`` station at least two weights of ``w``
     per depth column they touch, the least at which bit-15 faults take

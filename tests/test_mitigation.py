@@ -1,6 +1,7 @@
 """Prune / masked-retrain / retune pipeline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_unknown_activation_source_rejected(blobs_setup, activations):
                            fl.SystolicConfig(n=4), mul.exact_multiplier(),
                            s["train"], s["test"], _hp(0), acc_thresh=0.0,
                            activations=activations)
+
+
+@pytest.mark.parametrize("kwargs, epochs_used", [
+    ({}, 3), ({"acc_thresh": None}, 3), ({"acc_thresh": math.inf}, 3),
+    ({"acc_thresh": 0.0}, 1), ({"acc_thresh": 50.0}, 1)],
+    ids=["unset", "none", "inf", "zero", "fifty"])
+def test_a_repair_without_a_threshold_runs_every_epoch(blobs_setup, kwargs, epochs_used):
+    # the threshold used to default to 0.0, which the first epoch reaches
+    s = blobs_setup
+    fm = fl.random_fault_map(4, 25.0, fl.StuckAtFault(15, "sa1"), seed=3)
+    _, rep = mit.run_mitigation(s["model"], s["weights"], fm, fl.SystolicConfig(n=4),
+                                mul.truncated_multiplier(3), s["train"], s["test"],
+                                _hp(3), **kwargs)
+    assert rep.epochs_used == epochs_used
+    assert rep.acc_thresh == kwargs.get("acc_thresh")
+    if rep.acc_thresh is None or rep.acc_thresh == math.inf:
+        assert rep.reached_thresh is False
 
 
 def test_report_serialization(tmp_path):

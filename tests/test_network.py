@@ -590,19 +590,22 @@ def gemm_calls(monkeypatch):
 
 def test_plan_of_other_eval_batches_is_not_resumed(gemm_calls):
     # golden states serve only the call they were kept for; another layer,
-    # batch size, sample limit (states of 65 samples, 64 + 1, asked for
-    # 100, 64 + 36) or dataset of the same length runs from the input and
-    # gives the plain result
+    # batch size, data object (a 65-sample slice, 64 + 1, and the whole
+    # set; a dataset of the same length) or any sample limit, even one that
+    # cuts nothing, runs from the input and gives the plain result
     model, ws, test, clean = _golden_setup()
     _, plan = net.golden_pass(model, ws, test, clean, [1], batch_size=64)
     tf = fl.TileFaultSpec(tile_index=1, damaged_fraction=0.5,
                           fault=fl.StuckAtFault(15, "sa1"), seed=1)
-    _, short = net.golden_pass(model, ws, test, clean, [1], sample_limit=65, batch_size=64)
+    cut = (test.images[:65], test.labels[:65])
+    _, short = net.golden_pass(model, ws, cut, clean, [1], batch_size=64)
     other = synth_blobs(count=len(test.labels), seed=7)
     for p, layer, data, kwargs in ((plan, 0, test, dict(batch_size=64)),
                                    (plan, 1, test, dict(batch_size=100)),
                                    (plan, 1, test, dict(sample_limit=64 * 4, batch_size=64)),
-                                   (short, 1, test, dict(sample_limit=100, batch_size=64)),
+                                   (plan, 1, test, dict(sample_limit=65, batch_size=64)),
+                                   (short, 1, test, dict(batch_size=64)),
+                                   (short, 1, cut, dict(sample_limit=65, batch_size=64)),
                                    (plan, 1, other, dict(batch_size=64))):
         env = replace(clean, tile_fault=tf, layer_filter=layer)
         want = net.evaluate(model, ws, data, env, **kwargs)
@@ -616,6 +619,11 @@ def test_plan_of_other_eval_batches_is_not_resumed(gemm_calls):
     assert (net.evaluate(model, ws, test, env, batch_size=64, _plan=plan)
             == net.evaluate(model, ws, test, env, batch_size=64))
     assert gemm_calls[:4] == [(1, True)] * 4
+    # and so does a plan kept for a slice, on that slice
+    gemm_calls.clear()
+    assert (net.evaluate(model, ws, cut, env, batch_size=64, _plan=short)
+            == net.evaluate(model, ws, test, env, sample_limit=65, batch_size=64))
+    assert gemm_calls[:2] == [(1, True)] * 2
 
 
 def test_plan_of_other_operands_is_rejected():

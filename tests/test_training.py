@@ -104,6 +104,21 @@ def test_grad_check_conv():
     err = training.grad_check(m, ws, (x, 2), n_checks=80)
     assert err <= 1e-6
 
+    # a padded conv after the first parameter layer: its input gradient is
+    # folded back by col2im and cropped of the padding, and every one of
+    # the first conv's parameters reads it
+    m = net.ModelSpec("p", (8, 8, 1), [
+        net.conv2d(3, 3, 1, 3, activation="tanh"),
+        net.conv2d(3, 3, 3, 4, stride=2, pad=1, activation="tanh"),
+        net.flatten(),
+        net.dense(36, 3),
+    ])
+    assert m.shapes()[:2] == [(6, 6, 3), (3, 3, 4)]
+    ws = training.init_weights(m, seed=4)
+    x = rng.uniform(size=(8, 8, 1))
+    err = training.grad_check(m, ws, (x, 0), n_checks=300)
+    assert err <= 1e-6
+
 
 def test_blobs_trains_to_high_accuracy():
     # two gaussian blobs, one dense layer: should be almost perfectly

@@ -88,6 +88,10 @@ MUTANTS = (
     Mutant("products-truncation-skipped", _FAULTS,
            'p &= np.int16(-(1 << m.params["k"]))', "p &= np.int16(-1)",
            "_products keeps the k low bits of a truncated-k product"),
+    Mutant("blas-ready-k9", _FAULTS,
+           'm.params["k"] <= 8', 'm.params["k"] <= 9',
+           "truncated-9 takes the matmul path at 512 rows or more, past the "
+           "uint8 masks of _truncation"),
     Mutant("clean-shape-unchecked", _FAULTS,
            "if clean.shape != (wq.shape[0], aq.shape[1]):", "if clean.ndim != 2:",
            "_clean_copy takes a clean output of any 2-d shape"),
@@ -115,6 +119,9 @@ MUTANTS = (
            "kept is None or kept[0] is not data or", "kept is None or",
            "golden states kept for one dataset resume an evaluate of another "
            "of the same length"),
+    Mutant("states-for-any-batch-size", _NETWORK,
+           "kept[0] is not data or kept[1] != batch_size:", "kept[0] is not data:",
+           "golden states kept for one eval batch size resume an evaluate of another"),
     Mutant("window-margin-short", _DATASETS,
            "(thick + _AA + 1.0)[owner]", "(thick + _AA - 1.0)[owner]",
            "a segment's window stops 1 px short of its reach: it cuts lit pixels"),
