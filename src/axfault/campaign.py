@@ -12,7 +12,9 @@ in the axis that tells them apart (common random numbers).
 
 ``run_campaign`` cuts the test data to ``spec.sample_limit`` once; the
 golden passes, every cell's ``evaluate`` and every repair score that one
-object, and a cell's repair runs the ``ExecEnv`` its ``evaluate`` ran.
+object. A cell's repair (``mitigation._repair``) runs the ``ExecEnv`` its
+``evaluate`` ran, and reuses its two accuracies: the golden pass's
+baseline and the cell's own faulty accuracy are not scored again.
 
 Golden-run reuse: without faults both engines compute the same GEMMs, so
 one clean pass per multiplier (``network.golden_pass``) gives the baseline
@@ -52,7 +54,7 @@ import typing
 from . import charts
 from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec, _check_int,
                      _check_real, random_fault_map, seeded_tile_index)
-from .mitigation import check_activations, run_mitigation
+from .mitigation import _repair, check_activations
 from .multipliers import error_metrics, parse_multiplier
 from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
 from .training import HyperParams
@@ -297,11 +299,9 @@ def _run_cell(cell: dict) -> CampaignRecord:
                                   _plan=a["plans"][mid])
         rec.acc_loss = rec.baseline_acc - rec.faulty_acc
         if a["repair"] is not None and env.engine == "systolic":
-            hp, acc_thresh, activations = a["repair"]
-            _, rep = run_mitigation(a["model"], a["weights"], env.fault_map, env.systolic,
-                                    env.multiplier, a["train"], a["test"], hp, acc_thresh,
-                                    activations=activations)
-            rec.mitigated_acc = rep.acc_after
+            _, rec.mitigated_acc, _, _ = _repair(a["model"], a["weights"], env.fault_map,
+                                                 env.systolic, env.multiplier, a["train"],
+                                                 a["test"], *a["repair"])
         if a["energy"] is not None and mid in a["energy"]:
             rec.energy_pj = a["macs"] * float(a["energy"][mid])
     except Exception as e:  # noqa: BLE001 - a bad cell must not kill the sweep

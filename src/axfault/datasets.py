@@ -455,6 +455,7 @@ def parse_dataset_arg(spec: str) -> Dataset:
             raise ValueError("idx dataset needs idx:<images>:<labels>")
         return load_idx_pair(parts[1], parts[2], f"idx:{os.path.basename(parts[1])}")
     if kind == "cifar":
-        paths = ",".join(parts[1:]).split(",")
+        # split at the first ':' only: a batch path may hold one
+        paths = spec.partition(":")[2].split(",")
         return load_cifar10_batches(paths, "cifar10")
     raise ValueError(f"unknown dataset spec {spec!r}")

@@ -8,6 +8,7 @@ inference with the broken MACs bypassed.
 
 from dataclasses import asdict, dataclass, field, replace
 import json
+import math
 
 import numpy as np
 
@@ -116,39 +117,31 @@ def capture_activations(model: ModelSpec, weights: WeightSet, data,
     return ActivationSample(counts)
 
 
-def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
-                   cfg: SystolicConfig, m: Multiplier, train_data, test_data,
-                   hp: training.HyperParams, acc_thresh: float | None = None, *,
-                   activations="uniform", capture_limit=None):
-    """Full repair run; returns (retuned WeightSet, MitigationReport).
+def _repair(model: ModelSpec, weights: WeightSet, fm: FaultMap, cfg: SystolicConfig,
+            m: Multiplier, train_data, test_data, hp: training.HyperParams,
+            acc_thresh: float | None, activations, capture_limit=None):
+    """Prune, retrain, capture, retune and score one repair; returns
+    (retuned WeightSet, accuracy after, prune masks, epochs used).
 
-    Retraining stops after the first epoch whose float accuracy on
-    ``test_data`` reaches ``acc_thresh``; with None every one of
-    ``hp.epochs`` runs, and the report's ``reached_thresh`` is False.
-    ``activations``, one of ``ACTIVATION_SOURCES``, names the distribution
-    the retuning map is built against: "uniform" weighs all codes equally,
-    "empirical" harvests a histogram from a fault-free pass over
-    ``train_data`` (at most ``capture_limit`` samples) with the repaired
-    weights. With ``hp.epochs`` 0 the pruned weights go to retuning
-    untrained.
+    Only a threshold that can stop training has the epochs scored on
+    ``test_data``: with None or ``math.inf`` nothing reads those scores.
+    ``campaign`` calls this directly, so a cell's repair runs the
+    ``ExecEnv`` its ``evaluate`` ran, and reuses its two accuracies.
     """
     if fm.n != cfg.n:
         raise ValueError("fault map and systolic config disagree on n")
     check_activations(activations)
-    bypass_cfg = replace(cfg, mode="bypass")
-    clean_env = ExecEnv(engine="systolic", multiplier=m, systolic=bypass_cfg)
-    baseline = evaluate(model, weights, test_data, env=clean_env)
-    prop_env = ExecEnv(engine="systolic", multiplier=m,
-                       systolic=replace(cfg, mode="propagate"), fault_map=fm)
-    faulty_before = evaluate(model, weights, test_data, env=prop_env)
-
     masks = prune_masks(model, fm)
+    # NaN is passed on, for train to refuse
+    scored = acc_thresh is not None and acc_thresh != math.inf
     history = []
     retrained = training.train(model, train_data, hp, start_weights=weights, mask=masks,
-                               eval_data=test_data, stop_acc=acc_thresh,
-                               history=history)
+                               eval_data=test_data if scored else None,
+                               stop_acc=acc_thresh if scored else None, history=history)
 
+    bypass_cfg = replace(cfg, mode="bypass")
     if activations == "empirical":
+        clean_env = ExecEnv(engine="systolic", multiplier=m, systolic=bypass_cfg)
         acts = capture_activations(model, retrained, train_data, clean_env,
                                    sample_limit=capture_limit)
     else:
@@ -159,13 +152,40 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
     bypass_env = ExecEnv(engine="systolic", multiplier=m, systolic=bypass_cfg,
                          fault_map=fm)
     acc_after = evaluate(model, retuned, test_data, env=bypass_env)
+    return retuned, acc_after, masks, len(history)
 
+
+def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
+                   cfg: SystolicConfig, m: Multiplier, train_data, test_data,
+                   hp: training.HyperParams, acc_thresh: float | None = None, *,
+                   activations="uniform", capture_limit=None):
+    """Full repair run; returns (retuned WeightSet, MitigationReport).
+
+    Retraining stops after the first epoch whose float accuracy on
+    ``test_data`` reaches ``acc_thresh``; with None or ``math.inf`` every
+    one of ``hp.epochs`` runs unscored, and the report's ``reached_thresh``
+    is False. ``activations``, one of ``ACTIVATION_SOURCES``, names the
+    distribution the retuning map is built against: "uniform" weighs all
+    codes equally, "empirical" harvests a histogram from a fault-free pass
+    over ``train_data`` (at most ``capture_limit`` samples) with the
+    repaired weights. With ``hp.epochs`` 0 the pruned weights go to
+    retuning untrained. The repair itself is ``_repair``, which this wraps
+    with the two accuracies before it; ``campaign`` calls ``_repair``
+    directly, so a cell's repair runs the ``ExecEnv`` its ``evaluate`` ran,
+    and reuses its two accuracies.
+    """
+    retuned, acc_after, masks, epochs_used = _repair(
+        model, weights, fm, cfg, m, train_data, test_data, hp, acc_thresh,
+        activations, capture_limit)
+    clean_env = ExecEnv(engine="systolic", multiplier=m, systolic=replace(cfg, mode="bypass"))
+    prop_env = ExecEnv(engine="systolic", multiplier=m,
+                       systolic=replace(cfg, mode="propagate"), fault_map=fm)
     report = MitigationReport(
-        baseline_acc=baseline,
-        faulty_acc_before=faulty_before,
+        baseline_acc=evaluate(model, weights, test_data, env=clean_env),
+        faulty_acc_before=evaluate(model, weights, test_data, env=prop_env),
         acc_after=acc_after,
         pruned_per_layer={i: int(mk.sum()) for i, mk in masks.items()},
-        epochs_used=len(history),
+        epochs_used=epochs_used,
         multiplier_id=m.id,
         fault_summary=fault_map_summary(fm),
         acc_thresh=acc_thresh,

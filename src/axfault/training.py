@@ -159,7 +159,8 @@ def _sgd_step(ws, vel, grads, hp: HyperParams):
         for key in ("W", "b"):
             v = vel[idx][key]
             v *= hp.momentum
-            v -= hp.lr * g[key]
+            # the gradients are this step's own, so they are scaled in place
+            v -= np.multiply(g[key], hp.lr, out=g[key])
             ws[idx][key] += v
 
 

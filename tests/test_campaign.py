@@ -12,8 +12,10 @@ import pytest
 
 from axfault import campaign as cp
 from axfault import faults as fl
+from axfault import mitigation as mit
 from axfault import multipliers as mul
 from axfault import network as net
+from axfault import training
 from axfault.datasets import synth_blobs
 from axfault.training import HyperParams, init_weights, train
 
@@ -345,17 +347,42 @@ def test_a_mitigation_without_a_threshold_repairs_every_epoch(blobs_assets, monk
     model, ws, train_d, test_d = blobs_assets
     epochs = []
 
-    def spy(*args, _real=cp.run_mitigation, **kwargs):
-        retuned, rep = _real(*args, **kwargs)
-        epochs.append(rep.epochs_used)
-        return retuned, rep
+    def spy(*args, _real=cp._repair, **kwargs):
+        out = _real(*args, **kwargs)
+        epochs.append(out[3])
+        return out
 
-    monkeypatch.setattr(cp, "run_mitigation", spy)
+    monkeypatch.setattr(cp, "_repair", spy)
     spec = _tiny_spec(multipliers=["truncated-4"], seeds=[1],
                       mitigation={"epochs": 3, "lr": 0.1})
     [rec] = cp.run_campaign(spec, model, ws, test_d, train_data=train_d)
     assert rec.error is None and rec.mitigated_acc is not None
     assert epochs == [3]
+
+
+def test_a_mitigated_cell_reuses_its_two_accuracies(blobs_assets, monkeypatch):
+    # the repair used to score the cell's baseline and faulty accuracy again:
+    # 4 evaluate calls per cell, where the cell's own and the repaired one do
+    # the work
+    model, ws, train_d, test_d = blobs_assets
+    calls = []
+    for mod in (cp, mit, training):
+        def spy(*args, _real=mod.evaluate, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, "evaluate", spy)
+    spec = _tiny_spec(multipliers=["truncated-4"], mitigation={"epochs": 0})
+    records = cp.run_campaign(spec, model, ws, test_d, train_data=train_d)
+    assert len(records) == 2 and len(calls) == 2 * len(records)
+    monkeypatch.undo()
+    test = (test_d.images[:spec.sample_limit], test_d.labels[:spec.sample_limit])
+    for rec, cell in zip(records, cp.cells_of(spec)):
+        env = cp._cell_env(cell, mul.parse_multiplier(cell["multiplier"]))
+        _, rep = mit.run_mitigation(model, ws, env.fault_map, env.systolic, env.multiplier,
+                                    train_d, test, HyperParams(epochs=0))
+        assert rec.error is None
+        assert (rec.baseline_acc, rec.faulty_acc, rec.mitigated_acc) == (
+            rep.baseline_acc, rep.faulty_acc_before, rep.acc_after)
 
 
 def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypatch):

@@ -182,6 +182,14 @@ def test_cifar_spec_loads_several_batches_in_order(tmp_path):
     assert [got.images[i, 5, 5, 2] for i in range(3)] == [1 / 255.0, 3 / 255.0, 7 / 255.0]
 
 
+def test_cifar_spec_keeps_a_colon_in_a_batch_path(tmp_path):
+    # the spec was split at every ':', so "cifar:<dir>/a:b.bin" opened <dir>/a
+    p = tmp_path / "a:b.bin"
+    p.write_bytes(bytes(_cifar_records((4,))))
+    assert list(ds.parse_dataset_arg(f"cifar:{p}").labels) == [4]
+    assert list(ds.parse_dataset_arg(f"cifar:{p},{p}").labels) == [4, 4]
+
+
 # --- synthetic generators ---------------------------------------------------
 
 

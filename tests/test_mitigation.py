@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,62 @@ def test_a_repair_without_a_threshold_runs_every_epoch(blobs_setup, kwargs, epoc
     assert rep.acc_thresh == kwargs.get("acc_thresh")
     if rep.acc_thresh is None or rep.acc_thresh == math.inf:
         assert rep.reached_thresh is False
+
+
+def _repair_from_the_input(s, fm, cfg, m, hp, acc_thresh):
+    """The repair and its report built step by step from public functions,
+    every epoch scored as ``train`` scores it when given ``eval_data``."""
+    masks = mit.prune_masks(s["model"], fm)
+    history = []
+    retrained = training.train(s["model"], s["train"], hp, start_weights=s["weights"],
+                               mask=masks, eval_data=s["test"], stop_acc=acc_thresh,
+                               history=history)
+    table = mul.build_weight_map(m, mul.uniform_activations())
+    retuned = mit.retune_weights(s["model"], retrained, table, masks)
+
+    def acc(ws, mode, fault_map=None):
+        env = net.ExecEnv(engine="systolic", multiplier=m,
+                          systolic=replace(cfg, mode=mode), fault_map=fault_map)
+        return net.evaluate(s["model"], ws, s["test"], env=env)
+
+    after = acc(retuned, "bypass", fm)
+    report = mit.MitigationReport(
+        baseline_acc=acc(s["weights"], "bypass"),
+        faulty_acc_before=acc(s["weights"], "propagate", fm), acc_after=after,
+        pruned_per_layer={i: int(mk.sum()) for i, mk in masks.items()},
+        epochs_used=len(history), multiplier_id=m.id,
+        fault_summary=mit.fault_map_summary(fm), acc_thresh=acc_thresh,
+        reached_thresh=acc_thresh is not None and after >= acc_thresh)
+    return retuned, report
+
+
+@pytest.mark.parametrize("kwargs, scored", [
+    ({}, False), ({"acc_thresh": None}, False), ({"acc_thresh": math.inf}, False),
+    ({"acc_thresh": 50.0}, True)],
+    ids=["unset", "none", "inf", "fifty"])
+def test_a_repair_scores_its_epochs_only_against_a_reachable_threshold(
+        blobs_setup, monkeypatch, kwargs, scored):
+    # every epoch used to be scored on the test set, though only a threshold
+    # that can stop training reads the scores
+    s = blobs_setup
+    fm = fl.random_fault_map(4, 25.0, fl.StuckAtFault(15, "sa1"), seed=3)
+    cfg, m = fl.SystolicConfig(n=4), mul.truncated_multiplier(3)
+    want_ws, want = _repair_from_the_input(s, fm, cfg, m, _hp(3), kwargs.get("acc_thresh"))
+    calls = []
+
+    def spy(*args, _real=training.evaluate, **kw):
+        calls.append(args)
+        return _real(*args, **kw)
+
+    monkeypatch.setattr(training, "evaluate", spy)
+    retuned, rep = mit.run_mitigation(s["model"], s["weights"], fm, cfg, m, s["train"],
+                                      s["test"], _hp(3), **kwargs)
+    assert rep.epochs_used == (1 if scored else 3)
+    assert len(calls) == (rep.epochs_used if scored else 0)
+    assert rep.to_json() == want.to_json()
+    for idx in want_ws:
+        for key in ("W", "b"):
+            assert np.array_equal(retuned[idx][key], want_ws[idx][key])
 
 
 def test_report_serialization(tmp_path):

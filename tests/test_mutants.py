@@ -35,6 +35,7 @@ def test_a_mutants_own_test_file_runs_first():
     assert order["src/axfault/quantize.py"][0] == "tests/test_quantize.py"
     assert order["src/axfault/network.py"][0] == "tests/test_network.py"
     assert order["src/axfault/datasets.py"][0] == "tests/test_datasets.py"
+    assert order["src/axfault/mitigation.py"][0] == "tests/test_mitigation.py"
     # every file still runs before a mutant survives
     for files in order.values():
         assert sorted(files) == sorted(mutants.TEST_FILES)

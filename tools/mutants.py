@@ -1,6 +1,6 @@
 """Mutation gate: every named mutant of ``src/`` must fail the fast tests of
-the fault routes, the quantizer, the network, the digit renderer and the
-pinned results.
+the fault routes, the quantizer, the network, the digit renderer, the
+repair pipeline and the pinned results.
 
     python tools/mutants.py
 
@@ -32,12 +32,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TEST_FILES = ("tests/test_faults.py", "tests/test_gemm_paths.py",
               "tests/test_forward_properties.py", "tests/test_quantize.py",
               "tests/test_pinned_results.py", "tests/test_network.py",
-              "tests/test_datasets.py")
+              "tests/test_datasets.py", "tests/test_mitigation.py")
 
 _FAULTS = "src/axfault/faults.py"
 _QUANTIZE = "src/axfault/quantize.py"
 _NETWORK = "src/axfault/network.py"
 _DATASETS = "src/axfault/datasets.py"
+_MITIGATION = "src/axfault/mitigation.py"
 
 
 class Mutant(NamedTuple):
@@ -129,6 +130,11 @@ MUTANTS = (
            "t = (gx - ax[sp]) * abx[sp]", "t = (np.repeat(gy, wr) - ax[sp]) * abx[sp]",
            "the x term of the projection parameter t reads the window's row centres "
            "for its columns"),
+    Mutant("reachable-threshold-inverted", _MITIGATION,
+           "scored = acc_thresh is not None and acc_thresh != math.inf",
+           "scored = not (acc_thresh is not None and acc_thresh != math.inf)",
+           "a repair scores its epochs without a reachable threshold, and trains "
+           "unscored past a finite one"),
 )
 
 
