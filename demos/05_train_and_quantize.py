@@ -15,12 +15,15 @@ def main():
     print(f"data: {train.id} from {source} ({len(train.images)} train / "
           f"{len(test.images)} test)")
 
+    # the one cut of the test set: training's eval and the ladder score it
+    scored = test.subset(1000)
+
     model = ax.desk_model("mp-tanh-desk")
     hp = ax.HyperParams(lr=0.05, momentum=0.9, batch_size=64, epochs=8,
                         seed=11)
     t0 = time.perf_counter()
     history = []
-    weights = ax.train(model, train, hp, eval_data=test.subset(1000),
+    weights = ax.train(model, train, hp, eval_data=scored,
                        history=history)
     dt = time.perf_counter() - t0
     print(f"trained {model.name} ({weights.param_count()} params) in "
@@ -46,7 +49,7 @@ def main():
 
     base = None
     for name, env in ladder:
-        acc = ax.evaluate(model, weights, test, env=env, sample_limit=1000)
+        acc = ax.evaluate(model, weights, scored, env=env)
         if base is None:
             base = acc
         print(f"{name:<22} {acc:6.2f} %   (drop {base - acc:+5.2f})")

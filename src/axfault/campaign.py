@@ -10,10 +10,10 @@ and layer of one seed is scored under one fault map, and the fault kinds
 and bits of a seed share its positions, so two cells of a seed differ only
 in the axis that tells them apart (common random numbers).
 
-``run_campaign`` cuts the test data to ``spec.sample_limit`` once; the
-golden passes, every cell's ``evaluate`` and every repair score that one
-object. A cell's repair (``mitigation._repair``) runs the ``ExecEnv`` its
-``evaluate`` ran, and reuses its two accuracies: the golden pass's
+``run_campaign`` cuts the test ``Dataset`` to ``spec.sample_limit`` once;
+the golden passes, every cell's ``evaluate`` and every repair score that
+one object. A cell's repair (``mitigation._repair``) runs the ``ExecEnv``
+its ``evaluate`` ran, and reuses its two accuracies: the golden pass's
 baseline and the cell's own faulty accuracy are not scored again.
 
 Golden-run reuse: without faults both engines compute the same GEMMs, so
@@ -56,7 +56,7 @@ from .faults import (FAULT_KINDS, StuckAtFault, SystolicConfig, TileFaultSpec, _
                      _check_real, random_fault_map, seeded_tile_index)
 from .mitigation import _repair, check_activations
 from .multipliers import error_metrics, parse_multiplier
-from .network import QUANTIZED_ENGINES, ExecEnv, _as_xy, evaluate, golden_pass
+from .network import QUANTIZED_ENGINES, ExecEnv, evaluate, golden_pass
 from .training import HyperParams
 
 # The campaign's axes in canonical order, the only place that order is
@@ -334,8 +334,7 @@ def run_campaign(spec: CampaignSpec, model, weights, test_data,
         raise ValueError("mitigation needs layers 'all': it repairs every layer")
     mults = {mid: parse_multiplier(mid) for mid in spec.multipliers}
     mae = {mid: error_metrics(m).mae_percent for mid, m in mults.items()}
-    images, labels = _as_xy(test_data)
-    test = (images[:spec.sample_limit], labels[:spec.sample_limit])
+    test = test_data if spec.sample_limit is None else test_data.subset(spec.sample_limit)
     room = _GOLDEN_BYTES
     baselines, plans = {}, {}
     for mid, m in mults.items():

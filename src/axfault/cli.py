@@ -25,6 +25,7 @@ from .faults import (
     StuckAtFault,
     SystolicConfig,
     TileFaultSpec,
+    _check_int,
     load_fault_map,
     random_fault_map,
     save_fault_map,
@@ -94,6 +95,11 @@ def _add_fault_flags(p):
     p.add_argument("--kind", choices=FAULT_KINDS, help="stuck-at kind (default sa1)")
 
 
+def _scored_data(args):
+    data, limit = datasets.parse_dataset_arg(args.data), args.sample_limit
+    return data if limit is None else data.subset(_check_int("sample_limit", limit, 0))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -127,8 +133,7 @@ def _cmd_eval(args) -> int:
     )
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
-    data = datasets.parse_dataset_arg(args.data)
-    acc = network.evaluate(model, w, data, env=env, sample_limit=args.sample_limit)
+    acc = network.evaluate(model, w, _scored_data(args), env=env)
     print(f"accuracy={acc:.2f}")
     return 0
 
@@ -182,8 +187,8 @@ def _cmd_inject(args) -> int:
         save_fault_map(fm, args.save_map)
     model = network.resolve_model(args.model)
     w = network.load_weights(model, args.weights)
-    data = datasets.parse_dataset_arg(args.data)
-    baseline, faulty = (network.evaluate(model, w, data, env=e, sample_limit=args.sample_limit)
+    data = _scored_data(args)
+    baseline, faulty = (network.evaluate(model, w, data, env=e)
                         for e in (replace(env, fault_map=None, tile_fault=None), env))
     print(f"baseline_acc={baseline:.2f}")
     print(f"faulty_acc={faulty:.2f}")

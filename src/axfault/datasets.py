@@ -28,6 +28,9 @@ IDX_UBYTE = 0x08
 
 @dataclass
 class Dataset:
+    """Images and labels, the one form of data the library takes; a prefix
+    is ``subset``, the one cut."""
+
     id: str
     images: np.ndarray
     labels: np.ndarray
@@ -432,30 +435,35 @@ def parse_dataset_arg(spec: str) -> Dataset:
     digits:<count>:<seed> | blobs:<classes>:<count>:<dim>:<seed> |
     idx:<images_path>:<labels_path> | cifar:<batch1>[,<batch2>...] |
     mnist-train[:<dir>] | mnist-test[:<dir>]
+
+    A malformed spec raises ``ValueError`` quoting it.
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, colon, rest = spec.partition(":")
+    # a cifar batch path may hold a ':', so its list is split at ',' alone
+    fields = rest.split("," if kind == "cifar" else ":") if colon else []
     most = {"mnist-train": 1, "mnist-test": 1, "digits": 2, "blobs": 4}.get(kind)
-    if most is not None and len(parts) - 1 > most:
-        raise ValueError(f"dataset spec {spec!r}: {kind} takes at most {most} fields")
-    if kind in ("mnist-train", "mnist-test"):
-        directory = parts[1] if len(parts) > 1 else None
-        split = kind.removeprefix("mnist-")
-        return _mnist_split(split, _MNIST_COUNTS[split], _MNIST_SEED, directory)[0]
-    if kind == "digits":
-        count = int(parts[1]) if len(parts) > 1 else 2000
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return synth_digits(count, seed)
-    if kind == "blobs":
-        vals = [int(p) for p in parts[1:]]
-        classes, count, dim, seed = (vals + [3, 300, 8, 0][len(vals):])[:4]
-        return synth_blobs(classes, count, dim, seed)
-    if kind == "idx":
-        if len(parts) != 3:
-            raise ValueError("idx dataset needs idx:<images>:<labels>")
-        return load_idx_pair(parts[1], parts[2], f"idx:{os.path.basename(parts[1])}")
-    if kind == "cifar":
-        # split at the first ':' only: a batch path may hold one
-        paths = spec.partition(":")[2].split(",")
-        return load_cifar10_batches(paths, "cifar10")
-    raise ValueError(f"unknown dataset spec {spec!r}")
+    try:
+        if "" in fields:
+            raise ValueError("a field is empty")
+        if most is not None and len(fields) > most:
+            raise ValueError(f"{kind} takes at most {most} fields")
+        if kind in ("mnist-train", "mnist-test"):
+            split = kind.removeprefix("mnist-")
+            return _mnist_split(split, _MNIST_COUNTS[split], _MNIST_SEED,
+                                fields[0] if fields else None)[0]
+        if kind in ("digits", "blobs"):
+            if not all(f.removeprefix("-").isdecimal() for f in fields):
+                raise ValueError(f"{kind} takes integer fields")
+            vals = [int(f) for f in fields]
+            return synth_digits(*vals or [2000]) if kind == "digits" else synth_blobs(*vals)
+        if kind == "idx":
+            if len(fields) != 2:
+                raise ValueError("idx takes idx:<images>:<labels>")
+            return load_idx_pair(*fields, f"idx:{os.path.basename(fields[0])}")
+        if kind == "cifar":
+            if not fields:
+                raise ValueError("cifar takes one or more batch paths")
+            return load_cifar10_batches(fields, "cifar10")
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    except ValueError as e:
+        raise ValueError(f"dataset spec {spec!r}: {e}") from None

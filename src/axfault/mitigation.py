@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import training
-from .faults import FaultMap, SystolicConfig, _check_real, pruned_mask
+from .faults import FaultMap, SystolicConfig, _check_int, _check_real, pruned_mask
 from .multipliers import (
     ActivationSample,
     Multiplier,
@@ -104,16 +104,16 @@ def retune_weights(model: ModelSpec, weights: WeightSet, table: WeightMapTable,
 
 
 def capture_activations(model: ModelSpec, weights: WeightSet, data,
-                        env: ExecEnv, sample_limit=None) -> ActivationSample:
-    """Histogram the int8 activation operands of every GEMM in one
-    fault-free ``evaluate`` pass (conv layers: their im2col columns)."""
+                        env: ExecEnv) -> ActivationSample:
+    """Histogram the int8 activation operands of every GEMM (conv layers:
+    their im2col columns) in one fault-free ``evaluate`` pass over ``data``."""
     counts = np.zeros(256, dtype=np.uint64)
 
     def count(_, record):
         if record["q"] is not None:
             counts[:] += activations_from_codes(record["cols"]).counts
 
-    evaluate(model, weights, data, env=env, sample_limit=sample_limit, observe=count)
+    evaluate(model, weights, data, env, observe=count)
     return ActivationSample(counts)
 
 
@@ -131,6 +131,8 @@ def _repair(model: ModelSpec, weights: WeightSet, fm: FaultMap, cfg: SystolicCon
     if fm.n != cfg.n:
         raise ValueError("fault map and systolic config disagree on n")
     check_activations(activations)
+    if capture_limit is not None:
+        _check_int("capture_limit", capture_limit, 1)
     masks = prune_masks(model, fm)
     # NaN is passed on, for train to refuse
     scored = acc_thresh is not None and acc_thresh != math.inf
@@ -142,8 +144,8 @@ def _repair(model: ModelSpec, weights: WeightSet, fm: FaultMap, cfg: SystolicCon
     bypass_cfg = replace(cfg, mode="bypass")
     if activations == "empirical":
         clean_env = ExecEnv(engine="systolic", multiplier=m, systolic=bypass_cfg)
-        acts = capture_activations(model, retrained, train_data, clean_env,
-                                   sample_limit=capture_limit)
+        captured = train_data if capture_limit is None else train_data.subset(capture_limit)
+        acts = capture_activations(model, retrained, captured, clean_env)
     else:
         acts = uniform_activations()
     table = build_weight_map(m, acts)
@@ -159,7 +161,8 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
                    cfg: SystolicConfig, m: Multiplier, train_data, test_data,
                    hp: training.HyperParams, acc_thresh: float | None = None, *,
                    activations="uniform", capture_limit=None):
-    """Full repair run; returns (retuned WeightSet, MitigationReport).
+    """``_repair`` and the two accuracies before it, on two ``Dataset``
+    objects; returns (retuned WeightSet, MitigationReport).
 
     Retraining stops after the first epoch whose float accuracy on
     ``test_data`` reaches ``acc_thresh``; with None or ``math.inf`` every
@@ -167,12 +170,9 @@ def run_mitigation(model: ModelSpec, weights: WeightSet, fm: FaultMap,
     is False. ``activations``, one of ``ACTIVATION_SOURCES``, names the
     distribution the retuning map is built against: "uniform" weighs all
     codes equally, "empirical" harvests a histogram from a fault-free pass
-    over ``train_data`` (at most ``capture_limit`` samples) with the
-    repaired weights. With ``hp.epochs`` 0 the pruned weights go to
-    retuning untrained. The repair itself is ``_repair``, which this wraps
-    with the two accuracies before it; ``campaign`` calls ``_repair``
-    directly, so a cell's repair runs the ``ExecEnv`` its ``evaluate`` ran,
-    and reuses its two accuracies.
+    with the repaired weights over ``train_data.subset(capture_limit)``
+    (all of it for None; else an integer of at least 1, checked before any
+    work). With ``hp.epochs`` 0 the pruned weights go to retuning untrained.
     """
     retuned, acc_after, masks, epochs_used = _repair(
         model, weights, fm, cfg, m, train_data, test_data, hp, acc_thresh,

@@ -18,7 +18,8 @@ accelerators.
 
 ``forward`` and ``evaluate`` raise ``ValueError`` on non-finite weights or
 biases (naming the layer), on a ``layer_filter`` that names no dense or
-conv2d layer, and ``evaluate`` on an empty dataset.
+conv2d layer, and ``evaluate`` on an empty ``Dataset``, of which it scores
+every sample (a prefix is ``Dataset.subset``).
 
 Each ``evaluate`` quantizes and remaps the weights of a GEMM layer, and
 builds the layer's fault-free per-weight product tables, once for all its
@@ -26,9 +27,9 @@ eval batches (``_GemmPlan``).
 
 ``golden_pass`` evaluates without faults and keeps in its plan, per eval
 batch, the int8 input and int32 accumulator of chosen GEMM layers. An
-``evaluate`` handed that plan, for the same data object and batch size and
-no sample limit, whose faults lie in one of those layers, starts
-``run_layers`` there and adds only the faults to the kept accumulator. A
+``evaluate`` handed that plan, for the same data object and batch size,
+whose faults lie in one of those layers, starts ``run_layers`` there and
+adds only the faults to the kept accumulator. A
 plan never changes what ``evaluate`` returns, only the work it does; a plan
 kept for other weights or biases, another multiplier or another weight map
 is refused. What a plan keeps is decided here alone: its byte allowance,
@@ -671,52 +672,41 @@ def forward(model: ModelSpec, weights: WeightSet, x, env: ExecEnv | None = None)
     return {"logits": logits, "class": cls}
 
 
-def _as_xy(data):
-    if isinstance(data, tuple):
-        return np.asarray(data[0]), np.asarray(data[1])
-    return np.asarray(data.images), np.asarray(data.labels)
-
-
-def _eval_batches(data, sample_limit: int | None, batch_size: int) -> list:
-    """The (images, labels) batches of the eval loop, in order. Raises
-    ``ValueError`` when no sample is left to score, when ``batch_size`` is
-    no integer of at least 1, or ``sample_limit`` no integer of at least 0."""
+def _eval_batches(data, batch_size: int) -> list:
+    """The (images, labels) eval batches of ``data``, in order; ``ValueError``
+    for no sample, or a ``batch_size`` that is no integer of at least 1."""
     _check_int("batch_size", batch_size, 1)
-    images, labels = _as_xy(data)
-    if sample_limit is not None:
-        _check_int("sample_limit", sample_limit, 0)
-        images, labels = images[:sample_limit], labels[:sample_limit]
-    if len(images) == 0:
+    # bench/test_bench.py still hands the traced evaluate an (images, labels) pair
+    images, labels = data if isinstance(data, tuple) else (data.images, data.labels)
+    if len(labels) == 0:
         raise ValueError("evaluate needs at least one sample")
     return [(images[i : i + batch_size], labels[i : i + batch_size])
-            for i in range(0, len(images), batch_size)]
+            for i in range(0, len(labels), batch_size)]
 
 
-def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None,
-             sample_limit: int | None = None, batch_size: int = 256,
-             observe=None, _plan=None) -> float:
-    """Top-1 accuracy in percent over (a prefix of) the dataset.
+def evaluate(model: ModelSpec, weights: WeightSet, data, env: ExecEnv | None = None, *,
+             batch_size: int = 256, observe=None, _plan=None) -> float:
+    """Top-1 accuracy in percent over every sample of the ``Dataset``
+    ``data``; to score a prefix, pass ``data.subset(count)``.
 
     ``observe`` is passed to ``run_layers``. Every eval batch reads one
     ``_GemmPlan``: ``_plan`` (checked against ``weights`` and ``env``), or
     one built for this call, which keeps tables when there is more than
-    one batch. If no ``sample_limit`` is given and ``_plan`` holds golden
-    states of layer L = ``env.layer_filter`` kept for this data object and
-    batch size, each batch resumes at L: ``observe`` then sees layers L and
-    later, with the ``QTensor`` entering L as ``X`` at L. A plan never
-    changes the result. Raises ``ValueError`` as ``forward`` and
-    ``_eval_batches`` do, and for a plan of other weights, another
-    multiplier or weight map.
+    one batch. If ``_plan`` holds golden states of layer L =
+    ``env.layer_filter`` kept for this data object and batch size, each
+    batch resumes at L: ``observe`` then sees layers L and later, with the
+    ``QTensor`` entering L as ``X`` at L. A plan never changes the result.
+    Raises ``ValueError`` as ``forward`` and ``_eval_batches`` do, and for
+    a plan of other weights, another multiplier or weight map.
     """
     env = env or ExecEnv()
-    batches = _eval_batches(data, sample_limit, batch_size)
+    batches = _eval_batches(data, batch_size)
     _check_run(model, weights, env)
     plan = None
     if env.engine != "float":
         plan = _plan or _GemmPlan(weights, env, room=math.inf if len(batches) > 1 else 0)
         plan.check(weights, env)
-    states = sample_limit is None and plan and plan.states_for(env.layer_filter, data,
-                                                                batch_size)
+    states = plan and plan.states_for(env.layer_filter, data, batch_size)
     start = env.layer_filter if states else 0
     hits = 0
     for i, (images, labels) in enumerate(batches):
@@ -737,27 +727,25 @@ def _state_bytes(model: ModelSpec, layer: int, samples: int) -> int:
 
 def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers,
                 batch_size: int = 256, room=math.inf):
-    """``evaluate`` over all of ``data`` on a quantized ``env`` without
-    faults that keeps what a faulty ``evaluate`` needs to resume at each
-    GEMM layer in ``layers``.
+    """``evaluate`` over the ``Dataset`` ``data`` on a quantized ``env``
+    without faults that keeps what a faulty ``evaluate`` needs to resume at
+    each GEMM layer in ``layers``.
 
     Returns ``(accuracy, plan)``, ``plan`` a new ``_GemmPlan`` that spends
     ``room`` bytes first on the golden states of ``layers``, first fit in
     that order, kept for this data object and batch size, then on the
     tables, layer by layer; ``plan.room`` is what is left. Passing the plan
-    as ``evaluate(..., _plan=plan)`` on that data and batch size, with no
-    ``sample_limit`` (to score a prefix, pass the slice to both), resumes.
-    Raises
-    ``ValueError`` for an ``env`` that is float or carries faults, and,
-    naming it, for an entry of ``layers`` that is no dense or conv2d layer.
+    as ``evaluate(..., _plan=plan)`` on that same object and batch size
+    resumes. Raises ``ValueError`` for an ``env`` that is float or carries
+    faults, and, naming it, for an entry of ``layers`` that is no dense or
+    conv2d layer.
     """
     if env.engine == "float" or env.fault_map or env.tile_fault is not None:
         raise ValueError("a golden pass needs a quantized engine without faults")
-    samples = len(_as_xy(data)[1])
     plan = _GemmPlan(weights, env, room)
     for layer in layers:
         _check_gemm_layer(model, "layer", layer)
-        size = _state_bytes(model, layer, samples)
+        size = _state_bytes(model, layer, len(data))
         if layer not in plan.states and size <= plan.room:
             plan.states[layer] = []
             plan.room -= size
@@ -766,6 +754,6 @@ def golden_pass(model: ModelSpec, weights: WeightSet, data, env: ExecEnv, layers
         if idx in plan.states:
             plan.states[idx].append((record["q"], record["acc"]))
 
-    acc = evaluate(model, weights, data, env, None, batch_size, keep, plan)
+    acc = evaluate(model, weights, data, env, batch_size=batch_size, observe=keep, _plan=plan)
     plan.kept_for = data, batch_size
     return acc, plan

@@ -25,7 +25,6 @@ from .network import (
     ExecEnv,
     ModelSpec,
     WeightSet,
-    _as_xy,
     _gemm_weights,
     _pool_windows,
     _stored_weights,
@@ -172,7 +171,7 @@ def _apply_mask(ws: WeightSet, mask) -> None:
 def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
           mask=None, eval_data=None, stop_acc=None, log_path=None,
           history=None) -> WeightSet:
-    """Minibatch SGD with momentum; returns the trained WeightSet.
+    """Minibatch SGD with momentum over ``data``; returns the trained WeightSet.
 
     ``mask`` (layer index -> bool array over W) pins entries to zero
     before the first step and at every epoch boundary. ``stop_acc`` stops
@@ -186,7 +185,7 @@ def train(model: ModelSpec, data, hp: HyperParams, *, start_weights=None,
         stop_acc = _check_real("stop_acc", stop_acc)
     if stop_acc is not None and eval_data is None:
         raise ValueError("stop_acc needs eval_data to score the epochs against")
-    images, labels = _as_xy(data)
+    images, labels = data.images, data.labels
     n = len(images)
     if n == 0:
         raise ValueError("empty training set")

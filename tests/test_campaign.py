@@ -16,7 +16,7 @@ from axfault import mitigation as mit
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
-from axfault.datasets import synth_blobs
+from axfault.datasets import Dataset, synth_blobs
 from axfault.training import HyperParams, init_weights, train
 
 
@@ -326,12 +326,8 @@ def test_gpu_engine_cells(blobs_assets):
     assert fifty.faulty_acc <= zero.faulty_acc
 
 
-@pytest.mark.parametrize("as_tuple", [False, True], ids=["dataset", "tuple"])
-def test_mitigation_cells(blobs_assets, as_tuple):
+def test_mitigation_cells(blobs_assets):
     model, ws, train_d, test_d = blobs_assets
-    if as_tuple:
-        train_d = (train_d.images, train_d.labels)
-        test_d = (test_d.images, test_d.labels)
     spec = _tiny_spec(multipliers=["truncated-4"], seeds=[1],
                       mitigation={"epochs": 2, "lr": 0.1, "seed": 4,
                                   "acc_thresh": 0.0})
@@ -375,7 +371,7 @@ def test_a_mitigated_cell_reuses_its_two_accuracies(blobs_assets, monkeypatch):
     records = cp.run_campaign(spec, model, ws, test_d, train_data=train_d)
     assert len(records) == 2 and len(calls) == 2 * len(records)
     monkeypatch.undo()
-    test = (test_d.images[:spec.sample_limit], test_d.labels[:spec.sample_limit])
+    test = test_d.subset(spec.sample_limit)
     for rec, cell in zip(records, cp.cells_of(spec)):
         env = cp._cell_env(cell, mul.parse_multiplier(cell["multiplier"]))
         _, rep = mit.run_mitigation(model, ws, env.fault_map, env.systolic, env.multiplier,
@@ -413,7 +409,7 @@ def test_resumed_cells_equal_direct_evaluation(blobs_assets, tmp_path, monkeypat
         m = mul.parse_multiplier(cell["multiplier"])
         env = cp._cell_env(cell, m)
         assert rec.error is None
-        assert rec.faulty_acc == net.evaluate(model, ws, test_d, env=env, sample_limit=300)
+        assert rec.faulty_acc == net.evaluate(model, ws, test_d, env=env)
     assert len({r.faulty_acc for r in runs[0]}) > 5
     # room for layer 1 of the first two multipliers only: the cap is spent
     # first fit, in spec order, and each entry serves both engines
@@ -451,7 +447,7 @@ def table_builds(monkeypatch):
 def lenet_lut(tmp_path):
     model = net.desk_model("lenet-desk")
     rng = np.random.default_rng(8)
-    data = (rng.random((6, 28, 28, 1)), rng.integers(0, 10, 6))
+    data = Dataset("r", rng.random((6, 28, 28, 1)), rng.integers(0, 10, 6))
     path = tmp_path / "random.axlut"
     mul.save_lut(mul.from_table("random", rng.integers(-99, 100, mul.TABLE_SIZE)
                                 .astype(np.int16)), path)
@@ -486,7 +482,7 @@ def test_cells_from_the_input_fold_only_their_faulty_layers(lenet_lut, table_bui
 def test_evaluate_builds_tables_once_per_layer(table_builds):
     model = net.desk_model("mp-tanh-desk")
     rng = np.random.default_rng(4)
-    data = (rng.random((8, 784)), rng.integers(0, 10, 8))
+    data = Dataset("r", rng.random((8, 784)), rng.integers(0, 10, 8))
     lut = mul.from_table("random", rng.integers(-99, 100, mul.TABLE_SIZE).astype(np.int16))
     env = net.ExecEnv(engine="systolic", multiplier=lut, systolic=fl.SystolicConfig(n=16))
     net.evaluate(model, init_weights(model, 1), data, env, batch_size=2)
@@ -593,7 +589,7 @@ def test_records_json_round_trip(blobs_assets, tmp_path):
     spec = _tiny_spec(multipliers=["exact"], seeds=[1],
                       mitigation={"epochs": 1})
     # an empty training set fails each mitigated cell
-    empty = (test_d.images[:0], test_d.labels[:0])
+    empty = test_d.subset(0)
     records = cp.run_campaign(spec, model, ws, test_d, train_data=empty)
     p = tmp_path / "records.json"
     cp.save_records(records, p)

@@ -399,7 +399,7 @@ def test_inject_without_tile_index_damages_a_campaign_cells_tile(trained, monkey
     want = camp._cell_env(cell, multipliers.exact_multiplier())
     envs = []
 
-    def spy(model, weights, data, env, sample_limit=None):
+    def spy(model, weights, data, env):
         envs.append(env)
         return 50.0
 
@@ -698,6 +698,54 @@ def test_error_on_bad_dataset(trained, capsys):
                    "--data", "landsat:full"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["cifar", "cifar:", "digits:abc", "blobs:3:x"])
+def test_malformed_dataset_spec_fails_with_one_error_line(trained, spec, capsys):
+    # "cifar" and "cifar:" raised FileNotFoundError for '', and a bad
+    # integer field a bare "invalid literal for int()"
+    capsys.readouterr()
+    rc = cli.main(["eval", "--model", trained["model"], "--weights", trained["weights"],
+                   "--data", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset spec {spec!r}: ") and err.count("\n") == 1
+
+
+def test_eval_sample_limit_scores_the_first_samples(tmp_path, model_path, capsys):
+    # one epoch leaves the net weak enough that the first 10 samples score
+    # other than all 300
+    weights = str(tmp_path / "weak.axdn")
+    assert cli.main(["train", "--model", model_path, "--data", "blobs:3:500:8:1",
+                     "--out", weights, "--epochs", "1", "--lr", "0.01"]) == 0
+    data = datasets.parse_dataset_arg("blobs:3:300:8:2")
+    model = network.load_model(model_path)
+    w = network.load_weights(model, weights)
+    hits = network.forward(model, w, data.images)["class"] == data.labels
+    capsys.readouterr()
+    for limit in (10, 300):
+        assert cli.main(["eval", "--model", model_path, "--weights", weights,
+                         "--data", "blobs:3:300:8:2", "--sample-limit", str(limit)]) == 0
+        assert _kv(capsys)["accuracy"] == f"{100.0 * hits[:limit].mean():.2f}"
+    assert hits[:10].mean() != hits.mean()
+
+
+def test_inject_sample_limit_scores_both_accuracies_on_one_cut(trained, monkeypatch,
+                                                               capsys):
+    seen = []
+
+    def spy(model, weights, data, env, _real=network.evaluate):
+        seen.append(data)
+        return _real(model, weights, data, env)
+
+    monkeypatch.setattr(network, "evaluate", spy)
+    assert cli.main(["inject", "--model", trained["model"], "--weights", trained["weights"],
+                     "--data", "blobs:3:300:8:2", "--percent", "50", "--n", "4",
+                     "--sample-limit", "10"]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1] and len(seen[0]) == 10
+    full = datasets.parse_dataset_arg("blobs:3:300:8:2")
+    assert (seen[0].images == full.images[:10]).all()
+    assert (seen[0].labels == full.labels[:10]).all()
 
 
 def test_train_rejects_non_positive_batch_size(tmp_path, model_path, capsys):

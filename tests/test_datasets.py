@@ -576,6 +576,31 @@ def test_parse_dataset_arg_forms(tmp_path):
             ds.parse_dataset_arg(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("cifar", "cifar takes one or more batch paths"),
+    ("cifar:", "a field is empty"),
+    ("cifar:a.bin,,b.bin", "a field is empty"),
+    ("cifar:a.bin,", "a field is empty"),
+    ("digits:abc", "digits takes integer fields"),
+    ("digits:5:", "a field is empty"),
+    ("digits:2.5", "digits takes integer fields"),
+    ("digits:--5", "digits takes integer fields"),
+    ("blobs:3:x", "blobs takes integer fields"),
+    ("digits:0", "count must be at least 1, got 0"),
+    ("blobs:3:-4", "count must be at least 1, got -4"),
+    ("idx", "idx takes idx:<images>:<labels>"),
+    ("idx:a.idx", "idx takes idx:<images>:<labels>"),
+    ("idx::l.idx", "a field is empty"),
+    ("mnist-test:", "a field is empty"),
+    ("landsat:full", "unknown dataset kind 'landsat'"),
+])
+def test_malformed_dataset_spec_quotes_the_spec(spec, message):
+    # "cifar" and "cifar:" raised FileNotFoundError for '', and a bad
+    # integer field a bare "invalid literal for int()"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'dataset spec {spec!r}: {message}')}$"):
+        ds.parse_dataset_arg(spec)
+
+
 def test_parse_dataset_arg_mnist_shorthand(tmp_path, monkeypatch):
     _write_idx_quartet(tmp_path)
     monkeypatch.setenv("AXFAULT_MNIST_DIR", str(tmp_path))

@@ -355,6 +355,23 @@ def test_systolic_faults_commute_with_multiplier():
     assert out[0, 0] == _oracle_fault(approx, 2, "sa1")
 
 
+@pytest.mark.parametrize("lo, hi", [(-128, -121), (-3, 4), (100, 127), (7, 7)])
+def test_a_calls_own_tables_hold_its_window_of_codes(lo, hi):
+    # a table multiplier without a plan's tables builds per-weight tables of
+    # the codes from the call's smallest to its largest; a window away from
+    # -128 reads them at an offset, with or without faults
+    rng = np.random.default_rng(lo + 128)
+    m = mul.from_table("random", rng.integers(-3000, 3001, mul.TABLE_SIZE).astype(np.int16))
+    w = rng.integers(-128, 128, (6, 9)).astype(np.int8)
+    a = rng.integers(lo, hi + 1, (9, 5)).astype(np.int8)
+    a[0, 0], a[-1, -1] = lo, hi
+    fm = fl.FaultMap(4, {(1, 2): fl.StuckAtFault(3, "sa1"), (3, 0): fl.StuckAtFault(9, "sa0")})
+    for faults in (None, fm):
+        masks = None if faults is None else reference.systolic_masks(faults, "propagate", w.shape)
+        np.testing.assert_array_equal(fl.systolic_gemm(w, a, m, faults, fl.SystolicConfig(n=4)),
+                                      reference.gemm(w, a, m, masks))
+
+
 def test_systolic_rejects_mismatched_map():
     w = np.ones((2, 2), dtype=np.int8)
     a = np.ones((2, 2), dtype=np.int8)

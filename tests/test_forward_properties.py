@@ -33,6 +33,7 @@ from axfault import mitigation
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
+from axfault.datasets import Dataset
 
 _RANDOM_LUT = mul.from_table(
     "lut-random",
@@ -141,8 +142,8 @@ def envs(draw):
 def _data(model, seed, count):
     """``count`` random samples with random labels."""
     rng = np.random.default_rng(seed)
-    return (rng.normal(size=(count, *model.input_shape)),
-            rng.integers(0, model.n_classes, count))
+    return Dataset("random", rng.normal(size=(count, *model.input_shape)),
+                   rng.integers(0, model.n_classes, count))
 
 
 def _lut_example():
@@ -180,7 +181,7 @@ def _check_resumed_pass(model, env_pair, seed, count, batch_size):
     acc, plan = net.golden_pass(model, ws, data, golden_env, gemm_layers,
                                 batch_size=batch_size)
     assert acc == net.evaluate(model, ws, data, golden_env, batch_size=batch_size)
-    batches = net._eval_batches(data, None, batch_size)
+    batches = net._eval_batches(data, batch_size)
     # one plan for every batch gives the logits of one plan per batch
     last = len(model.layers) - 1
     logits = []
@@ -197,8 +198,9 @@ def _check_resumed_pass(model, env_pair, seed, count, batch_size):
     if env.weight_map is not None:
         other_map = None
     # the same samples and batches, asked for in other ways
-    other_calls = [dict(data=(data[0].copy(), data[1]), batch_size=batch_size),
-                   dict(data=data, sample_limit=count, batch_size=batch_size),
+    other_calls = [dict(data=Dataset("copy", data.images.copy(), data.labels),
+                        batch_size=batch_size),
+                   dict(data=data.subset(count), batch_size=batch_size),
                    dict(data=data, batch_size=batch_size + 1)]
     for layer in gemm_layers:
         faulty = replace(env, layer_filter=layer)

@@ -12,6 +12,7 @@ from axfault import mitigation as mit
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
+from axfault.datasets import Dataset
 from axfault.quantize import quantize
 
 
@@ -98,7 +99,7 @@ def test_prune_masks_conv_orientation():
     assert np.array_equal(masks[0].transpose(3, 0, 1, 2).reshape(4, 9), flat)
     ws = training.init_weights(model, seed=1)
     # zero epochs: train only copies the start weights and pins the mask
-    data = (np.zeros((1, 8, 8, 1)), np.zeros(1, dtype=np.int64))
+    data = Dataset("zeros", np.zeros((1, 8, 8, 1)), np.zeros(1, dtype=np.int64))
     pruned = training.train(model, data, _hp(0), start_weights=ws, mask=masks)
     assert not pruned[0]["W"][masks[0]].any()
     assert np.array_equal(pruned[0]["W"][~masks[0]], ws[0]["W"][~masks[0]])
@@ -222,9 +223,45 @@ def test_capture_activations_histogram(blobs_setup):
     s = blobs_setup
     env = net.ExecEnv(engine="systolic", multiplier=mul.exact_multiplier(),
                       systolic=fl.SystolicConfig(n=8, mode="bypass"))
-    acts = mit.capture_activations(s["model"], s["weights"], s["test"], env,
-                                   sample_limit=40)
+    acts = mit.capture_activations(s["model"], s["weights"], s["test"].subset(40), env)
     assert acts.counts.sum() == 40 * (8 + 16)
+
+
+@pytest.mark.parametrize("activations", mit.ACTIVATION_SOURCES)
+@pytest.mark.parametrize("capture_limit", [-5, 0, True, 2.5, "3"])
+def test_a_bad_capture_limit_is_refused_before_any_work(blobs_setup, monkeypatch,
+                                                         activations, capture_limit):
+    # -5 and 0 were refused only after the whole retrain, as a sample_limit,
+    # and with uniform activations every value passed unread
+    s = blobs_setup
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="^capture_limit must be"):
+        mit.run_mitigation(s["model"], s["weights"], fl.FaultMap(4), fl.SystolicConfig(n=4),
+                           mul.exact_multiplier(), s["train"], s["test"], _hp(2),
+                           activations=activations, capture_limit=capture_limit)
+    assert calls == []
+
+
+@pytest.mark.parametrize("capture_limit", [1, 37, None, 10**6])
+def test_an_empirical_repair_captures_capture_limit_samples(blobs_setup, monkeypatch,
+                                                             capture_limit):
+    s = blobs_setup
+    captured = []
+
+    def spy(model, weights, data, env, _real=mit.capture_activations):
+        captured.append(data)
+        return _real(model, weights, data, env)
+
+    monkeypatch.setattr(mit, "capture_activations", spy)
+    mit.run_mitigation(s["model"], s["weights"], fl.FaultMap(4), fl.SystolicConfig(n=4),
+                       mul.truncated_multiplier(3), s["train"], s["test"], _hp(0),
+                       activations="empirical", capture_limit=capture_limit)
+    [data] = captured
+    n = len(s["train"])
+    assert len(data) == (n if capture_limit is None else min(capture_limit, n))
+    assert np.array_equal(data.images, s["train"].images[:len(data)])
+    assert np.array_equal(data.labels, s["train"].labels[:len(data)])
 
 
 def test_mismatched_n_rejected(blobs_setup):

@@ -11,7 +11,7 @@ from axfault import faults as fl
 from axfault import multipliers as mul
 from axfault import network as net
 from axfault import training
-from axfault.datasets import synth_blobs, synth_digits
+from axfault.datasets import Dataset, synth_blobs, synth_digits
 from axfault.mitigation import capture_activations
 from axfault.quantize import QTensor, quantize
 
@@ -374,7 +374,7 @@ def test_layer_filter_outside_the_gemm_layers_is_rejected():
     model = net.ModelSpec("c", (6, 6, 1), [net.conv2d(3, 3, 1, 2, activation="relu"),
                                            net.maxpool(2), net.flatten(), net.dense(8, 3)])
     ws = training.init_weights(model, seed=0)
-    data = (np.random.default_rng(0).random((5, 6, 6, 1)), np.zeros(5, dtype=int))
+    data = Dataset("r", np.random.default_rng(0).random((5, 6, 6, 1)), np.zeros(5, dtype=int))
     m = mul.exact_multiplier()
     fm = fl.random_fault_map(4, 50.0, fl.StuckAtFault(15, "sa1"), seed=1)
     clean = net.ExecEnv(engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=4))
@@ -384,7 +384,7 @@ def test_layer_filter_outside_the_gemm_layers_is_rejected():
         for env in (replace(clean, fault_map=fm, layer_filter=bad),
                     replace(clean, layer_filter=bad)):
             with pytest.raises(ValueError, match=match):
-                net.forward(model, ws, data[0], env)
+                net.forward(model, ws, data.images, env)
             with pytest.raises(ValueError, match=match):
                 net.evaluate(model, ws, data, env)
         # the float engine reads no layer filter at all
@@ -507,9 +507,8 @@ def test_exec_env_validation():
 def test_capture_histogram_counts():
     model, ws, test = _tiny_problem()
     m = mul.exact_multiplier()
-    acts = capture_activations(model, ws, test, net.ExecEnv(
-        engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=8)),
-        sample_limit=50)
+    acts = capture_activations(model, ws, test.subset(50), net.ExecEnv(
+        engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=8)))
     # dense layers see in_features codes per sample: 8 + 16 per forward
     assert acts.counts.sum() == 50 * (8 + 16)
 
@@ -524,7 +523,7 @@ def test_capture_histogram_counts():
     assert conv.shapes()[:2] == [(5, 5, 4), (4, 4, 3)]
     cws = training.init_weights(conv, seed=1)
     images = np.random.default_rng(0).uniform(size=(6, 9, 9, 2))
-    data = (images, np.zeros(6, dtype=np.int64))
+    data = Dataset("r", images, np.zeros(6, dtype=np.int64))
     env = net.ExecEnv(engine="gpu_tiles", multiplier=m)
     acts = capture_activations(conv, cws, data, env)
     assert acts.counts.sum() == 6 * (3 * 3 * 2 * 5 * 5 + 2 * 2 * 4 * 4 * 4 + 48)
@@ -568,7 +567,7 @@ def test_golden_pass_layers_must_be_gemm_layers(layers):
     model = net.ModelSpec("c", (6, 6, 1), [net.conv2d(3, 3, 1, 2, activation="relu"),
                                            net.maxpool(2), net.flatten(), net.dense(8, 3)])
     ws = training.init_weights(model, seed=0)
-    data = (np.random.default_rng(0).random((5, 6, 6, 1)), np.zeros(5, dtype=int))
+    data = Dataset("r", np.random.default_rng(0).random((5, 6, 6, 1)), np.zeros(5, dtype=int))
     env = net.ExecEnv(engine="gpu_tiles", multiplier=mul.exact_multiplier())
     with pytest.raises(ValueError, match=f"^layer {layers[0]} is no dense or conv2d layer"):
         net.golden_pass(model, ws, data, env, [0] + layers)
@@ -590,22 +589,23 @@ def gemm_calls(monkeypatch):
 
 def test_plan_of_other_eval_batches_is_not_resumed(gemm_calls):
     # golden states serve only the call they were kept for; another layer,
-    # batch size, data object (a 65-sample slice, 64 + 1, and the whole
-    # set; a dataset of the same length) or any sample limit, even one that
-    # cuts nothing, runs from the input and gives the plain result
+    # batch size or data object (a 65-sample slice, 64 + 1, and the whole
+    # set; a dataset of the same length; another cut of the same samples,
+    # even one that cuts nothing) runs from the input and gives the plain
+    # result
     model, ws, test, clean = _golden_setup()
     _, plan = net.golden_pass(model, ws, test, clean, [1], batch_size=64)
     tf = fl.TileFaultSpec(tile_index=1, damaged_fraction=0.5,
                           fault=fl.StuckAtFault(15, "sa1"), seed=1)
-    cut = (test.images[:65], test.labels[:65])
+    cut = test.subset(65)
     _, short = net.golden_pass(model, ws, cut, clean, [1], batch_size=64)
     other = synth_blobs(count=len(test.labels), seed=7)
     for p, layer, data, kwargs in ((plan, 0, test, dict(batch_size=64)),
                                    (plan, 1, test, dict(batch_size=100)),
-                                   (plan, 1, test, dict(sample_limit=64 * 4, batch_size=64)),
-                                   (plan, 1, test, dict(sample_limit=65, batch_size=64)),
+                                   (plan, 1, test.subset(len(test)), dict(batch_size=64)),
+                                   (plan, 1, cut, dict(batch_size=64)),
                                    (short, 1, test, dict(batch_size=64)),
-                                   (short, 1, cut, dict(sample_limit=65, batch_size=64)),
+                                   (short, 1, test.subset(65), dict(batch_size=64)),
                                    (plan, 1, other, dict(batch_size=64))):
         env = replace(clean, tile_fault=tf, layer_filter=layer)
         want = net.evaluate(model, ws, data, env, **kwargs)
@@ -622,7 +622,7 @@ def test_plan_of_other_eval_batches_is_not_resumed(gemm_calls):
     # and so does a plan kept for a slice, on that slice
     gemm_calls.clear()
     assert (net.evaluate(model, ws, cut, env, batch_size=64, _plan=short)
-            == net.evaluate(model, ws, test, env, sample_limit=65, batch_size=64))
+            == net.evaluate(model, ws, cut, env, batch_size=64))
     assert gemm_calls[:2] == [(1, True)] * 2
 
 
@@ -694,7 +694,7 @@ def test_observe_on_a_resumed_evaluate_sees_the_full_pass_from_its_layer():
                                            net.maxpool(2), net.flatten(),
                                            net.dense(8, 3, "tanh")])
     ws = training.init_weights(model, seed=0)
-    data = (np.random.default_rng(0).random((7, 6, 6, 1)), np.zeros(7, dtype=int))
+    data = Dataset("r", np.random.default_rng(0).random((7, 6, 6, 1)), np.zeros(7, dtype=int))
     m = mul.truncated_multiplier(9)
     clean = net.ExecEnv(engine="systolic", multiplier=m, systolic=fl.SystolicConfig(n=2))
     _, plan = net.golden_pass(model, ws, data, clean, [0, 3], batch_size=3)
@@ -724,17 +724,17 @@ def test_evaluate_rejects_empty_data():
     model, ws, test = _tiny_problem()
     with pytest.raises(ValueError, match="at least one sample"):
         net.evaluate(model, ws, test.subset(0))
-    with pytest.raises(ValueError, match="at least one sample"):
-        net.evaluate(model, ws, test, sample_limit=0)
 
 
-@pytest.mark.parametrize("sample_limit", [-5, -1, True, 2.5, "3"])
-def test_evaluate_rejects_a_bad_sample_limit(sample_limit):
-    # a negative limit used to slice from the end, scoring all samples but
-    # the last five
+def test_evaluate_takes_no_fifth_positional_argument():
+    # the fifth positional parameter was sample_limit, so a stale call
+    # evaluate(model, ws, data, env, 64) was read as a limit, and read as
+    # batch_size once the limit went
     model, ws, test = _tiny_problem()
-    with pytest.raises(ValueError, match="sample_limit must be"):
-        net.evaluate(model, ws, test, sample_limit=sample_limit)
+    with pytest.raises(TypeError):
+        net.evaluate(model, ws, test, net.ExecEnv(), 64)
+    assert net.evaluate(model, ws, test, net.ExecEnv(), batch_size=64) == \
+        net.evaluate(model, ws, test)
 
 
 @pytest.mark.parametrize("batch_size", [2.5, True, "8"])
@@ -777,11 +777,3 @@ def test_non_finite_weights_fail_on_every_engine(engine):
     # the quantizer, which the quantized engines call, refuses them too
     with pytest.raises(ValueError, match="non-finite"):
         quantize(ws[1]["b"])
-
-
-def test_evaluate_sample_limit():
-    model, ws, test = _tiny_problem()
-    a = net.evaluate(model, ws, test, sample_limit=10)
-    r = net.forward(model, ws, test.images[:10])
-    want = 100.0 * np.mean(r["class"] == test.labels[:10])
-    assert a == want

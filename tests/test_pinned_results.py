@@ -22,6 +22,7 @@ import pytest
 from axfault import campaign as cp
 from axfault import faults as fl
 from axfault import multipliers as mul
+from axfault.datasets import Dataset
 from axfault.network import ExecEnv, desk_model, forward
 from axfault.training import init_weights
 
@@ -121,7 +122,7 @@ def records_digest(name: str) -> str:
         "fault_kinds": ["sa0", "sa1"], "bits": [15, 6], "percents": [25.0],
         "array_sizes": [4, 8], "engines": ["systolic", "gpu_tiles"], "seeds": [1, 2],
         "sample_limit": 16, **CAMPAIGNS[name]})
-    data = (IMAGES, LABELS)
+    data = Dataset("rng-64", IMAGES, LABELS)
     records = cp.run_campaign(spec, MODEL, WEIGHTS, data, train_data=data)
     assert all(r.error is None and r.wall_time_ms is None for r in records)
     cp.save_records(records, "records.json")

@@ -99,6 +99,25 @@ MUTANTS = (
     Mutant("damage-ragged-edge", _FAULTS,
            "keep = (r < rows) & (b < batch)", "keep = (r < rows) | (b < batch)",
            "_damage_outputs keeps damage drawn off one side of a ragged edge block"),
+    Mutant("sel-from-column-0", _FAULTS,
+           "col += 256 * sel[:, c0:c1].T", "col += 256 * sel[:, 0 : c1 - c0].T",
+           "every slab of the per-weight tables reads the table numbers of the "
+           "first depth columns"),
+    Mutant("clean-tables-first-slab", _FAULTS,
+           "h[256 * c0 : 256 * (c0 + step)] = slab(c0, c0 + step)",
+           "h[256 * c0 : 256 * (c0 + step)] = slab(0, step)",
+           "_clean_tables fills every slab of a plan's tables with the first"),
+    Mutant("gather-offset-128", _FAULTS,
+           "(span * np.arange(a.shape[0])[:, None] - lo)",
+           "(span * np.arange(a.shape[0])[:, None] + 128)",
+           "_table_gemm reads a call's own tables as if they began at code -128"),
+    Mutant("fresh-rows-from-0", _FAULTS,
+           "by_weight[:, lo + 128 : lo + 128 + span]", "by_weight[:, :span]",
+           "_fresh_gemm takes the products of the activation codes from -128, "
+           "not from the call's smallest"),
+    Mutant("span-one-short", _FAULTS,
+           "span = int(aq.max()) - lo + 1", "span = int(aq.max()) - lo",
+           "_fresh_gemm's tables stop one code below the call's largest"),
     Mutant("quantize-rounding", _QUANTIZE,
            "x += 0.5", "x += 0.49",
            "quantize rounds x.49 and above, not x.5 and above, away from zero"),
@@ -135,6 +154,11 @@ MUTANTS = (
            "scored = not (acc_thresh is not None and acc_thresh != math.inf)",
            "a repair scores its epochs without a reachable threshold, and trains "
            "unscored past a finite one"),
+    Mutant("capture-limit-ignored", _MITIGATION,
+           "captured = train_data if capture_limit is None else "
+           "train_data.subset(capture_limit)",
+           "captured = train_data",
+           "an empirical repair captures every training sample, past capture_limit"),
 )
 
 
